@@ -540,7 +540,7 @@ func engineConfigs(name string) []struct {
 	switch name {
 	case chordal.EnginePartitioned:
 		return []row{{"partitions=4", chordal.EngineConfig{Partitions: 4}}}
-	case chordal.EngineSharded:
+	case chordal.EngineSharded, chordal.EngineExternal:
 		return []row{{"shards=3", chordal.EngineConfig{Shards: 3}}}
 	case chordal.EngineDearing:
 		return []row{{"start=0", chordal.EngineConfig{Start: 0}}}

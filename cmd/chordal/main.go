@@ -261,10 +261,8 @@ func main() {
 	}
 
 	if q := res.Quality; q != nil {
-		fmt.Printf("quality: retained %d/%d edges (%.1f%%)", q.EdgesRetained, q.EdgesInput, q.RetentionPct)
-		if q.FillComputed {
-			fmt.Printf(", fill-in under subgraph PEO %d", q.FillIn)
-		}
+		fmt.Printf("quality: retained %d/%d edges (%.1f%%), fill-in under subgraph PEO %d",
+			q.EdgesRetained, q.EdgesInput, q.RetentionPct, q.FillIn)
 		if q.CliquesComputed {
 			fmt.Printf(", treewidth %d, chromatic number %d", q.Treewidth, q.ChromaticNumber)
 		}

@@ -12,7 +12,7 @@ import (
 // behind one Engine interface, so each one's output can be judged by
 // every *other* implementation's notion of chordality. A bug would
 // have to fool the MCS+PEO verifier, the PEO-based chordalalg stack,
-// and the elimination game identically to slip through.
+// and the elimination-tree fill count identically to slip through.
 
 // differentialSources is the zoo of the cross-engine checks: one graph
 // per structural family, sized for test time.
@@ -48,9 +48,8 @@ func differentialEngines() []struct {
 // the independent chordality oracles: the MCS+PEO verifier (what the
 // verify stage runs), the hole finder (a constructive witness search),
 // the chordalalg PEO (which re-derives and re-checks its own ordering),
-// and the metamorphic fill identity — the elimination game on a chordal
-// graph under its own perfect elimination ordering creates exactly zero
-// fill. Each output must also be a subgraph of its input, and the
+// and the metamorphic fill identity — elimination of a chordal graph
+// under its own perfect elimination ordering creates exactly zero fill. Each output must also be a subgraph of its input, and the
 // dearing engine's result must be maximal from every start vertex.
 // Runs under -race in CI.
 func TestEngineDifferentialGrid(t *testing.T) {
@@ -90,7 +89,7 @@ func TestEngineDifferentialGrid(t *testing.T) {
 					continue
 				}
 				// Metamorphic identity: zero fill under the subgraph's own
-				// PEO — ties the elimination game to the verifier.
+				// PEO — ties the fill count to the verifier.
 				fill, err := chordal.Fill(sub, peo)
 				if err != nil {
 					t.Errorf("%s: fill: %v", eng.label, err)

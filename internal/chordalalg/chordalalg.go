@@ -73,23 +73,31 @@ func Coloring(g *graph.Graph) (colors []int32, numColors int, err error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	colors, numColors = ColoringFromPEO(g, order)
+	return colors, numColors, nil
+}
+
+// ColoringFromPEO is Coloring for a caller that already holds a
+// perfect elimination ordering of g (for example one validated with
+// verify.IsPEO); the ordering is trusted, not checked. Runs in
+// O(V + E).
+func ColoringFromPEO(g *graph.Graph, order []int32) (colors []int32, numColors int) {
 	n := g.NumVertices()
 	colors = make([]int32, n)
 	for i := range colors {
 		colors[i] = -1
 	}
 	// Reverse PEO: each vertex's already-colored neighbors form a
-	// clique, so first-fit is optimal.
-	used := make([]bool, 0)
+	// clique, so first-fit is optimal and needs at most deg+1 colors.
+	var used []bool
 	for i := n - 1; i >= 0; i-- {
 		v := order[i]
 		deg := g.Degree(v)
-		if deg+1 > len(used) {
-			used = append(used, make([]bool, deg+1-len(used))...)
+		if deg+1 > cap(used) {
+			used = make([]bool, deg+1)
 		}
-		for j := range used {
-			used[j] = false
-		}
+		used = used[:deg+1]
+		clear(used)
 		for _, w := range g.Neighbors(v) {
 			if c := colors[w]; c >= 0 && int(c) < len(used) {
 				used[c] = true
@@ -104,7 +112,7 @@ func Coloring(g *graph.Graph) (colors []int32, numColors int, err error) {
 			numColors = int(c) + 1
 		}
 	}
-	return colors, numColors, nil
+	return colors, numColors
 }
 
 // ChromaticNumber returns the chromatic number of the chordal graph g.
@@ -168,11 +176,33 @@ func Decompose(g *graph.Graph) (*TreeDecomposition, error) {
 // Treewidth returns the treewidth of the chordal graph g (max clique
 // size minus one).
 func Treewidth(g *graph.Graph) (int, error) {
-	td, err := Decompose(g)
+	order, err := PEO(g)
 	if err != nil {
 		return 0, err
 	}
-	return td.Width, nil
+	return TreewidthFromPEO(g, order), nil
+}
+
+// TreewidthFromPEO is Treewidth for a caller that already holds a
+// perfect elimination ordering of g; the ordering is trusted, not
+// checked. The width is the largest later neighborhood, the same bag
+// size Decompose reports, found in O(V + E) without building bags.
+func TreewidthFromPEO(g *graph.Graph, order []int32) int {
+	pos := make([]int32, len(order))
+	for i, v := range order {
+		pos[v] = int32(i)
+	}
+	width := 0
+	for i, v := range order {
+		later := 0
+		for _, w := range g.Neighbors(v) {
+			if pos[w] > int32(i) {
+				later++
+			}
+		}
+		width = max(width, later)
+	}
+	return width
 }
 
 // MaximalCliques enumerates the maximal cliques of the chordal graph g

@@ -22,44 +22,39 @@ import (
 	"chordal/internal/verify"
 )
 
-// Fill runs the elimination game on g in the given vertex order and
-// returns the number of fill edges created. order must be a
-// permutation of the vertices: order[0] is eliminated first.
-// Complexity is O(V + E + fill·Δ'), where Δ' is the degree in the
-// partially eliminated graph; exact, not an estimate.
+// Fill returns the number of fill edges the elimination game creates on
+// g in the given vertex order, without playing the game. order must be
+// a permutation of the vertices: order[0] is eliminated first.
+//
+// The count is exact. Renumber g so that vertex order[k] becomes k;
+// the filled graph is then the structure of the Cholesky factor L of
+// that symmetric pattern, so fill = |L| − n − |E|. |L| comes from the
+// column counts of L, computed without forming L: the elimination tree
+// by Liu's algorithm with path compression ("The role of elimination
+// trees in sparse factorization", SIAM J. Matrix Anal. Appl. 1990),
+// a postorder of it, then the skeleton/least-common-ancestor column
+// counts of Gilbert, Ng and Peyton ("An efficient algorithm to compute
+// row and column counts for sparse Cholesky factorization", SIAM J.
+// Matrix Anal. Appl. 1994). Complexity is O(E·α(E, V)) time and O(V)
+// space, whatever the fill.
 func Fill(g *graph.Graph, order []int32) (int64, error) {
-	fill, _, err := fillGame(g, order, -1, -1)
-	return fill, err
-}
-
-// FillCapped is Fill with a cost bound: the elimination game is
-// abandoned once the fill count exceeds maxFill edges (<= 0 means
-// unbounded), returning the partial count and complete=false. A bad
-// ordering on a non-chordal graph densifies the elimination graph
-// toward completeness, making exact fill Θ(V³); the cap turns
-// "measure the fill" into a bounded probe whose work is O(V + E +
-// (E + maxFill)·Δ'). The abort criterion counts fill edges and pair
-// probes, not time, so capped results stay deterministic.
-func FillCapped(g *graph.Graph, order []int32, maxFill int64) (fill int64, complete bool, err error) {
-	maxOps := int64(-1)
-	if maxFill <= 0 {
-		maxFill = -1
-	} else {
-		// Pair-probe budget: probes either discover fill (bounded by
-		// maxFill) or re-find existing edges, which the elimination game
-		// revisits at most Δ' times each; 64 passes over the capped edge
-		// set is far beyond any run that stays under the fill cap.
-		maxOps = 64 * (int64(g.NumVertices()) + g.NumEdges() + maxFill)
+	pos, err := positions(g.NumVertices(), order)
+	if err != nil {
+		return 0, err
 	}
-	return fillGame(g, order, maxFill, maxOps)
+	parent := etree(g, order, pos)
+	var nnz int64
+	for _, c := range colCounts(g, order, pos, parent, postorder(parent)) {
+		nnz += c
+	}
+	return nnz - int64(len(order)) - g.NumEdges(), nil
 }
 
-// fillGame runs the elimination game on g in the given order, counting
-// fill edges. Negative caps disable the corresponding bound.
-func fillGame(g *graph.Graph, order []int32, maxFill, maxOps int64) (int64, bool, error) {
-	n := g.NumVertices()
+// positions validates that order is a permutation of 0..n-1 and returns
+// its inverse: pos[v] is the elimination step of vertex v.
+func positions(n int, order []int32) ([]int32, error) {
 	if len(order) != n {
-		return 0, false, fmt.Errorf("elimination: order length %d != %d vertices", len(order), n)
+		return nil, fmt.Errorf("elimination: order length %d != %d vertices", len(order), n)
 	}
 	pos := make([]int32, n)
 	for i := range pos {
@@ -67,44 +62,137 @@ func fillGame(g *graph.Graph, order []int32, maxFill, maxOps int64) (int64, bool
 	}
 	for i, v := range order {
 		if v < 0 || int(v) >= n || pos[v] != -1 {
-			return 0, false, fmt.Errorf("elimination: order is not a permutation")
+			return nil, fmt.Errorf("elimination: order is not a permutation")
 		}
 		pos[v] = int32(i)
 	}
-	// Adjacency among later (not yet eliminated) vertices, as sets.
-	adj := make([]map[int32]bool, n)
-	for v := 0; v < n; v++ {
-		adj[v] = make(map[int32]bool, g.Degree(int32(v)))
-		for _, w := range g.Neighbors(int32(v)) {
-			adj[v][w] = true
-		}
-	}
-	var fill, ops int64
-	for _, v := range order {
-		// Later neighbors of v.
-		later := make([]int32, 0, len(adj[v]))
-		for w := range adj[v] {
-			if pos[w] > pos[v] {
-				later = append(later, w)
-			}
-		}
-		// Pairwise connect them.
-		for i := 0; i < len(later); i++ {
-			for j := i + 1; j < len(later); j++ {
-				a, b := later[i], later[j]
-				ops++
-				if !adj[a][b] {
-					adj[a][b] = true
-					adj[b][a] = true
-					fill++
+	return pos, nil
+}
+
+// etree returns the elimination tree of g under order, on elimination
+// steps: parent[k] is the step whose vertex is the parent of order[k],
+// -1 for a root. Each step k climbs from every earlier neighbor to its
+// current root, and ancestor[] compresses the climbed paths to k.
+func etree(g *graph.Graph, order, pos []int32) []int32 {
+	n := len(order)
+	parent := make([]int32, n)
+	ancestor := make([]int32, n)
+	for k := range order {
+		parent[k], ancestor[k] = -1, -1
+		for _, w := range g.Neighbors(order[k]) {
+			for i := pos[w]; i != -1 && i < int32(k); {
+				next := ancestor[i]
+				ancestor[i] = int32(k)
+				if next == -1 {
+					parent[i] = int32(k)
 				}
-			}
-			if (maxFill >= 0 && fill > maxFill) || (maxOps >= 0 && ops > maxOps) {
-				return fill, false, nil
+				i = next
 			}
 		}
 	}
-	return fill, true, nil
+	return parent
+}
+
+// postorder returns the steps of the forest parent in depth-first
+// postorder, children in ascending order, with an explicit stack so a
+// path-shaped tree cannot exhaust the goroutine stack.
+func postorder(parent []int32) []int32 {
+	n := len(parent)
+	head := make([]int32, n)
+	next := make([]int32, n)
+	for i := range head {
+		head[i] = -1
+	}
+	for j := n - 1; j >= 0; j-- {
+		if p := parent[j]; p != -1 {
+			next[j] = head[p]
+			head[p] = int32(j)
+		}
+	}
+	post := make([]int32, 0, n)
+	var stack []int32
+	for root := range parent {
+		if parent[root] != -1 {
+			continue
+		}
+		stack = append(stack, int32(root))
+		for len(stack) > 0 {
+			p := stack[len(stack)-1]
+			if c := head[p]; c != -1 {
+				head[p] = next[c]
+				stack = append(stack, c)
+			} else {
+				stack = stack[:len(stack)-1]
+				post = append(post, p)
+			}
+		}
+	}
+	return post
+}
+
+// colCounts returns the number of nonzeros in each column of the
+// Cholesky factor of g under order, diagonal included. Column j's row
+// set is the union of the later neighbors of the steps in j's subtree,
+// so the algorithm adds +1 at j per skeleton entry (an edge {i, j},
+// i > j, whose j is a leaf of the i-th row subtree) and −1 at the least
+// common ancestor of consecutive leaves of each row subtree, then sums
+// the differences up the tree. Values stay int64: a column count is at
+// most n, but partial sums over many children are not.
+func colCounts(g *graph.Graph, order, pos, parent, post []int32) []int64 {
+	n := len(parent)
+	delta := make([]int64, n)
+	first := make([]int32, n)    // first[j]: postorder index of j's first descendant
+	maxFirst := make([]int32, n) // maxFirst[i]: largest first[j] seen for row i
+	prevLeaf := make([]int32, n) // prevLeaf[i]: last leaf found in row subtree i
+	ancestor := make([]int32, n) // disjoint-set forest for the LCA queries
+	for i := range first {
+		first[i], maxFirst[i], prevLeaf[i], ancestor[i] = -1, -1, -1, int32(i)
+	}
+	for k, j := range post {
+		if first[j] == -1 {
+			delta[j] = 1 // j is a leaf of the elimination tree
+		}
+		for ; j != -1 && first[j] == -1; j = parent[j] {
+			first[j] = int32(k)
+		}
+	}
+	for _, j := range post {
+		if p := parent[j]; p != -1 {
+			delta[p]--
+		}
+		for _, w := range g.Neighbors(order[j]) {
+			i := pos[w]
+			if i <= j || first[j] <= maxFirst[i] {
+				continue // not a skeleton entry
+			}
+			maxFirst[i] = first[j]
+			prev := prevLeaf[i]
+			prevLeaf[i] = j
+			delta[j]++
+			if prev == -1 {
+				continue // first leaf of row subtree i
+			}
+			q := prev
+			for q != ancestor[q] {
+				q = ancestor[q]
+			}
+			for s := prev; s != q; {
+				next := ancestor[s]
+				ancestor[s] = q
+				s = next
+			}
+			delta[q]-- // rows counted under both prev and j overlap from q up
+		}
+		if p := parent[j]; p != -1 {
+			ancestor[j] = p
+		}
+	}
+	for j, p := range parent {
+		if p != -1 {
+			delta[p] += delta[j]
+		}
+	}
+	return delta
 }
 
 // NaturalOrder returns the identity ordering 0, 1, ..., n-1.
@@ -217,18 +305,9 @@ func MinDegreeOrder(g *graph.Graph) []int32 {
 // O(V + E·ω) where ω bounds the kept clique sizes.
 func ChordalSubgraph(g *graph.Graph, order []int32) (*graph.Graph, error) {
 	n := g.NumVertices()
-	if len(order) != n {
-		return nil, fmt.Errorf("elimination: order length %d != %d vertices", len(order), n)
-	}
-	pos := make([]int32, n)
-	for i := range pos {
-		pos[i] = -1
-	}
-	for i, v := range order {
-		if v < 0 || int(v) >= n || pos[v] != -1 {
-			return nil, fmt.Errorf("elimination: order is not a permutation")
-		}
-		pos[v] = int32(i)
+	pos, err := positions(n, order)
+	if err != nil {
+		return nil, err
 	}
 	kept := make([]map[int32]bool, n)
 	var us, vs []int32

@@ -145,39 +145,6 @@ func TestChordalGuidedOrderZeroFillOnChordal(t *testing.T) {
 	}
 }
 
-func TestFillCappedSemantics(t *testing.T) {
-	// Complete small runs match Fill exactly.
-	g := synth.GNM(100, 400, 3)
-	order := NaturalOrder(100)
-	exact, err := Fill(g, order)
-	if err != nil {
-		t.Fatal(err)
-	}
-	capped, complete, err := FillCapped(g, order, exact+1)
-	if err != nil || !complete || capped != exact {
-		t.Fatalf("generous cap: got (%d, %t, %v), want (%d, true, nil)", capped, complete, err, exact)
-	}
-	// maxFill <= 0 disables the bound entirely.
-	capped, complete, err = FillCapped(g, order, 0)
-	if err != nil || !complete || capped != exact {
-		t.Fatalf("no cap: got (%d, %t, %v), want (%d, true, nil)", capped, complete, err, exact)
-	}
-	// A cap below the exact fill abandons the run and says so.
-	if exact < 2 {
-		t.Fatalf("fixture too sparse for the abandon case: exact fill %d", exact)
-	}
-	capped, complete, err = FillCapped(g, order, exact/2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if complete {
-		t.Fatalf("cap %d below exact fill %d reported complete", exact/2, exact)
-	}
-	if capped <= exact/2 || capped > exact {
-		t.Fatalf("abandoned run returned fill %d, want in (%d, %d]", capped, exact/2, exact)
-	}
-}
-
 func TestChordalSubgraphProperties(t *testing.T) {
 	// On any input and any ordering the result must be a chordal
 	// subgraph of the input that admits the ordering as a PEO (zero

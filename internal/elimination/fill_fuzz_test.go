@@ -7,12 +7,11 @@ import (
 	"chordal/internal/verify"
 )
 
-// FuzzFill fuzzes the elimination game's order validation and counting:
-// arbitrary bytes are decoded as a candidate elimination order for a
-// fixed graph. Invalid orders (wrong length, repeats, out of range)
-// must error cleanly; valid permutations must never panic, never return
-// a negative fill count, and must agree with FillCapped when the cap is
-// not hit.
+// FuzzFill fuzzes Fill's order validation and counting: arbitrary bytes
+// are decoded as a candidate elimination order for a fixed graph.
+// Invalid orders (wrong length, repeats, out of range) must error
+// cleanly; valid permutations must never panic and must count exactly
+// the fill the elimination game creates.
 //
 //	go test -fuzz=FuzzFill -fuzztime=30s -run '^$' ./internal/elimination
 func FuzzFill(f *testing.F) {
@@ -46,21 +45,8 @@ func FuzzFill(f *testing.F) {
 		if !isPermutation(order, n) {
 			t.Fatalf("invalid order %v accepted", order)
 		}
-		if fill < 0 {
-			t.Fatalf("negative fill %d", fill)
-		}
-		// A permutation of a fixed graph fills in at most C(n,2) - E edges.
-		if maxPossible := int64(n)*int64(n-1)/2 - g.NumEdges(); fill > maxPossible {
-			t.Fatalf("fill %d exceeds maximum possible %d", fill, maxPossible)
-		}
-		// FillCapped with a generous cap must agree exactly and report
-		// completion.
-		capped, complete, err := FillCapped(g, order, fill+1)
-		if err != nil {
-			t.Fatalf("FillCapped errored on an order Fill accepted: %v", err)
-		}
-		if !complete || capped != fill {
-			t.Fatalf("FillCapped = (%d, %t), Fill = %d", capped, complete, fill)
+		if want := gameFill(g, order); fill != want {
+			t.Fatalf("Fill = %d, elimination game = %d", fill, want)
 		}
 		// Zero fill must coincide with the order being a PEO.
 		if (fill == 0) != verify.IsPEO(g, order) {

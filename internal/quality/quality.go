@@ -33,15 +33,15 @@ type Metrics struct {
 	EdgesInput    int64   `json:"edgesInput"`
 	EdgesRetained int64   `json:"edgesRetained"`
 	RetentionPct  float64 `json:"retentionPct"`
-	// FillComputed reports whether the elimination metrics ran (they
-	// are skipped above Limits.MaxFillEdges). FillIn is the number of
-	// fill edges symbolic elimination creates on the INPUT graph under
-	// the subgraph's PEO — the application-level quality of the
-	// extraction (every fill edge traces to an input edge the
-	// extraction dropped). SubgraphFill is the same count on the
-	// subgraph itself under its own PEO and must be exactly 0 for any
-	// chordal subgraph; it is kept as a cross-implementation self-check
-	// rather than assumed.
+	// FillComputed reports that the elimination metrics ran; the exact
+	// count always runs, so it is true on every Metrics Compute
+	// returns. FillIn is the number of fill edges symbolic elimination
+	// creates on the INPUT graph under the subgraph's PEO — the
+	// application-level quality of the extraction (every fill edge
+	// traces to an input edge the extraction dropped). SubgraphFill is
+	// the same count on the subgraph itself under its own PEO and must
+	// be exactly 0 for any chordal subgraph; it is kept as a
+	// cross-implementation self-check rather than assumed.
 	FillComputed bool  `json:"fillComputed"`
 	FillIn       int64 `json:"fillIn"`
 	SubgraphFill int64 `json:"subgraphFill"`
@@ -56,31 +56,25 @@ type Metrics struct {
 	MaxCliqueSize   int  `json:"maxCliqueSize"`
 }
 
-// Limits bounds the expensive metric groups; the cheap retention
-// ratio is always computed. The zero value computes everything.
+// Limits bounds the optional metric groups; retention and fill are
+// always computed. The zero value computes everything.
 type Limits struct {
-	// MaxFillEdges abandons the input-fill metric once the elimination
-	// game has created this many fill edges (fill grows toward Θ(V²) on
-	// a bad ordering, and measuring it exactly costs Θ(V³) there); the
-	// metric is then reported as skipped, never as a partial count.
-	// <= 0 means no bound.
-	MaxFillEdges int64
 	// MaxCliqueVertices skips treewidth/coloring when the subgraph has
 	// more vertices. <= 0 means no bound.
 	MaxCliqueVertices int
 }
 
-// DefaultLimits bounds the fill probe to about a million fill edges —
-// comfortably past any fill a decent extraction leaves behind on
-// CI-sized inputs, while keeping always-on quality reporting bounded
-// when an ordering densifies the elimination graph.
+// DefaultLimits returns the bounds of always-on quality reporting.
 func DefaultLimits() Limits {
-	return Limits{MaxFillEdges: 1 << 20, MaxCliqueVertices: 1 << 20}
+	return Limits{MaxCliqueVertices: 1 << 20}
 }
 
 // Compute scores sub against its input graph g. sub must be chordal
 // and defined over the same vertex set; a non-chordal sub (no PEO) is
-// an error, never a bogus score.
+// an error, never a bogus score. Every metric derives from one
+// maximum-cardinality-search PEO of sub, validated once, and the whole
+// computation is near-linear in the size of g, because the fill counts
+// come from elimination trees (see elimination.Fill).
 func Compute(g, sub *graph.Graph, lim Limits) (*Metrics, error) {
 	if g.NumVertices() != sub.NumVertices() {
 		return nil, fmt.Errorf("quality: subgraph has %d vertices, input %d", sub.NumVertices(), g.NumVertices())
@@ -96,30 +90,17 @@ func Compute(g, sub *graph.Graph, lim Limits) (*Metrics, error) {
 	if !verify.IsPEO(sub, peo) {
 		return nil, fmt.Errorf("quality: subgraph is not chordal")
 	}
-	// The subgraph is chordal under peo, so its own fill game is linear
-	// and needs no cap; the input-fill probe is where a bad ordering
-	// can densify, so it carries the bound.
-	subFill, _, err := elimination.FillCapped(sub, peo, lim.MaxFillEdges)
-	if err != nil {
+	var err error
+	if m.SubgraphFill, err = elimination.Fill(sub, peo); err != nil {
 		return nil, err
 	}
-	fillIn, complete, err := elimination.FillCapped(g, peo, lim.MaxFillEdges)
-	if err != nil {
+	if m.FillIn, err = elimination.Fill(g, peo); err != nil {
 		return nil, err
 	}
-	if complete {
-		m.SubgraphFill = subFill
-		m.FillIn = fillIn
-		m.FillComputed = true
-	}
+	m.FillComputed = true
 	if lim.MaxCliqueVertices <= 0 || sub.NumVertices() <= lim.MaxCliqueVertices {
-		var err error
-		if m.Treewidth, err = chordalalg.Treewidth(sub); err != nil {
-			return nil, err
-		}
-		if m.ChromaticNumber, err = chordalalg.ChromaticNumber(sub); err != nil {
-			return nil, err
-		}
+		m.Treewidth = chordalalg.TreewidthFromPEO(sub, peo)
+		_, m.ChromaticNumber = chordalalg.ColoringFromPEO(sub, peo)
 		m.MaxCliqueSize = m.Treewidth + 1
 		m.CliquesComputed = true
 	}

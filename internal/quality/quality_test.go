@@ -3,8 +3,10 @@ package quality
 import (
 	"testing"
 
+	"chordal/internal/elimination"
 	"chordal/internal/graph"
 	"chordal/internal/synth"
+	"chordal/internal/verify"
 )
 
 func TestComputeOnChordalIdentity(t *testing.T) {
@@ -45,17 +47,22 @@ func TestComputeRejectsMismatchedAndNonChordal(t *testing.T) {
 func TestComputeLimitsSkipGroups(t *testing.T) {
 	g, _ := synth.KTreePlusNoise(200, 3, 400, 9)
 	sub := synth.KTree(200, 3, 9) // the noiseless core is a subgraph
-	// A one-edge fill cap abandons the input-fill probe on a noised
-	// input; a tiny vertex bound skips the clique group.
-	m, err := Compute(g, sub, Limits{MaxFillEdges: 1, MaxCliqueVertices: 10})
+	// A tiny vertex bound skips the clique group; fill is exact
+	// regardless: the input's fill under the core's PEO, which the
+	// elimination package pins to the elimination game.
+	m, err := Compute(g, sub, Limits{MaxCliqueVertices: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.FillComputed {
-		t.Fatalf("fill probe not abandoned under cap 1: %+v", m)
+	want, err := elimination.Fill(g, verify.MCSOrder(sub))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m.FillIn != 0 || m.SubgraphFill != 0 {
-		t.Fatalf("abandoned probe leaked a partial count: %+v", m)
+	if !m.FillComputed || m.FillIn != want || m.SubgraphFill != 0 {
+		t.Fatalf("fill on the noised k-tree: %+v, want fillIn %d and subgraphFill 0", m, want)
+	}
+	if want == 0 {
+		t.Fatal("fixture too clean: the noise edges create no fill")
 	}
 	if m.CliquesComputed {
 		t.Fatalf("clique group ran over the vertex bound: %+v", m)
