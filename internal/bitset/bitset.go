@@ -1,8 +1,8 @@
 // Package bitset provides dense bit sets used throughout the library for
 // vertex marking: a plain single-threaded Set, a concurrency-safe Atomic
-// set with compare-and-swap test-and-set semantics, and an EpochSet that
-// supports O(1) clearing, which the extraction queues use to deduplicate
-// vertex insertions once per iteration.
+// set with compare-and-swap test-and-set semantics, whose Drain hands
+// its words to the extraction frontier once per iteration, and an Epoch
+// set that supports O(1) clearing for per-worker scratch.
 package bitset
 
 import (
@@ -119,14 +119,26 @@ func (a *Atomic) Reset() {
 	}
 }
 
+// Drain clears the set and calls fn(i, w) for each word i that held
+// set bits, in ascending i, with w the word's former contents: bit b of
+// w is element 64*i+b. Each word is emptied by an atomic swap, so a
+// concurrent Set is either reported in w or left in the set, never
+// lost.
+func (a *Atomic) Drain(fn func(i int, w uint64)) {
+	for i := range a.words {
+		if a.words[i].Load() != 0 {
+			fn(i, a.words[i].Swap(0))
+		}
+	}
+}
+
 // Epoch is a single-owner membership set over [0, n) with O(1) clearing:
 // a slot is a member exactly when its tag equals the current epoch, so
 // Clear is one integer increment instead of an O(n) (or O(members))
-// reset. It is the non-atomic sibling of EpochSet, intended for
-// per-worker scratch on hot paths — the extraction kernel's hybrid
-// subset test and the separator checks of verify.CanAddEdge
-// materialize neighborhoods into one of these and discard them per
-// vertex or per edge without paying a reset loop.
+// reset. It is intended for per-worker scratch on hot paths — the
+// extraction kernel's hybrid subset test and the separator checks of
+// verify.CanAddEdge materialize neighborhoods into one of these and
+// discard them per vertex or per edge without paying a reset loop.
 type Epoch struct {
 	tags []uint32
 	cur  uint32
@@ -156,57 +168,5 @@ func (e *Epoch) Clear() {
 			e.tags[i] = 0
 		}
 		e.cur = 1
-	}
-}
-
-// EpochSet is a concurrency-safe membership set over [0, n) whose entire
-// contents can be discarded in O(1) by advancing the epoch. A slot is a
-// member exactly when its stored tag equals the current epoch. This is
-// the structure behind the "if x not in Q2" test of Algorithm 1: each
-// while-loop iteration advances the epoch instead of clearing per-vertex
-// flags.
-type EpochSet struct {
-	tags  []atomic.Uint32
-	epoch uint32
-	n     int
-}
-
-// NewEpochSet returns an EpochSet over [0, n) with an empty membership.
-func NewEpochSet(n int) *EpochSet {
-	return &EpochSet{tags: make([]atomic.Uint32, n), epoch: 1, n: n}
-}
-
-// Len returns the capacity of the set.
-func (e *EpochSet) Len() int { return e.n }
-
-// TryAdd atomically adds i for the current epoch and reports whether this
-// call performed the addition (false if i was already a member).
-func (e *EpochSet) TryAdd(i int) bool {
-	t := &e.tags[i]
-	cur := e.epoch
-	for {
-		old := t.Load()
-		if old == cur {
-			return false
-		}
-		if t.CompareAndSwap(old, cur) {
-			return true
-		}
-	}
-}
-
-// Contains reports whether i is a member in the current epoch.
-func (e *EpochSet) Contains(i int) bool { return e.tags[i].Load() == e.epoch }
-
-// NextEpoch empties the set in O(1). It must not race with TryAdd.
-// After 2^32-1 epochs the tag space wraps; NextEpoch then pays a full
-// clear to keep correctness.
-func (e *EpochSet) NextEpoch() {
-	e.epoch++
-	if e.epoch == 0 { // wrapped: stale tags could alias, so clear them
-		for i := range e.tags {
-			e.tags[i].Store(0)
-		}
-		e.epoch = 1
 	}
 }

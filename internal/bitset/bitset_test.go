@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -82,6 +83,31 @@ func TestAtomicTestAndSet(t *testing.T) {
 	}
 }
 
+func TestAtomicDrain(t *testing.T) {
+	a := NewAtomic(200)
+	for _, i := range []int{0, 63, 64, 130, 199} {
+		a.Set(i)
+	}
+	var got []int
+	a.Drain(func(i int, w uint64) {
+		if w == 0 {
+			t.Fatalf("word %d reported empty", i)
+		}
+		for b := 0; b < 64; b++ {
+			if w&(1<<b) != 0 {
+				got = append(got, 64*i+b)
+			}
+		}
+	})
+	if want := []int{0, 63, 64, 130, 199}; !slices.Equal(got, want) {
+		t.Fatalf("drained %v, want %v", got, want)
+	}
+	if a.Count() != 0 {
+		t.Fatalf("Count = %d after Drain", a.Count())
+	}
+	a.Drain(func(i int, w uint64) { t.Fatalf("empty set reported word %d", i) })
+}
+
 func TestAtomicConcurrentClaims(t *testing.T) {
 	// Exactly one goroutine must win each bit.
 	const n = 10000
@@ -110,90 +136,6 @@ func TestAtomicConcurrentClaims(t *testing.T) {
 	}
 	if a.Count() != n {
 		t.Fatalf("Count = %d, want %d", a.Count(), n)
-	}
-}
-
-func TestEpochSetBasic(t *testing.T) {
-	e := NewEpochSet(50)
-	if e.Len() != 50 {
-		t.Fatalf("Len = %d", e.Len())
-	}
-	if !e.TryAdd(3) {
-		t.Fatal("first TryAdd failed")
-	}
-	if e.TryAdd(3) {
-		t.Fatal("duplicate TryAdd succeeded")
-	}
-	if !e.Contains(3) {
-		t.Fatal("Contains(3) false")
-	}
-	e.NextEpoch()
-	if e.Contains(3) {
-		t.Fatal("membership survived NextEpoch")
-	}
-	if !e.TryAdd(3) {
-		t.Fatal("TryAdd after NextEpoch failed")
-	}
-}
-
-func TestEpochSetManyEpochs(t *testing.T) {
-	e := NewEpochSet(4)
-	for epoch := 0; epoch < 1000; epoch++ {
-		for i := 0; i < 4; i++ {
-			if !e.TryAdd(i) {
-				t.Fatalf("epoch %d: TryAdd(%d) failed", epoch, i)
-			}
-			if e.TryAdd(i) {
-				t.Fatalf("epoch %d: duplicate TryAdd(%d) succeeded", epoch, i)
-			}
-		}
-		e.NextEpoch()
-	}
-}
-
-func TestEpochSetConcurrent(t *testing.T) {
-	const n = 4096
-	e := NewEpochSet(n)
-	for round := 0; round < 10; round++ {
-		var wg sync.WaitGroup
-		var winners [8][]int
-		for w := 0; w < 8; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < n; i++ {
-					if e.TryAdd(i) {
-						winners[w] = append(winners[w], i)
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		total := 0
-		for _, wn := range winners {
-			total += len(wn)
-		}
-		if total != n {
-			t.Fatalf("round %d: %d wins, want %d", round, total, n)
-		}
-		e.NextEpoch()
-	}
-}
-
-func TestEpochWraparound(t *testing.T) {
-	e := NewEpochSet(8)
-	e.TryAdd(1)
-	// Force the epoch counter to the wrap boundary.
-	e.epoch = ^uint32(0)
-	e.TryAdd(2)
-	e.NextEpoch() // wraps: must clear all tags
-	for i := 0; i < 8; i++ {
-		if e.Contains(i) {
-			t.Fatalf("stale member %d after wraparound", i)
-		}
-		if !e.TryAdd(i) {
-			t.Fatalf("TryAdd(%d) failed after wraparound", i)
-		}
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -165,17 +164,12 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 		}
 		iterStart := time.Now()
 		before := st.totals()
-		cur := st.frontier.Current()
-		if !opts.UnsortedQueue {
-			slices.Sort(cur)
-		}
-		parallel.For(len(cur), workers, st.grain, func(worker, i int) {
-			st.processParent(worker, cur[i])
-		})
+		queued := st.frontier.Len()
+		st.frontier.Visit(st.grain, st.processParent)
 		after := st.totals()
 		res.Iterations = append(res.Iterations, IterationStats{
 			Index:         st.iter,
-			QueueSize:     len(cur),
+			QueueSize:     queued,
 			EdgesTested:   after.tested - before.tested,
 			EdgesAccepted: after.accepted - before.accepted,
 			ScanWork:      after.scan - before.scan,
@@ -231,7 +225,7 @@ func (st *state) initialize() {
 	if st.opt {
 		st.lpIdx = make([]int32, n)
 	}
-	st.frontier = worklist.NewFrontier(n, st.workers)
+	st.frontier = worklist.NewFrontier(n, st.workers, st.opts.UnsortedQueue)
 
 	parallel.For(n, st.workers, 2048, func(worker, v int) {
 		nb := g.Neighbors(int32(v))
@@ -292,16 +286,16 @@ func (st *state) finalized(v int32) bool {
 
 // processParent performs lines 12-22 for one queued parent v: scan v's
 // neighbors for vertices whose current lowest parent is v, test the
-// subset condition, and advance each such vertex. Under the dataflow
-// schedule a non-finalized parent defers itself, and an advanced child
-// immediately chains through further finalized parents.
-func (st *state) processParent(worker int, v int32) {
+// subset condition, and advance each such vertex. It reports whether v
+// is done; under the dataflow schedule a non-finalized parent returns
+// false and stays queued, and an advanced child immediately chains
+// through further finalized parents.
+func (st *state) processParent(worker int, v int32) bool {
 	dataflow := st.opts.Schedule == ScheduleDataflow
 	if dataflow && !st.finalized(v) {
 		// C[v] is still growing: testing now could reject an edge that
 		// the final set admits. Defer v to the next iteration.
-		st.frontier.Push(worker, v)
-		return
+		return false
 	}
 	g := st.g
 	nb := g.Neighbors(v)
@@ -329,6 +323,7 @@ func (st *state) processParent(worker int, v int32) {
 		}
 		st.testChain(worker, v, w, dataflow)
 	}
+	return true
 }
 
 // testChain tests edge (parent, w), then advances w. Under the dataflow

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"chordal/internal/biogen"
 	"chordal/internal/rmat"
+	"chordal/internal/synth"
 )
 
 // TestGoldenCounts pins exact chordal edge and iteration counts for
@@ -66,6 +69,57 @@ func TestGoldenCounts(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Errorf("row %d: got %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestGoldenSchedule pins the one-worker iteration schedule of a graph
+// that needs many iterations: the iteration count and an FNV-64a digest
+// of every iteration's (QueueSize, EdgesTested, EdgesAccepted,
+// ScanWork), for every schedule × variant and both queue orders. A
+// change to the frontier that reorders or drops a queued parent moves
+// some iteration's counts, and with them the digest, even when the
+// final edge set survives.
+func TestGoldenSchedule(t *testing.T) {
+	g := synth.WattsStrogatz(2000, 8, 0.1, 3, 1)
+	type row struct {
+		iterations int
+		digest     string
+	}
+	want := map[string]row{
+		"Dataflow/Opt":               {39, "c32506f78649623e"},
+		"Dataflow/Opt/unsorted":      {397, "d0241ce42cf368ff"},
+		"Dataflow/Unopt":             {39, "405873077c6dc242"},
+		"Dataflow/Unopt/unsorted":    {397, "5607c097dc027a74"},
+		"Async/Opt":                  {10, "6b38fe02480c7217"},
+		"Async/Opt/unsorted":         {12, "69af461e069dffe7"},
+		"Async/Unopt":                {10, "f5190de78a4fa1fc"},
+		"Async/Unopt/unsorted":       {12, "16ba0a09068ed5bb"},
+		"Synchronous/Opt":            {16, "c8effb06af5ef042"},
+		"Synchronous/Opt/unsorted":   {16, "c8effb06af5ef042"},
+		"Synchronous/Unopt":          {16, "1435beb85a264ede"},
+		"Synchronous/Unopt/unsorted": {16, "1435beb85a264ede"},
+	}
+	for _, s := range allSchedules {
+		for _, v := range allVariants {
+			for _, unsorted := range []bool{false, true} {
+				res, err := Extract(g, Options{Workers: 1, Schedule: s, Variant: v, UnsortedQueue: unsorted})
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := fnv.New64a()
+				for _, it := range res.Iterations {
+					fmt.Fprintf(h, "%d,%d,%d,%d;", it.QueueSize, it.EdgesTested, it.EdgesAccepted, it.ScanWork)
+				}
+				name := s.String() + "/" + v.String()
+				if unsorted {
+					name += "/unsorted"
+				}
+				got := row{len(res.Iterations), fmt.Sprintf("%016x", h.Sum64())}
+				if got != want[name] {
+					t.Errorf("%s: got %+v, want %+v", name, got, want[name])
+				}
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"chordal/internal/graph"
 	"chordal/internal/rmat"
+	"chordal/internal/synth"
 	"chordal/internal/verify"
 )
 
@@ -139,3 +140,22 @@ func BenchmarkExtractMergeScan(b *testing.B) { benchExtract(b, -1) }
 // BenchmarkExtractHybrid is the same workload with the bitset probe at
 // the default threshold.
 func BenchmarkExtractHybrid(b *testing.B) { benchExtract(b, defaultDegreeThreshold) }
+
+// BenchmarkExtractDataflowSmallWorld is one-worker extraction of the
+// ring-lattice small world ws:20000:8:0.1: a long dependency chain
+// where most queued parents wait for their chordal sets to finalize,
+// so it measures the frontier's deferral path.
+func BenchmarkExtractDataflowSmallWorld(b *testing.B) {
+	g := synth.WattsStrogatz(20000, 8, 0.1, 42, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Extract(g, Options{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.NumChordalEdges() == 0 {
+			b.Fatal("empty extraction")
+		}
+	}
+}

@@ -120,8 +120,9 @@ type Options struct {
 	Workers int
 	// Schedule selects the test-ordering discipline; see Schedule.
 	Schedule Schedule
-	// Grain is the chunk size of the per-iteration parallel loop (how
-	// many queued parents one work-stealing grab claims); <= 0 picks the
+	// Grain is the chunk size of the per-iteration parallel loop: one
+	// work-stealing grab claims grain vertex ids of the queue bitmap
+	// (grain queued parents under UnsortedQueue); <= 0 picks the
 	// built-in default. The root-package engines pass the calibrated
 	// grain from internal/tune here.
 	Grain int
@@ -133,12 +134,16 @@ type Options struct {
 	// The choice never changes the extracted edge set — the probe is an
 	// exact subset test against the same published prefix.
 	DegreeThreshold int
-	// UnsortedQueue leaves each iteration's queue in arrival order
-	// instead of ascending vertex order. Successive lowest parents have
-	// increasing ids, so the default ascending queue lets dataflow
-	// chains ride a finalization wave through most of the graph in very
-	// few iterations; set this to model a machine (like the XMT) whose
-	// queue order is arbitrary, at the cost of more iterations.
+	// UnsortedQueue visits each iteration's queue in arrival order
+	// instead of ascending vertex order. The default queue is a bitmap
+	// that a waiting dataflow parent keeps its bit in, so it is visited
+	// in ascending order at no cost; successive lowest parents have
+	// increasing ids, so that order lets dataflow chains ride a
+	// finalization wave through most of the graph in very few
+	// iterations. Set this to model a machine (like the XMT) whose
+	// queue order is arbitrary, at the cost of more iterations: the
+	// queue becomes a list of per-worker arrival buffers, and a waiting
+	// parent is pushed again behind the arrivals before it.
 	UnsortedQueue bool
 	// RepairMaximality runs a post-pass that re-tests rejected edges
 	// against the final chordal sets and re-admits any that pass the

@@ -1,76 +1,115 @@
-// Package worklist provides the frontier substrate for the extraction
-// algorithm: a dual-frontier queue (the paper's Q1/Q2) with per-worker
-// insertion buffers and epoch-based membership deduplication.
+// Package worklist provides the frontier of the extraction algorithm:
+// the paper's Q1/Q2 queue pair as a sticky, ordered bitmap.
 //
-// The dynamically scheduled parallel-for that drives iteration over a
-// frontier lives in the shared chordal/internal/parallel runtime
-// (parallel.For).
+// Q1 is one bit per vertex that persists across iterations. A visit
+// walks its words in ascending order, so the queue is sorted without a
+// sort; a vertex that is not ready yet keeps its bit instead of being
+// pushed again. Q2 is an atomic bitmap that collects the pushes made
+// during an iteration, deduplicated by the bit itself, and Advance
+// folds it into Q1 at the barrier. An iteration costs O(n/64 + |Q1|).
+//
+// Arrival mode, the ablation of a machine whose queue order is
+// arbitrary, keeps Q1 as a list in push order instead: per-worker
+// buffers concatenated in worker order, with the same Q2 bitmap
+// deduplicating the pushes.
 package worklist
 
 import (
+	"math/bits"
+
 	"chordal/internal/bitset"
+	"chordal/internal/parallel"
 )
 
-// Frontier is the dual-queue (Q1/Q2) of Algorithm 1. The current
-// frontier is read-only during an iteration while workers push next-
-// iteration vertices into per-worker buffers; Advance merges the buffers
-// and rolls the deduplication epoch, implementing lines 21-24 of the
-// paper's listing without per-vertex clearing.
+// Frontier is the dual queue (Q1/Q2) of Algorithm 1 over vertex ids
+// [0, n). Push is safe for concurrent use; Visit, Advance and Len must
+// not run concurrently with one another.
 type Frontier struct {
-	cur     []int32
-	next    [][]int32
-	seen    *bitset.EpochSet
 	workers int
+	next    *bitset.Atomic // Q2: pushes of the current iteration
+	queued  []uint64       // Q1 bitmap (ordered mode)
+	count   int            // |Q1| as of the last Advance
+
+	arrival bool
+	cur     []int32   // Q1 in push order (arrival mode)
+	bufs    [][]int32 // per-worker push order of Q2 (arrival mode)
 }
 
-// NewFrontier creates a Frontier over vertex ids [0, n) for the given
-// number of worker slots (at least 1).
-func NewFrontier(n, workers int) *Frontier {
+// NewFrontier creates an empty Frontier over vertex ids [0, n) for the
+// given number of workers (at least 1). arrival selects arrival mode,
+// which visits Q1 in push order instead of ascending id order.
+func NewFrontier(n, workers int, arrival bool) *Frontier {
 	if workers < 1 {
 		workers = 1
 	}
-	next := make([][]int32, workers)
-	return &Frontier{next: next, seen: bitset.NewEpochSet(n), workers: workers}
-}
-
-// Workers returns the number of per-worker push slots.
-func (f *Frontier) Workers() int { return f.workers }
-
-// Seed initializes the current frontier from items, deduplicating them.
-// It must be called before the first iteration, not concurrently.
-func (f *Frontier) Seed(items []int32) {
-	f.cur = f.cur[:0]
-	for _, v := range items {
-		if f.seen.TryAdd(int(v)) {
-			f.cur = append(f.cur, v)
-		}
+	f := &Frontier{workers: workers, next: bitset.NewAtomic(n), arrival: arrival}
+	if arrival {
+		f.bufs = make([][]int32, workers)
+	} else {
+		f.queued = make([]uint64, (n+63)/64)
 	}
-	f.seen.NextEpoch()
+	return f
 }
 
 // Push adds v to the next frontier if it is not already there. It is
 // safe for concurrent use provided each worker passes its own index.
 func (f *Frontier) Push(worker int, v int32) {
-	if f.seen.TryAdd(int(v)) {
-		f.next[worker] = append(f.next[worker], v)
+	if !f.arrival {
+		f.next.Set(int(v))
+	} else if f.next.TestAndSet(int(v)) {
+		f.bufs[worker] = append(f.bufs[worker], v)
 	}
 }
 
-// Current returns the current frontier. The returned slice must be
-// treated as read-only and is invalidated by Advance.
-func (f *Frontier) Current() []int32 { return f.cur }
-
 // Len returns the size of the current frontier.
-func (f *Frontier) Len() int { return len(f.cur) }
+func (f *Frontier) Len() int { return f.count }
 
-// Advance merges the per-worker next buffers into the current frontier
-// and opens a fresh deduplication epoch. It must not run concurrently
-// with Push.
-func (f *Frontier) Advance() {
-	f.cur = f.cur[:0]
-	for w := range f.next {
-		f.cur = append(f.cur, f.next[w]...)
-		f.next[w] = f.next[w][:0]
+// Visit calls fn(worker, v) once for every vertex v of the current
+// frontier across the frontier's workers, handing out chunks of grain
+// vertex ids (grain/64 bitmap words, at least one; grain queued
+// vertices in arrival mode). A vertex for which fn returns false stays queued for the next
+// iteration; any other vertex leaves. On one worker the calls come in
+// ascending id order (push order in arrival mode).
+func (f *Frontier) Visit(grain int, fn func(worker int, v int32) bool) {
+	if f.arrival {
+		parallel.For(len(f.cur), f.workers, grain, func(worker, i int) {
+			if v := f.cur[i]; !fn(worker, v) {
+				f.Push(worker, v)
+			}
+		})
+		return
 	}
-	f.seen.NextEpoch()
+	// Each word belongs to exactly one chunk, so its owner rewrites it
+	// without atomics.
+	parallel.For(len(f.queued), f.workers, max(1, grain/64), func(worker, i int) {
+		w := f.queued[i]
+		for rest := w; rest != 0; rest &= rest - 1 {
+			b := bits.TrailingZeros64(rest)
+			if fn(worker, int32(i*64+b)) {
+				w &^= 1 << b
+			}
+		}
+		f.queued[i] = w
+	})
+}
+
+// Advance makes the pushes since the last Advance part of the current
+// frontier and empties the next one: the barrier between iterations.
+// It must not run concurrently with Push or Visit.
+func (f *Frontier) Advance() {
+	if f.arrival {
+		f.cur = f.cur[:0]
+		for w := range f.bufs {
+			f.cur = append(f.cur, f.bufs[w]...)
+			f.bufs[w] = f.bufs[w][:0]
+		}
+		f.next.Reset()
+		f.count = len(f.cur)
+		return
+	}
+	f.next.Drain(func(i int, w uint64) { f.queued[i] |= w })
+	f.count = 0
+	for _, w := range f.queued {
+		f.count += bits.OnesCount64(w)
+	}
 }
