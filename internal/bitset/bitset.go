@@ -1,7 +1,8 @@
 // Package bitset provides dense bit sets used throughout the library for
 // vertex marking: a plain single-threaded Set, a concurrency-safe Atomic
 // set with compare-and-swap test-and-set semantics, whose Drain hands
-// its words to the extraction frontier once per iteration, and an Epoch
+// its words to the extraction frontier once per iteration and whose
+// Word lets the frontier test 64 ready bits with one load, and an Epoch
 // set that supports O(1) clearing for per-worker scratch.
 package bitset
 
@@ -89,6 +90,9 @@ func (a *Atomic) TestAndSet(i int) bool {
 func (a *Atomic) Test(i int) bool {
 	return a.words[i/wordBits].Load()&(1<<(uint(i)%wordBits)) != 0
 }
+
+// Word atomically loads word i: bit b of the result is element 64*i+b.
+func (a *Atomic) Word(i int) uint64 { return a.words[i].Load() }
 
 // Set sets bit i unconditionally.
 func (a *Atomic) Set(i int) {

@@ -108,6 +108,18 @@ func TestAtomicDrain(t *testing.T) {
 	a.Drain(func(i int, w uint64) { t.Fatalf("empty set reported word %d", i) })
 }
 
+func TestAtomicWord(t *testing.T) {
+	a := NewAtomic(130)
+	for _, i := range []int{1, 63, 64, 129} {
+		a.Set(i)
+	}
+	for i, want := range []uint64{1<<1 | 1<<63, 1, 1 << 1} {
+		if got := a.Word(i); got != want {
+			t.Fatalf("Word(%d) = %#x, want %#x", i, got, want)
+		}
+	}
+}
+
 func TestAtomicConcurrentClaims(t *testing.T) {
 	// Exactly one goroutine must win each bit.
 	const n = 10000

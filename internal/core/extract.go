@@ -71,7 +71,6 @@ type state struct {
 	threshold int // hybrid subset-test threshold, -1 = merge scan only
 	counters  []parallel.Padded[workerCounters]
 	hybrid    []parallel.Padded[hybridScratch]
-	edgeBufs  [][]Edge
 	opts      Options
 	iter      int
 }
@@ -135,7 +134,6 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 		opts:      opts,
 		counters:  parallel.NewPadded[workerCounters](workers),
 		hybrid:    parallel.NewPadded[hybridScratch](workers),
-		edgeBufs:  make([][]Edge, workers),
 	}
 	start := time.Now()
 	st.initialize()
@@ -147,7 +145,6 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 		WorkersUsed:     workers,
 		Grain:           st.grain,
 		DegreeThreshold: st.threshold,
-		workers:         opts.Workers,
 		csetOff:         st.csetOff,
 		csetData:        st.csetData,
 		csetLen:         st.csetLen,
@@ -181,15 +178,7 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 		st.frontier.Advance()
 	}
 
-	total := 0
-	for _, buf := range st.edgeBufs {
-		total += len(buf)
-	}
-	res.Edges = make([]Edge, 0, total)
-	for _, buf := range st.edgeBufs {
-		res.Edges = append(res.Edges, buf...)
-	}
-	res.sortEdges()
+	res.Edges = res.collectEdges()
 	res.Total = time.Since(start)
 
 	if err := ctx.Err(); err != nil {
@@ -216,7 +205,10 @@ func (st *state) totals() (t workerCounters) {
 
 // initialize performs lines 2-10 of Algorithm 1: compute every vertex's
 // first lowest parent, size the chordal-set storage, and seed Q1 with
-// all vertices that are a lowest parent of someone.
+// all vertices that are a lowest parent of someone. It also marks the
+// vertices the frontier may visit from the start: under the dataflow
+// schedule those with no smaller neighbor, whose chordal sets are final
+// and empty; under the other schedules, which never wait, all of them.
 func (st *state) initialize() {
 	g := st.g
 	n := g.NumVertices()
@@ -226,6 +218,7 @@ func (st *state) initialize() {
 		st.lpIdx = make([]int32, n)
 	}
 	st.frontier = worklist.NewFrontier(n, st.workers, st.opts.UnsortedQueue)
+	dataflow := st.opts.Schedule == ScheduleDataflow
 
 	parallel.For(n, st.workers, 2048, func(worker, v int) {
 		nb := g.Neighbors(int32(v))
@@ -251,6 +244,9 @@ func (st *state) initialize() {
 			}
 			st.smallerCount[v] = count
 			st.lp[v] = min
+		}
+		if !dataflow || st.lp[v] == noParent {
+			st.frontier.Ready(int32(v))
 		}
 	})
 
@@ -286,17 +282,11 @@ func (st *state) finalized(v int32) bool {
 
 // processParent performs lines 12-22 for one queued parent v: scan v's
 // neighbors for vertices whose current lowest parent is v, test the
-// subset condition, and advance each such vertex. It reports whether v
-// is done; under the dataflow schedule a non-finalized parent returns
-// false and stays queued, and an advanced child immediately chains
-// through further finalized parents.
-func (st *state) processParent(worker int, v int32) bool {
-	dataflow := st.opts.Schedule == ScheduleDataflow
-	if dataflow && !st.finalized(v) {
-		// C[v] is still growing: testing now could reject an edge that
-		// the final set admits. Defer v to the next iteration.
-		return false
-	}
+// subset condition, and advance each such vertex. The frontier calls it
+// only for a ready parent, so under the dataflow schedule C[v] is
+// final, and an advanced child immediately chains through further
+// finalized parents.
+func (st *state) processParent(worker int, v int32) {
 	g := st.g
 	nb := g.Neighbors(v)
 	ctr := &st.counters[worker].V
@@ -321,9 +311,8 @@ func (st *state) processParent(worker int, v int32) bool {
 			// keeps the strict k-th-parent schedule.
 			continue
 		}
-		st.testChain(worker, v, w, dataflow)
+		st.testChain(worker, v, w)
 	}
-	return true
 }
 
 // testChain tests edge (parent, w), then advances w. Under the dataflow
@@ -333,7 +322,8 @@ func (st *state) processParent(worker int, v int32) bool {
 // smaller neighbors. Ownership of w is retained for the whole chain:
 // other threads act on w only after the final lp store publishes a
 // parent this thread is done with.
-func (st *state) testChain(worker int, parent, w int32, dataflow bool) {
+func (st *state) testChain(worker int, parent, w int32) {
+	dataflow := st.opts.Schedule == ScheduleDataflow
 	ctr := &st.counters[worker].V
 	outer := parent
 	for {
@@ -360,7 +350,6 @@ func (st *state) testChain(worker int, parent, w int32, dataflow bool) {
 			// keeps C[w] sorted.
 			st.csetData[st.csetOff[w]+int64(lw)] = parent
 			atomic.StoreInt32(&st.csetLen[w], lw+1)
-			st.edgeBufs[worker] = append(st.edgeBufs[worker], Edge{U: parent, V: w})
 			ctr.accepted++
 		}
 		if st.opts.OnEvent != nil {
@@ -411,14 +400,20 @@ func (st *state) nextParent(worker int, w, current int32) int32 {
 	return next
 }
 
-// publishParent hands w to its next parent. The lpIter write is
-// sequenced before the atomic lp store, so a thread that observes the
-// new lp value also observes the iteration tag.
+// publishParent hands w to its next parent, or marks it finalized when
+// next is noParent. The lpIter write is sequenced before the atomic lp
+// store, so a thread that observes the new lp value also observes the
+// iteration tag. The ready mark of a finalized w follows the store of
+// noParent, so a worker the frontier hands w to also sees the complete
+// C[w]. (Under the schedules that never wait, w is ready already.)
 func (st *state) publishParent(w, next int32) {
 	if st.lpIter != nil {
 		st.lpIter[w] = int32(st.iter)
 	}
 	atomic.StoreInt32(&st.lp[w], next)
+	if next == noParent {
+		st.frontier.Ready(w)
+	}
 }
 
 // subsetTest decides the subset condition C[w] ⊆ C[parent] (line 15),

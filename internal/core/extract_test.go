@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -256,24 +257,81 @@ func TestVariantsAgreeUnderDataflow(t *testing.T) {
 	}
 }
 
+// TestEdgesAreRealAndSorted checks that every configuration's edge
+// list is oriented, drawn from the input and in strictly ascending
+// (U, V) order, and that it matches the chordal sets it is built from.
 func TestEdgesAreRealAndSorted(t *testing.T) {
 	g := randomGraph(200, 1000, 6)
-	res, err := Extract(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range res.Edges {
-		if e.U >= e.V {
-			t.Fatalf("edge %d not oriented: %v", i, e)
-		}
-		if !g.HasEdge(e.U, e.V) {
-			t.Fatalf("edge %d not in input graph: %v", i, e)
-		}
-		if i > 0 {
-			prev := res.Edges[i-1]
-			if prev.U > e.U || (prev.U == e.U && prev.V >= e.V) {
-				t.Fatalf("edges not sorted at %d", i)
+	for _, s := range allSchedules {
+		for _, v := range allVariants {
+			for _, unsorted := range []bool{false, true} {
+				for _, workers := range []int{1, 4} {
+					opts := Options{Schedule: s, Variant: v, UnsortedQueue: unsorted, Workers: workers}
+					res, err := Extract(g, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sets := 0
+					for w := int32(0); w < 200; w++ {
+						sets += len(res.ChordalNeighbors(w))
+					}
+					if sets != len(res.Edges) {
+						t.Fatalf("%+v: chordal sets hold %d entries, edge list %d", opts, sets, len(res.Edges))
+					}
+					for i, e := range res.Edges {
+						if e.U >= e.V {
+							t.Fatalf("%+v: edge %d not oriented: %v", opts, i, e)
+						}
+						if !g.HasEdge(e.U, e.V) || !res.HasChordalEdge(e.U, e.V) {
+							t.Fatalf("%+v: edge %d not in input graph or chordal sets: %v", opts, i, e)
+						}
+						if i > 0 {
+							prev := res.Edges[i-1]
+							if prev.U > e.U || (prev.U == e.U && prev.V >= e.V) {
+								t.Fatalf("%+v: edges not sorted at %d", opts, i)
+							}
+						}
+					}
+				}
 			}
+		}
+	}
+}
+
+// TestToGraphMatchesBuilder checks the sort-free CSR of ToGraph against
+// the general edge-list build: same offsets, same adjacency, sorted. It
+// covers the empty graph, isolated vertices and results grown by the
+// repair and stitch post-passes.
+func TestToGraphMatchesBuilder(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		opts Options
+	}{
+		{"empty", graph.NewBuilder(0).Build(), Options{}},
+		{"isolated", graph.NewBuilder(5).Build(), Options{}},
+		{"isolated-and-edges", buildGraph(9, [][2]int32{{1, 3}, {3, 5}, {5, 7}, {7, 1}, {1, 5}}), Options{}},
+		{"random", randomGraph(300, 1500, 11), Options{Workers: 4}},
+		{"repair", randomGraph(300, 1500, 12), Options{RepairMaximality: true}},
+		{"stitch", randomGraph(400, 300, 13), Options{StitchComponents: true}},
+	}
+	for _, c := range cases {
+		res, err := Extract(c.g, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.opts.RepairMaximality && res.RepairedEdges == 0 || c.opts.StitchComponents && res.StitchedEdges == 0 {
+			t.Fatalf("%s: the post-pass added no edge, so the case does not cover it", c.name)
+		}
+		us := make([]int32, len(res.Edges))
+		vs := make([]int32, len(res.Edges))
+		for i, e := range res.Edges {
+			us[i], vs[i] = e.U, e.V
+		}
+		want := graph.SubgraphFromEdges(res.NumVertices, us, vs)
+		got := res.ToGraph()
+		if !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Adj, want.Adj) || got.Sorted != want.Sorted {
+			t.Fatalf("%s: ToGraph differs from SubgraphFromEdges", c.name)
 		}
 	}
 }

@@ -144,7 +144,8 @@ func BenchmarkExtractHybrid(b *testing.B) { benchExtract(b, defaultDegreeThresho
 // BenchmarkExtractDataflowSmallWorld is one-worker extraction of the
 // ring-lattice small world ws:20000:8:0.1: a long dependency chain
 // where most queued parents wait for their chordal sets to finalize,
-// so it measures the frontier's deferral path.
+// so it measures how cheaply the frontier skips waiting parents (its
+// ready gate) against the subset tests themselves.
 func BenchmarkExtractDataflowSmallWorld(b *testing.B) {
 	g := synth.WattsStrogatz(20000, 8, 0.1, 42, 1)
 	b.ReportAllocs()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"sort"
 
 	"chordal/internal/graph"
@@ -41,7 +40,7 @@ func repairMaximality(g *graph.Graph, res *Result, threshold int) {
 		res.RepairedEdges++
 	}
 	if res.RepairedEdges > 0 {
-		res.sortEdges()
+		SortEdges(res.Edges)
 	}
 }
 
@@ -57,13 +56,4 @@ func (r *Result) addChordalEdge(u, v int32) {
 	set[i] = u
 	r.csetLen[v]++
 	r.Edges = append(r.Edges, Edge{U: u, V: v})
-}
-
-func (r *Result) sortEdges() {
-	slices.SortFunc(r.Edges, func(a, b Edge) int {
-		if a.U != b.U {
-			return int(a.U) - int(b.U)
-		}
-		return int(a.V) - int(b.V)
-	})
 }

@@ -24,7 +24,7 @@ func stitchComponents(g *graph.Graph, res *Result) {
 		}
 	})
 	if added {
-		res.sortEdges()
+		SortEdges(res.Edges)
 	}
 }
 

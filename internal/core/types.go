@@ -12,23 +12,33 @@
 // condition C[w] ⊆ C[v]. If the condition holds, edge (v,w) joins the
 // chordal edge set and v joins C[w]. Whether or not it holds, w advances
 // to its next lowest parent, which is enqueued for the next iteration.
-// The loop ends when the queue empties; a vertex therefore tests its
-// k-th smallest parent in iteration k.
+// The loop ends when the queue empties. The chordal edge list is read
+// off the final sets in (U, V) order by a counting sort.
 //
-// # Concurrency
+// # Schedules and concurrency
 //
-// LP[w] is unique, so each vertex has exactly one writer per iteration.
+// LP[w] is unique, so each vertex has exactly one writer at a time.
 // C[w] is an append-only array published with an atomic length store
 // (the paper's "store the set of chordal neighbors as an atomic
 // process"); concurrent readers of a parent's C[v] observe a consistent
-// prefix. In the default asynchronous mode a reader may observe a
-// mid-iteration prefix, matching the paper's behaviour on the XMT; the
-// Deterministic option snapshots all set lengths at each barrier so the
-// output is schedule-independent.
+// prefix. The Schedule option decides which prefix a test reads:
+//
+//   - Dataflow, the default, tests (v, w) only once C[v] is final. The
+//     frontier hands a queued parent to the kernel only after it is
+//     marked ready, which happens when its own lowest parents run out;
+//     a waiting parent keeps its place in the queue. A child chains
+//     through further final parents within one iteration. The edge set
+//     does not depend on thread timing.
+//   - Async reads whatever prefix is published, matching the paper's
+//     pseudocode on the XMT; its output can depend on thread timing.
+//   - Synchronous snapshots every set length at each barrier, so vertex
+//     w tests its k-th lowest parent in iteration k; its output does
+//     not depend on thread timing either.
 package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"chordal/internal/graph"
@@ -136,11 +146,12 @@ type Options struct {
 	DegreeThreshold int
 	// UnsortedQueue visits each iteration's queue in arrival order
 	// instead of ascending vertex order. The default queue is a bitmap
-	// that a waiting dataflow parent keeps its bit in, so it is visited
-	// in ascending order at no cost; successive lowest parents have
-	// increasing ids, so that order lets dataflow chains ride a
-	// finalization wave through most of the graph in very few
-	// iterations. Set this to model a machine (like the XMT) whose
+	// that is visited in ascending order at no cost, and a dataflow
+	// parent whose chordal set is not final keeps its bit without being
+	// visited: a word AND with a ready bitmap skips it. Successive
+	// lowest parents have increasing ids, so that order lets dataflow
+	// chains ride a finalization wave through most of the graph in very
+	// few iterations. Set this to model a machine (like the XMT) whose
 	// queue order is arbitrary, at the cost of more iterations: the
 	// queue becomes a list of per-worker arrival buffers, and a waiting
 	// parent is pushed again behind the arrivals before it.
@@ -180,7 +191,10 @@ type Edge struct {
 type IterationStats struct {
 	// Index is the 1-based iteration number.
 	Index int
-	// QueueSize is |Q1|, the number of lowest parents processed.
+	// QueueSize is |Q1|, the number of lowest parents queued at the
+	// start of the iteration: those processed and, under the dataflow
+	// schedule, those still waiting for their chordal sets to become
+	// final.
 	QueueSize int
 	// EdgesTested counts subset-condition evaluations (one per vertex
 	// whose LP was in the queue).
@@ -222,11 +236,6 @@ type Result struct {
 	Grain           int
 	DegreeThreshold int
 
-	// workers is the worker bound the extraction ran under (0 = machine
-	// width); ToGraph materializes the subgraph inside the same bound so
-	// a budget-leased job never builds at machine width.
-	workers int
-
 	csetOff  []int64
 	csetData []int32
 	csetLen  []int32
@@ -263,16 +272,73 @@ func (r *Result) HasChordalEdge(u, v int32) bool {
 	return lo < len(set) && set[lo] == u
 }
 
-// ToGraph materializes the chordal edge set as a CSR graph over the
-// same vertex ids, bounded to the worker count the extraction ran
-// under.
-func (r *Result) ToGraph() *graph.Graph {
-	us := make([]int32, len(r.Edges))
-	vs := make([]int32, len(r.Edges))
-	for i, e := range r.Edges {
-		us[i], vs[i] = e.U, e.V
+// collectEdges lists the edges of the chordal sets in (U, V) order by a
+// counting sort: count each parent's children, turn the counts into
+// run starts, then scatter with the child ascending, so each parent's
+// run comes out ascending too.
+func (r *Result) collectEdges() []Edge {
+	n := r.NumVertices
+	start := make([]int, n+1)
+	for w := int32(0); int(w) < n; w++ {
+		for _, u := range r.ChordalNeighbors(w) {
+			start[u+1]++
+		}
 	}
-	return graph.SubgraphFromEdgesWorkers(r.NumVertices, us, vs, r.workers)
+	for u := 0; u < n; u++ {
+		start[u+1] += start[u]
+	}
+	edges := make([]Edge, start[n])
+	for w := int32(0); int(w) < n; w++ {
+		for _, u := range r.ChordalNeighbors(w) {
+			edges[start[u]] = Edge{U: u, V: w}
+			start[u]++
+		}
+	}
+	return edges
+}
+
+// ToGraph materializes the chordal edge set as a CSR graph over the
+// same vertex ids; see EdgesToGraph.
+func (r *Result) ToGraph() *graph.Graph { return EdgesToGraph(r.NumVertices, r.Edges) }
+
+// SortEdges orders edges by (U, V), the canonical order of every
+// extraction result.
+func SortEdges(edges []Edge) {
+	slices.SortFunc(edges, func(a, b Edge) int {
+		if a.U != b.U {
+			return int(a.U) - int(b.U)
+		}
+		return int(a.V) - int(b.V)
+	})
+}
+
+// EdgesToGraph builds the CSR graph over n vertices whose edge set is
+// edges, which must be distinct, oriented (U < V) and in SortEdges
+// order. One scatter pass in list order fills every adjacency list
+// sorted without a sort: a vertex receives its smaller neighbors, from
+// the edges it ends, before its larger ones, from the edges it starts,
+// and each of the two runs arrives ascending.
+func EdgesToGraph(n int, edges []Edge) *graph.Graph {
+	off := make([]int64, n+1)
+	for _, e := range edges {
+		off[e.U+1]++
+		off[e.V+1]++
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	adj := make([]int32, off[n])
+	// off[v] is v's write cursor; the scatter leaves it at v's end,
+	// which is v+1's start, so one shift restores the offsets.
+	for _, e := range edges {
+		adj[off[e.U]] = e.V
+		off[e.U]++
+		adj[off[e.V]] = e.U
+		off[e.V]++
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	return &graph.Graph{Offsets: off, Adj: adj, Sorted: true}
 }
 
 // TotalTested returns the number of subset tests over all iterations.

@@ -184,7 +184,7 @@ func Extract(ctx context.Context, m *MappedCSR, opts Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res.Finalize(opts.Core.Workers)
+	res.Finalize()
 	res.IO.BytesRead = m.BytesRead() - startRead
 	res.Total = time.Since(start)
 	return res, nil

@@ -38,7 +38,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -276,7 +275,7 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 		return nil, err
 	}
 
-	res.Finalize(opts.Core.Workers)
+	res.Finalize()
 	res.Total = time.Since(start)
 	return res, nil
 }
@@ -396,27 +395,11 @@ func (res *Result) Reconcile(ctx context.Context, edges EdgeStream, parts int, o
 }
 
 // Finalize sorts the merged edge set into the canonical (U, V) order,
-// materializes Subgraph within the given worker bound, and runs the
-// chordality self-check. Callers that assemble a Result outside
-// ExtractContext (the out-of-core driver) call it after Reconcile.
-func (res *Result) Finalize(workers int) {
-	sortEdges(res.Edges)
-	us := make([]int32, len(res.Edges))
-	vs := make([]int32, len(res.Edges))
-	for i, e := range res.Edges {
-		us[i], vs[i] = e.U, e.V
-	}
-	res.Subgraph = graph.SubgraphFromEdgesWorkers(res.NumVertices, us, vs, workers)
+// materializes Subgraph from it, and runs the chordality self-check.
+// Callers that assemble a Result outside ExtractContext (the
+// out-of-core driver) call it after Reconcile.
+func (res *Result) Finalize() {
+	core.SortEdges(res.Edges)
+	res.Subgraph = core.EdgesToGraph(res.NumVertices, res.Edges)
 	res.Chordal = verify.IsChordal(res.Subgraph)
-}
-
-// sortEdges orders edges by (U, V), the canonical order every
-// extraction result uses.
-func sortEdges(edges []core.Edge) {
-	slices.SortFunc(edges, func(a, b core.Edge) int {
-		if a.U != b.U {
-			return int(a.U) - int(b.U)
-		}
-		return int(a.V) - int(b.V)
-	})
 }

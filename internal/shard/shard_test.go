@@ -87,6 +87,35 @@ func TestShardedChordalAcrossShardCounts(t *testing.T) {
 	}
 }
 
+// TestSubgraphMatchesBuilder checks the merged edge list and its
+// sort-free CSR: the list is oriented and strictly ascending, so it
+// holds no duplicate, and Subgraph equals the general edge-list build
+// of it (offsets, adjacency, sortedness), with and without repair.
+func TestSubgraphMatchesBuilder(t *testing.T) {
+	for _, g := range []*graph.Graph{rmatG(t, 9), bipartiteGraph(300, 1200, 5)} {
+		for _, shards := range []int{2, 4, 7} {
+			for _, repair := range []bool{false, true} {
+				res, err := Extract(g, Options{Shards: shards, Repair: repair})
+				if err != nil {
+					t.Fatal(err)
+				}
+				us := make([]int32, len(res.Edges))
+				vs := make([]int32, len(res.Edges))
+				for i, e := range res.Edges {
+					if e.U >= e.V || i > 0 && (res.Edges[i-1].U > e.U || res.Edges[i-1].U == e.U && res.Edges[i-1].V >= e.V) {
+						t.Fatalf("shards=%d repair=%t: edge %d %v unoriented or out of order", shards, repair, i, e)
+					}
+					us[i], vs[i] = e.U, e.V
+				}
+				want := graph.SubgraphFromEdges(res.NumVertices, us, vs)
+				if !reflect.DeepEqual(res.Subgraph, want) {
+					t.Fatalf("shards=%d repair=%t: Subgraph differs from SubgraphFromEdges", shards, repair)
+				}
+			}
+		}
+	}
+}
+
 // TestDeterministicAcrossWorkerCounts is the byte-identity property:
 // under the dataflow schedule the merged edge set must not depend on
 // how many workers ran the shards. Run under -race in CI.

@@ -1,17 +1,20 @@
 // Package worklist provides the frontier of the extraction algorithm:
-// the paper's Q1/Q2 queue pair as a sticky, ordered bitmap.
+// the paper's Q1/Q2 queue pair as a sticky, ordered bitmap gated by a
+// ready bitmap.
 //
-// Q1 is one bit per vertex that persists across iterations. A visit
-// walks its words in ascending order, so the queue is sorted without a
-// sort; a vertex that is not ready yet keeps its bit instead of being
-// pushed again. Q2 is an atomic bitmap that collects the pushes made
-// during an iteration, deduplicated by the bit itself, and Advance
-// folds it into Q1 at the barrier. An iteration costs O(n/64 + |Q1|).
+// Q1 is one bit per vertex that persists across iterations. A vertex
+// is handed to the visit callback only once it is also marked ready;
+// until then it keeps its bit, so waiting costs a share of a word AND
+// instead of a call or a push. A visit walks the words in ascending
+// order, so the queue is sorted without a sort. Q2 is an atomic bitmap
+// that collects the pushes made during an iteration, deduplicated by
+// the bit itself, and Advance folds it into Q1 at the barrier. An
+// iteration costs O(n/64 + visited).
 //
 // Arrival mode, the ablation of a machine whose queue order is
 // arbitrary, keeps Q1 as a list in push order instead: per-worker
 // buffers concatenated in worker order, with the same Q2 bitmap
-// deduplicating the pushes.
+// deduplicating the pushes. A vertex that is not ready is pushed again.
 package worklist
 
 import (
@@ -22,11 +25,13 @@ import (
 )
 
 // Frontier is the dual queue (Q1/Q2) of Algorithm 1 over vertex ids
-// [0, n). Push is safe for concurrent use; Visit, Advance and Len must
-// not run concurrently with one another.
+// [0, n). Push and Ready are safe for concurrent use, also from inside
+// a Visit callback; Visit, Advance and Len must not run concurrently
+// with one another.
 type Frontier struct {
 	workers int
 	next    *bitset.Atomic // Q2: pushes of the current iteration
+	ready   *bitset.Atomic // vertices Visit may hand to its callback
 	queued  []uint64       // Q1 bitmap (ordered mode)
 	count   int            // |Q1| as of the last Advance
 
@@ -42,7 +47,7 @@ func NewFrontier(n, workers int, arrival bool) *Frontier {
 	if workers < 1 {
 		workers = 1
 	}
-	f := &Frontier{workers: workers, next: bitset.NewAtomic(n), arrival: arrival}
+	f := &Frontier{workers: workers, next: bitset.NewAtomic(n), ready: bitset.NewAtomic(n), arrival: arrival}
 	if arrival {
 		f.bufs = make([][]int32, workers)
 	} else {
@@ -61,33 +66,46 @@ func (f *Frontier) Push(worker int, v int32) {
 	}
 }
 
-// Len returns the size of the current frontier.
+// Ready marks v ready: from now on Visit hands v to its callback
+// instead of leaving it queued. A vertex stays ready for the life of
+// the Frontier.
+func (f *Frontier) Ready(v int32) { f.ready.Set(int(v)) }
+
+// Len returns the size of the current frontier, counting the vertices
+// that wait for Ready.
 func (f *Frontier) Len() int { return f.count }
 
 // Visit calls fn(worker, v) once for every vertex v of the current
-// frontier across the frontier's workers, handing out chunks of grain
-// vertex ids (grain/64 bitmap words, at least one; grain queued
-// vertices in arrival mode). A vertex for which fn returns false stays queued for the next
-// iteration; any other vertex leaves. On one worker the calls come in
-// ascending id order (push order in arrival mode).
-func (f *Frontier) Visit(grain int, fn func(worker int, v int32) bool) {
+// frontier that is ready, across the frontier's workers, handing out
+// chunks of grain vertex ids (grain/64 bitmap words, at least one;
+// grain queued vertices in arrival mode). Every visited vertex leaves
+// the frontier; one that is not ready gets no call and stays queued
+// for the next iteration (arrival mode pushes it again). On one worker
+// the calls come in ascending id order (push order in arrival mode),
+// and a vertex made ready by a callback is visited in the same pass
+// when the walk has not passed it yet.
+func (f *Frontier) Visit(grain int, fn func(worker int, v int32)) {
 	if f.arrival {
 		parallel.For(len(f.cur), f.workers, grain, func(worker, i int) {
-			if v := f.cur[i]; !fn(worker, v) {
+			if v := f.cur[i]; f.ready.Test(int(v)) {
+				fn(worker, v)
+			} else {
 				f.Push(worker, v)
 			}
 		})
 		return
 	}
 	// Each word belongs to exactly one chunk, so its owner rewrites it
-	// without atomics.
+	// without atomics. After each call the ready word is loaded again
+	// and only the bits above the visited one are taken: a callback
+	// may make later vertices of the word ready.
 	parallel.For(len(f.queued), f.workers, max(1, grain/64), func(worker, i int) {
 		w := f.queued[i]
-		for rest := w; rest != 0; rest &= rest - 1 {
+		for rest := w & f.ready.Word(i); rest != 0; {
 			b := bits.TrailingZeros64(rest)
-			if fn(worker, int32(i*64+b)) {
-				w &^= 1 << b
-			}
+			fn(worker, int32(i*64+b))
+			w &^= 1 << b
+			rest = w & f.ready.Word(i) & (^uint64(0) << b)
 		}
 		f.queued[i] = w
 	})
