@@ -112,7 +112,11 @@ func TestEngineDifferentialGrid(t *testing.T) {
 // consistency on one representative run per engine: retention matches
 // the actual edge counts, the subgraph's self-fill is zero, and the
 // chordal invariants respect their definitional relations (chromatic
-// number = clique number = treewidth + 1 on a chordal graph).
+// number = clique number = treewidth + 1 on a chordal graph). The
+// Runner scores from the verify stage's certificate and reports the
+// self-fill as 0 without counting it, so the test recounts it under the
+// subgraph's own PEO and requires the certificate path to agree field
+// for field with a standalone ComputeQuality.
 func TestEngineQualityConsistency(t *testing.T) {
 	for _, eng := range differentialEngines() {
 		spec := eng.spec
@@ -133,6 +137,20 @@ func TestEngineQualityConsistency(t *testing.T) {
 		if !q.FillComputed || q.SubgraphFill != 0 {
 			t.Errorf("%s: subgraph self-fill computed=%t fill=%d, want computed with 0",
 				eng.label, q.FillComputed, q.SubgraphFill)
+		}
+		peo, err := chordal.PerfectEliminationOrdering(res.Subgraph)
+		if err != nil {
+			t.Fatalf("%s: %v", eng.label, err)
+		}
+		if fill, err := chordal.Fill(res.Subgraph, peo); err != nil || fill != 0 {
+			t.Errorf("%s: recounted self-fill %d (err %v), want 0", eng.label, fill, err)
+		}
+		want, err := chordal.ComputeQuality(res.Input, res.Subgraph, chordal.DefaultQualityLimits())
+		if err != nil {
+			t.Fatalf("%s: %v", eng.label, err)
+		}
+		if *q != *want {
+			t.Errorf("%s: Runner quality %+v, ComputeQuality %+v", eng.label, *q, *want)
 		}
 		if !q.CliquesComputed {
 			t.Fatalf("%s: chordal invariants skipped on a small input", eng.label)

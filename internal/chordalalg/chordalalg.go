@@ -14,10 +14,11 @@ import (
 )
 
 // PEO computes a perfect elimination ordering of g via maximum
-// cardinality search. It returns an error if g is not chordal.
+// cardinality search (verify.PEO). It returns an error if g is not
+// chordal.
 func PEO(g *graph.Graph) ([]int32, error) {
-	order := verify.MCSOrder(g)
-	if !verify.IsPEO(g, order) {
+	order, ok := verify.PEO(g)
+	if !ok {
 		return nil, fmt.Errorf("chordalalg: graph is not chordal")
 	}
 	return order, nil
@@ -78,8 +79,8 @@ func Coloring(g *graph.Graph) (colors []int32, numColors int, err error) {
 }
 
 // ColoringFromPEO is Coloring for a caller that already holds a
-// perfect elimination ordering of g (for example one validated with
-// verify.IsPEO); the ordering is trusted, not checked. Runs in
+// perfect elimination ordering of g (for example one validated by
+// verify.PEO); the ordering is trusted, not checked. Runs in
 // O(V + E).
 func ColoringFromPEO(g *graph.Graph, order []int32) (colors []int32, numColors int) {
 	n := g.NumVertices()

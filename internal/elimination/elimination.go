@@ -35,16 +35,19 @@ import (
 // a postorder of it, then the skeleton/least-common-ancestor column
 // counts of Gilbert, Ng and Peyton ("An efficient algorithm to compute
 // row and column counts for sparse Cholesky factorization", SIAM J.
-// Matrix Anal. Appl. 1994). Complexity is O(E·α(E, V)) time and O(V)
-// space, whatever the fill.
+// Matrix Anal. Appl. 1994). g is read once, by the elimination-tree
+// pass, which also records each edge's later endpoint as an elimination
+// step; the column counts then read those contiguous position lists.
+// Complexity is O(E·α(E, V)) time and O(V + E) space, one int32 per
+// edge, whatever the fill.
 func Fill(g *graph.Graph, order []int32) (int64, error) {
 	pos, err := positions(g.NumVertices(), order)
 	if err != nil {
 		return 0, err
 	}
-	parent := etree(g, order, pos)
+	parent, start, later := etree(g, order, pos)
 	var nnz int64
-	for _, c := range colCounts(g, order, pos, parent, postorder(parent)) {
+	for _, c := range colCounts(start, later, parent, postorder(parent)) {
 		nnz += c
 	}
 	return nnz - int64(len(order)) - g.NumEdges(), nil
@@ -72,25 +75,37 @@ func positions(n int, order []int32) ([]int32, error) {
 // etree returns the elimination tree of g under order, on elimination
 // steps: parent[k] is the step whose vertex is the parent of order[k],
 // -1 for a root. Each step k climbs from every earlier neighbor to its
-// current root, and ancestor[] compresses the climbed paths to k.
-func etree(g *graph.Graph, order, pos []int32) []int32 {
+// current root, and ancestor[] compresses the climbed paths to k. The
+// same sweep lists every later neighbor by its step: the steps after k
+// adjacent to order[k] are later[start[k]:start[k+1]], so each edge
+// appears once, under its earlier endpoint.
+func etree(g *graph.Graph, order, pos []int32) (parent []int32, start []int, later []int32) {
 	n := len(order)
-	parent := make([]int32, n)
+	parent = make([]int32, n)
 	ancestor := make([]int32, n)
-	for k := range order {
+	start = make([]int, n+1)
+	later = make([]int32, 0, g.NumEdges())
+	for k, v := range order {
+		step := int32(k)
 		parent[k], ancestor[k] = -1, -1
-		for _, w := range g.Neighbors(order[k]) {
-			for i := pos[w]; i != -1 && i < int32(k); {
+		for _, w := range g.Neighbors(v) {
+			i := pos[w]
+			if i > step {
+				later = append(later, i)
+				continue
+			}
+			for i != -1 && i < step {
 				next := ancestor[i]
-				ancestor[i] = int32(k)
+				ancestor[i] = step
 				if next == -1 {
-					parent[i] = int32(k)
+					parent[i] = step
 				}
 				i = next
 			}
 		}
+		start[k+1] = len(later)
 	}
-	return parent
+	return parent, start, later
 }
 
 // postorder returns the steps of the forest parent in depth-first
@@ -131,14 +146,15 @@ func postorder(parent []int32) []int32 {
 }
 
 // colCounts returns the number of nonzeros in each column of the
-// Cholesky factor of g under order, diagonal included. Column j's row
-// set is the union of the later neighbors of the steps in j's subtree,
-// so the algorithm adds +1 at j per skeleton entry (an edge {i, j},
-// i > j, whose j is a leaf of the i-th row subtree) and −1 at the least
-// common ancestor of consecutive leaves of each row subtree, then sums
-// the differences up the tree. Values stay int64: a column count is at
-// most n, but partial sums over many children are not.
-func colCounts(g *graph.Graph, order, pos, parent, post []int32) []int64 {
+// Cholesky factor under the elimination tree parent, diagonal included;
+// start and later are etree's position lists. Column j's row set is the
+// union of the later neighbors of the steps in j's subtree, so the
+// algorithm adds +1 at j per skeleton entry (an edge {i, j}, i > j,
+// whose j is a leaf of the i-th row subtree) and −1 at the least common
+// ancestor of consecutive leaves of each row subtree, then sums the
+// differences up the tree. Values stay int64: a column count is at most
+// n, but partial sums over many children are not.
+func colCounts(start []int, later, parent, post []int32) []int64 {
 	n := len(parent)
 	delta := make([]int64, n)
 	first := make([]int32, n)    // first[j]: postorder index of j's first descendant
@@ -160,12 +176,12 @@ func colCounts(g *graph.Graph, order, pos, parent, post []int32) []int64 {
 		if p := parent[j]; p != -1 {
 			delta[p]--
 		}
-		for _, w := range g.Neighbors(order[j]) {
-			i := pos[w]
-			if i <= j || first[j] <= maxFirst[i] {
+		fj := first[j]
+		for _, i := range later[start[j]:start[j+1]] {
+			if fj <= maxFirst[i] {
 				continue // not a skeleton entry
 			}
-			maxFirst[i] = first[j]
+			maxFirst[i] = fj
 			prev := prevLeaf[i]
 			prevLeaf[i] = j
 			delta[j]++
@@ -364,9 +380,8 @@ func ChordalGuidedOrder(g *graph.Graph, opts core.Options) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	sub := res.ToGraph()
-	peo := verify.MCSOrder(sub)
-	if !verify.IsPEO(sub, peo) {
+	peo, ok := verify.PEO(res.ToGraph())
+	if !ok {
 		return nil, fmt.Errorf("elimination: extracted subgraph failed PEO validation")
 	}
 	return peo, nil

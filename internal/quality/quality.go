@@ -39,9 +39,11 @@ type Metrics struct {
 	// creates on the INPUT graph under the subgraph's PEO — the
 	// application-level quality of the extraction (every fill edge
 	// traces to an input edge the extraction dropped). SubgraphFill is
-	// the same count on the subgraph itself under its own PEO and must
-	// be exactly 0 for any chordal subgraph; it is kept as a
-	// cross-implementation self-check rather than assumed.
+	// the same count on the subgraph itself under its own PEO. It is 0
+	// by definition, because the PEO was validated before any metric
+	// was computed, so it is reported as 0 and not recounted; the field
+	// stays in the JSON schema, and the tests recount it with
+	// elimination.Fill.
 	FillComputed bool  `json:"fillComputed"`
 	FillIn       int64 `json:"fillIn"`
 	SubgraphFill int64 `json:"subgraphFill"`
@@ -72,10 +74,24 @@ func DefaultLimits() Limits {
 // Compute scores sub against its input graph g. sub must be chordal
 // and defined over the same vertex set; a non-chordal sub (no PEO) is
 // an error, never a bogus score. Every metric derives from one
-// maximum-cardinality-search PEO of sub, validated once, and the whole
-// computation is near-linear in the size of g, because the fill counts
-// come from elimination trees (see elimination.Fill).
+// maximum-cardinality-search PEO of sub, which verify.PEO validates,
+// and the whole computation is near-linear in the size of g, because
+// the fill count comes from an elimination tree (see elimination.Fill).
+// A caller that already holds that PEO calls ComputeFromPEO instead.
 func Compute(g, sub *graph.Graph, lim Limits) (*Metrics, error) {
+	peo, ok := verify.PEO(sub)
+	if !ok {
+		return nil, fmt.Errorf("quality: subgraph is not chordal")
+	}
+	return ComputeFromPEO(g, sub, peo, lim)
+}
+
+// ComputeFromPEO is Compute for a caller that holds a perfect
+// elimination ordering of sub validated by verify.PEO, as Runner.Run's
+// verify stage does. The ordering is trusted as a PEO, not checked
+// again; an order that is not a permutation of the vertices is an
+// error.
+func ComputeFromPEO(g, sub *graph.Graph, peo []int32, lim Limits) (*Metrics, error) {
 	if g.NumVertices() != sub.NumVertices() {
 		return nil, fmt.Errorf("quality: subgraph has %d vertices, input %d", sub.NumVertices(), g.NumVertices())
 	}
@@ -86,14 +102,7 @@ func Compute(g, sub *graph.Graph, lim Limits) (*Metrics, error) {
 	if m.EdgesInput > 0 {
 		m.RetentionPct = 100 * float64(m.EdgesRetained) / float64(m.EdgesInput)
 	}
-	peo := verify.MCSOrder(sub)
-	if !verify.IsPEO(sub, peo) {
-		return nil, fmt.Errorf("quality: subgraph is not chordal")
-	}
 	var err error
-	if m.SubgraphFill, err = elimination.Fill(sub, peo); err != nil {
-		return nil, err
-	}
 	if m.FillIn, err = elimination.Fill(g, peo); err != nil {
 		return nil, err
 	}

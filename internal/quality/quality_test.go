@@ -3,6 +3,7 @@ package quality
 import (
 	"testing"
 
+	"chordal/internal/core"
 	"chordal/internal/elimination"
 	"chordal/internal/graph"
 	"chordal/internal/synth"
@@ -25,6 +26,25 @@ func TestComputeOnChordalIdentity(t *testing.T) {
 	}
 	if !m.CliquesComputed || m.Treewidth != 4 || m.MaxCliqueSize != 5 || m.ChromaticNumber != 5 {
 		t.Fatalf("k-tree invariants: %+v", m)
+	}
+	requireNoSelfFill(t, g)
+}
+
+// requireNoSelfFill recounts the fill of sub under its own validated
+// PEO, which Compute reports as 0 without counting: the identity is
+// tested here, not computed in production.
+func requireNoSelfFill(t *testing.T, sub *graph.Graph) {
+	t.Helper()
+	peo, ok := verify.PEO(sub)
+	if !ok {
+		t.Fatal("subgraph is not chordal")
+	}
+	fill, err := elimination.Fill(sub, peo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fill != 0 {
+		t.Fatalf("subgraph fill under its own PEO = %d, want 0", fill)
 	}
 }
 
@@ -69,5 +89,65 @@ func TestComputeLimitsSkipGroups(t *testing.T) {
 	}
 	if m.EdgesRetained != sub.NumEdges() {
 		t.Fatalf("retention always computed: %+v", m)
+	}
+	requireNoSelfFill(t, sub)
+}
+
+func TestComputeFromPEOMatchesCompute(t *testing.T) {
+	g, _ := synth.KTreePlusNoise(300, 4, 600, 5)
+	res, err := core.Extract(g, core.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := res.ToGraph()
+	want, err := Compute(g, sub, DefaultLimits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	peo, ok := verify.PEO(sub)
+	if !ok {
+		t.Fatal("extracted subgraph is not chordal")
+	}
+	got, err := ComputeFromPEO(g, sub, peo, DefaultLimits())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *got != *want {
+		t.Fatalf("ComputeFromPEO %+v, Compute %+v", *got, *want)
+	}
+	if want.FillIn == 0 || want.SubgraphFill != 0 {
+		t.Fatalf("fill on the noised k-tree: %+v", *want)
+	}
+	requireNoSelfFill(t, sub)
+	// The trusted order is still checked for being a permutation, and
+	// the vertex sets must match.
+	if _, err := ComputeFromPEO(g, sub, peo[:len(peo)-1], DefaultLimits()); err == nil {
+		t.Fatal("short order accepted")
+	}
+	if _, err := ComputeFromPEO(synth.KTree(299, 4, 5), sub, peo, DefaultLimits()); err == nil {
+		t.Fatal("vertex-count mismatch accepted")
+	}
+}
+
+// BenchmarkQualitySmallWorld scores the one-worker parallel extraction
+// of the ring-lattice small world ws:20000:8:0.1:42 against its input:
+// the quality work of one kernel-ws operation at a fifth of its size.
+func BenchmarkQualitySmallWorld(b *testing.B) {
+	g := synth.WattsStrogatz(20000, 8, 0.1, 42, 1)
+	res, err := core.Extract(g, core.Options{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sub := res.ToGraph()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := Compute(g, sub, DefaultLimits())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if m.FillIn == 0 {
+			b.Fatal("no fill on a non-chordal input")
+		}
 	}
 }

@@ -1,10 +1,21 @@
 // Package verify provides chordality and maximality verification used by
 // the test suite, the CLI tools, and the optional maximality-repair pass.
 //
-// Chordality is decided in O(V+E) with the classic two-step procedure:
-// a Maximum Cardinality Search (Tarjan & Yannakakis) produces an
-// ordering that is a perfect elimination ordering if and only if the
-// graph is chordal, and a linear-time check validates the ordering.
+// Chordality is decided in O(V+E) with the classic two-step procedure
+// of Tarjan & Yannakakis ("Simple linear-time algorithms to test
+// chordality of graphs, test acyclicity of hypergraphs, and selectively
+// reduce acyclic hypergraphs", SIAM J. Comput. 1984): a Maximum
+// Cardinality Search produces an ordering that is a perfect elimination
+// ordering (PEO) if and only if the graph is chordal, and their
+// follower test validates the ordering. The follower of a vertex v is
+// its neighbor eliminated first after v; an ordering is a PEO exactly
+// when every later neighbor of v other than its follower is adjacent
+// to the follower. The test sweeps the ordering once and keeps two flat
+// arrays, each vertex's follower and the last step that marked it.
+//
+// PEO returns the validated ordering itself, so a caller that goes on
+// to use it (the quality metrics, the chordal-graph algorithms) holds
+// one certificate of chordality instead of computing a second.
 package verify
 
 import (
@@ -87,10 +98,21 @@ func mcsOrder(n int, nbrs func(int32) []int32) []int32 {
 	return order
 }
 
+// PEO returns the Maximum Cardinality Search order of g (MCSOrder) and
+// whether it is a perfect elimination ordering of g, which holds
+// exactly when g is chordal. The order is returned either way; only a
+// validated one is a certificate.
+func PEO(g *graph.Graph) ([]int32, bool) {
+	order := MCSOrder(g)
+	return order, IsPEO(g, order)
+}
+
 // IsPEO reports whether order is a perfect elimination ordering of the
-// graph, using the linear-time accumulation check of Golumbic: for each
-// vertex v, its later neighbors minus the earliest of them (its
-// "parent" p) must all be adjacent to p.
+// graph: order[0] is eliminated first, and each vertex's neighbors
+// eliminated after it must form a clique. order must be a permutation
+// of the vertices; a wrong length, a repeated id or an id out of range
+// reports false. Runs the follower test of Tarjan & Yannakakis in
+// O(V+E).
 func IsPEO(g *graph.Graph, order []int32) bool {
 	return isPEO(g.NumVertices(), func(v int32) []int32 { return g.Neighbors(v) }, order)
 }
@@ -100,52 +122,40 @@ func IsPEOAdj(adj [][]int32, order []int32) bool {
 	return isPEO(len(adj), func(v int32) []int32 { return adj[v] }, order)
 }
 
+// isPEO is the follower test. Step i takes w = order[i] and marks its
+// earlier neighbors v with i. A v that has no follower yet gets w: w is
+// its first neighbor eliminated after it. Then each such v's follower
+// must be w itself or one of the vertices just marked, i.e. adjacent to
+// w. mark[v] is -1 until v's own step, so it also tells the earlier
+// neighbors from the later ones and catches a repeated id.
 func isPEO(n int, nbrs func(int32) []int32, order []int32) bool {
 	if len(order) != n {
 		return false
 	}
-	pos := make([]int32, n)
-	for i, v := range order {
-		pos[v] = int32(i)
-	}
-	// required[p] accumulates vertices that must turn out to be
-	// neighbors of p; checked when p is processed.
-	required := make([][]int32, n)
+	follower := make([]int32, n)
 	mark := make([]int32, n)
 	for i := range mark {
 		mark[i] = -1
 	}
-	for i := 0; i < n; i++ {
-		v := order[i]
-		// Verify previously accumulated requirements against v's
-		// actual neighborhood.
-		if len(required[v]) > 0 {
-			for _, w := range nbrs(v) {
-				mark[w] = int32(i)
-			}
-			for _, w := range required[v] {
-				if mark[w] != int32(i) {
-					return false
-				}
-			}
-			required[v] = nil
+	for i, w := range order {
+		if w < 0 || int(w) >= n || mark[w] != -1 {
+			return false
 		}
-		// Later neighbors of v; parent = the one earliest in the order.
-		var parent int32 = -1
-		var parentPos int32
-		for _, w := range nbrs(v) {
-			if pos[w] > int32(i) {
-				if parent == -1 || pos[w] < parentPos {
-					parent, parentPos = w, pos[w]
-				}
+		step := int32(i)
+		follower[w], mark[w] = w, step
+		adj := nbrs(w)
+		for _, v := range adj {
+			if mark[v] == -1 {
+				continue // eliminated after w
+			}
+			mark[v] = step
+			if follower[v] == v {
+				follower[v] = w
 			}
 		}
-		if parent == -1 {
-			continue
-		}
-		for _, w := range nbrs(v) {
-			if pos[w] > int32(i) && w != parent {
-				required[parent] = append(required[parent], w)
+		for _, v := range adj {
+			if mark[v] == step && mark[follower[v]] != step {
+				return false
 			}
 		}
 	}
@@ -154,7 +164,8 @@ func isPEO(n int, nbrs func(int32) []int32, order []int32) bool {
 
 // IsChordal reports whether g is a chordal graph.
 func IsChordal(g *graph.Graph) bool {
-	return IsPEO(g, MCSOrder(g))
+	_, ok := PEO(g)
+	return ok
 }
 
 // IsChordalAdj reports whether the slice-of-slices adjacency is chordal.

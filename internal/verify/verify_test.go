@@ -1,10 +1,13 @@
 package verify
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"chordal/internal/core"
 	"chordal/internal/graph"
+	"chordal/internal/synth"
 	"chordal/internal/xrand"
 )
 
@@ -72,6 +75,11 @@ func TestIsChordalKnownGraphs(t *testing.T) {
 		if got := IsChordal(c.g); got != c.want {
 			t.Errorf("%s: IsChordal = %v, want %v", c.name, got, c.want)
 		}
+		// PEO returns the MCS order with the same verdict.
+		order, ok := PEO(c.g)
+		if ok != c.want || !slices.Equal(order, MCSOrder(c.g)) {
+			t.Errorf("%s: PEO = %v, %t; want MCSOrder %v, %t", c.name, order, ok, MCSOrder(c.g), c.want)
+		}
 	}
 }
 
@@ -93,6 +101,27 @@ func TestMCSOrderIsPermutation(t *testing.T) {
 func TestIsPEORejectsWrongLength(t *testing.T) {
 	if IsPEO(path(4), []int32{0, 1}) {
 		t.Fatal("short order accepted")
+	}
+	// An order must be a permutation: C4 is not chordal, so no order
+	// of it can pass, and an out-of-range id must not panic.
+	c4 := cycle(4)
+	for _, order := range [][]int32{
+		{0, 0, 0, 0},
+		{0, 1, 2, 2},
+		{0, 1, 2, 4},
+		{-1, 0, 1, 2},
+		{0, 1, 2, 3, 0},
+	} {
+		if IsPEO(c4, order) {
+			t.Errorf("IsPEO(C4, %v) accepted a non-permutation", order)
+		}
+		if IsPEOAdj(AdjFromGraph(c4), order) {
+			t.Errorf("IsPEOAdj(C4, %v) accepted a non-permutation", order)
+		}
+	}
+	// The same holds on a chordal graph, where any valid order passes.
+	if !IsPEO(path(4), []int32{0, 1, 2, 3}) || IsPEO(path(4), []int32{0, 1, 1, 3}) {
+		t.Fatal("path-4: a repeated id changed the verdict of a valid order")
 	}
 }
 
@@ -363,5 +392,23 @@ func TestMCSOnAdjAgreesWithGraph(t *testing.T) {
 	// Both must be PEOs of K8 (any order is).
 	if !IsPEO(g, a) || !IsPEOAdj(AdjFromGraph(g), b) {
 		t.Fatal("MCS order not a PEO of K8")
+	}
+}
+
+// BenchmarkPEOSmallWorld certifies the one-worker parallel extraction
+// of the ring-lattice small world ws:20000:8:0.1:42: the MCS order and
+// the follower test the verify stage runs once per run.
+func BenchmarkPEOSmallWorld(b *testing.B) {
+	res, err := core.Extract(synth.WattsStrogatz(20000, 8, 0.1, 42, 1), core.Options{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sub := res.ToGraph()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := PEO(sub); !ok {
+			b.Fatal("extracted subgraph is not chordal")
+		}
 	}
 }

@@ -548,6 +548,11 @@ func (r Runner) Run(ctx context.Context, s Spec) (*PipelineResult, error) {
 		return nil, err
 	}
 
+	// peo is the MCS order the verify stage checked. When the check
+	// passed it is the one certificate of chordality, and the quality
+	// metrics reuse it. It stays nil when no verify stage ran its own
+	// check (no verify, or the shard engine's self-check stood in).
+	var peo []int32
 	if s.Verify {
 		if res.Subgraph == nil {
 			return nil, fmt.Errorf("chordal: spec: verify requires an extraction engine")
@@ -560,7 +565,7 @@ func (r Runner) Run(ctx context.Context, s Spec) (*PipelineResult, error) {
 			// rather than paying the O(V+E) MCS+PEO pass twice.
 			res.ChordalOK = res.Shard.Chordal
 		} else {
-			res.ChordalOK = verify.IsChordal(res.Subgraph)
+			peo, res.ChordalOK = verify.PEO(res.Subgraph)
 		}
 		if res.ChordalOK && g != nil && g.NumEdges() <= maxAuditEdges {
 			res.MaximalityAudited = true
@@ -576,7 +581,14 @@ func (r Runner) Run(ctx context.Context, s Spec) (*PipelineResult, error) {
 	// (the verify stage is the loud path for that) or the input exceeds
 	// the default bounds.
 	if g != nil && res.Subgraph != nil && (!res.Verified || res.ChordalOK) {
-		if q, err := quality.Compute(g, res.Subgraph, quality.DefaultLimits()); err == nil {
+		var q *quality.Metrics
+		var err error
+		if peo != nil {
+			q, err = quality.ComputeFromPEO(g, res.Subgraph, peo, quality.DefaultLimits())
+		} else {
+			q, err = quality.Compute(g, res.Subgraph, quality.DefaultLimits())
+		}
+		if err == nil {
 			res.Quality = q
 		}
 	}
