@@ -186,8 +186,9 @@ func GenerateBio(dataset BioDataset, downscale int, seed uint64) (*Graph, error)
 func IsChordal(g *Graph) bool { return verify.IsChordal(g) }
 
 // IsMaximalChordal reports whether sub is chordal and cannot absorb any
-// further edge of g without breaking chordality. Cost grows with the
-// number of absent edges; intended for validation, not hot paths.
+// further edge of g without breaking chordality. It costs one MCS pass
+// and one clique-tree build over sub, O(V+E), plus O(log n · log ω + ω)
+// per edge of g absent from sub, where ω is sub's largest clique.
 func IsMaximalChordal(g, sub *Graph) bool { return verify.IsMaximalChordal(g, sub) }
 
 // PerfectEliminationOrdering returns a PEO of the chordal graph g, or

@@ -116,7 +116,8 @@ func TestEngineDifferentialGrid(t *testing.T) {
 // Runner scores from the verify stage's certificate and reports the
 // self-fill as 0 without counting it, so the test recounts it under the
 // subgraph's own PEO and requires the certificate path to agree field
-// for field with a standalone ComputeQuality.
+// for field with a standalone ComputeQuality, and a run without a
+// verify stage to score the same.
 func TestEngineQualityConsistency(t *testing.T) {
 	for _, eng := range differentialEngines() {
 		spec := eng.spec
@@ -151,6 +152,16 @@ func TestEngineQualityConsistency(t *testing.T) {
 		}
 		if *q != *want {
 			t.Errorf("%s: Runner quality %+v, ComputeQuality %+v", eng.label, *q, *want)
+		}
+		// Without a verify stage the quality stage takes the certificate
+		// itself, and scores the same.
+		spec.Verify = false
+		unverified, err := spec.Run()
+		if err != nil {
+			t.Fatalf("%s without verify: %v", eng.label, err)
+		}
+		if uq := unverified.Quality; uq == nil || *uq != *q {
+			t.Errorf("%s: quality without verify %+v, with verify %+v", eng.label, uq, *q)
 		}
 		if !q.CliquesComputed {
 			t.Fatalf("%s: chordal invariants skipped on a small input", eng.label)

@@ -14,6 +14,7 @@ import (
 	"chordal/internal/partition"
 	"chordal/internal/shard"
 	"chordal/internal/tune"
+	"chordal/internal/verify"
 )
 
 // This file defines the pluggable extraction-engine seam. An Engine
@@ -104,6 +105,23 @@ type EngineResult struct {
 	// computed by a SourceEngine from the file itself — the substitute
 	// for ComputeStats when no input graph is ever resident.
 	InputStats *Stats
+
+	// peo is the MCS order of Subgraph validated by the engine's own
+	// chordality self-check (sharded, external), or nil.
+	peo []int32
+}
+
+// certificate returns the MCS order of er.Subgraph and whether it is a
+// perfect elimination ordering, which holds exactly when the subgraph
+// is chordal: the run's one certificate of chordality, which the
+// maximality audit and the quality metrics reuse. The order an engine's
+// self-check already validated is handed over; otherwise verify.PEO
+// computes it.
+func (er *EngineResult) certificate() ([]int32, bool) {
+	if er.peo != nil {
+		return er.peo, true
+	}
+	return verify.PEO(er.Subgraph)
 }
 
 // Engine is one extraction strategy. Implementations must be safe for
@@ -398,7 +416,7 @@ func (shardedEngine) Extract(ctx context.Context, g *Graph, cfg EngineConfig) (*
 		return nil, err
 	}
 	sum := newShardSummary(r, g.NumEdges())
-	return &EngineResult{Subgraph: r.Subgraph, Shard: sum, Tuning: &tun}, nil
+	return &EngineResult{Subgraph: r.Subgraph, Shard: sum, Tuning: &tun, peo: r.PEO}, nil
 }
 
 // newShardSummary maps a shard.Result onto the report summary shared by

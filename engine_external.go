@@ -107,5 +107,6 @@ func (externalEngine) ExtractSource(ctx context.Context, path string, cfg Engine
 		External:   ext,
 		Tuning:     &tun,
 		InputStats: &inputStats,
+		peo:        r.PEO,
 	}, nil
 }

@@ -141,7 +141,7 @@ func (a *Atomic) Drain(fn func(i int, w uint64)) {
 // Clear is one integer increment instead of an O(n) (or O(members))
 // reset. It is intended for per-worker scratch on hot paths — the
 // extraction kernel's hybrid subset test and the separator checks of
-// verify.CanAddEdge materialize neighborhoods into one of these and
+// incremental.Checker materialize neighborhoods into one of these and
 // discard them per vertex or per edge without paying a reset loop.
 type Epoch struct {
 	tags []uint32

@@ -185,7 +185,9 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 		return nil, err
 	}
 	if opts.RepairMaximality {
-		repairMaximality(g, res, st.threshold)
+		if err := repairMaximality(ctx, g, res, st.threshold); err != nil {
+			return nil, err
+		}
 	}
 	if opts.StitchComponents {
 		stitchComponents(g, res)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -535,6 +537,45 @@ func TestRepairAuditsToZero(t *testing.T) {
 		}
 		if viol := verify.AuditMaximality(g, sub, 0); len(viol) != 0 {
 			t.Fatalf("seed %d: %d violations after repair", seed, len(viol))
+		}
+	}
+}
+
+// countingCtx is a context whose Err counts its calls and reports
+// context.Canceled from call limit+1 on (never, when limit < 0).
+type countingCtx struct {
+	context.Context
+	calls, limit int
+}
+
+func (c *countingCtx) Err() error {
+	c.calls++
+	if c.limit >= 0 && c.calls > c.limit {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRepairObservesContext cancels between the kernel and the repair
+// pass: the context's Err turns non-nil only after as many calls as a
+// run without repair makes, so only the repair pass can see it. The
+// smaller graph has fewer than 1024 edges, so the retest loop must
+// notice; the larger one is caught by the input scan.
+func TestRepairObservesContext(t *testing.T) {
+	for _, g := range []*graph.Graph{randomGraph(150, 900, 11), randomGraph(400, 3000, 12)} {
+		opts := Options{Workers: 1}
+		probe := &countingCtx{Context: context.Background(), limit: -1}
+		if _, err := ExtractContext(probe, g, opts); err != nil {
+			t.Fatal(err)
+		}
+		opts.RepairMaximality = true
+		res, err := ExtractContext(context.Background(), g, opts)
+		if err != nil || res.RepairedEdges == 0 {
+			t.Fatalf("%d edges: uncanceled repair = %v (repaired %d); want work to cancel", g.NumEdges(), err, res.RepairedEdges)
+		}
+		ctx := &countingCtx{Context: context.Background(), limit: probe.calls}
+		if _, err := ExtractContext(ctx, g, opts); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%d edges: a context canceled after the kernel's last check returned %v, want context.Canceled", g.NumEdges(), err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sort"
 
 	"chordal/internal/graph"
@@ -19,14 +20,26 @@ import (
 // gives up). Admission is delegated to incremental.Maintainer — the
 // repository's one implementation of the dynamic-chordal-graph
 // separator criterion — seeded with the kernel's edge set: one scan of
-// the input defers every inadmissible absent edge, and Repair retests
-// the deferred queue to the fixpoint.
-func repairMaximality(g *graph.Graph, res *Result, threshold int) {
+// the input defers every inadmissible absent edge, and RepairContext
+// retests the deferred queue to the fixpoint. ctx is observed every
+// 1024 scanned edges and by the retests; a canceled repair returns
+// ctx.Err() and leaves res partly repaired, for the caller to drop.
+func repairMaximality(ctx context.Context, g *graph.Graph, res *Result, threshold int) error {
 	m := incremental.New(g.NumVertices(), threshold)
 	for _, e := range res.Edges {
 		m.Seed(e.U, e.V)
 	}
+	var err error
+	scanned := 0
 	g.Edges(func(u, v int32) {
+		if err != nil {
+			return
+		}
+		if scanned++; scanned%1024 == 0 {
+			if err = ctx.Err(); err != nil {
+				return
+			}
+		}
 		if res.HasChordalEdge(u, v) {
 			return
 		}
@@ -35,13 +48,21 @@ func repairMaximality(g *graph.Graph, res *Result, threshold int) {
 			res.RepairedEdges++
 		}
 	})
-	for _, e := range m.Repair() {
+	if err != nil {
+		return err
+	}
+	admitted, err := m.RepairContext(ctx)
+	if err != nil {
+		return err
+	}
+	for _, e := range admitted {
 		res.addChordalEdge(e.U, e.V)
 		res.RepairedEdges++
 	}
 	if res.RepairedEdges > 0 {
 		SortEdges(res.Edges)
 	}
+	return nil
 }
 
 // addChordalEdge inserts u (u < v) into v's chordal set in place and

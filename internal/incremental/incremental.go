@@ -16,10 +16,12 @@
 // admissions, so deferred edges are retested until a pass admits
 // nothing.
 //
-// Every other admission site in the repository — verify.CanAddEdge, the
-// shard border reconciliation, the core repair post-pass, and the
-// streaming sessions — delegates here; there is exactly one
-// implementation of the separator criterion.
+// Every admission site in the repository — the shard border
+// reconciliation, the core repair post-pass, and the streaming
+// sessions — delegates here; there is exactly one implementation of the
+// separator criterion. (The maximality audit in internal/verify decides
+// absent edges on a clique tree instead, and keeps this criterion as
+// its test oracle.)
 package incremental
 
 import (
@@ -393,18 +395,12 @@ func (m *Maintainer) add(u, v int32) {
 	m.edges++
 }
 
-// Repair retests the deferred queue until a full pass admits nothing,
-// returning the edges admitted in admission order. This is the fixpoint
-// that closes the Theorem 2 maximality gap: after Repair, no deferred
-// edge can be added to the maintained subgraph without breaking
-// chordality.
-func (m *Maintainer) Repair() []Edge {
-	admitted, _ := m.RepairContext(context.Background())
-	return admitted
-}
-
-// RepairContext is Repair under a context: cancellation is observed
-// every few hundred retests, returning the edges admitted so far with
+// RepairContext retests the deferred queue until a full pass admits
+// nothing, returning the edges admitted in admission order. This is the
+// fixpoint that closes the Theorem 2 maximality gap: after a repair that
+// runs to the end, no deferred edge can be added to the maintained
+// subgraph without breaking chordality. Cancellation is observed every
+// few hundred retests, returning the edges admitted so far with
 // ctx.Err(). Queue order is preserved across passes, so the admission
 // sequence is deterministic for a given deferral order.
 func (m *Maintainer) RepairContext(ctx context.Context) ([]Edge, error) {

@@ -47,7 +47,10 @@ func TestMaintainerC4(t *testing.T) {
 	if m.DeferredCount() != 1 {
 		t.Fatalf("deferred %d, want 1 (the repeated {0,3} keeps one slot)", m.DeferredCount())
 	}
-	admitted := m.Repair()
+	admitted, err := m.RepairContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(admitted) != 1 || admitted[0] != (incremental.Edge{U: 0, V: 3}) {
 		t.Fatalf("Repair admitted %v, want [{0 3}]", admitted)
 	}
@@ -79,7 +82,7 @@ func TestMaintainerGrow(t *testing.T) {
 	if ok, _ := m.Admit(0, 2); !ok {
 		t.Fatal("chord rejected after growth")
 	}
-	if got := m.Repair(); len(got) != 1 {
+	if got, err := m.RepairContext(context.Background()); err != nil || len(got) != 1 {
 		t.Fatalf("deferred queue lost across Grow: repair admitted %v", got)
 	}
 	chordalNow(t, m, "after grow+repair")
@@ -111,7 +114,9 @@ func TestMaintainerRandomStream(t *testing.T) {
 			chordalNow(t, m, "mid-stream repair")
 		}
 	}
-	m.Repair()
+	if _, err := m.RepairContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	chordalNow(t, m, "final repair")
 	got := map[[2]int32]bool{}
 	for _, e := range m.EdgeList() {

@@ -126,6 +126,10 @@ type Result struct {
 	// subgraph; it must always be true and exists as a self-check of
 	// the reconciliation argument.
 	Chordal bool
+	// PEO is the MCS order of Subgraph that the self-check validated
+	// (verify.PEO), kept as the run's certificate of chordality; nil
+	// when Chordal is false.
+	PEO []int32
 	// Total is the wall-clock time of the whole sharded extraction.
 	Total time.Duration
 }
@@ -395,11 +399,15 @@ func (res *Result) Reconcile(ctx context.Context, edges EdgeStream, parts int, o
 }
 
 // Finalize sorts the merged edge set into the canonical (U, V) order,
-// materializes Subgraph from it, and runs the chordality self-check.
-// Callers that assemble a Result outside ExtractContext (the
-// out-of-core driver) call it after Reconcile.
+// materializes Subgraph from it, and runs the chordality self-check,
+// keeping the validated order in PEO. Callers that assemble a Result
+// outside ExtractContext (the out-of-core driver) call it after
+// Reconcile.
 func (res *Result) Finalize() {
 	core.SortEdges(res.Edges)
 	res.Subgraph = core.EdgesToGraph(res.NumVertices, res.Edges)
-	res.Chordal = verify.IsChordal(res.Subgraph)
+	peo, ok := verify.PEO(res.Subgraph)
+	if res.Chordal = ok; ok {
+		res.PEO = peo
+	}
 }

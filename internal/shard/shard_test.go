@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"chordal/internal/core"
@@ -59,6 +60,11 @@ func TestShardedChordalAcrossShardCounts(t *testing.T) {
 			}
 			if !res.Chordal || !verify.IsChordal(res.Subgraph) {
 				t.Fatalf("shards=%d stitchOnly=%t: merged subgraph not chordal", shards, stitchOnly)
+			}
+			// The self-check keeps the MCS order it validated: the
+			// certificate the verify stage and the audit reuse.
+			if !slices.Equal(res.PEO, verify.MCSOrder(res.Subgraph)) || !verify.IsPEO(res.Subgraph, res.PEO) {
+				t.Fatalf("shards=%d stitchOnly=%t: PEO is not the subgraph's validated MCS order", shards, stitchOnly)
 			}
 			if err := res.Subgraph.Validate(); err != nil {
 				t.Fatalf("shards=%d: %v", shards, err)

@@ -14,13 +14,20 @@
 // arrays, each vertex's follower and the last step that marked it.
 //
 // PEO returns the validated ordering itself, so a caller that goes on
-// to use it (the quality metrics, the chordal-graph algorithms) holds
-// one certificate of chordality instead of computing a second.
+// to use it (the maximality audit, the quality metrics, the
+// chordal-graph algorithms) holds one certificate of chordality instead
+// of computing a second.
+//
+// The maximality audit decides each absent edge on a clique forest
+// built from that MCS order (Blair & Peyton's clique tree, tested by
+// Ibarra's insertion criterion; see cliqueForest), in near-linear total
+// time.
 package verify
 
 import (
+	"context"
+
 	"chordal/internal/graph"
-	"chordal/internal/incremental"
 )
 
 // MCSOrder runs Maximum Cardinality Search and returns the visit order
@@ -185,66 +192,92 @@ func AdjFromGraph(g *graph.Graph) [][]int32 {
 	return adj
 }
 
-// Scratch is the reusable per-worker state of the separator checks. It
-// is an alias of incremental.Checker — the one implementation of the
-// dynamic-chordal-graph separator criterion lives in
-// internal/incremental; verify re-exports it so audit and test callers
-// keep their historical entry point.
-type Scratch = incremental.Checker
-
-// NewScratch returns a Scratch for graphs with n vertices. threshold is
-// the degree at or above which a vertex's marked neighborhood is cached
-// for reuse across calls (0 picks a conservative default, negative
-// disables caching).
-func NewScratch(n, threshold int) *Scratch {
-	return incremental.NewChecker(n, threshold)
-}
-
-// CanAddEdge is the package-level form of Scratch.CanAddEdge for
-// one-off checks; callers on a hot path should hold a Scratch and call
-// the method to reuse its epoch sets across edges.
-func CanAddEdge(adj [][]int32, u, v int32, s *Scratch) bool {
-	if s == nil {
-		s = NewScratch(len(adj), -1)
-	}
-	return s.CanAddEdge(adj, u, v)
-}
-
 // MaximalityViolation is a rejected edge whose addition keeps the
 // subgraph chordal, i.e. a witness that the subgraph is not maximal.
 type MaximalityViolation struct {
 	U, V int32
 }
 
-// AuditMaximality examines every edge of g absent from sub (a subgraph
-// over the same vertex set) and returns those whose addition would keep
-// sub chordal, stopping after limit violations (limit <= 0 means no
-// limit). Each candidate is tested independently against sub as-is.
-// Cost is O(missing · (V+E)) worst case; intended for validation.
+// AuditMaximality examines every edge of g absent from sub (a chordal
+// subgraph over the same vertex set) and returns those whose addition
+// would keep sub chordal, in g's edge order, stopping after limit
+// violations (limit <= 0 means no limit). Each candidate is tested
+// independently against sub as-is, on a clique forest of sub built
+// from its MCS order at the first absent edge: the cost is one O(V+E)
+// build plus O(log n · log ω + ω) per absent edge, where ω is the
+// largest clique of sub. A caller that holds the validated order calls
+// AuditMaximalityFromPEO instead.
 func AuditMaximality(g, sub *graph.Graph, limit int) []MaximalityViolation {
-	adj := AdjFromGraph(sub)
-	scratch := NewScratch(len(adj), 0)
-	var out []MaximalityViolation
-	done := false
-	g.Edges(func(u, v int32) {
-		if done || sub.HasEdge(u, v) {
-			return
-		}
-		if scratch.CanAddEdge(adj, u, v) {
-			out = append(out, MaximalityViolation{U: u, V: v})
-			if limit > 0 && len(out) >= limit {
-				done = true
+	// A background context is never canceled, so audit returns no error.
+	out, _ := audit(context.Background(), g, sub, func() []int32 { return MCSOrder(sub) }, limit)
+	return out
+}
+
+// AuditMaximalityFromPEO is AuditMaximality for a caller that holds
+// peo, the MCS order of sub that PEO returned and validated, as
+// Runner.Run's verify stage and a stream's Close do. It must be that
+// MCS order: the clique forest is built by the MCS clique-start rule,
+// which an arbitrary perfect elimination ordering breaks. ctx is
+// observed every 256 candidates; a canceled audit returns ctx.Err().
+func AuditMaximalityFromPEO(ctx context.Context, g, sub *graph.Graph, peo []int32, limit int) ([]MaximalityViolation, error) {
+	return audit(ctx, g, sub, func() []int32 { return peo }, limit)
+}
+
+// audit is the shared audit loop. order is called, and the clique
+// forest built, only at the first absent edge, so an output that keeps
+// every edge of g pays for neither. When both graphs keep their
+// adjacency sorted, an edge's presence in sub comes from a merge of the
+// two lists instead of a search per edge.
+func audit(ctx context.Context, g, sub *graph.Graph, order func() []int32, limit int) ([]MaximalityViolation, error) {
+	var (
+		forest *cliqueForest
+		out    []MaximalityViolation
+	)
+	merge := g.Sorted && sub.Sorted
+	tested := 0
+	for u := int32(0); int(u) < g.NumVertices(); u++ {
+		kept := sub.Neighbors(u)
+		for _, v := range g.Neighbors(u) {
+			if v <= u {
+				continue
+			}
+			if merge {
+				for len(kept) > 0 && kept[0] < v {
+					kept = kept[1:]
+				}
+				if len(kept) > 0 && kept[0] == v {
+					continue
+				}
+			} else if sub.HasEdge(u, v) {
+				continue
+			}
+			if tested%256 == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
+			tested++
+			if forest == nil {
+				forest = newCliqueForest(sub, order())
+			}
+			if forest.canAdd(u, v) {
+				out = append(out, MaximalityViolation{U: u, V: v})
+				if limit > 0 && len(out) >= limit {
+					return out, nil
+				}
 			}
 		}
-	})
-	return out
+	}
+	return out, nil
 }
 
 // IsMaximalChordal reports whether sub is chordal and no edge of g can
 // be added to it without breaking chordality.
 func IsMaximalChordal(g, sub *graph.Graph) bool {
-	if !IsChordal(sub) {
+	peo, ok := PEO(sub)
+	if !ok {
 		return false
 	}
-	return len(AuditMaximality(g, sub, 1)) == 0
+	out, _ := AuditMaximalityFromPEO(context.Background(), g, sub, peo, 1)
+	return len(out) == 0
 }

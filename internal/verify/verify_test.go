@@ -1,14 +1,14 @@
 package verify
 
 import (
+	"context"
+	"errors"
 	"slices"
 	"testing"
-	"testing/quick"
 
 	"chordal/internal/core"
 	"chordal/internal/graph"
 	"chordal/internal/synth"
-	"chordal/internal/xrand"
 )
 
 func buildGraph(n int, edges [][2]int32) *graph.Graph {
@@ -157,198 +157,6 @@ func TestAdjFromGraph(t *testing.T) {
 	}
 }
 
-func TestCanAddEdgeKnownCases(t *testing.T) {
-	scratch := NewScratch(8, 0)
-	// Path 0-1-2: closing 0-2 forms a triangle: allowed.
-	adj := AdjFromGraph(path(3))
-	if !CanAddEdge(adj, 0, 2, scratch) {
-		t.Fatal("triangle closure rejected")
-	}
-	// Path 0-1-2-3: closing 0-3 forms C4: not allowed.
-	adj = AdjFromGraph(path(4))
-	if CanAddEdge(adj, 0, 3, scratch) {
-		t.Fatal("C4 closure accepted")
-	}
-	// Disconnected vertices: always allowed.
-	adj = AdjFromGraph(buildGraph(4, [][2]int32{{0, 1}, {2, 3}}))
-	if !CanAddEdge(adj, 0, 2, scratch) {
-		t.Fatal("cross-component edge rejected")
-	}
-	// Two vertex-disjoint paths between endpoints, common neighborhood
-	// empty: adding creates a chordless cycle.
-	adj = AdjFromGraph(buildGraph(6, [][2]int32{{0, 1}, {1, 5}, {0, 2}, {2, 3}, {3, 5}}))
-	if CanAddEdge(adj, 0, 5, scratch) {
-		t.Fatal("long-cycle closure accepted")
-	}
-	// A nil scratch allocates internally and agrees.
-	if CanAddEdge(adj, 0, 5, nil) {
-		t.Fatal("nil-scratch call disagrees")
-	}
-}
-
-// referenceCanAddEdge is the pre-epoch-set implementation of the
-// separator criterion, kept verbatim as the oracle for the equivalence
-// property test: mark-and-restore over a plain []int32 scratch.
-func referenceCanAddEdge(adj [][]int32, u, v int32, scratch []int32) bool {
-	const (
-		inSep   = 1
-		visited = 2
-	)
-	for _, x := range adj[u] {
-		scratch[x] = inSep
-	}
-	sep := make([]int32, 0, len(adj[u]))
-	for _, x := range adj[v] {
-		if scratch[x] == inSep {
-			sep = append(sep, x)
-		}
-	}
-	for _, x := range adj[u] {
-		scratch[x] = 0
-	}
-	for _, x := range sep {
-		scratch[x] = inSep
-	}
-	queue := []int32{u}
-	seen := []int32{u}
-	scratch[u] = visited
-	reached := false
-	for len(queue) > 0 && !reached {
-		x := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, y := range adj[x] {
-			if y == v {
-				reached = true
-				break
-			}
-			if scratch[y] == 0 {
-				scratch[y] = visited
-				seen = append(seen, y)
-				queue = append(queue, y)
-			}
-		}
-	}
-	for _, x := range seen {
-		scratch[x] = 0
-	}
-	for _, x := range sep {
-		scratch[x] = 0
-	}
-	return !reached
-}
-
-// TestCanAddEdgeMatchesReference pins the epoch-set rewrite against the
-// original mark-and-restore implementation on random graphs, with the
-// Scratch reused (dirty) across every query — the reuse pattern of the
-// border-admission and repair passes.
-func TestCanAddEdgeMatchesReference(t *testing.T) {
-	f := func(seed uint64, nRaw, mRaw uint16) bool {
-		n := 4 + int(nRaw%60)
-		rng := xrand.NewXoshiro256(seed)
-		adj := make([][]int32, n)
-		ref := make([]int32, n)
-		sc := NewScratch(n, 4) // low threshold: exercise the cache
-		for k := 0; k < int(mRaw%300); k++ {
-			u := int32(rng.Intn(n))
-			v := int32(rng.Intn(n))
-			if u == v || contains(adj[u], v) {
-				continue
-			}
-			want := referenceCanAddEdge(adj, u, v, ref)
-			if sc.CanAddEdge(adj, u, v) != want {
-				return false
-			}
-			// HasCommonNeighbor must match a direct intersection scan.
-			common := false
-			for _, x := range adj[u] {
-				if contains(adj[v], x) {
-					common = true
-					break
-				}
-			}
-			if sc.HasCommonNeighbor(adj, u, v) != common {
-				return false
-			}
-			if want {
-				adj[u] = append(adj[u], v)
-				adj[v] = append(adj[v], u)
-				sc.Invalidate()
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCanAddEdgeMatchesFullRecheck(t *testing.T) {
-	// Property: the separator criterion agrees with a full chordality
-	// re-check on random chordal graphs. Build chordal graphs by
-	// extracting from random graphs via repeated safe insertions.
-	f := func(seed uint64, nRaw, mRaw uint16) bool {
-		n := 4 + int(nRaw%40)
-		rng := xrand.NewXoshiro256(seed)
-		// Grow a random chordal graph by inserting random safe edges.
-		adj := make([][]int32, n)
-		scratch := NewScratch(n, 0)
-		for k := 0; k < int(mRaw%200); k++ {
-			u := int32(rng.Intn(n))
-			v := int32(rng.Intn(n))
-			if u == v || contains(adj[u], v) {
-				continue
-			}
-			if scratch.CanAddEdge(adj, u, v) {
-				adj[u] = append(adj[u], v)
-				adj[v] = append(adj[v], u)
-				if !IsChordalAdj(adj) {
-					return false // criterion admitted a bad edge
-				}
-			} else {
-				// Verify the rejection: adding must break chordality.
-				adj[u] = append(adj[u], v)
-				adj[v] = append(adj[v], u)
-				broken := !IsChordalAdj(adj)
-				adj[u] = adj[u][:len(adj[u])-1]
-				adj[v] = adj[v][:len(adj[v])-1]
-				if !broken {
-					return false // criterion rejected a good edge
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func contains(s []int32, x int32) bool {
-	for _, y := range s {
-		if y == x {
-			return true
-		}
-	}
-	return false
-}
-
-func TestCanAddEdgeScratchReuse(t *testing.T) {
-	// A Scratch carries no state between calls: the same query must
-	// answer identically on a fresh scratch and on one dirtied by
-	// unrelated queries against other graphs.
-	adj := AdjFromGraph(complete(6))
-	adj[0] = adj[0][:0] // detach 0: then 0-1 is addable
-	adj[1] = adj[1][:4]
-	fresh := NewScratch(6, 0)
-	want := fresh.CanAddEdge(adj, 0, 1)
-	dirty := NewScratch(6, 0)
-	dirty.CanAddEdge(AdjFromGraph(path(6)), 0, 5)
-	dirty.HasCommonNeighbor(AdjFromGraph(complete(6)), 2, 3)
-	if dirty.CanAddEdge(adj, 0, 1) != want {
-		t.Fatal("dirty scratch changed the answer")
-	}
-}
-
 func TestAuditMaximality(t *testing.T) {
 	// Take C4: the extracted chordal subgraph 0-1-2-3 (path) is
 	// maximal, so the audit of a FULL path against C4 finds nothing;
@@ -366,6 +174,29 @@ func TestAuditMaximality(t *testing.T) {
 	// Limit respected.
 	if v := AuditMaximality(g, buildGraph(4, nil), 2); len(v) != 2 {
 		t.Fatalf("limit ignored: %d", len(v))
+	}
+}
+
+// TestAuditMaximalityFromPEOCancel pins the audit's cancellation: a
+// canceled context stops an audit that has candidates to test, and an
+// audit of an output that keeps every input edge tests nothing, so it
+// neither looks at ctx nor needs an order.
+func TestAuditMaximalityFromPEOCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g, sub := cycle(4), path(4)
+	peo, ok := PEO(sub)
+	if !ok {
+		t.Fatal("path-4 is not chordal")
+	}
+	if out, err := AuditMaximalityFromPEO(ctx, g, sub, peo, 0); !errors.Is(err, context.Canceled) || out != nil {
+		t.Fatalf("canceled audit = %v, %v; want nil, context.Canceled", out, err)
+	}
+	if out, err := AuditMaximalityFromPEO(ctx, sub, sub, nil, 0); err != nil || out != nil {
+		t.Fatalf("audit without candidates = %v, %v; want nil, nil", out, err)
+	}
+	if out, err := AuditMaximalityFromPEO(context.Background(), g, sub, peo, 0); err != nil || len(out) != 0 {
+		t.Fatalf("maximal path-in-C4 audited %v, %v", out, err)
 	}
 }
 

@@ -511,6 +511,7 @@ func (r Runner) Run(ctx context.Context, s Spec) (*PipelineResult, error) {
 		return nil, err
 	}
 
+	var er *EngineResult
 	if s.Engine != EngineNone {
 		eng, ok := LookupEngine(s.Engine)
 		if !ok {
@@ -519,7 +520,6 @@ func (r Runner) Run(ctx context.Context, s Spec) (*PipelineResult, error) {
 		cfg := s.EngineConfig
 		cfg.Observer = r.Observer
 		start := enter("extract")
-		var er *EngineResult
 		if srcEng != nil {
 			er, err = srcEng.ExtractSource(ctx, srcPath, cfg)
 		} else {
@@ -548,10 +548,10 @@ func (r Runner) Run(ctx context.Context, s Spec) (*PipelineResult, error) {
 		return nil, err
 	}
 
-	// peo is the MCS order the verify stage checked. When the check
-	// passed it is the one certificate of chordality, and the quality
-	// metrics reuse it. It stays nil when no verify stage ran its own
-	// check (no verify, or the shard engine's self-check stood in).
+	// peo is the subgraph's validated MCS order, the run's one
+	// certificate of chordality (EngineResult.certificate): the verify
+	// stage takes it and hands it to the maximality audit, and the
+	// quality metrics reuse it.
 	var peo []int32
 	if s.Verify {
 		if res.Subgraph == nil {
@@ -559,17 +559,14 @@ func (r Runner) Run(ctx context.Context, s Spec) (*PipelineResult, error) {
 		}
 		start := enter("verify")
 		res.Verified = true
-		if res.Shard != nil {
-			// The shard stage already ran the chordality check on this
-			// exact subgraph as its reconciliation self-check; reuse it
-			// rather than paying the O(V+E) MCS+PEO pass twice.
-			res.ChordalOK = res.Shard.Chordal
-		} else {
-			peo, res.ChordalOK = verify.PEO(res.Subgraph)
-		}
+		peo, res.ChordalOK = er.certificate()
 		if res.ChordalOK && g != nil && g.NumEdges() <= maxAuditEdges {
+			viol, err := verify.AuditMaximalityFromPEO(ctx, g, res.Subgraph, peo, 10)
+			if err != nil {
+				return nil, err
+			}
 			res.MaximalityAudited = true
-			res.ReAddableEdges = len(verify.AuditMaximality(g, res.Subgraph, 10))
+			res.ReAddableEdges = len(viol)
 		}
 		emit(newVerifyEvent(res.ChordalOK, res.MaximalityAudited, res.ReAddableEdges))
 		mark("verify", start)
@@ -579,17 +576,17 @@ func (r Runner) Run(ctx context.Context, s Spec) (*PipelineResult, error) {
 	// the subgraph, so they ride outside the spec (and its canonical
 	// key) and are skipped silently when the subgraph is not chordal
 	// (the verify stage is the loud path for that) or the input exceeds
-	// the default bounds.
-	if g != nil && res.Subgraph != nil && (!res.Verified || res.ChordalOK) {
-		var q *quality.Metrics
-		var err error
-		if peo != nil {
-			q, err = quality.ComputeFromPEO(g, res.Subgraph, peo, quality.DefaultLimits())
-		} else {
-			q, err = quality.Compute(g, res.Subgraph, quality.DefaultLimits())
+	// the default bounds. Without a verify stage they take the
+	// certificate themselves.
+	if g != nil && res.Subgraph != nil {
+		ok := res.ChordalOK
+		if !res.Verified {
+			peo, ok = er.certificate()
 		}
-		if err == nil {
-			res.Quality = q
+		if ok {
+			if q, err := quality.ComputeFromPEO(g, res.Subgraph, peo, quality.DefaultLimits()); err == nil {
+				res.Quality = q
+			}
 		}
 	}
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
@@ -510,5 +511,30 @@ func TestObserverEventStream(t *testing.T) {
 	}
 	if string(blob) != `{"type":""}` {
 		t.Errorf("zero event marshals as %s; optional fields must be omitted", blob)
+	}
+}
+
+// TestSpecAuditObservesCancel cancels the run as its verify stage
+// begins. The output of the dearing engine is maximal, so the audit
+// tests every absent input edge; it observes ctx, and Run returns
+// context.Canceled instead of finishing it.
+func TestSpecAuditObservesCancel(t *testing.T) {
+	spec := chordal.Spec{Source: "rmat-er:10:7", Engine: chordal.EngineDearing, Verify: true}
+	res, err := chordal.Runner{}.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.MaximalityAudited || res.ReAddableEdges != 0 {
+		t.Fatalf("uncanceled run: audited %t, re-addable %d; want a clean audit", res.MaximalityAudited, res.ReAddableEdges)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cancelAtVerify := func(ev chordal.Event) {
+		if ev.Type == chordal.EventStageBegin && ev.Stage == "verify" {
+			cancel()
+		}
+	}
+	if _, err := (chordal.Runner{Observer: cancelAtVerify}).Run(ctx, spec); !errors.Is(err, context.Canceled) {
+		t.Fatalf("run canceled at the verify stage returned %v, want context.Canceled", err)
 	}
 }

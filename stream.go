@@ -381,10 +381,15 @@ func (s *Stream) Close(ctx context.Context) (*StreamResult, error) {
 
 	if s.spec.Verify {
 		s.emit(newStageEvent("verify"))
-		v := &ReportVerify{Chordal: verify.IsChordal(er.Subgraph)}
-		if v.Chordal && input.NumEdges() <= maxAuditEdges {
+		peo, ok := er.certificate()
+		v := &ReportVerify{Chordal: ok}
+		if ok && input.NumEdges() <= maxAuditEdges {
+			viol, err := verify.AuditMaximalityFromPEO(ctx, input, er.Subgraph, peo, 10)
+			if err != nil {
+				return nil, err
+			}
 			v.MaximalityAudited = true
-			v.ReAddableEdges = len(verify.AuditMaximality(input, er.Subgraph, 10))
+			v.ReAddableEdges = len(viol)
 		}
 		rep.Verify = v
 		s.emit(newVerifyEvent(v.Chordal, v.MaximalityAudited, v.ReAddableEdges))
