@@ -295,7 +295,7 @@ func Generate(p Params) (*graph.Graph, error) {
 	// in id space. (This also matters for reproduction fidelity: the
 	// extraction algorithm resolves an id-contiguous dense module in
 	// far fewer iterations than a scattered one.)
-	return g.RelabelWorkers(rng.Perm(n), p.Workers), nil
+	return g.Relabel(rng.Perm(n)), nil
 }
 
 // ExpressionMatrix is a genes x samples matrix of synthetic expression

@@ -109,9 +109,8 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 	if variant == VariantOptimized && !g.Sorted {
 		// The paper's Opt variant requires ordered neighbor lists and
 		// excludes the sorting time from its measurements; we do the
-		// same by sorting a copy up front, inside the worker bound so a
-		// budget-leased job never sorts at machine width.
-		g = g.SortAdjacencyWorkers(opts.Workers)
+		// same by sorting a copy up front.
+		g = g.SortAdjacency()
 	}
 
 	grain := opts.Grain

@@ -27,14 +27,10 @@ import (
 	"chordal/internal/graph"
 )
 
-// Binary CSR layout (must match graph.WriteBinary): 4-byte magic
-// "CHRD", uint32 version, uint64 n, uint64 adjLen, uint8 sorted, then
-// n+1 little-endian int64 offsets and adjLen little-endian int32
-// adjacency entries.
-const (
-	csrMagic   = "CHRD"
-	headerSize = 4 + 4 + 8 + 8 + 1
-)
+// A binary CSR file is graph.BinaryHeaderSize header bytes, decoded by
+// graph.DecodeBinaryHeader, then n+1 little-endian int64 offsets and
+// adjLen little-endian int32 adjacency entries.
+const headerSize = graph.BinaryHeaderSize
 
 // MappedCSR is a lazily-decoded view of a binary CSR file. It is safe
 // for concurrent readers. Close releases the mapping and the file.
@@ -91,27 +87,19 @@ func newMapped(f *os.File, tryMap bool) (*MappedCSR, error) {
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
 		return nil, fmt.Errorf("extio: %s: reading header: %w", f.Name(), err)
 	}
-	if string(hdr[:4]) != csrMagic {
-		return nil, fmt.Errorf("extio: %s: bad magic %q", f.Name(), hdr[:4])
-	}
-	version := binary.LittleEndian.Uint32(hdr[4:8])
-	if version != 1 {
-		return nil, fmt.Errorf("extio: %s: unsupported binary version %d", f.Name(), version)
-	}
-	n := binary.LittleEndian.Uint64(hdr[8:16])
-	adjLen := binary.LittleEndian.Uint64(hdr[16:24])
-	if n > 1<<33 || adjLen > 1<<40 {
-		return nil, fmt.Errorf("extio: %s: implausible header (n=%d adjLen=%d)", f.Name(), n, adjLen)
+	n, adjLen, sorted, err := graph.DecodeBinaryHeader(hdr[:])
+	if err != nil {
+		return nil, fmt.Errorf("extio: %s: %w", f.Name(), err)
 	}
 	// The format is fully determined by the header, so the file size must
 	// match exactly: anything shorter is truncated, anything longer is
 	// trailing garbage. Checking up front means decodes never run off the
 	// end of the mapping.
-	want := int64(headerSize) + int64(n+1)*8 + int64(adjLen)*4
+	want := int64(headerSize) + (n+1)*8 + adjLen*4
 	if size != want {
 		return nil, fmt.Errorf("extio: %s: size %d does not match header (want %d): truncated or corrupt", f.Name(), size, want)
 	}
-	m := &MappedCSR{f: f, size: size, n: int(n), adjLen: int64(adjLen), sorted: hdr[24] == 1}
+	m := &MappedCSR{f: f, size: size, n: int(n), adjLen: adjLen, sorted: sorted}
 	if tryMap && size > 0 {
 		if data, err := mapFile(f, size); err == nil {
 			m.data = data

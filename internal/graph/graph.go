@@ -16,8 +16,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-
-	"chordal/internal/parallel"
 )
 
 // Graph is an undirected graph in CSR form. The neighbors of vertex v are
@@ -85,27 +83,21 @@ func (g *Graph) MaxDegree() int {
 
 // SortAdjacency returns a copy of g whose adjacency lists are sorted
 // ascending, the representation the paper's optimized variant requires.
-// If g is already sorted it is returned unchanged. Lists are sorted in
-// parallel across vertices.
+// If g is already sorted it is returned unchanged. It is Relabel's
+// permuted transposition under the identity permutation: one O(V+E)
+// pass on one goroutine, with no per-row sort. It relies only on every
+// edge being stored in both directions (which every constructor in
+// this package guarantees, ReadBinary by validation), not on any row
+// order.
 func (g *Graph) SortAdjacency() *Graph {
-	return g.SortAdjacencyWorkers(0)
-}
-
-// SortAdjacencyWorkers is SortAdjacency bounded to the given worker
-// count (<= 0 means machine width), so budget-leased callers sort
-// inside their lease.
-func (g *Graph) SortAdjacencyWorkers(workers int) *Graph {
 	if g.Sorted {
 		return g
 	}
-	adj := make([]int32, len(g.Adj))
-	copy(adj, g.Adj)
-	out := &Graph{Offsets: g.Offsets, Adj: adj, Sorted: true}
-	parallel.ForVerticesN(g.NumVertices(), workers, func(v int) {
-		lo, hi := g.Offsets[v], g.Offsets[v+1]
-		slices.Sort(adj[lo:hi])
-	})
-	return out
+	id := make([]int32, g.NumVertices())
+	for v := range id {
+		id[v] = int32(v)
+	}
+	return g.permutedTranspose(id, id)
 }
 
 // Validate checks structural invariants: monotone offsets, neighbor ids
@@ -151,6 +143,67 @@ func (g *Graph) Validate() error {
 			if !g.HasEdge(w, int32(v)) {
 				return fmt.Errorf("graph: edge {%d,%d} missing reverse direction", v, w)
 			}
+		}
+	}
+	return nil
+}
+
+// checkSimpleSymmetric verifies in O(V+E) that g, whose offsets and id
+// ranges are already known good, has no self loops or repeated
+// neighbours, keeps every row ascending when marked sorted, and stores
+// every edge in both directions. ReadBinary runs it on every decode;
+// Validate stays the independent test oracle.
+func (g *Graph) checkSimpleSymmetric() error {
+	if g.Sorted {
+		return g.checkSortedSymmetric()
+	}
+	// Equal in- and out-degrees let SortAdjacency's transposition fill
+	// every row exactly. Its rows are then the input's columns, which
+	// pass the sorted walk only if the input is simple and symmetric.
+	n := g.NumVertices()
+	in := make([]int64, n)
+	for _, w := range g.Adj {
+		in[w]++
+	}
+	for v := 0; v < n; v++ {
+		if d := g.Offsets[v+1] - g.Offsets[v]; in[v] != d {
+			return fmt.Errorf("graph: vertex %d is listed %d times but has degree %d: an edge lacks its reverse", v, in[v], d)
+		}
+	}
+	return g.SortAdjacency().checkSortedSymmetric()
+}
+
+// checkSortedSymmetric is checkSimpleSymmetric for a graph marked
+// sorted. It keeps one cursor per vertex and walks v upward: each w > v
+// in v's row must list v at w's cursor, which then advances. At the end
+// every cursor must rest at its row's first neighbour larger than the
+// row's own vertex, so every smaller neighbour was matched.
+func (g *Graph) checkSortedSymmetric() error {
+	n := g.NumVertices()
+	cur := make([]int64, n)
+	copy(cur, g.Offsets)
+	for v := 0; v < n; v++ {
+		prev := int32(-1)
+		for _, w := range g.Neighbors(int32(v)) {
+			if w <= prev {
+				return fmt.Errorf("graph: vertex %d: neighbour %d repeated or out of order", v, w)
+			}
+			prev = w
+			if int(w) == v {
+				return fmt.Errorf("graph: self loop at vertex %d", v)
+			}
+			if int(w) > v {
+				c := cur[w]
+				if c == g.Offsets[w+1] || g.Adj[c] != int32(v) {
+					return fmt.Errorf("graph: edge {%d,%d} missing reverse direction", v, w)
+				}
+				cur[w] = c + 1
+			}
+		}
+	}
+	for w, c := range cur {
+		if c < g.Offsets[w+1] && int(g.Adj[c]) < w {
+			return fmt.Errorf("graph: edge {%d,%d} missing reverse direction", w, g.Adj[c])
 		}
 	}
 	return nil
@@ -229,41 +282,73 @@ func (g *Graph) InducedSubgraph(keep []int32) (*Graph, []int32) {
 }
 
 // Relabel returns a copy of g in which old vertex v becomes perm[v].
-// perm must be a permutation of [0, NumVertices). The result preserves
-// the Sorted flag by re-sorting if g was sorted.
+// perm must be a permutation of [0, NumVertices); Relabel panics
+// otherwise. It runs in O(V+E) on one goroutine.
+//
+// A sorted g is relabeled by Gustavson's permuted transposition ("Two
+// fast algorithms for sparse matrices: multiplication and permuted
+// transposition", ACM TOMS 4(3), 1978): visiting new ids y in ascending
+// order and appending y to the row of every neighbour of perm⁻¹[y]
+// fills every row in ascending order, so the result is sorted without
+// a per-row sort. An unsorted g keeps each row's order, mapped through
+// perm, and the result stays unsorted: VariantAuto picks the paper's
+// Unopt variant from that flag.
 func (g *Graph) Relabel(perm []int32) *Graph {
-	return g.RelabelWorkers(perm, 0)
-}
-
-// RelabelWorkers is Relabel bounded to the given worker count (<= 0
-// means machine width), the budget-leased form the pipeline's relabel
-// stage uses.
-func (g *Graph) RelabelWorkers(perm []int32, workers int) *Graph {
 	n := g.NumVertices()
 	if len(perm) != n {
 		panic("graph: Relabel permutation has wrong length")
 	}
-	deg := make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		deg[perm[v]+1] = int64(g.Degree(int32(v)))
+	inv := make([]int32, n)
+	for v := range inv {
+		inv[v] = -1
+	}
+	for v, p := range perm {
+		if p < 0 || int(p) >= n || inv[p] >= 0 {
+			panic("graph: Relabel perm is not a permutation")
+		}
+		inv[p] = int32(v)
+	}
+	if g.Sorted {
+		return g.permutedTranspose(perm, inv)
 	}
 	offsets := make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		offsets[v+1] = offsets[v] + deg[v+1]
+	adj := make([]int32, 0, len(g.Adj))
+	for y, x := range inv {
+		for _, w := range g.Neighbors(x) {
+			adj = append(adj, perm[w])
+		}
+		offsets[y+1] = int64(len(adj))
+	}
+	return &Graph{Offsets: offsets, Adj: adj}
+}
+
+// permutedTranspose returns P·A·Pᵀ for the permutation perm with inverse
+// inv, every row ascending. Row perm[w] receives y once for each
+// neighbour w of inv[y], so it holds exactly deg(w) entries only
+// because g stores every edge in both directions.
+func (g *Graph) permutedTranspose(perm, inv []int32) *Graph {
+	n := len(perm)
+	// offsets[r+1] starts as row r's first slot and serves as its
+	// append cursor; after the scatter it is row r's end, which is
+	// offsets[r+2]'s start, so no separate cursor array is needed.
+	offsets := make([]int64, n+1)
+	for v, r := range perm {
+		if int(r)+2 <= n {
+			offsets[r+2] = int64(g.Degree(int32(v)))
+		}
+	}
+	for r := 2; r <= n; r++ {
+		offsets[r] += offsets[r-1]
 	}
 	adj := make([]int32, len(g.Adj))
-	parallel.ForVerticesN(n, workers, func(v int) {
-		nv := perm[v]
-		dst := adj[offsets[nv]:offsets[nv+1]]
-		for i, w := range g.Neighbors(int32(v)) {
-			dst[i] = perm[w]
+	for y, x := range inv {
+		for _, w := range g.Neighbors(x) {
+			c := &offsets[perm[w]+1]
+			adj[*c] = int32(y)
+			*c++
 		}
-	})
-	out := &Graph{Offsets: offsets, Adj: adj}
-	if g.Sorted {
-		out = out.SortAdjacencyWorkers(workers)
 	}
-	return out
+	return &Graph{Offsets: offsets, Adj: adj, Sorted: true}
 }
 
 // SubgraphFromEdges builds a graph over the same vertex set containing

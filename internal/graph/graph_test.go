@@ -176,12 +176,16 @@ func TestRelabelPreservesStructure(t *testing.T) {
 }
 
 func TestRelabelPanicsOnBadPerm(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	pathGraph(3).Relabel([]int32{0, 1})
+	for _, perm := range [][]int32{{0, 1}, {0, 1, 1}, {0, 1, 3}, {0, -1, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("perm %v: expected panic", perm)
+				}
+			}()
+			pathGraph(3).Relabel(perm)
+		}()
+	}
 }
 
 func TestSubgraphFromEdges(t *testing.T) {

@@ -270,110 +270,169 @@ func ReadEdgeListWorkers(r io.Reader, n, maxWorkers int) (*Graph, error) {
 	return BuildFromEdgesWorkers(n, us, vs, maxWorkers), nil
 }
 
-const binaryMagic = "CHRD"
+// Binary CSR layout: the 4-byte magic "CHRD", uint32 version 1,
+// uint64 n, uint64 adjLen, a uint8 sorted flag (0 or 1), then n+1
+// int64 offsets and adjLen int32 adjacency entries, all little-endian.
+const (
+	binaryMagic = "CHRD"
+	// BinaryHeaderSize is the byte length of the binary CSR header that
+	// precedes the offsets.
+	BinaryHeaderSize = 4 + 4 + 8 + 8 + 1
+	// binaryChunk bounds the one buffer each WriteBinary or ReadBinary
+	// call passes both arrays through.
+	binaryChunk = 64 << 10
+	// binaryPrealloc caps the bytes ReadBinary allocates per array on
+	// the header's word alone, as Go's internal/saferio does. Past it an
+	// array grows only as its bytes arrive, so a short stream that
+	// declares a huge graph fails at EOF instead of allocating what it
+	// declares.
+	binaryPrealloc = 16 << 20
+)
 
-// WriteBinary writes g in the library's binary CSR format.
+// DecodeBinaryHeader parses the BinaryHeaderSize-byte header of a binary
+// CSR stream: it checks the magic, the version, the sorted flag and the
+// format's plausibility bound (n <= 2^33, adjLen <= 2^40) and returns
+// the vertex count, the adjacency length and the sorted flag.
+func DecodeBinaryHeader(hdr []byte) (n, adjLen int64, sorted bool, err error) {
+	if len(hdr) < BinaryHeaderSize {
+		return 0, 0, false, fmt.Errorf("graph: binary header is %d bytes, want %d", len(hdr), BinaryHeaderSize)
+	}
+	if string(hdr[:4]) != binaryMagic {
+		return 0, 0, false, fmt.Errorf("graph: bad magic %q", hdr[:4])
+	}
+	if v := binary.LittleEndian.Uint32(hdr[4:]); v != 1 {
+		return 0, 0, false, fmt.Errorf("graph: unsupported binary version %d", v)
+	}
+	un, uadj := binary.LittleEndian.Uint64(hdr[8:]), binary.LittleEndian.Uint64(hdr[16:])
+	if un > 1<<33 || uadj > 1<<40 {
+		return 0, 0, false, fmt.Errorf("graph: implausible header (V=%d, adj=%d)", un, uadj)
+	}
+	if hdr[24] > 1 {
+		return 0, 0, false, fmt.Errorf("graph: bad sorted flag %d", hdr[24])
+	}
+	return int64(un), int64(uadj), hdr[24] == 1, nil
+}
+
+// WriteBinary writes g in the library's binary CSR format, passing the
+// header and both arrays through one buffer of at most 64 KiB.
 func WriteBinary(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	hdr := []any{uint32(1), uint64(g.NumVertices()), uint64(len(g.Adj))}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	sorted := uint8(0)
+	buf := make([]byte, 0, min(binaryChunk, BinaryHeaderSize+8*len(g.Offsets)+4*len(g.Adj)))
+	le := binary.LittleEndian
+	buf = append(buf, binaryMagic...)
+	buf = le.AppendUint32(buf, 1)
+	buf = le.AppendUint64(buf, uint64(g.NumVertices()))
+	buf = le.AppendUint64(buf, uint64(len(g.Adj)))
+	sorted := byte(0)
 	if g.Sorted {
 		sorted = 1
 	}
-	if err := binary.Write(bw, binary.LittleEndian, sorted); err != nil {
-		return err
+	buf = append(buf, sorted)
+	for off := g.Offsets; len(off) > 0; {
+		if len(buf)+8 > cap(buf) {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+		k := min(len(off), (cap(buf)-len(buf))/8)
+		for _, o := range off[:k] {
+			buf = le.AppendUint64(buf, uint64(o))
+		}
+		off = off[k:]
 	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Offsets); err != nil {
-		return err
+	for adj := g.Adj; len(adj) > 0; {
+		if len(buf)+4 > cap(buf) {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
+		}
+		k := min(len(adj), (cap(buf)-len(buf))/4)
+		for _, a := range adj[:k] {
+			buf = le.AppendUint32(buf, uint32(a))
+		}
+		adj = adj[k:]
 	}
-	if err := binary.Write(bw, binary.LittleEndian, g.Adj); err != nil {
-		return err
-	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
-// ReadBinary reads a graph written by WriteBinary. The array payloads
-// are read as raw bytes and decoded in parallel, bypassing the
-// reflection-based encoding/binary slice path — this is the fast path
-// LoadFile takes for .bin files.
+// ReadBinary reads a graph written by WriteBinary through one buffer of
+// at most 64 KiB, reading no byte past the graph's end. It rejects, with
+// an error, any stream that is not a simple symmetric graph: offsets
+// that do not start at 0, decrease, or do not end at the adjacency
+// length; ids outside [0, n); self loops and repeated neighbours; a row
+// out of order under the sorted flag; and an edge without its reverse.
+// The range and offset checks run inside the decode loop; the symmetry
+// check is one O(V+E) cursor walk over sorted rows, and unsorted rows
+// are first matched by in- and out-degree and sorted by SortAdjacency's
+// transposition.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	return ReadBinaryWorkers(r, 0)
-}
-
-// ReadBinaryWorkers is ReadBinary with the parallel payload decode
-// bounded to the given worker count (<= 0 means machine width).
-func ReadBinaryWorkers(r io.Reader, maxWorkers int) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
+	var hdr [BinaryHeaderSize]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, fmt.Errorf("graph: reading binary header: %w", err)
+	}
+	n, adjLen, sorted, err := DecodeBinaryHeader(hdr[:])
+	if err != nil {
 		return nil, err
 	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %q", magic)
-	}
-	var version uint32
-	var n, adjLen uint64
-	var sorted uint8
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, err
-	}
-	if version != 1 {
-		return nil, fmt.Errorf("graph: unsupported binary version %d", version)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, &adjLen); err != nil {
-		return nil, err
-	}
-	if err := binary.Read(br, binary.LittleEndian, &sorted); err != nil {
-		return nil, err
-	}
-	if n > 1<<33 || adjLen > 1<<40 {
-		return nil, fmt.Errorf("graph: implausible header (V=%d, adj=%d)", n, adjLen)
-	}
-	g := &Graph{
-		Offsets: make([]int64, n+1),
-		Adj:     make([]int32, adjLen),
-		Sorted:  sorted == 1,
-	}
-	raw := make([]byte, 8*(n+1))
-	if _, err := io.ReadFull(br, raw); err != nil {
-		return nil, err
-	}
-	parallel.ForChunks(int(n+1), boundedWorkers(int(n+1), 1<<16, maxWorkers), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			g.Offsets[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
+	buf := make([]byte, min(binaryChunk, 8*(n+1)+4*adjLen))
+	le := binary.LittleEndian
+	offsets := make([]int64, 0, min(n+1, binaryPrealloc/8))
+	last := int64(0)
+	for rem := n + 1; rem > 0; {
+		k := min(rem, int64(len(buf)/8))
+		if _, err := io.ReadFull(r, buf[:8*k]); err != nil {
+			return nil, fmt.Errorf("graph: reading binary offsets: %w", err)
 		}
-	})
-	raw = make([]byte, 4*adjLen)
-	if _, err := io.ReadFull(br, raw); err != nil {
+		offsets = growBy(offsets, int(k), n+1)
+		base := int64(len(offsets)) - k
+		for i := range offsets[base:] {
+			o := int64(le.Uint64(buf[8*i:]))
+			if o < last || o > adjLen {
+				return nil, fmt.Errorf("graph: offset %d at vertex %d decreases or passes the adjacency length %d", o, base+int64(i), adjLen)
+			}
+			offsets[base+int64(i)] = o
+			last = o
+		}
+		rem -= k
+	}
+	if offsets[0] != 0 || last != adjLen {
+		return nil, fmt.Errorf("graph: offsets run from %d to %d, want 0 to the adjacency length %d", offsets[0], last, adjLen)
+	}
+	adj := make([]int32, 0, min(adjLen, binaryPrealloc/4))
+	for rem := adjLen; rem > 0; {
+		k := min(rem, int64(len(buf)/4))
+		if _, err := io.ReadFull(r, buf[:4*k]); err != nil {
+			return nil, fmt.Errorf("graph: reading binary adjacency: %w", err)
+		}
+		adj = growBy(adj, int(k), adjLen)
+		base := int64(len(adj)) - k
+		for i := range adj[base:] {
+			a := int32(le.Uint32(buf[4*i:]))
+			if a < 0 || int64(a) >= n {
+				return nil, fmt.Errorf("graph: adjacency entry %d is vertex %d, outside [0, %d)", base+int64(i), a, n)
+			}
+			adj[base+int64(i)] = a
+		}
+		rem -= k
+	}
+	g := &Graph{Offsets: offsets, Adj: adj, Sorted: sorted}
+	if err := g.checkSimpleSymmetric(); err != nil {
 		return nil, err
 	}
-	parallel.ForChunks(int(adjLen), boundedWorkers(int(adjLen), 1<<16, maxWorkers), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			g.Adj[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
-		}
-	})
 	return g, nil
 }
 
-// boundedWorkers clamps the automatic worker pick for n items to an
-// optional explicit bound (<= 0 means no bound).
-func boundedWorkers(n, minChunk, bound int) int {
-	w := parallel.WorkersFor(n, minChunk)
-	if bound > 0 && w > bound {
-		w = bound
+// growBy extends s by k elements, reallocating to at least twice its
+// capacity (but no more than limit) when it must.
+func growBy[T int32 | int64](s []T, k int, limit int64) []T {
+	if len(s)+k > cap(s) {
+		t := make([]T, len(s), min(max(2*int64(cap(s)), int64(len(s)+k)), limit))
+		copy(t, s)
+		s = t
 	}
-	return w
+	return s[:len(s)+k]
 }
 
 // WriteMatrixMarket writes g in Matrix Market symmetric pattern format.
@@ -498,9 +557,10 @@ func LoadFile(path string) (*Graph, error) {
 	return LoadFileWorkers(path, 0)
 }
 
-// LoadFileWorkers is LoadFile with the parallel decode bounded to the
-// given worker count (<= 0 means machine width). The pipeline's acquire
-// stage uses this so file ingestion respects a job's budget lease.
+// LoadFileWorkers is LoadFile with the text formats' parallel parse
+// and build bounded to the given worker count (<= 0 means machine
+// width). The pipeline's acquire stage uses this so file ingestion
+// respects a job's budget lease; binary CSR decodes on one goroutine.
 func LoadFileWorkers(path string, maxWorkers int) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -509,7 +569,7 @@ func LoadFileWorkers(path string, maxWorkers int) (*Graph, error) {
 	defer f.Close()
 	switch {
 	case strings.HasSuffix(path, ".bin"):
-		return ReadBinaryWorkers(f, maxWorkers)
+		return ReadBinary(f)
 	case strings.HasSuffix(path, ".mtx"):
 		return ReadMatrixMarketWorkers(f, maxWorkers)
 	default:

@@ -253,6 +253,45 @@ func TestMultipartUpload(t *testing.T) {
 	}
 }
 
+// TestMalformedBinaryUpload posts a binary CSR whose vertex 2 lists
+// neighbour 7 of a 3-vertex graph. The decoder's error is a 400, and
+// the same server then completes a well-formed binary upload.
+func TestMalformedBinaryUpload(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	post := func(g *graph.Graph) (JobStatus, int, string) {
+		var buf bytes.Buffer
+		mw := multipart.NewWriter(&buf)
+		fw, _ := mw.CreateFormFile("graph", "g.bin")
+		if err := graph.WriteBinary(fw, g); err != nil {
+			t.Fatal(err)
+		}
+		mw.Close()
+		resp, err := http.Post(ts.URL+"/v1/jobs", mw.FormDataContentType(), &buf)
+		if err != nil {
+			t.Fatalf("POST multipart: %v", err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		var st JobStatus
+		json.Unmarshal(body, &st)
+		return st, resp.StatusCode, string(body)
+	}
+
+	bad := &graph.Graph{Offsets: []int64{0, 0, 0, 1}, Adj: []int32{7}, Sorted: true}
+	if _, code, body := post(bad); code != http.StatusBadRequest || !strings.Contains(body, "outside [0, 3)") {
+		t.Fatalf("malformed upload: status %d body %s, want 400 naming the out-of-range id", code, body)
+	}
+	// A 4-cycle plus one chord, as in TestMultipartUpload.
+	good := graph.BuildFromEdges(4, []int32{0, 1, 2, 0, 0}, []int32{1, 2, 3, 3, 2})
+	st, code, body := post(good)
+	if code != http.StatusAccepted {
+		t.Fatalf("well-formed upload after the rejected one: status %d body %s", code, body)
+	}
+	if _, done := followEvents(t, ts.URL, st.ID); done.State != StateDone || done.Metrics.ChordalEdges != 5 {
+		t.Fatalf("well-formed upload: %q (error %q), %d chordal edges, want done with 5", done.State, done.Error, done.Metrics.ChordalEdges)
+	}
+}
+
 // TestJobErrorsSurface checks API error paths. Path sources are
 // enabled to exercise the load-failure path; the default gating is
 // asserted separately.

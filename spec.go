@@ -497,9 +497,9 @@ func (r Runner) Run(ctx context.Context, s Spec) (*PipelineResult, error) {
 		}
 		switch mode {
 		case RelabelBFS:
-			g = g.RelabelWorkers(analysis.BFSOrder(g, 0), s.Workers)
+			g = g.Relabel(analysis.BFSOrder(g, 0))
 		case RelabelDegree:
-			g = g.RelabelWorkers(analysis.DegreeOrder(g), s.Workers)
+			g = g.Relabel(analysis.DegreeOrder(g))
 		}
 		mark("relabel", start)
 	}
