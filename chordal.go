@@ -27,9 +27,13 @@
 // a declarative Spec: it is versioned, JSON-round-trippable, selects
 // its extraction Engine by registry name, exposes one canonical cache
 // identity (Spec.Canonical), and reports progress through the unified
-// Event stream. The CLI tools and the HTTP extraction service execute
-// the same Spec type, so identical parameters share one identity —
-// and one cache entry — across all three surfaces.
+// Event stream. Spec.Run, or a Runner that injects an input graph or an
+// Observer, is the one entry point; its PipelineResult embeds the
+// engine's EngineResult. The paper's serial baseline is the dearing
+// engine, which specs may also name "serial". The CLI tools and the
+// HTTP extraction service execute the same Spec type, so identical
+// parameters share one identity — and one cache entry — across all
+// three surfaces.
 package chordal
 
 import (

@@ -66,9 +66,10 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Fatalf("extracted subgraph not verified chordal: %s", out)
 	}
 
-	out = run("./cmd/chordal", "-in", graphPath, "-serial")
-	if !strings.Contains(out, "Dearing") {
-		t.Fatalf("serial mode output: %s", out)
+	// "serial" is an alias of the dearing engine from start vertex 0.
+	out = run("./cmd/chordal", "-in", graphPath, "-engine", "serial")
+	if !strings.Contains(out, "dearing (start vertex 0)") {
+		t.Fatalf("serial alias output: %s", out)
 	}
 
 	out = run("./cmd/chordal", "-in", graphPath, "-shards", "4", "-verify")
@@ -98,8 +99,8 @@ func TestCLIModeConflicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	cases := [][]string{
-		{"-serial", "-shards", "4"},
-		{"-serial", "-partition", "2"},
+		{"-engine", "dearing", "-shards", "4"},
+		{"-engine", "serial", "-shards", "4"},
 		{"-partition", "2", "-shards", "4"},
 		{"-engine", "parallel", "-shards", "4"},
 		{"-engine", "serial", "-partition", "2"},

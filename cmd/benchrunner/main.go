@@ -481,7 +481,7 @@ type engineRow struct {
 	// correctness gate; every row must be true.
 	Verified bool `json:"verified"`
 	// Maximal reports that the bounded maximality audit ran and found
-	// no re-addable edges. Only the serial-family engines guarantee it.
+	// no re-addable edges. Only the dearing engine guarantees it.
 	Maximal      bool  `json:"maximal"`
 	ChordalEdges int64 `json:"chordalEdges"`
 	// Quality metrics from internal/quality (shared with

@@ -11,15 +11,15 @@
 //	chordal -in rmat-g:16:7 -variant unopt -schedule async -workers 8
 //	chordal -in rmat-g:18:7 -shards 8 -verify   # sharded engine
 //	chordal -in big.bin -engine external -shards 8 -verify  # out-of-core from the .bin, never loaded whole
-//	chordal -in graph.txt -serial               # Dearing et al. baseline
+//	chordal -in graph.txt -engine dearing       # Dearing et al. baseline ("serial" is an alias)
 //	chordal -in rmat-er:12 -json                # machine-readable report
 //	chordal -batch suite.txt -verify -json      # every source in a manifest
 //	chordal -batch 'graphs/*.bin' -verify       # every file matching a glob
 //	chordal -stream -repair -json < deltas.txt  # streaming session on stdin
 //
-// Exactly one engine may be selected: combining -serial, -partition,
-// -shards, or a conflicting -engine name exits non-zero with a clear
-// error instead of silently picking one.
+// Exactly one engine may be selected: combining -partition, -shards,
+// or a conflicting -engine name exits non-zero with a clear error
+// instead of silently picking one.
 //
 // Stream mode (-stream) reads edge deltas from stdin — one per line,
 // either "u v" or {"u":..,"v":..} (blank lines and # comments skipped) —
@@ -55,13 +55,12 @@ func main() {
 	var (
 		in          = flag.String("in", "", "input graph path or generator spec (required)")
 		out         = flag.String("out", "", "optional output path for the chordal subgraph")
-		engineSel   = flag.String("engine", "", "extraction engine: "+strings.Join(chordal.EngineNames(), "|")+" (default parallel; -serial/-partition/-shards imply one)")
+		engineSel   = flag.String("engine", "", "extraction engine: "+strings.Join(chordal.EngineNames(), "|")+" (default parallel; -partition/-shards imply one; serial is an alias of dearing)")
 		variant     = flag.String("variant", "auto", "auto|opt|unopt")
 		schedule    = flag.String("schedule", "dataflow", "dataflow|async|sync")
 		workers     = flag.Int("workers", 0, "worker goroutines (0 = pick by machine model, capped at all CPUs)")
 		grain       = flag.Int("grain", 0, "extraction loop chunk size (0 = startup calibration)")
 		degreeThr   = flag.Int("degree-threshold", 0, "chordal-set size switching the subset test to the bitset probe (0 = startup calibration, negative = merge scan only)")
-		serial      = flag.Bool("serial", false, "use the serial Dearing et al. baseline engine")
 		parts       = flag.Int("partition", 0, "use the distributed-style partitioned engine with this many partitions (plus cycle cleanup)")
 		shards      = flag.Int("shards", 0, "use the sharded engine with this many vertex-range shards (border edges reconciled chordality-preserving)")
 		stitchOnly  = flag.Bool("shard-stitch-only", false, "with -shards: reconcile border edges by spanning stitch only")
@@ -89,7 +88,7 @@ func main() {
 	// literal means a future EngineConfig flag cannot reach one mode
 	// and silently miss the other.
 	spec := chordal.Spec{
-		Engine: pickEngine(*engineSel, *serial),
+		Engine: *engineSel,
 		EngineConfig: chordal.EngineConfig{
 			Variant:         *variant,
 			Schedule:        *schedule,
@@ -137,8 +136,8 @@ func main() {
 	}
 	spec.Source = *in
 	spec.Output = *out
-	// Normalize up front: engine conflicts (say -serial -shards 4) and
-	// unknown enum names exit here, before any graph is loaded.
+	// Normalize up front: engine conflicts (say -engine dearing -shards
+	// 4) and unknown enum names exit here, before any graph is loaded.
 	spec, err := spec.Normalize()
 	if err != nil {
 		fail(err)
@@ -175,9 +174,6 @@ func main() {
 	switch spec.Engine {
 	case chordal.EngineNone:
 		// Acquire/relabel/write only; nothing was extracted.
-	case chordal.EngineSerial:
-		fmt.Printf("serial (Dearing et al.): %d chordal edges in %s\n",
-			res.Subgraph.NumEdges(), res.SerialDuration)
 	case chordal.EngineDearing:
 		fmt.Printf("dearing (start vertex %d): %d chordal edges in %s\n",
 			res.Dearing.Start, res.Subgraph.NumEdges(), res.SerialDuration)
@@ -283,18 +279,6 @@ func main() {
 	}
 }
 
-// pickEngine resolves -engine and the -serial shorthand into one
-// engine name, failing on a conflicting combination.
-func pickEngine(engine string, serial bool) string {
-	if serial {
-		if engine != "" && engine != chordal.EngineSerial {
-			fail(fmt.Errorf("-serial conflicts with -engine %s", engine))
-		}
-		return chordal.EngineSerial
-	}
-	return engine
-}
-
 // relabelFlag maps -bfs-relabel onto the spec's relabel mode.
 func relabelFlag(bfs bool) string {
 	if bfs {
@@ -350,9 +334,10 @@ func batchSources(arg string) ([]string, error) {
 // non-zero.
 func runBatch(arg string, concurrency int, jsonOut bool, template chordal.Spec, workers int) {
 	// Validate the flag template once before touching the manifest, so
-	// an engine conflict (say -serial -shards 4) fails with one error
-	// up front exactly as in single-run mode, instead of repeating per
-	// item. Per-item validation still covers source-specific problems.
+	// an engine conflict (say -engine dearing -shards 4) fails with one
+	// error up front exactly as in single-run mode, instead of repeating
+	// per item. Per-item validation still covers source-specific
+	// problems.
 	probe := template
 	probe.Source = "gnm:1:1"
 	if err := probe.Validate(); err != nil {

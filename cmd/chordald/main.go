@@ -1,6 +1,6 @@
 // Command chordald is the extraction service: a long-running HTTP
 // server that accepts graph uploads or generator Source specs, runs
-// chordal.Pipeline jobs with bounded concurrency under a weighted-fair
+// chordal.Spec jobs with bounded concurrency under a weighted-fair
 // multi-tenant scheduler over a shared worker budget, caches generated
 // inputs and completed extractions by canonical spec, and streams
 // per-iteration progress as server-sent events.

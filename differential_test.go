@@ -33,7 +33,6 @@ func differentialEngines() []struct {
 	}
 	return []row{
 		{"parallel", chordal.Spec{Engine: chordal.EngineParallel}},
-		{"serial", chordal.Spec{Engine: chordal.EngineSerial}},
 		{"partitioned", chordal.Spec{Engine: chordal.EnginePartitioned, EngineConfig: chordal.EngineConfig{Partitions: 4}}},
 		{"sharded", chordal.Spec{Engine: chordal.EngineSharded, EngineConfig: chordal.EngineConfig{Shards: 3}}},
 		{"external", chordal.Spec{Engine: chordal.EngineExternal, EngineConfig: chordal.EngineConfig{Shards: 3, ResidentShards: 2}}},
@@ -96,9 +95,9 @@ func TestEngineDifferentialGrid(t *testing.T) {
 				} else if fill != 0 {
 					t.Errorf("%s: chordal output has fill %d under its own PEO, want 0", eng.label, fill)
 				}
-				// The serial-growth engines guarantee maximality from any
+				// The serial-growth engine guarantees maximality from any
 				// start vertex.
-				if eng.spec.Engine == chordal.EngineDearing || eng.spec.Engine == chordal.EngineSerial {
+				if eng.spec.Engine == chordal.EngineDearing {
 					if !chordal.IsMaximalChordal(g, sub) {
 						t.Errorf("%s: output is not a maximal chordal subgraph", eng.label)
 					}

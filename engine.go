@@ -23,10 +23,12 @@ import (
 // extraction strategies (out-of-core streaming shards, batched
 // multi-graph, remote backends) plug in here once and become reachable
 // from the library, the CLI, and the service without touching any of
-// them. The four built-in engines model the paper's algorithm variants:
-// Algorithm 1 whole-graph (parallel), the serial Dearing–Shier–Warner
-// baseline, the distributed-style partitioned baseline, and sharded
-// extraction with chordality-preserving border reconciliation.
+// them. The built-in engines model the paper's algorithm and its
+// baselines: Algorithm 1 whole-graph (parallel), the serial
+// Dearing–Shier–Warner baseline (dearing), the distributed-style
+// partitioned baseline, sharded and out-of-core extraction with
+// chordality-preserving border reconciliation, and the elimination-order
+// construction.
 
 // Names of the built-in engines, plus the "none" pseudo-engine that
 // disables the extraction stage (acquire/relabel/write-only runs).
@@ -34,8 +36,6 @@ const (
 	// EngineParallel runs the paper's multithreaded Algorithm 1 on the
 	// whole graph (the default engine).
 	EngineParallel = "parallel"
-	// EngineSerial runs the serial Dearing-Shier-Warner baseline.
-	EngineSerial = "serial"
 	// EnginePartitioned runs the distributed-style partitioned baseline
 	// plus cycle cleanup; requires Partitions >= 1.
 	EnginePartitioned = "partitioned"
@@ -44,9 +44,10 @@ const (
 	// requires Shards >= 1.
 	EngineSharded = "sharded"
 	// EngineDearing runs the serial Dearing-Shier-Warner incremental
-	// extractor from an explicit start vertex (EngineConfig.Start);
-	// unlike EngineSerial it exposes the start vertex as part of the
-	// run's identity and records it in the report.
+	// extractor, the paper's serial baseline, from an explicit start
+	// vertex (EngineConfig.Start, default 0); the start vertex is part
+	// of the run's identity and recorded in the report. Normalize
+	// accepts the older wire name "serial" as an alias.
 	EngineDearing = "dearing"
 	// EngineElimination builds the chordal subgraph induced by a
 	// fill-reducing elimination order (EngineConfig.Order selects the
@@ -79,13 +80,15 @@ const (
 
 // EngineResult is the outcome of one Engine.Extract call. Subgraph is
 // always set; the summary fields are populated per engine.
+// PipelineResult embeds it, so a run's result carries it unchanged.
 type EngineResult struct {
 	// Subgraph is the extracted chordal subgraph.
 	Subgraph *Graph
 	// Extraction is the parallel kernel's full result (edge set and
 	// per-iteration instrumentation); nil for other engines.
 	Extraction *Result
-	// SerialDuration is the serial baseline's extraction time.
+	// SerialDuration is the dearing engine's (the serial baseline's)
+	// extraction time.
 	SerialDuration time.Duration
 	// Partition summarizes the partitioned baseline, when used.
 	Partition *PartitionSummary
@@ -99,7 +102,8 @@ type EngineResult struct {
 	// used (alongside Shard, which carries the reconciliation counters).
 	External *ExternalSummary
 	// Tuning is the resolved kernel tuning of the run; nil for engines
-	// that do not use the tunable kernels (serial, partitioned).
+	// that do not use the tunable kernels (dearing, elimination,
+	// partitioned).
 	Tuning *Tuning
 	// InputStats, when non-nil, carries the input's Table-I statistics
 	// computed by a SourceEngine from the file itself — the substitute
@@ -194,7 +198,6 @@ func EngineNames() []string {
 
 func init() {
 	RegisterEngine(parallelEngine{})
-	RegisterEngine(serialEngine{})
 	RegisterEngine(partitionedEngine{})
 	RegisterEngine(shardedEngine{})
 	RegisterEngine(dearingEngine{})
@@ -260,38 +263,13 @@ func (parallelEngine) Extract(ctx context.Context, g *Graph, cfg EngineConfig) (
 	tun := resolveTuning(&opts, g)
 	if obs := cfg.Observer; obs != nil {
 		obs(newTuningEvent(tun))
-		inner := opts.OnIteration
-		opts.OnIteration = func(it IterationStats) {
-			if inner != nil {
-				inner(it)
-			}
-			obs(newIterationEvent(nil, it))
-		}
+		opts.OnIteration = func(it IterationStats) { obs(newIterationEvent(nil, it)) }
 	}
 	r, err := core.ExtractContext(ctx, g, opts)
 	if err != nil {
 		return nil, err
 	}
 	return &EngineResult{Subgraph: r.ToGraph(), Extraction: r, Tuning: &tun}, nil
-}
-
-// serialEngine is the Dearing-Shier-Warner serial baseline.
-type serialEngine struct{}
-
-// Name implements Engine.
-func (serialEngine) Name() string { return EngineSerial }
-
-// Extract implements Engine with the dearing package. The baseline is
-// a single uninterruptible pass; ctx is only checked on entry.
-func (serialEngine) Extract(ctx context.Context, g *Graph, _ EngineConfig) (*EngineResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	r := dearing.Extract(g, 0)
-	return &EngineResult{
-		Subgraph:       r.ToGraph(g.NumVertices()),
-		SerialDuration: r.Total,
-	}, nil
 }
 
 // dearingEngine is the Dearing-Shier-Warner incremental extractor run

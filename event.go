@@ -5,10 +5,9 @@ import "time"
 // This file defines the unified event stream of a run: one typed Event
 // carries every kind of progress notification — stage begin/end with
 // timing, extraction iterations (whole-graph and per-shard), and the
-// verify outcome — replacing the three per-kind callbacks the Pipeline
-// adapter still exposes (OnStage, OnIteration, OnShardIteration). The
-// service's SSE handler serializes Events directly: the Type is the SSE
-// event name and the marshaled Event is the data payload.
+// verify outcome — through one Observer. The service's SSE handler
+// serializes Events directly: the Type is the SSE event name and the
+// marshaled Event is the data payload.
 
 // EventType discriminates the kinds of Event a run emits.
 type EventType string
@@ -205,9 +204,9 @@ func newRepairEvent(repaired int) Event {
 }
 
 // newVerifyEvent builds the verify-outcome event.
-func newVerifyEvent(chordal, audited bool, reAddable int) Event {
-	ok := chordal
-	return Event{Type: EventVerify, Chordal: &ok, MaximalityAudited: audited, ReAddableEdges: reAddable}
+func newVerifyEvent(v ReportVerify) Event {
+	ok := v.Chordal
+	return Event{Type: EventVerify, Chordal: &ok, MaximalityAudited: v.MaximalityAudited, ReAddableEdges: v.ReAddableEdges}
 }
 
 // durationMillis converts a duration to fractional milliseconds, the

@@ -12,9 +12,9 @@ import (
 // limiting, and Retry-After hints are exact rather than timing-prone.
 type fakeClock struct{ t time.Time }
 
-func (c *fakeClock) Now() time.Time                { return c.t }
-func (c *fakeClock) Advance(d time.Duration)       { c.t = c.t.Add(d) }
-func newFakeClock() *fakeClock                     { return &fakeClock{t: time.Unix(1000, 0)} }
+func (c *fakeClock) Now() time.Time               { return c.t }
+func (c *fakeClock) Advance(d time.Duration)      { c.t = c.t.Add(d) }
+func newFakeClock() *fakeClock                    { return &fakeClock{t: time.Unix(1000, 0)} }
 func clockConfig(c *fakeClock, cfg Config) Config { cfg.Clock = c.Now; return cfg }
 
 // mustEnqueue enqueues or fails the test.

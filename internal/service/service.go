@@ -1,6 +1,6 @@
 // Package service implements the extraction service: a long-running
-// HTTP job server over chordal.Pipeline, the serving layer for
-// production-scale traffic on top of the paper's algorithm.
+// HTTP job server over chordal.Spec and chordal.Runner, the serving
+// layer for production-scale traffic on top of the paper's algorithm.
 //
 // # API
 //
@@ -57,11 +57,11 @@
 // stage — acquire (generation and file decode), relabel, the
 // extraction kernel (whole-graph or per-shard), and subgraph
 // materialization all run inside the granted width, so concurrent jobs
-// never oversubscribe the box. Each job runs the chordal.Pipeline
-// under its own context derived from the server's base context:
-// shutdown cancels every in-flight extraction at its next iteration
-// boundary, and DELETE /v1/jobs/{id} cancels one job the same way,
-// releasing its budget tokens as its goroutine drains.
+// never oversubscribe the box. Each job runs its chordal.Spec through
+// a chordal.Runner under its own context derived from the server's
+// base context: shutdown cancels every in-flight extraction at its
+// next iteration boundary, and DELETE /v1/jobs/{id} cancels one job
+// the same way, releasing its budget tokens as its goroutine drains.
 //
 // Jobs are identified by the canonical encoding of their
 // chordal.Spec (Spec.Canonical): requests decode into a Spec, generator

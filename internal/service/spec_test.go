@@ -125,13 +125,17 @@ func TestCanonicalKeyRejectsBadSpecs(t *testing.T) {
 }
 
 // TestEngineOptionWired pins the engine field of the wire options: a
-// named engine lands in the canonical key, implied engines (shards /
-// partitions) resolve to the same identity as their explicit spelling,
-// and the service itself adds no engine logic beyond the decode.
+// named engine lands in the canonical key, the serial alias and implied
+// engines (shards / partitions) resolve to the same identity as their
+// explicit spelling, and the service itself adds no engine logic
+// beyond the decode.
 func TestEngineOptionWired(t *testing.T) {
-	serial := specKey(t, JobRequest{Source: "gnm:1000:5000", Options: JobOptions{Engine: "serial"}})
-	if !strings.Contains(serial, "engine=serial") {
-		t.Errorf("serial key %q does not carry the engine", serial)
+	dearing := specKey(t, JobRequest{Source: "gnm:1000:5000", Options: JobOptions{Engine: "dearing"}})
+	if !strings.Contains(dearing, "engine=dearing") {
+		t.Errorf("dearing key %q does not carry the engine", dearing)
+	}
+	if serial := specKey(t, JobRequest{Source: "gnm:1000:5000", Options: JobOptions{Engine: "serial"}}); serial != dearing {
+		t.Errorf("serial alias key %q != dearing key %q", serial, dearing)
 	}
 	implicit := specKey(t, JobRequest{Source: "gnm:1000:5000", Options: JobOptions{Shards: 4}})
 	explicit := specKey(t, JobRequest{Source: "gnm:1000:5000", Options: JobOptions{Engine: "sharded", Shards: 4}})

@@ -26,7 +26,6 @@ var auditEngines = []struct {
 	repair bool
 }{
 	{"parallel", chordal.Spec{Engine: chordal.EngineParallel}, true},
-	{"serial", chordal.Spec{Engine: chordal.EngineSerial}, false},
 	{"partitioned", chordal.Spec{Engine: chordal.EnginePartitioned, EngineConfig: chordal.EngineConfig{Partitions: 4}}, false},
 	{"sharded", chordal.Spec{Engine: chordal.EngineSharded, EngineConfig: chordal.EngineConfig{Shards: 3}}, true},
 	{"external", chordal.Spec{Engine: chordal.EngineExternal, EngineConfig: chordal.EngineConfig{Shards: 3, ResidentShards: 2}}, true},

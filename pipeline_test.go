@@ -80,13 +80,12 @@ func TestParseSourceFilePath(t *testing.T) {
 
 func TestPipelineEndToEnd(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "sub.bin")
-	res, err := chordal.Pipeline{
-		Source:  "rmat-g:9:5",
-		Relabel: chordal.RelabelBFS,
-		Extract: true,
-		Options: chordal.Options{RepairMaximality: true},
-		Verify:  true,
-		Output:  out,
+	res, err := chordal.Spec{
+		Source:       "rmat-g:9:5",
+		Relabel:      "bfs",
+		EngineConfig: chordal.EngineConfig{Repair: true},
+		Verify:       true,
+		Output:       out,
 	}.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -119,18 +118,25 @@ func TestPipelineEndToEnd(t *testing.T) {
 }
 
 func TestPipelineBaselines(t *testing.T) {
-	serial, err := chordal.Pipeline{Source: "rmat-er:8:3", Serial: true}.Run()
+	serial, err := chordal.Spec{Source: "rmat-er:8:3", Engine: chordal.EngineDearing}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if serial.Subgraph == nil || serial.Extraction != nil {
 		t.Fatal("serial baseline should produce a subgraph without an Extraction result")
 	}
+	if serial.Dearing == nil || serial.Dearing.Start != 0 {
+		t.Fatalf("serial baseline summary %+v, want start vertex 0", serial.Dearing)
+	}
 	if !chordal.IsChordal(serial.Subgraph) {
 		t.Fatal("serial baseline output not chordal")
 	}
 
-	parts, err := chordal.Pipeline{Source: "rmat-er:8:3", Partitions: 4, Verify: true}.Run()
+	parts, err := chordal.Spec{
+		Source:       "rmat-er:8:3",
+		EngineConfig: chordal.EngineConfig{Partitions: 4},
+		Verify:       true,
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,20 +151,27 @@ func TestPipelineBaselines(t *testing.T) {
 func TestPipelineSharded(t *testing.T) {
 	var mu sync.Mutex
 	iterEvents := 0
-	res, err := chordal.Pipeline{
-		Source: "rmat-g:10:7",
-		Shards: 4,
-		Verify: true,
-		OnShardIteration: func(shard int, it chordal.IterationStats) {
-			// Invoked concurrently across shards; guard the counter.
-			mu.Lock()
-			iterEvents++
-			mu.Unlock()
-			if shard < 0 || shard >= 4 {
-				t.Errorf("shard index %d out of range", shard)
-			}
-		},
-	}.Run()
+	obs := func(ev chordal.Event) {
+		if ev.Type != chordal.EventIteration {
+			return
+		}
+		if ev.Shard == nil {
+			t.Error("iteration event without a shard index")
+			return
+		}
+		// Invoked concurrently across shards; guard the counter.
+		mu.Lock()
+		iterEvents++
+		mu.Unlock()
+		if *ev.Shard < 0 || *ev.Shard >= 4 {
+			t.Errorf("shard index %d out of range", *ev.Shard)
+		}
+	}
+	res, err := chordal.Runner{Observer: obs}.Run(context.Background(), chordal.Spec{
+		Source:       "rmat-g:10:7",
+		EngineConfig: chordal.EngineConfig{Shards: 4},
+		Verify:       true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,15 +197,14 @@ func TestPipelineSharded(t *testing.T) {
 	}
 
 	// One shard reproduces the whole-graph kernel plus spanning stitch.
-	one, err := chordal.Pipeline{Source: "rmat-g:10:7", Shards: 1, ShardStitchOnly: true}.Run()
+	one, err := chordal.Spec{
+		Source:       "rmat-g:10:7",
+		EngineConfig: chordal.EngineConfig{Shards: 1, ShardStitchOnly: true},
+	}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := chordal.Pipeline{
-		Source:  "rmat-g:10:7",
-		Extract: true,
-		Options: chordal.Options{StitchComponents: true},
-	}.Run()
+	ref, err := chordal.Spec{Source: "rmat-g:10:7", EngineConfig: chordal.EngineConfig{Stitch: true}}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,18 +215,18 @@ func TestPipelineSharded(t *testing.T) {
 }
 
 func TestPipelineVerifyRequiresExtraction(t *testing.T) {
-	if _, err := (chordal.Pipeline{Source: "rmat-er:8", Verify: true}).Run(); err == nil {
+	if _, err := (chordal.Spec{Source: "rmat-er:8", Engine: chordal.EngineNone, Verify: true}).Run(); err == nil {
 		t.Fatal("verify without extraction accepted")
 	}
 }
 
 func TestPipelineLoadOnly(t *testing.T) {
-	res, err := chordal.Pipeline{Source: "ktree:40:3:1"}.Run()
+	res, err := chordal.Spec{Source: "ktree:40:3:1", Engine: chordal.EngineNone}.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Subgraph != nil {
-		t.Fatal("no extraction requested but subgraph present")
+	if res.Subgraph != nil || res.Extraction != nil || res.Tuning != nil {
+		t.Fatal("no extraction requested but an engine result is present")
 	}
 	if res.InputStats.Vertices != 40 {
 		t.Fatalf("stats %+v", res.InputStats)
@@ -269,7 +281,7 @@ func TestRunContextCancellation(t *testing.T) {
 	// Pre-canceled context: the pipeline stops at the first boundary.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := chordal.Pipeline{Source: "rmat-er:10:7", Extract: true}.RunContext(ctx)
+	_, err := chordal.Spec{Source: "rmat-er:10:7"}.RunContext(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled RunContext error = %v, want context.Canceled", err)
 	}
@@ -280,15 +292,16 @@ func TestRunContextCancellation(t *testing.T) {
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	defer cancel2()
 	iterations := 0
-	_, err = chordal.Pipeline{
-		Source:  "rmat-er:12:7",
-		Extract: true,
-		Options: chordal.Options{Schedule: chordal.ScheduleSynchronous},
-		OnIteration: func(chordal.IterationStats) {
+	cancelAtIteration := func(ev chordal.Event) {
+		if ev.Type == chordal.EventIteration {
 			iterations++
 			cancel2()
-		},
-	}.RunContext(ctx2)
+		}
+	}
+	_, err = chordal.Runner{Observer: cancelAtIteration}.Run(ctx2, chordal.Spec{
+		Source:       "rmat-er:12:7",
+		EngineConfig: chordal.EngineConfig{Schedule: "sync"},
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancel error = %v, want context.Canceled", err)
 	}
@@ -297,7 +310,7 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 
 	// Sanity: the same pipeline uncanceled completes.
-	res, err := chordal.Pipeline{Source: "rmat-er:10:7", Extract: true, Verify: true}.Run()
+	res, err := chordal.Spec{Source: "rmat-er:10:7", Verify: true}.Run()
 	if err != nil || !res.ChordalOK {
 		t.Fatalf("uncancelled run: res=%v err=%v", res, err)
 	}
@@ -305,7 +318,7 @@ func TestRunContextCancellation(t *testing.T) {
 
 func TestPipelineInputInjection(t *testing.T) {
 	g := chordal.GenerateGNM(500, 1500, 3)
-	res, err := chordal.Pipeline{Input: g, Extract: true, Verify: true}.Run()
+	res, err := chordal.Runner{Input: g}.Run(context.Background(), chordal.Spec{Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,14 +338,17 @@ func TestPipelineInputInjection(t *testing.T) {
 func TestPipelineStageCallback(t *testing.T) {
 	var stages []string
 	out := filepath.Join(t.TempDir(), "sub.bin")
-	_, err := chordal.Pipeline{
+	obs := func(ev chordal.Event) {
+		if ev.Type == chordal.EventStageBegin {
+			stages = append(stages, ev.Stage)
+		}
+	}
+	_, err := chordal.Runner{Observer: obs}.Run(context.Background(), chordal.Spec{
 		Source:  "gnm:300:900:5",
-		Relabel: chordal.RelabelBFS,
-		Extract: true,
+		Relabel: "bfs",
 		Verify:  true,
 		Output:  out,
-		OnStage: func(s string) { stages = append(stages, s) },
-	}.Run()
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

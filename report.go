@@ -1,10 +1,144 @@
 package chordal
 
-// This file defines the machine-readable summary of a finished run:
-// one JSON object carrying the normalized spec, its canonical identity,
-// input statistics, the engine summary, the verify outcome, and
-// per-stage timings. `chordal -json` emits it on stdout so benchrunner
-// and CI consume runs without scraping text.
+import "time"
+
+// This file defines the outcome of a finished run in its two forms:
+// PipelineResult, the in-process result of Runner.Run with the engine's
+// summaries, and RunReport, the machine-readable summary — one JSON
+// object carrying the normalized spec, its canonical identity, input
+// statistics, the engine summary, the verify outcome, and per-stage
+// timings. `chordal -json` emits it on stdout so benchrunner and CI
+// consume runs without scraping text.
+
+// PartitionSummary reports the partitioned-baseline stage.
+type PartitionSummary struct {
+	// Parts is the partition count used.
+	Parts int `json:"parts"`
+	// InteriorEdges and BorderAdmitted count edges kept inside parts and
+	// across the border; CleanupRemoved/CleanupRounds report the cycle
+	// cleanup pass.
+	InteriorEdges  int `json:"interiorEdges"`
+	BorderAdmitted int `json:"borderAdmitted"`
+	CleanupRemoved int `json:"cleanupRemoved"`
+	CleanupRounds  int `json:"cleanupRounds"`
+}
+
+// ShardSummary reports the sharded extraction stage: how the input was
+// split, what each shard's kernel did, and how the border was
+// reconciled.
+type ShardSummary struct {
+	// Shards is the shard count actually used (after clamping).
+	Shards int `json:"shards"`
+	// PerShardIterations and PerShardEdges have one entry per shard:
+	// the kernel's iteration count and chordal edge count.
+	PerShardIterations []int `json:"perShardIterations"`
+	PerShardEdges      []int `json:"perShardEdges"`
+	// InteriorEdges is the merged per-shard chordal edge total before
+	// border reconciliation.
+	InteriorEdges int `json:"interiorEdges"`
+	// BorderTotal is the number of input edges crossing shards;
+	// StitchedEdges counts spanning-stitch additions (BorderBridges the
+	// cross-shard subset); BorderAdmitted counts border edges admitted
+	// by the exact chordality-preserving pass; RepairedEdges counts the
+	// merged repair pass additions.
+	BorderTotal    int `json:"borderTotal"`
+	StitchedEdges  int `json:"stitchedEdges"`
+	BorderBridges  int `json:"borderBridges"`
+	BorderAdmitted int `json:"borderAdmitted"`
+	RepairedEdges  int `json:"repairedEdges"`
+	// EdgeCut is the number of input edges crossing the contiguous-range
+	// partition (partition.CutEdges; equal to BorderTotal, typed for the
+	// report), and EdgeCutPct the same as a percentage of the input's
+	// edges — the border-reconciliation cost a smarter partitioner would
+	// shrink.
+	EdgeCut    int64   `json:"edgeCut"`
+	EdgeCutPct float64 `json:"edgeCutPct"`
+	// Chordal is the shard stage's own verification of the merged
+	// subgraph (always expected true; a self-check of reconciliation).
+	Chordal bool `json:"chordal"`
+}
+
+// ExternalSummary reports the out-of-core engine's IO behavior: how the
+// input was read, how much of it was resident at peak, and how well the
+// double-buffered lane split hid decode time behind kernel time.
+type ExternalSummary struct {
+	// Mapped reports whether the input file was memory-mapped;
+	// BytesMapped is the mapped file size (0 when the buffered fallback
+	// reader served the run).
+	Mapped      bool  `json:"mapped"`
+	BytesMapped int64 `json:"bytesMapped"`
+	// BytesRead is the total bytes decoded from the input across shard
+	// decodes and the edge-stream reconciliation passes.
+	BytesRead int64 `json:"bytesRead"`
+	// SpillBytes is the size of the per-shard edge spill file.
+	SpillBytes int64 `json:"spillBytes"`
+	// PeakResidentBytes estimates the high-water mark of decoded shard
+	// CSR bytes held in memory at once — the quantity ResidentShards
+	// bounds.
+	PeakResidentBytes int64 `json:"peakResidentBytes"`
+	// ResidentShards is the residency bound the run used (after
+	// defaulting).
+	ResidentShards int `json:"residentShards"`
+	// DecodeMillis and KernelMillis are the summed shard decode and
+	// kernel wall-clock times; OverlapMillis is how much of the decode
+	// time the double buffer hid behind extraction (0 on a single
+	// worker, where the lanes serialize).
+	DecodeMillis  float64 `json:"decodeMillis"`
+	KernelMillis  float64 `json:"kernelMillis"`
+	OverlapMillis float64 `json:"overlapMillis"`
+}
+
+// DearingSummary reports the dearing engine run.
+type DearingSummary struct {
+	// Start is the start vertex the incremental extraction grew from.
+	Start int `json:"start"`
+}
+
+// EliminationSummary reports the elimination engine run.
+type EliminationSummary struct {
+	// Order is the elimination ordering used (OrderNatural or
+	// OrderMinDegree).
+	Order string `json:"order"`
+}
+
+// StageTiming is the wall-clock duration of one pipeline stage.
+type StageTiming struct {
+	// Stage is the stage name; Duration its wall-clock time.
+	Stage    string
+	Duration time.Duration
+}
+
+// PipelineResult carries the outputs of every stage that ran.
+type PipelineResult struct {
+	// Input is the acquired (and possibly relabeled) graph; nil on the
+	// out-of-core engine's no-acquire path.
+	Input *Graph
+	// InputStats are the Table-I statistics of Input, or on the
+	// no-acquire path the engine's file-derived EngineResult.InputStats
+	// (which this field shadows).
+	InputStats Stats
+	// EngineResult is the extract stage's outcome: the subgraph, the
+	// engine's summary and its kernel tuning. It is the zero value when
+	// no extraction stage ran, so Subgraph is nil then.
+	EngineResult
+	// Verified reports whether the verify stage ran; ChordalOK whether
+	// the subgraph passed the chordality check.
+	Verified  bool
+	ChordalOK bool
+	// MaximalityAudited reports whether the bounded maximality audit
+	// ran (it is skipped on large inputs); ReAddableEdges is the number
+	// of audit violations found (0 means maximal as far as audited).
+	MaximalityAudited bool
+	ReAddableEdges    int
+	// Quality scores the extracted subgraph against the input (edge
+	// retention, fill-in under the subgraph's PEO, treewidth and
+	// chromatic number); nil when no subgraph was extracted, the
+	// subgraph failed verification, or the input exceeded the default
+	// quality bounds.
+	Quality *Quality
+	// Timings records per-stage wall-clock durations in stage order.
+	Timings []StageTiming
+}
 
 // ReportInput describes the acquired (and possibly relabeled) input
 // graph in a RunReport.
@@ -35,7 +169,8 @@ type ReportExtraction struct {
 	// RepairedEdges and StitchedEdges count post-pass additions.
 	RepairedEdges int `json:"repairedEdges,omitempty"`
 	StitchedEdges int `json:"stitchedEdges,omitempty"`
-	// SerialMillis is the serial baseline's extraction time.
+	// SerialMillis is the dearing engine's (the serial baseline's)
+	// extraction time.
 	SerialMillis float64 `json:"serialMillis,omitempty"`
 	// Partition and Shard carry the baselines' summaries, when used.
 	Partition *PartitionSummary `json:"partition,omitempty"`
@@ -201,47 +336,8 @@ func Report(s Spec, res *PipelineResult) (RunReport, error) {
 	if err != nil {
 		return RunReport{}, err
 	}
-	rep := RunReport{
-		Spec:      n,
-		Canonical: canon,
-		Input: ReportInput{
-			Vertices:  res.InputStats.Vertices,
-			Edges:     res.InputStats.Edges,
-			AvgDegree: res.InputStats.AvgDegree,
-			MaxDegree: res.InputStats.MaxDegree,
-		},
-	}
-	if res.Subgraph != nil {
-		ex := &ReportExtraction{Engine: n.Engine, ChordalEdges: res.Subgraph.NumEdges()}
-		if res.InputStats.Edges > 0 {
-			ex.EdgesKeptPct = 100 * float64(ex.ChordalEdges) / float64(res.InputStats.Edges)
-		}
-		if r := res.Extraction; r != nil {
-			ex.Iterations = len(r.Iterations)
-			ex.Variant = variantName(r.Variant)
-			ex.Schedule = scheduleName(r.Schedule)
-			ex.RepairedEdges = r.RepairedEdges
-			ex.StitchedEdges = r.StitchedEdges
-		}
-		if res.SerialDuration > 0 {
-			ex.SerialMillis = durationMillis(res.SerialDuration)
-		}
-		ex.Partition = res.Partition
-		if sh := res.Shard; sh != nil {
-			ex.Shard = sh
-			ex.RepairedEdges = sh.RepairedEdges
-			ex.StitchedEdges = sh.StitchedEdges
-		}
-		ex.Dearing = res.Dearing
-		ex.Elimination = res.Elimination
-		ex.External = res.External
-		rep.Extraction = ex
-	}
-	rep.Quality = res.Quality
-	if res.Tuning != nil {
-		t := *res.Tuning
-		rep.Tuning = &t
-	}
+	rep := RunReport{Spec: n, Canonical: canon, Quality: res.Quality}
+	rep.Input, rep.Extraction, rep.Tuning = summarize(n.Engine, res.InputStats, &res.EngineResult)
 	if res.Verified {
 		rep.Verify = &ReportVerify{
 			Chordal:           res.ChordalOK,
@@ -255,4 +351,50 @@ func Report(s Spec, res *PipelineResult) (RunReport, error) {
 		rep.TotalMillis += ms
 	}
 	return rep, nil
+}
+
+// summarize builds the report sections RunReport and StreamReport
+// share: the input's statistics, the extraction by the named engine
+// (nil when no engine ran, so er.Subgraph is nil), and a copy of the
+// resolved kernel tuning.
+func summarize(engine string, in Stats, er *EngineResult) (ReportInput, *ReportExtraction, *Tuning) {
+	input := ReportInput{
+		Vertices:  in.Vertices,
+		Edges:     in.Edges,
+		AvgDegree: in.AvgDegree,
+		MaxDegree: in.MaxDegree,
+	}
+	var tun *Tuning
+	if er.Tuning != nil {
+		t := *er.Tuning
+		tun = &t
+	}
+	if er.Subgraph == nil {
+		return input, nil, tun
+	}
+	ex := &ReportExtraction{
+		Engine:       engine,
+		ChordalEdges: er.Subgraph.NumEdges(),
+		SerialMillis: durationMillis(er.SerialDuration),
+		Partition:    er.Partition,
+		Shard:        er.Shard,
+		Dearing:      er.Dearing,
+		Elimination:  er.Elimination,
+		External:     er.External,
+	}
+	if in.Edges > 0 {
+		ex.EdgesKeptPct = 100 * float64(ex.ChordalEdges) / float64(in.Edges)
+	}
+	if r := er.Extraction; r != nil {
+		ex.Iterations = len(r.Iterations)
+		ex.Variant = variantName(r.Variant)
+		ex.Schedule = scheduleName(r.Schedule)
+		ex.RepairedEdges = r.RepairedEdges
+		ex.StitchedEdges = r.StitchedEdges
+	}
+	if sh := er.Shard; sh != nil {
+		ex.RepairedEdges = sh.RepairedEdges
+		ex.StitchedEdges = sh.StitchedEdges
+	}
+	return input, ex, tun
 }

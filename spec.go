@@ -18,7 +18,7 @@ import (
 // JSON-round-trippable; Canonical() is its one normalized encoding,
 // which the service uses verbatim as its cache and dedup key. Engine
 // selection is explicit: conflicting parameters (say, shards on the
-// serial engine) are validation errors, never silent precedence.
+// dearing engine) are validation errors, never silent precedence.
 
 // SpecVersion is the current Spec schema version. Normalize fills it
 // into a zero V and rejects any other value, so persisted specs from a
@@ -92,35 +92,27 @@ type EngineConfig struct {
 	// Observer receives the run's event stream. Runtime-only: excluded
 	// from JSON and from Canonical.
 	Observer Observer `json:"-"`
-	// Core, when non-nil, seeds the kernel options with advanced
-	// settings the declarative fields do not cover (UnsortedQueue,
-	// OnEvent, chained OnIteration). The declarative fields then
-	// override their counterparts. Runtime-only escape hatch used by
-	// the deprecated Pipeline adapter; excluded from JSON and from
-	// Canonical.
-	Core *Options `json:"-"`
 }
 
-// coreOptions resolves the declarative fields onto the kernel options,
-// starting from the Core escape hatch when present.
+// coreOptions resolves the declarative fields onto the kernel options.
 func (c EngineConfig) coreOptions() (Options, error) {
-	var o Options
-	if c.Core != nil {
-		o = *c.Core
+	variant, err := ParseVariant(c.Variant)
+	if err != nil {
+		return Options{}, err
 	}
-	var err error
-	if o.Variant, err = ParseVariant(c.Variant); err != nil {
-		return o, err
+	schedule, err := ParseSchedule(c.Schedule)
+	if err != nil {
+		return Options{}, err
 	}
-	if o.Schedule, err = ParseSchedule(c.Schedule); err != nil {
-		return o, err
-	}
-	o.Workers = c.Workers
-	o.Grain = c.Grain
-	o.DegreeThreshold = c.DegreeThreshold
-	o.RepairMaximality = c.Repair
-	o.StitchComponents = c.Stitch
-	return o, nil
+	return Options{
+		Variant:          variant,
+		Schedule:         schedule,
+		Workers:          c.Workers,
+		Grain:            c.Grain,
+		DegreeThreshold:  c.DegreeThreshold,
+		RepairMaximality: c.Repair,
+		StitchComponents: c.Stitch,
+	}, nil
 }
 
 // Spec is the versioned, declarative description of one end-to-end run:
@@ -151,7 +143,7 @@ type Spec struct {
 	// Engine names the registered extraction engine (see EngineNames),
 	// or "none" to skip extraction. Empty selects parallel — unless
 	// exactly one of Partitions/Shards is set, which implies the
-	// partitioned/sharded engine.
+	// partitioned/sharded engine. "serial" is an alias of dearing.
 	Engine string `json:"engine,omitempty"`
 	// EngineConfig parameterizes the engine; its fields flatten into
 	// the spec's JSON object.
@@ -167,11 +159,12 @@ type Spec struct {
 
 // Normalize resolves the spec to its canonical form: version filled,
 // source canonicalized (family lowercased, defaults filled), enum
-// names lowercased and defaulted, the engine made explicit, and
-// engine-irrelevant toggles cleared. It validates as it goes — unknown
-// engines or enum names, version mismatches, and conflicting engine
-// selections (partitions or shards against a non-matching engine) are
-// errors, never silent precedence.
+// names lowercased and defaulted, the engine made explicit (the alias
+// "serial" rewritten to "dearing"), and engine-irrelevant toggles
+// cleared. It validates as it goes — unknown engines or enum names,
+// version mismatches, and conflicting engine selections (partitions or
+// shards against a non-matching engine) are errors, never silent
+// precedence.
 func (s Spec) Normalize() (Spec, error) {
 	n := s
 	switch n.V {
@@ -221,6 +214,12 @@ func (s Spec) Normalize() (Spec, error) {
 	}
 
 	n.Engine = strings.ToLower(strings.TrimSpace(n.Engine))
+	if n.Engine == "serial" {
+		// The paper's serial baseline is the dearing engine (from start
+		// vertex 0 by default). Specs and jobs persisted under the old
+		// name still run, and share dearing's canonical key.
+		n.Engine = EngineDearing
+	}
 	if n.Engine == "" {
 		switch {
 		case n.Partitions > 0 && n.Shards > 0:
@@ -416,6 +415,26 @@ type Runner struct {
 // cost grows with the number of absent edges.
 const maxAuditEdges = 200000
 
+// verifyStage is the verify stage of Runner.Run and Stream.Close. It
+// takes the chordality certificate of er.Subgraph and, when it holds
+// and the input g is resident with at most maxAuditEdges edges, audits
+// maximality from the certificate's order, counting at most 10
+// re-addable edges. The certificate is returned for the quality
+// metrics to reuse.
+func verifyStage(ctx context.Context, g *Graph, er *EngineResult) ([]int32, ReportVerify, error) {
+	peo, ok := er.certificate()
+	v := ReportVerify{Chordal: ok}
+	if ok && g != nil && g.NumEdges() <= maxAuditEdges {
+		viol, err := verify.AuditMaximalityFromPEO(ctx, g, er.Subgraph, peo, 10)
+		if err != nil {
+			return nil, v, err
+		}
+		v.MaximalityAudited = true
+		v.ReAddableEdges = len(viol)
+	}
+	return peo, v, nil
+}
+
 // Run executes the spec under ctx. The spec is normalized first, so
 // validation errors surface before any work. Cancellation is observed
 // between stages and, inside the parallel and sharded engines, between
@@ -511,7 +530,6 @@ func (r Runner) Run(ctx context.Context, s Spec) (*PipelineResult, error) {
 		return nil, err
 	}
 
-	var er *EngineResult
 	if s.Engine != EngineNone {
 		eng, ok := LookupEngine(s.Engine)
 		if !ok {
@@ -520,6 +538,7 @@ func (r Runner) Run(ctx context.Context, s Spec) (*PipelineResult, error) {
 		cfg := s.EngineConfig
 		cfg.Observer = r.Observer
 		start := enter("extract")
+		var er *EngineResult
 		if srcEng != nil {
 			er, err = srcEng.ExtractSource(ctx, srcPath, cfg)
 		} else {
@@ -533,15 +552,7 @@ func (r Runner) Run(ctx context.Context, s Spec) (*PipelineResult, error) {
 			// file header and offsets instead of a resident graph.
 			res.InputStats = *er.InputStats
 		}
-		res.Subgraph = er.Subgraph
-		res.Extraction = er.Extraction
-		res.SerialDuration = er.SerialDuration
-		res.Partition = er.Partition
-		res.Shard = er.Shard
-		res.Dearing = er.Dearing
-		res.Elimination = er.Elimination
-		res.Tuning = er.Tuning
-		res.External = er.External
+		res.EngineResult = *er
 		mark("extract", start)
 	}
 	if err := ctx.Err(); err != nil {
@@ -558,17 +569,13 @@ func (r Runner) Run(ctx context.Context, s Spec) (*PipelineResult, error) {
 			return nil, fmt.Errorf("chordal: spec: verify requires an extraction engine")
 		}
 		start := enter("verify")
-		res.Verified = true
-		peo, res.ChordalOK = er.certificate()
-		if res.ChordalOK && g != nil && g.NumEdges() <= maxAuditEdges {
-			viol, err := verify.AuditMaximalityFromPEO(ctx, g, res.Subgraph, peo, 10)
-			if err != nil {
-				return nil, err
-			}
-			res.MaximalityAudited = true
-			res.ReAddableEdges = len(viol)
+		var v ReportVerify
+		if peo, v, err = verifyStage(ctx, g, &res.EngineResult); err != nil {
+			return nil, err
 		}
-		emit(newVerifyEvent(res.ChordalOK, res.MaximalityAudited, res.ReAddableEdges))
+		res.Verified = true
+		res.ChordalOK, res.MaximalityAudited, res.ReAddableEdges = v.Chordal, v.MaximalityAudited, v.ReAddableEdges
+		emit(newVerifyEvent(v))
 		mark("verify", start)
 	}
 
@@ -581,7 +588,7 @@ func (r Runner) Run(ctx context.Context, s Spec) (*PipelineResult, error) {
 	if g != nil && res.Subgraph != nil {
 		ok := res.ChordalOK
 		if !res.Verified {
-			peo, ok = er.certificate()
+			peo, ok = res.certificate()
 		}
 		if ok {
 			if q, err := quality.ComputeFromPEO(g, res.Subgraph, peo, quality.DefaultLimits()); err == nil {

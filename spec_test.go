@@ -61,9 +61,11 @@ func TestSpecCanonicalGolden(t *testing.T) {
 			want: "v1 engine=parallel relabel=bfs variant=unopt schedule=sync repair=true stitch=false partitions=0 shards=0 stitchonly=false verify=true src=rmat-er:12:42:8",
 		},
 		{
-			name: "serial engine",
+			// The serial alias normalizes to dearing from start vertex 0,
+			// so it shares dearing's key.
+			name: "serial alias of the dearing engine",
 			spec: chordal.Spec{Source: "gnm:1000:5000", Engine: "serial", Verify: true},
-			want: "v1 engine=serial relabel=none variant=auto schedule=dataflow repair=false stitch=false partitions=0 shards=0 stitchonly=false verify=true src=gnm:1000:5000:42",
+			want: "v1 engine=dearing relabel=none variant=auto schedule=dataflow repair=false stitch=false partitions=0 shards=0 stitchonly=false verify=true start=0 src=gnm:1000:5000:42",
 		},
 		{
 			name: "partitioned engine implied by partitions",
@@ -200,6 +202,7 @@ func TestSpecValidationErrors(t *testing.T) {
 	}{
 		{"unknown engine", chordal.Spec{Source: "gnm:10:20", Engine: "warp"}, "unknown engine"},
 		{"serial+shards", chordal.Spec{Source: "gnm:10:20", Engine: "serial", EngineConfig: chordal.EngineConfig{Shards: 4}}, "conflict"},
+		{"serial+partitions", chordal.Spec{Source: "gnm:10:20", Engine: "serial", EngineConfig: chordal.EngineConfig{Partitions: 2}}, "conflict"},
 		{"parallel+partitions", chordal.Spec{Source: "gnm:10:20", Engine: "parallel", EngineConfig: chordal.EngineConfig{Partitions: 2}}, "conflict"},
 		{"partitions+shards", chordal.Spec{Source: "gnm:10:20", EngineConfig: chordal.EngineConfig{Partitions: 2, Shards: 4}}, "conflict"},
 		{"sharded without shards", chordal.Spec{Source: "gnm:10:20", Engine: "sharded"}, "shards >= 1"},
@@ -212,7 +215,6 @@ func TestSpecValidationErrors(t *testing.T) {
 		{"verify without engine", chordal.Spec{Source: "gnm:10:20", Engine: "none", Verify: true}, "verify requires"},
 		{"negative start", chordal.Spec{Source: "gnm:10:20", Engine: "dearing", EngineConfig: chordal.EngineConfig{Start: -1}}, "must be >= 0"},
 		{"start off the dearing engine", chordal.Spec{Source: "gnm:10:20", EngineConfig: chordal.EngineConfig{Start: 3}}, "requires the dearing engine"},
-		{"start on the serial engine", chordal.Spec{Source: "gnm:10:20", Engine: "serial", EngineConfig: chordal.EngineConfig{Start: 3}}, "requires the dearing engine"},
 		{"unknown order", chordal.Spec{Source: "gnm:10:20", Engine: "elimination", EngineConfig: chordal.EngineConfig{Order: "amd"}}, "unknown order"},
 		{"order off the elimination engine", chordal.Spec{Source: "gnm:10:20", EngineConfig: chordal.EngineConfig{Order: "mindeg"}}, "requires the elimination engine"},
 		{"bad source", chordal.Spec{Source: "rmat-er"}, "missing scale"},
@@ -227,6 +229,12 @@ func TestSpecValidationErrors(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.errWant)
 		}
 	}
+	// A start vertex on the serial alias is no conflict: the alias is
+	// the dearing engine, which takes one.
+	n, err := chordal.Spec{Source: "gnm:10:20", Engine: " Serial ", EngineConfig: chordal.EngineConfig{Start: 3}}.Normalize()
+	if err != nil || n.Engine != chordal.EngineDearing || n.Start != 3 {
+		t.Errorf("serial alias with start 3 normalized to engine %q start %d (err %v), want dearing start 3", n.Engine, n.Start, err)
+	}
 }
 
 // noopEngine is a registry test double: it extracts nothing.
@@ -239,12 +247,13 @@ func (noopEngine) Extract(_ context.Context, g *chordal.Graph, _ chordal.EngineC
 
 var registerNoop sync.Once
 
-// TestEngineRegistry covers the pluggable seam: the four built-ins are
-// registered, duplicates panic, and a custom engine becomes reachable
-// through Spec by name alone.
+// TestEngineRegistry covers the pluggable seam: the built-ins are
+// registered, the serial alias is not an engine of its own but runs
+// dearing byte for byte, duplicates panic, and a custom engine becomes
+// reachable through Spec by name alone.
 func TestEngineRegistry(t *testing.T) {
 	names := chordal.EngineNames()
-	for _, want := range []string{"parallel", "serial", "partitioned", "sharded", "dearing", "elimination"} {
+	for _, want := range []string{"parallel", "partitioned", "sharded", "external", "dearing", "elimination"} {
 		found := false
 		for _, n := range names {
 			if n == want {
@@ -257,6 +266,21 @@ func TestEngineRegistry(t *testing.T) {
 	}
 	if _, ok := chordal.LookupEngine("parallel"); !ok {
 		t.Fatal("LookupEngine(parallel) missed")
+	}
+	if _, ok := chordal.LookupEngine("serial"); ok {
+		t.Error("serial is registered; it must only be a Normalize alias of dearing")
+	}
+	alias, err := chordal.Spec{Source: "rmat-g:9:11", Engine: "serial"}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dearing, err := chordal.Spec{Source: "rmat-g:9:11", Engine: chordal.EngineDearing}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(alias.Subgraph.Offsets, dearing.Subgraph.Offsets) ||
+		!reflect.DeepEqual(alias.Subgraph.Adj, dearing.Subgraph.Adj) {
+		t.Error("serial alias subgraph bytes differ from the dearing engine's")
 	}
 
 	func() {
@@ -316,7 +340,7 @@ func TestSpecEngineConformanceGrid(t *testing.T) {
 		maximal bool
 	}{
 		{chordal.EngineParallel, chordal.EngineConfig{}, false},
-		{chordal.EngineSerial, chordal.EngineConfig{}, true},
+		{"serial", chordal.EngineConfig{}, true}, // alias of dearing from start 0
 		{chordal.EnginePartitioned, chordal.EngineConfig{Partitions: 4}, false},
 		{chordal.EngineSharded, chordal.EngineConfig{Shards: 3}, false},
 		{chordal.EngineDearing, chordal.EngineConfig{Start: 3}, true},
@@ -403,52 +427,6 @@ func isSubgraphOf(sub, g *chordal.Graph) bool {
 		}
 	}
 	return true
-}
-
-// TestSpecRunMatchesPipeline pins the adapter: the deprecated Pipeline
-// and the Spec it compiles to produce byte-identical subgraphs.
-func TestSpecRunMatchesPipeline(t *testing.T) {
-	p := chordal.Pipeline{
-		Source:  "rmat-g:9:5",
-		Relabel: chordal.RelabelBFS,
-		Extract: true,
-		Options: chordal.Options{RepairMaximality: true},
-		Verify:  true,
-	}
-	want, err := p.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := p.Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Subgraph.Offsets, want.Subgraph.Offsets) ||
-		!reflect.DeepEqual(got.Subgraph.Adj, want.Subgraph.Adj) {
-		t.Error("Spec.Run subgraph differs from Pipeline.Run")
-	}
-	if !got.ChordalOK || got.ReAddableEdges != want.ReAddableEdges {
-		t.Errorf("verify outcome differs: %+v vs %+v", got, want)
-	}
-}
-
-// TestPipelineConflictErrors pins that the adapter inherits validation:
-// the mode combinations that used to resolve by silent precedence now
-// fail loudly.
-func TestPipelineConflictErrors(t *testing.T) {
-	for _, p := range []chordal.Pipeline{
-		{Source: "gnm:100:300", Serial: true, Shards: 4},
-		{Source: "gnm:100:300", Serial: true, Partitions: 2},
-		{Source: "gnm:100:300", Partitions: 2, Shards: 4},
-	} {
-		if _, err := p.Run(); err == nil || !strings.Contains(err.Error(), "conflict") {
-			t.Errorf("Pipeline %+v: err %v, want engine conflict", p, err)
-		}
-	}
 }
 
 // TestObserverEventStream checks the unified stream end to end: stage

@@ -22,7 +22,6 @@ import (
 
 	"chordal/internal/graph"
 	"chordal/internal/incremental"
-	"chordal/internal/verify"
 )
 
 // Spec execution modes. Batch is the zero value and normalizes to the
@@ -355,44 +354,15 @@ func (s *Stream) Close(ctx context.Context) (*StreamResult, error) {
 		Canonical: s.canonical,
 		Stream:    stats,
 	}
-	st := ComputeStats(input)
-	rep.Input = ReportInput{
-		Vertices:  st.Vertices,
-		Edges:     st.Edges,
-		AvgDegree: st.AvgDegree,
-		MaxDegree: st.MaxDegree,
-	}
-	ex := &ReportExtraction{Engine: s.spec.Engine, ChordalEdges: er.Subgraph.NumEdges()}
-	if st.Edges > 0 {
-		ex.EdgesKeptPct = 100 * float64(ex.ChordalEdges) / float64(st.Edges)
-	}
-	if r := er.Extraction; r != nil {
-		ex.Iterations = len(r.Iterations)
-		ex.Variant = variantName(r.Variant)
-		ex.Schedule = scheduleName(r.Schedule)
-		ex.RepairedEdges = r.RepairedEdges
-		ex.StitchedEdges = r.StitchedEdges
-	}
-	rep.Extraction = ex
-	if er.Tuning != nil {
-		t := *er.Tuning
-		rep.Tuning = &t
-	}
-
+	rep.Input, rep.Extraction, rep.Tuning = summarize(s.spec.Engine, ComputeStats(input), er)
 	if s.spec.Verify {
 		s.emit(newStageEvent("verify"))
-		peo, ok := er.certificate()
-		v := &ReportVerify{Chordal: ok}
-		if ok && input.NumEdges() <= maxAuditEdges {
-			viol, err := verify.AuditMaximalityFromPEO(ctx, input, er.Subgraph, peo, 10)
-			if err != nil {
-				return nil, err
-			}
-			v.MaximalityAudited = true
-			v.ReAddableEdges = len(viol)
+		_, v, err := verifyStage(ctx, input, er)
+		if err != nil {
+			return nil, err
 		}
-		rep.Verify = v
-		s.emit(newVerifyEvent(v.Chordal, v.MaximalityAudited, v.ReAddableEdges))
+		rep.Verify = &v
+		s.emit(newVerifyEvent(v))
 	}
 
 	s.result = &StreamResult{Input: input, Subgraph: er.Subgraph, Report: rep}

@@ -80,14 +80,16 @@ func TestStreamSpecValidation(t *testing.T) {
 	}
 }
 
-// TestStreamEquivalenceGrid is the PR's central equivalence property:
-// streaming a graph's edges — in the batch engine's input order or
-// reversed — and closing with repair on yields a final subgraph
-// byte-identical to the batch parallel engine with the maximality
-// repair pass on the same input. Close canonicalizes by running the
-// batch engine over the accumulated edge set, so the identity holds by
-// construction for every arrival order; this test pins the whole path
-// (delta accounting, input reconstruction, canonical extraction).
+// TestStreamEquivalenceGrid is the stream layer's central equivalence
+// property: streaming a graph's edges — in the batch engine's input
+// order or reversed — and closing with repair on yields a final
+// subgraph byte-identical to the batch parallel engine with the
+// maximality repair pass on the same input. Close canonicalizes by
+// running the batch engine over the accumulated edge set, so the
+// identity holds by construction for every arrival order; this test
+// pins the whole path (delta accounting, input reconstruction,
+// canonical extraction) and requires the two surfaces to report the
+// same extraction and verify outcome.
 func TestStreamEquivalenceGrid(t *testing.T) {
 	sources := []string{
 		"rmat-er:8:3", "rmat-g:8:7", "rmat-b:8:5",
@@ -103,15 +105,21 @@ func TestStreamEquivalenceGrid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch, err := chordal.Spec{
+		batchSpec := chordal.Spec{
 			Source:       srcSpec,
 			EngineConfig: chordal.EngineConfig{Repair: true},
-		}.Run()
+			Verify:       true,
+		}
+		batch, err := batchSpec.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		batchRep, err := chordal.Report(batchSpec, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, reverse := range []bool{false, true} {
-			spec := chordal.Spec{Mode: chordal.ModeStream, EngineConfig: chordal.EngineConfig{Repair: true}}
+			spec := chordal.Spec{Mode: chordal.ModeStream, EngineConfig: chordal.EngineConfig{Repair: true}, Verify: true}
 			s, err := chordal.OpenStream(context.Background(), spec, chordal.StreamConfig{Vertices: g.NumVertices()})
 			if err != nil {
 				t.Fatal(err)
@@ -131,6 +139,12 @@ func TestStreamEquivalenceGrid(t *testing.T) {
 			st := res.Report.Stream
 			if st.Pushed != g.NumEdges() {
 				t.Errorf("%s: pushed %d of %d deltas", srcSpec, st.Pushed, g.NumEdges())
+			}
+			if got, want := res.Report.Extraction, batchRep.Extraction; got == nil || want == nil || !reflect.DeepEqual(*got, *want) {
+				t.Errorf("%s (reverse=%t): stream extraction report %+v, batch %+v", srcSpec, reverse, got, want)
+			}
+			if got, want := res.Report.Verify, batchRep.Verify; got == nil || want == nil || *got != *want {
+				t.Errorf("%s (reverse=%t): stream verify report %+v, batch %+v", srcSpec, reverse, got, want)
 			}
 		}
 	}
