@@ -378,7 +378,7 @@ func BenchmarkMinDegreeOrder(b *testing.B) {
 	g := synth.GNM(1024, 4096, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if order := elimination.MinDegreeOrder(g); len(order) != 1024 {
+		if order, err := elimination.MinDegreeOrder(context.Background(), g); err != nil || len(order) != 1024 {
 			b.Fatal("bad order")
 		}
 	}

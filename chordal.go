@@ -320,7 +320,10 @@ func Fill(g *Graph, order []int32) (int64, error) { return elimination.Fill(g, o
 
 // MinDegreeOrder returns the greedy minimum-degree fill-reducing
 // ordering of g.
-func MinDegreeOrder(g *Graph) []int32 { return elimination.MinDegreeOrder(g) }
+func MinDegreeOrder(g *Graph) []int32 {
+	order, _ := elimination.MinDegreeOrder(context.TODO(), g) // fails only on a canceled ctx
+	return order
+}
 
 // ChordalGuidedOrder returns an elimination ordering of g that is a
 // perfect elimination ordering of an extracted maximal chordal

@@ -307,8 +307,10 @@ type eliminationEngine struct{}
 // Name implements Engine.
 func (eliminationEngine) Name() string { return EngineElimination }
 
-// Extract implements Engine with elimination.ChordalSubgraph. The
-// construction is a single pass; ctx is only checked on entry.
+// Extract implements Engine with elimination.ChordalSubgraph. ctx is
+// checked on entry and, under the mindeg order, which can take seconds,
+// before every elimination; the subgraph construction is one
+// uninterrupted O(V + E·ω) pass.
 func (eliminationEngine) Extract(ctx context.Context, g *Graph, cfg EngineConfig) (*EngineResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -322,7 +324,10 @@ func (eliminationEngine) Extract(ctx context.Context, g *Graph, cfg EngineConfig
 	case OrderNatural:
 		order = elimination.NaturalOrder(g.NumVertices())
 	case OrderMinDegree:
-		order = elimination.MinDegreeOrder(g)
+		var err error
+		if order, err = elimination.MinDegreeOrder(ctx, g); err != nil {
+			return nil, err
+		}
 	default:
 		return nil, fmt.Errorf("chordal: unknown elimination order %q (want %s|%s)", name, OrderNatural, OrderMinDegree)
 	}

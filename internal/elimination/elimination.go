@@ -13,6 +13,7 @@
 package elimination
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -223,8 +224,11 @@ func NaturalOrder(n int) []int32 {
 // MinDegreeOrder returns the classic greedy minimum-degree ordering:
 // repeatedly eliminate a vertex of smallest degree in the current
 // (fill-updated) elimination graph. This is the standard baseline
-// fill-reducing heuristic (the ancestor of AMD/METIS orderings).
-func MinDegreeOrder(g *graph.Graph) []int32 {
+// fill-reducing heuristic (the ancestor of AMD/METIS orderings). The
+// filled graph can grow toward complete, so one late elimination can
+// cost milliseconds and the whole order seconds: ctx is checked before
+// every elimination, and a canceled ctx returns ctx.Err().
+func MinDegreeOrder(ctx context.Context, g *graph.Graph) ([]int32, error) {
 	n := g.NumVertices()
 	adj := make([]map[int32]bool, n)
 	for v := 0; v < n; v++ {
@@ -272,6 +276,9 @@ func MinDegreeOrder(g *graph.Graph) []int32 {
 		if eliminated[v] || deg[v] != cur {
 			continue // stale entry
 		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		eliminated[v] = true
 		order = append(order, v)
 		// Connect v's remaining neighbors pairwise and update degrees.
@@ -304,7 +311,7 @@ func MinDegreeOrder(g *graph.Graph) []int32 {
 			push(a)
 		}
 	}
-	return order
+	return order, nil
 }
 
 // ChordalSubgraph returns the chordal subgraph of g induced by the
@@ -396,7 +403,11 @@ func CompareOrders(g *graph.Graph) (map[string]int64, error) {
 		return nil, err
 	}
 	out["natural"] = natural
-	md, err := Fill(g, MinDegreeOrder(g))
+	mdOrder, err := MinDegreeOrder(context.TODO(), g)
+	if err != nil {
+		return nil, err
+	}
+	md, err := Fill(g, mdOrder)
 	if err != nil {
 		return nil, err
 	}

@@ -82,7 +82,7 @@ func TestFillMatchesGameOracle(t *testing.T) {
 		orders := map[string][]int32{
 			"natural":   NaturalOrder(n),
 			"mcs":       verify.MCSOrder(g),
-			"mindegree": MinDegreeOrder(g),
+			"mindegree": minDegree(g),
 		}
 		for seed := uint64(1); seed <= 3; seed++ {
 			orders[fmt.Sprintf("random%d", seed)] = xrand.NewXoshiro256(seed).Perm(n)

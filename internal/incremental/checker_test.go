@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"chordal/internal/incremental"
+	"chordal/internal/synth"
 	"chordal/internal/verify"
 	"chordal/internal/xrand"
 )
@@ -68,7 +69,8 @@ func TestCanAddEdgeKnownCases(t *testing.T) {
 
 // referenceCanAddEdge is the pre-epoch-set implementation of the
 // separator criterion, kept verbatim as the oracle for the equivalence
-// property test: mark-and-restore over a plain []int32 scratch.
+// property test: mark-and-restore over a plain []int32 scratch, and
+// always a search from u, whichever endpoint has the shorter list.
 func referenceCanAddEdge(adj [][]int32, u, v int32, scratch []int32) bool {
 	const (
 		inSep   = 1
@@ -217,5 +219,44 @@ func TestCanAddEdgeScratchReuse(t *testing.T) {
 	dirty.HasCommonNeighbor(completeAdj(6), 2, 3)
 	if dirty.CanAddEdge(adj, 0, 1) != want {
 		t.Fatal("dirty checker changed the answer")
+	}
+}
+
+// TestBorderAdmissionSearchWork pins the separator-search work of the
+// k-tree border admission the sharded engine runs:
+// synth.KTree(800, 24, 501) cut into 4 contiguous id ranges, every
+// interior edge seeded (an induced subgraph of a chordal graph is
+// chordal, so each shard keeps all of its own), then every cross edge
+// admitted in ascending (u, v) order. A count of adjacency entries,
+// unlike a wall-clock bound, fails on a shared runner when the search
+// goes back to walking the merged graph.
+func TestBorderAdmissionSearchWork(t *testing.T) {
+	const n, k, shards = 800, 24, 4
+	g := synth.KTree(n, k, 501)
+	part := func(v int32) int { return int(v) * shards / n }
+	m := incremental.New(n, 0)
+	var cross []incremental.Edge
+	for u := int32(0); u < n; u++ {
+		for _, v := range g.Neighbors(u) {
+			switch {
+			case v < u:
+			case part(u) == part(v):
+				m.Seed(u, v)
+			default:
+				cross = append(cross, incremental.Edge{U: u, V: v})
+			}
+		}
+	}
+	for _, e := range cross {
+		if ok, reason := m.Admit(e.U, e.V); !ok {
+			t.Fatalf("Admit(%d,%d) = %s; every k-tree edge is admissible", e.U, e.V, reason)
+		}
+	}
+	// Searching from the endpoint with the shorter list reads 1 482 088
+	// entries here; searching from u alone read 222 394 897, most of the
+	// merged graph per admitted edge.
+	const searched = 1482088
+	if got := m.SearchScanned(); got > 2*searched {
+		t.Fatalf("border admission scanned %d adjacency entries, want at most 2×%d", got, searched)
 	}
 }

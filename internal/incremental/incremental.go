@@ -73,15 +73,18 @@ const (
 // usually share u). A Checker is single-owner: give each worker its own.
 type Checker struct {
 	sep      *bitset.Epoch // current separator membership
-	visited  *bitset.Epoch // BFS visit marks (also tentative N(u) marks)
+	visited  *bitset.Epoch // search visit marks (also tentative N(u) marks)
 	nbr      *bitset.Epoch // cached neighborhood membership of nbrOwner
 	nbrOwner int32         // vertex whose adjacency nbr holds, or -1
 	// threshold is the degree at or above which a vertex's neighborhood
 	// is worth caching in nbr for reuse across consecutive checks;
 	// negative disables caching.
 	threshold int
-	queue     []int32
-	sepList   []int32
+	stack     []int32
+	// scanned counts the adjacency entries the separator searches have
+	// read, the work a test pins so a costlier search rule fails a count
+	// rather than a wall-clock bound.
+	scanned int64
 }
 
 // NewChecker returns a Checker for graphs with n vertices. threshold is
@@ -151,11 +154,15 @@ func (s *Checker) HasCommonNeighbor(adj [][]int32, u, v int32) bool {
 // and v lie in different connected components, or their common
 // neighborhood separates u from v (every u-v path meets it, so every
 // cycle through the new edge gains a chord at the separator). The
-// check is a BFS from u that avoids N(u) ∩ N(v) and looks for v,
-// O(V+E) worst case but typically local. The adjacency must be chordal
-// and must not already contain {u, v}. All bookkeeping lives in the
-// epoch sets of s — clearing is one epoch bump, so nothing is restored
-// between calls.
+// check is a depth-first search that avoids N(u) ∩ N(v), run from the
+// endpoint with the shorter adjacency list (u on a tie) and looking for
+// the other. A rejection stops at the first path found; an admission
+// walks the searched endpoint's whole side of the separator, O(V+E)
+// worst case. Starting from the shorter list makes that side the
+// endpoint alone whenever its neighborhood lies inside the other's.
+// The adjacency must be chordal and must not already contain {u, v}.
+// All bookkeeping lives in the epoch sets of s — clearing is one epoch
+// bump, so nothing is restored between calls.
 func (s *Checker) CanAddEdge(adj [][]int32, u, v int32) bool {
 	// Mark the common neighborhood N(u) ∩ N(v) in sep: tentatively mark
 	// N(u) in visited, intersect with N(v), then drop the tentative
@@ -165,31 +172,39 @@ func (s *Checker) CanAddEdge(adj [][]int32, u, v int32) bool {
 		s.visited.Add(x)
 	}
 	s.sep.Clear()
-	s.sepList = s.sepList[:0]
 	for _, x := range adj[v] {
 		if s.visited.Contains(x) {
 			s.sep.Add(x)
-			s.sepList = append(s.sepList, x)
 		}
 	}
 	s.visited.Clear()
 
-	// Search from u avoiding the separator; if v is reached, the common
-	// neighborhood does not separate them and the edge is not addable.
-	s.queue = append(s.queue[:0], u)
+	// Search avoiding the separator; if one endpoint reaches the other,
+	// the common neighborhood does not separate them and the edge is not
+	// addable. Reachability in G − sep is symmetric, so either endpoint
+	// decides the same, but an admitted edge costs the whole component
+	// of the side searched. Start from the shorter adjacency list (u on
+	// a tie): sep lies in both lists, so that is the endpoint with fewer
+	// neighbors outside the separator.
+	if len(adj[v]) < len(adj[u]) {
+		u, v = v, u
+	}
+	s.stack = append(s.stack[:0], u)
 	s.visited.Add(u)
-	for len(s.queue) > 0 {
-		x := s.queue[len(s.queue)-1]
-		s.queue = s.queue[:len(s.queue)-1]
-		for _, y := range adj[x] {
+	for len(s.stack) > 0 {
+		x := s.stack[len(s.stack)-1]
+		s.stack = s.stack[:len(s.stack)-1]
+		for i, y := range adj[x] {
 			if y == v {
+				s.scanned += int64(i + 1)
 				return false
 			}
 			if !s.sep.Contains(y) && !s.visited.Contains(y) {
 				s.visited.Add(y)
-				s.queue = append(s.queue, y)
+				s.stack = append(s.stack, y)
 			}
 		}
+		s.scanned += int64(len(adj[x]))
 	}
 	return true
 }
@@ -204,7 +219,7 @@ type Maintainer struct {
 	checker *Checker
 	// uf is a union-find over the maintained subgraph's components:
 	// Admit takes the O(α) bridge fast path when the endpoints are in
-	// different components, skipping the BFS entirely, and the same-
+	// different components, skipping the search entirely, and the same-
 	// component fact is what licenses the common-neighbor pre-filter
 	// as a rejection (an empty separator cannot separate connected
 	// vertices).
@@ -365,7 +380,7 @@ func (m *Maintainer) admit(u, v int32, deferOnReject bool) (bool, Reason) {
 		return true, ReasonBridge
 	}
 	// Connected endpoints: an empty common neighborhood cannot separate
-	// them, so the cheap intersection rejects without the BFS; otherwise
+	// them, so the cheap intersection rejects without the search; otherwise
 	// run the exact check.
 	if !m.checker.HasCommonNeighbor(m.adj, u, v) || !m.checker.CanAddEdge(m.adj, u, v) {
 		if deferOnReject {

@@ -36,9 +36,9 @@ import (
 //	DELETE /v1/streams/{id}         abandon the session
 //
 // Sessions run outside the worker budget: deltas are admitted on the
-// request goroutine (one union-find probe or a local BFS each), and
-// only Close runs an extraction kernel. Idle open sessions and
-// terminal ones are garbage collected on the job GC cadence.
+// request goroutine (one union-find probe or one separator search
+// each), and only Close runs an extraction kernel. Idle open sessions
+// and terminal ones are garbage collected on the job GC cadence.
 
 // Stream session states.
 const (

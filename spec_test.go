@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"chordal"
 )
@@ -514,5 +515,35 @@ func TestSpecAuditObservesCancel(t *testing.T) {
 	}
 	if _, err := (chordal.Runner{Observer: cancelAtVerify}).Run(ctx, spec); !errors.Is(err, context.Canceled) {
 		t.Fatalf("run canceled at the verify stage returned %v, want context.Canceled", err)
+	}
+}
+
+// TestEngineEliminationObservesCancel cancels the elimination engine
+// 20 ms into its default order, mindeg, on a source where that order
+// runs for seconds. The order checks ctx between eliminations, so
+// Extract returns ctx.Err() within 100 ms of the cancel.
+func TestEngineEliminationObservesCancel(t *testing.T) {
+	src, err := chordal.ParseSource("gnm:2048:16384:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := src.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, ok := chordal.LookupEngine(chordal.EngineElimination)
+	if !ok {
+		t.Fatal("elimination engine not registered")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	_, err = eng.Extract(ctx, g, chordal.EngineConfig{})
+	deadline, _ := ctx.Deadline()
+	late := time.Since(deadline)
+	if err == nil || !errors.Is(err, ctx.Err()) {
+		t.Fatalf("Extract canceled 20 ms in returned %v, want %v", err, ctx.Err())
+	}
+	if late > 100*time.Millisecond {
+		t.Fatalf("Extract returned %v after the cancel, want within 100ms", late)
 	}
 }
