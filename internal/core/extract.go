@@ -184,7 +184,7 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 		return nil, err
 	}
 	if opts.RepairMaximality {
-		if err := repairMaximality(ctx, g, res, st.threshold); err != nil {
+		if err := repairMaximality(ctx, g, res); err != nil {
 			return nil, err
 		}
 	}

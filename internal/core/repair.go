@@ -24,8 +24,8 @@ import (
 // retests the deferred queue to the fixpoint. ctx is observed every
 // 1024 scanned edges and by the retests; a canceled repair returns
 // ctx.Err() and leaves res partly repaired, for the caller to drop.
-func repairMaximality(ctx context.Context, g *graph.Graph, res *Result, threshold int) error {
-	m := incremental.New(g.NumVertices(), threshold)
+func repairMaximality(ctx context.Context, g *graph.Graph, res *Result) error {
+	m := incremental.New(g.NumVertices())
 	for _, e := range res.Edges {
 		m.Seed(e.U, e.V)
 	}

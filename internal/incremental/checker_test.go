@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"chordal/internal/graph"
 	"chordal/internal/incremental"
 	"chordal/internal/synth"
 	"chordal/internal/verify"
@@ -42,7 +43,7 @@ func completeAdj(n int) [][]int32 {
 }
 
 func TestCanAddEdgeKnownCases(t *testing.T) {
-	checker := incremental.NewChecker(8, 0)
+	checker := incremental.NewChecker(8)
 	// Path 0-1-2: closing 0-2 forms a triangle: allowed.
 	if !checker.CanAddEdge(pathAdj(3), 0, 2) {
 		t.Fatal("triangle closure rejected")
@@ -61,9 +62,9 @@ func TestCanAddEdgeKnownCases(t *testing.T) {
 	if checker.CanAddEdge(adj, 0, 5) {
 		t.Fatal("long-cycle closure accepted")
 	}
-	// A fresh checker with the neighborhood cache off agrees.
-	if incremental.NewChecker(6, -1).CanAddEdge(adj, 0, 5) {
-		t.Fatal("uncached checker disagrees")
+	// A fresh checker agrees with the reused one.
+	if incremental.NewChecker(6).CanAddEdge(adj, 0, 5) {
+		t.Fatal("fresh checker disagrees")
 	}
 }
 
@@ -129,7 +130,7 @@ func TestCanAddEdgeMatchesReference(t *testing.T) {
 		rng := xrand.NewXoshiro256(seed)
 		adj := make([][]int32, n)
 		ref := make([]int32, n)
-		sc := incremental.NewChecker(n, 4) // low threshold: exercise the cache
+		sc := incremental.NewChecker(n)
 		for k := 0; k < int(mRaw%300); k++ {
 			u := int32(rng.Intn(n))
 			v := int32(rng.Intn(n))
@@ -140,21 +141,9 @@ func TestCanAddEdgeMatchesReference(t *testing.T) {
 			if sc.CanAddEdge(adj, u, v) != want {
 				return false
 			}
-			// HasCommonNeighbor must match a direct intersection scan.
-			common := false
-			for _, x := range adj[u] {
-				if slices.Contains(adj[v], x) {
-					common = true
-					break
-				}
-			}
-			if sc.HasCommonNeighbor(adj, u, v) != common {
-				return false
-			}
 			if want {
 				adj[u] = append(adj[u], v)
 				adj[v] = append(adj[v], u)
-				sc.Invalidate()
 			}
 		}
 		return true
@@ -173,7 +162,7 @@ func TestCanAddEdgeMatchesFullRecheck(t *testing.T) {
 		rng := xrand.NewXoshiro256(seed)
 		// Grow a random chordal graph by inserting random safe edges.
 		adj := make([][]int32, n)
-		checker := incremental.NewChecker(n, 0)
+		checker := incremental.NewChecker(n)
 		for k := 0; k < int(mRaw%200); k++ {
 			u := int32(rng.Intn(n))
 			v := int32(rng.Intn(n))
@@ -212,31 +201,27 @@ func TestCanAddEdgeScratchReuse(t *testing.T) {
 	adj := completeAdj(6)
 	adj[0] = adj[0][:0] // detach 0: then 0-1 is addable
 	adj[1] = adj[1][:4]
-	fresh := incremental.NewChecker(6, 0)
+	fresh := incremental.NewChecker(6)
 	want := fresh.CanAddEdge(adj, 0, 1)
-	dirty := incremental.NewChecker(6, 0)
+	dirty := incremental.NewChecker(6)
 	dirty.CanAddEdge(pathAdj(6), 0, 5)
-	dirty.HasCommonNeighbor(completeAdj(6), 2, 3)
 	if dirty.CanAddEdge(adj, 0, 1) != want {
 		t.Fatal("dirty checker changed the answer")
 	}
 }
 
-// TestBorderAdmissionSearchWork pins the separator-search work of the
-// k-tree border admission the sharded engine runs:
-// synth.KTree(800, 24, 501) cut into 4 contiguous id ranges, every
-// interior edge seeded (an induced subgraph of a chordal graph is
+// borderReplay runs the k-tree border admission the sharded engine runs
+// on g = synth.KTree(800, 24, 501): g cut into 4 contiguous id ranges,
+// every interior edge seeded (an induced subgraph of a chordal graph is
 // chordal, so each shard keeps all of its own), then every cross edge
-// admitted in ascending (u, v) order. A count of adjacency entries,
-// unlike a wall-clock bound, fails on a shared runner when the search
-// goes back to walking the merged graph.
-func TestBorderAdmissionSearchWork(t *testing.T) {
-	const n, k, shards = 800, 24, 4
-	g := synth.KTree(n, k, 501)
+// admitted in ascending (u, v) order. It returns the Maintainer.
+func borderReplay(tb testing.TB, g *graph.Graph) *incremental.Maintainer {
+	const shards = 4
+	n := g.NumVertices()
 	part := func(v int32) int { return int(v) * shards / n }
-	m := incremental.New(n, 0)
+	m := incremental.New(n)
 	var cross []incremental.Edge
-	for u := int32(0); u < n; u++ {
+	for u := int32(0); u < int32(n); u++ {
 		for _, v := range g.Neighbors(u) {
 			switch {
 			case v < u:
@@ -249,14 +234,45 @@ func TestBorderAdmissionSearchWork(t *testing.T) {
 	}
 	for _, e := range cross {
 		if ok, reason := m.Admit(e.U, e.V); !ok {
-			t.Fatalf("Admit(%d,%d) = %s; every k-tree edge is admissible", e.U, e.V, reason)
+			tb.Fatalf("Admit(%d,%d) = %s; every k-tree edge is admissible", e.U, e.V, reason)
 		}
 	}
+	return m
+}
+
+// TestBorderAdmissionSearchWork pins the intersection and search work
+// of borderReplay. A count of adjacency entries, unlike a wall-clock
+// bound, fails on a shared runner when the search goes back to walking
+// the merged graph or the hub cache stops hitting.
+func TestBorderAdmissionSearchWork(t *testing.T) {
+	m := borderReplay(t, synth.KTree(800, 24, 501))
 	// Searching from the endpoint with the shorter list reads 1 482 088
 	// entries here; searching from u alone read 222 394 897, most of the
 	// merged graph per admitted edge.
 	const searched = 1482088
 	if got := m.SearchScanned(); got > 2*searched {
 		t.Fatalf("border admission scanned %d adjacency entries, want at most 2×%d", got, searched)
+	}
+	// One intersection per check, with the last marked list kept across
+	// admissions, marks 13 331 entries (13 396 of 13 770 checks hit the
+	// kept marking). Marking the longer list afresh for every check
+	// marks 4 866 941; a pre-filter plus a second marking of N(u) per
+	// check, with the cache dropped after every admission, marked
+	// 9 733 847.
+	const marked = 13331
+	if got := m.SearchMarked(); got > 2*marked {
+		t.Fatalf("border admission marked %d adjacency entries, want at most 2×%d", got, marked)
+	}
+}
+
+// BenchmarkBorderAdmission times borderReplay, seeding included.
+//
+//	go test -bench=BorderAdmission -run '^$' ./internal/incremental
+func BenchmarkBorderAdmission(b *testing.B) {
+	g := synth.KTree(800, 24, 501)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		borderReplay(b, g)
 	}
 }

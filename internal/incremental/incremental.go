@@ -7,10 +7,13 @@
 // inserting the non-edge {u, v} keeps the graph chordal exactly when u
 // and v lie in different connected components, or their common
 // neighborhood N(u) ∩ N(v) separates u from v (then every cycle through
-// the new edge gains a chord at the separator). Checker implements the
-// test over a caller-owned adjacency; Maintainer owns the adjacency and
-// layers on a union-find bridge fast path, a common-neighbor pre-filter,
-// a deferred-edge queue for rejected insertions, and Repair — the
+// the new edge gains a chord at the separator). A check is one
+// intersection, which marks N(u) ∩ N(v), and one search that avoids it.
+// Checker implements the test over a caller-owned adjacency; Maintainer
+// owns the adjacency and layers on a union-find bridge fast path, the
+// rejection of connected endpoints whose intersection is empty, a hub
+// marking kept exact across admissions (its lists only grow), a
+// deferred-edge queue for rejected insertions, and Repair — the
 // fixpoint retest that closes the paper's Theorem 2 maximality gap
 // (DESIGN.md §5): a rejected edge can become addable after later
 // admissions, so deferred edges are retested until a pass admits
@@ -65,87 +68,39 @@ const (
 	ReasonOverflow Reason = "overflow"
 )
 
-// Checker is the reusable scratch state of the separator checks: epoch
+// Checker is the reusable scratch state of the separator test: epoch
 // mark sets (bitset.Epoch) whose O(1) clear replaces per-call restore
-// loops, plus an optional cached marked neighborhood that amortizes
-// repeated intersections against the same high-degree vertex (border
-// admission tests edges in ascending-u order, so consecutive candidates
-// usually share u). A Checker is single-owner: give each worker its own.
+// loops. A Checker is single-owner: give each worker its own.
+//
+// Each intersection leaves its marked list in nbr, so the next checks
+// against the same hub probe the other endpoint's list without marking
+// the hub again (border admission tests edges in ascending-u order, so
+// consecutive candidates usually share a hub). A Maintainer keeps that
+// marking across admissions instead of dropping it: its lists only
+// grow, and each edge it adds is added to the owner's marking.
+// CanAddEdge, whose caller may change the adjacency between calls,
+// drops the marking first.
 type Checker struct {
-	sep      *bitset.Epoch // current separator membership
-	visited  *bitset.Epoch // search visit marks (also tentative N(u) marks)
-	nbr      *bitset.Epoch // cached neighborhood membership of nbrOwner
+	sep      *bitset.Epoch // N(u) ∩ N(v) of the current check
+	visited  *bitset.Epoch // search visit marks
+	nbr      *bitset.Epoch // membership of adj[nbrOwner], the last marked list
 	nbrOwner int32         // vertex whose adjacency nbr holds, or -1
-	// threshold is the degree at or above which a vertex's neighborhood
-	// is worth caching in nbr for reuse across consecutive checks;
-	// negative disables caching.
-	threshold int
-	stack     []int32
+	stack    []int32
 	// scanned counts the adjacency entries the separator searches have
-	// read, the work a test pins so a costlier search rule fails a count
-	// rather than a wall-clock bound.
-	scanned int64
+	// read, and marked the entries the intersections have marked: the
+	// work a test pins, so a costlier rule fails a count rather than a
+	// wall-clock bound.
+	scanned, marked int64
 }
 
-// NewChecker returns a Checker for graphs with n vertices. threshold is
-// the degree at or above which a vertex's marked neighborhood is cached
-// for reuse across calls (0 picks a conservative default, negative
-// disables caching).
-func NewChecker(n, threshold int) *Checker {
-	if threshold == 0 {
-		threshold = 32
-	}
+// NewChecker returns a Checker for graphs with n vertices.
+func NewChecker(n int) *Checker {
 	return &Checker{
-		sep:       bitset.NewEpoch(n),
-		visited:   bitset.NewEpoch(n),
-		nbr:       bitset.NewEpoch(n),
-		nbrOwner:  -1,
-		threshold: threshold,
+		sep:      bitset.NewEpoch(n),
+		visited:  bitset.NewEpoch(n),
+		nbr:      bitset.NewEpoch(n),
+		nbrOwner: -1,
 	}
-}
-
-// Invalidate drops the cached neighborhood. Call it after mutating the
-// adjacency a previous check marked (admitting an edge appends to both
-// endpoint lists, so a cached marking of either endpoint goes stale).
-func (s *Checker) Invalidate() { s.nbrOwner = -1 }
-
-// HasCommonNeighbor reports whether u and v share a neighbor — the
-// cheap triangle-style pre-filter run before the exact separator check
-// (an empty N(u) ∩ N(v) cannot separate connected vertices). The marked
-// side prefers the cached neighborhood, then the longer list, so a hub
-// is materialized once and each check probes the short list in
-// O(deg(small)). Low-degree markings go to a throwaway epoch set so
-// they never evict a cached hub.
-func (s *Checker) HasCommonNeighbor(adj [][]int32, u, v int32) bool {
-	// Swap so v is the side to mark: the cached owner when one matches,
-	// otherwise the longer list.
-	if s.nbrOwner != v && (s.nbrOwner == u || len(adj[u]) >= len(adj[v])) {
-		u, v = v, u
-	}
-	var marked *bitset.Epoch
-	switch {
-	case s.nbrOwner == v:
-		marked = s.nbr
-	case s.threshold >= 0 && len(adj[v]) >= s.threshold:
-		s.nbr.Clear()
-		for _, x := range adj[v] {
-			s.nbr.Add(x)
-		}
-		s.nbrOwner = v
-		marked = s.nbr
-	default:
-		s.visited.Clear()
-		for _, x := range adj[v] {
-			s.visited.Add(x)
-		}
-		marked = s.visited
-	}
-	for _, x := range adj[u] {
-		if marked.Contains(x) {
-			return true
-		}
-	}
-	return false
 }
 
 // CanAddEdge reports whether adding the non-edge {u, v} to the chordal
@@ -153,42 +108,74 @@ func (s *Checker) HasCommonNeighbor(adj [][]int32, u, v int32) bool {
 // dynamic-chordal-graph criterion: the insertion is safe exactly when u
 // and v lie in different connected components, or their common
 // neighborhood separates u from v (every u-v path meets it, so every
-// cycle through the new edge gains a chord at the separator). The
-// check is a depth-first search that avoids N(u) ∩ N(v), run from the
-// endpoint with the shorter adjacency list (u on a tie) and looking for
-// the other. A rejection stops at the first path found; an admission
-// walks the searched endpoint's whole side of the separator, O(V+E)
-// worst case. Starting from the shorter list makes that side the
-// endpoint alone whenever its neighborhood lies inside the other's.
-// The adjacency must be chordal and must not already contain {u, v}.
-// All bookkeeping lives in the epoch sets of s — clearing is one epoch
+// cycle through the new edge gains a chord at the separator). The check
+// is one intersection, which marks N(u) ∩ N(v), and one depth-first
+// search that avoids it (see separates). The adjacency must be chordal
+// and must not already contain {u, v}; it may change freely between
+// calls, because no marking is reused from an earlier call. All
+// bookkeeping lives in the epoch sets of s — clearing is one epoch
 // bump, so nothing is restored between calls.
 func (s *Checker) CanAddEdge(adj [][]int32, u, v int32) bool {
-	// Mark the common neighborhood N(u) ∩ N(v) in sep: tentatively mark
-	// N(u) in visited, intersect with N(v), then drop the tentative
-	// marks with one epoch bump.
-	s.visited.Clear()
-	for _, x := range adj[u] {
-		s.visited.Add(x)
+	s.nbrOwner = -1
+	s.intersect(adj, u, v)
+	return s.separates(adj, u, v)
+}
+
+// intersect marks N(u) ∩ N(v) in sep and reports whether it is
+// non-empty. One list is probed against a marking of the other: the
+// cached marking when it belongs to an endpoint, otherwise a fresh
+// marking of the longer list, which becomes the cached one.
+func (s *Checker) intersect(adj [][]int32, u, v int32) bool {
+	// Swap so v is the marked side.
+	if s.nbrOwner != v && (s.nbrOwner == u || len(adj[u]) >= len(adj[v])) {
+		u, v = v, u
+	}
+	if s.nbrOwner != v {
+		s.nbr.Clear()
+		for _, x := range adj[v] {
+			s.nbr.Add(x)
+		}
+		s.nbrOwner = v
+		s.marked += int64(len(adj[v]))
 	}
 	s.sep.Clear()
-	for _, x := range adj[v] {
-		if s.visited.Contains(x) {
+	common := false
+	for _, x := range adj[u] {
+		if s.nbr.Contains(x) {
 			s.sep.Add(x)
+			common = true
 		}
 	}
-	s.visited.Clear()
+	return common
+}
 
-	// Search avoiding the separator; if one endpoint reaches the other,
-	// the common neighborhood does not separate them and the edge is not
-	// addable. Reachability in G − sep is symmetric, so either endpoint
-	// decides the same, but an admitted edge costs the whole component
-	// of the side searched. Start from the shorter adjacency list (u on
-	// a tie): sep lies in both lists, so that is the endpoint with fewer
-	// neighbors outside the separator.
+// linked keeps the cached marking exact after the caller appended v to
+// adj[u] and u to adj[v].
+func (s *Checker) linked(u, v int32) {
+	switch s.nbrOwner {
+	case u:
+		s.nbr.Add(v)
+	case v:
+		s.nbr.Add(u)
+	}
+}
+
+// separates reports whether sep, marked by intersect, separates u from
+// v. It is a depth-first search that avoids sep, run from the endpoint
+// with the shorter adjacency list (u on a tie) and looking for the
+// other. A rejection stops at the first path found; an admission walks
+// the searched endpoint's whole side of the separator, O(V+E) worst
+// case. Starting from the shorter list makes that side the endpoint
+// alone whenever its neighborhood lies inside the other's.
+func (s *Checker) separates(adj [][]int32, u, v int32) bool {
+	// Reachability in G − sep is symmetric, so either endpoint decides
+	// the same, but an admitted edge costs the whole component of the
+	// side searched. sep lies in both lists, so the shorter list is the
+	// endpoint with fewer neighbors outside the separator.
 	if len(adj[v]) < len(adj[u]) {
 		u, v = v, u
 	}
+	s.visited.Clear()
 	s.stack = append(s.stack[:0], u)
 	s.visited.Add(u)
 	for len(s.stack) > 0 {
@@ -219,10 +206,10 @@ type Maintainer struct {
 	checker *Checker
 	// uf is a union-find over the maintained subgraph's components:
 	// Admit takes the O(α) bridge fast path when the endpoints are in
-	// different components, skipping the search entirely, and the same-
-	// component fact is what licenses the common-neighbor pre-filter
-	// as a rejection (an empty separator cannot separate connected
-	// vertices).
+	// different components, skipping the check entirely, and the same-
+	// component fact is what licenses an empty intersection as a
+	// rejection without the search (an empty separator cannot separate
+	// connected vertices).
 	uf       []int32
 	ufSize   []int32
 	deferred []Edge
@@ -235,20 +222,16 @@ type Maintainer struct {
 	// rejections are dropped with ReasonOverflow instead of queued.
 	maxDeferred int
 	edges       int
-	threshold   int
 }
 
 // New returns a Maintainer over an empty subgraph of n vertices.
-// threshold follows NewChecker's convention (0 = default, negative
-// disables the hub-neighborhood cache).
-func New(n, threshold int) *Maintainer {
+func New(n int) *Maintainer {
 	m := &Maintainer{
 		adj:        make([][]int32, n),
-		checker:    NewChecker(n, threshold),
+		checker:    NewChecker(n),
 		uf:         make([]int32, n),
 		ufSize:     make([]int32, n),
 		inDeferred: make(map[int64]struct{}),
-		threshold:  threshold,
 	}
 	for i := range m.uf {
 		m.uf[i] = int32(i)
@@ -262,12 +245,7 @@ func New(n, threshold int) *Maintainer {
 // result). Seeding an edge twice, a self loop, or an out-of-range
 // endpoint corrupts the invariant; Seed is for trusted bulk adoption,
 // Admit for everything else.
-func (m *Maintainer) Seed(u, v int32) {
-	m.adj[u] = append(m.adj[u], v)
-	m.adj[v] = append(m.adj[v], u)
-	m.union(u, v)
-	m.edges++
-}
+func (m *Maintainer) Seed(u, v int32) { m.add(u, v) }
 
 // Vertices returns the universe size.
 func (m *Maintainer) Vertices() int { return len(m.adj) }
@@ -335,7 +313,7 @@ func (m *Maintainer) Grow(n int) {
 		m.uf = append(m.uf, int32(i))
 		m.ufSize = append(m.ufSize, 1)
 	}
-	m.checker = NewChecker(n, m.threshold)
+	m.checker = NewChecker(n)
 }
 
 // HasEdge reports whether {u, v} is in the maintained subgraph.
@@ -380,9 +358,9 @@ func (m *Maintainer) admit(u, v int32, deferOnReject bool) (bool, Reason) {
 		return true, ReasonBridge
 	}
 	// Connected endpoints: an empty common neighborhood cannot separate
-	// them, so the cheap intersection rejects without the search; otherwise
-	// run the exact check.
-	if !m.checker.HasCommonNeighbor(m.adj, u, v) || !m.checker.CanAddEdge(m.adj, u, v) {
+	// them, so the intersection alone rejects; otherwise the search
+	// decides.
+	if !m.checker.intersect(m.adj, u, v) || !m.checker.separates(m.adj, u, v) {
 		if deferOnReject {
 			key := int64(u)<<32 | int64(v)
 			if _, dup := m.inDeferred[key]; !dup {
@@ -399,13 +377,13 @@ func (m *Maintainer) admit(u, v int32, deferOnReject bool) (bool, Reason) {
 	return true, ReasonAdmitted
 }
 
-// add records an accepted edge: adjacency on both sides, component
-// union, and invalidation of the checker's cached neighborhood (the
-// lists it marked just grew).
+// add records an edge: adjacency on both sides, the checker's cached
+// marking if it belongs to an endpoint (that list just grew), and the
+// component union.
 func (m *Maintainer) add(u, v int32) {
 	m.adj[u] = append(m.adj[u], v)
 	m.adj[v] = append(m.adj[v], u)
-	m.checker.Invalidate()
+	m.checker.linked(u, v)
 	m.union(u, v)
 	m.edges++
 }

@@ -21,7 +21,7 @@ func chordalNow(t *testing.T, m *incremental.Maintainer, when string) {
 // closing edge of a 4-cycle is deferred, and landing the chord makes a
 // repair pass admit it.
 func TestMaintainerC4(t *testing.T) {
-	m := incremental.New(4, 0)
+	m := incremental.New(4)
 	steps := []struct {
 		u, v   int32
 		ok     bool
@@ -67,7 +67,7 @@ func TestMaintainerC4(t *testing.T) {
 // TestMaintainerGrow checks that growth preserves the subgraph, the
 // components, and the deferred queue.
 func TestMaintainerGrow(t *testing.T) {
-	m := incremental.New(4, 0)
+	m := incremental.New(4)
 	for _, e := range [][2]int32{{0, 1}, {1, 2}, {2, 3}} {
 		m.Admit(e[0], e[1])
 	}
@@ -95,7 +95,7 @@ func TestMaintainerGrow(t *testing.T) {
 func TestMaintainerRandomStream(t *testing.T) {
 	const n = 60
 	rng := rand.New(rand.NewSource(42))
-	m := incremental.New(n, 0)
+	m := incremental.New(n)
 	offered := map[[2]int32]bool{}
 	for i := 0; i < 1200; i++ {
 		u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
@@ -145,11 +145,11 @@ func TestCheckerMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
 		const n = 14
-		m := incremental.New(n, 0)
+		m := incremental.New(n)
 		for i := 0; i < 40; i++ {
 			m.Admit(int32(rng.Intn(n)), int32(rng.Intn(n)))
 		}
-		chk := incremental.NewChecker(n, 0)
+		chk := incremental.NewChecker(n)
 		adj := m.Adj()
 		for u := int32(0); u < n; u++ {
 			for v := u + 1; v < n; v++ {

@@ -48,10 +48,10 @@ type Metrics struct {
 	FillIn       int64 `json:"fillIn"`
 	SubgraphFill int64 `json:"subgraphFill"`
 	// CliquesComputed reports whether the chordal-graph invariants ran
-	// (skipped above Limits.MaxCliqueVertices). Treewidth and
-	// ChromaticNumber are exact on the subgraph (linear-time via its
-	// PEO); MaxCliqueSize = Treewidth + 1 is recorded explicitly for
-	// readability.
+	// (skipped above Limits.MaxCliqueVertices). Treewidth is exact on the
+	// subgraph (linear-time via its PEO); MaxCliqueSize = Treewidth + 1
+	// is recorded explicitly for readability, and ChromaticNumber equals
+	// it, because a chordal graph is perfect (0 on an empty vertex set).
 	CliquesComputed bool `json:"cliquesComputed"`
 	Treewidth       int  `json:"treewidth"`
 	ChromaticNumber int  `json:"chromaticNumber"`
@@ -61,8 +61,8 @@ type Metrics struct {
 // Limits bounds the optional metric groups; retention and fill are
 // always computed. The zero value computes everything.
 type Limits struct {
-	// MaxCliqueVertices skips treewidth/coloring when the subgraph has
-	// more vertices. <= 0 means no bound.
+	// MaxCliqueVertices skips the chordal-graph invariants when the
+	// subgraph has more vertices. <= 0 means no bound.
 	MaxCliqueVertices int
 }
 
@@ -109,8 +109,12 @@ func ComputeFromPEO(g, sub *graph.Graph, peo []int32, lim Limits) (*Metrics, err
 	m.FillComputed = true
 	if lim.MaxCliqueVertices <= 0 || sub.NumVertices() <= lim.MaxCliqueVertices {
 		m.Treewidth = chordalalg.TreewidthFromPEO(sub, peo)
-		_, m.ChromaticNumber = chordalalg.ColoringFromPEO(sub, peo)
 		m.MaxCliqueSize = m.Treewidth + 1
+		// A chordal graph is perfect: χ = ω = treewidth + 1, and 0 with
+		// no vertices to color.
+		if sub.NumVertices() > 0 {
+			m.ChromaticNumber = m.MaxCliqueSize
+		}
 		m.CliquesComputed = true
 	}
 	return m, nil

@@ -3,9 +3,12 @@ package quality
 import (
 	"testing"
 
+	"chordal/internal/biogen"
+	"chordal/internal/chordalalg"
 	"chordal/internal/core"
 	"chordal/internal/elimination"
 	"chordal/internal/graph"
+	"chordal/internal/rmat"
 	"chordal/internal/synth"
 	"chordal/internal/verify"
 )
@@ -126,6 +129,51 @@ func TestComputeFromPEOMatchesCompute(t *testing.T) {
 	}
 	if _, err := ComputeFromPEO(synth.KTree(299, 4, 5), sub, peo, DefaultLimits()); err == nil {
 		t.Fatal("vertex-count mismatch accepted")
+	}
+}
+
+// TestChromaticNumberMatchesColoring checks ChromaticNumber, which
+// ComputeFromPEO takes from the treewidth, against the optimal first-fit
+// coloring along the same PEO on one extracted subgraph per generator
+// family, an edgeless graph and the empty vertex set.
+func TestChromaticNumberMatchesColoring(t *testing.T) {
+	rm, err := rmat.Generate(rmat.PresetParams(rmat.B, 8, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bio, err := biogen.Generate(biogen.PresetParams(biogen.GSE5140CRT, 256, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	noised, _ := synth.KTreePlusNoise(150, 3, 80, 9)
+	zoo := map[string]*graph.Graph{
+		"gnm":         synth.GNM(200, 800, 3),
+		"ws":          synth.WattsStrogatz(200, 6, 0.1, 9),
+		"geo":         synth.RandomGeometric(200, synth.GeometricRadiusForDegree(200, 8), 11),
+		"ktree":       synth.KTree(150, 4, 13),
+		"ktree-noise": noised,
+		"rmat-b":      rm,
+		"bio":         bio,
+		"edgeless":    graph.NewBuilder(5).Build(),
+		"empty":       graph.NewBuilder(0).Build(),
+	}
+	for name, g := range zoo {
+		res, err := core.Extract(g, core.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub := res.ToGraph()
+		peo, ok := verify.PEO(sub)
+		if !ok {
+			t.Fatalf("%s: extracted subgraph is not chordal", name)
+		}
+		m, err := ComputeFromPEO(g, sub, peo, DefaultLimits())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, want := chordalalg.ColoringFromPEO(sub, peo); m.ChromaticNumber != want {
+			t.Errorf("%s: ChromaticNumber %d, coloring along the PEO uses %d colors", name, m.ChromaticNumber, want)
+		}
 	}
 }
 

@@ -334,14 +334,15 @@ func (res *Result) Reconcile(ctx context.Context, edges EdgeStream, parts int, o
 
 	// Passes 2 and 3 delegate admission to incremental.Maintainer — the
 	// repository's one implementation of the separator criterion —
-	// seeded with the merged subgraph. The maintainer runs the cheap
-	// common-neighbor pre-filter before the exact check (after pass 1
-	// every candidate's endpoints lie in one component, so an empty
-	// N(u) ∩ N(v) cannot separate them), keeps a hub's marked
-	// neighborhood cached across the ascending-u candidate order, and
-	// records every rejection in its deferred queue for the repair
-	// fixpoint.
-	m := incremental.New(n, opts.Core.DegreeThreshold)
+	// seeded with the merged subgraph. Each check intersects N(u) and
+	// N(v) once and rejects an empty intersection without the search
+	// (after pass 1 every candidate's endpoints lie in one component, so
+	// an empty N(u) ∩ N(v) cannot separate them). The last marked list
+	// stays cached, and exact, across admissions, so the candidates of
+	// the ascending-u order that share a hub probe only the other list
+	// (DESIGN.md §7). Every rejection is recorded in the deferred queue
+	// for the repair fixpoint.
+	m := incremental.New(n)
 	for _, e := range res.Edges {
 		m.Seed(e.U, e.V)
 	}

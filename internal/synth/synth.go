@@ -173,39 +173,36 @@ func KTree(n, k int, seed uint64, workers ...int) *graph.Graph {
 	rng := xrand.NewXoshiro256(seed)
 	b := graph.NewBuilder(n)
 	// Seed clique.
-	var cliques [][]int32
-	var root []int32
 	for i := 0; i <= k; i++ {
 		for j := i + 1; j <= k; j++ {
 			b.AddEdge(int32(i), int32(j))
 		}
-		root = append(root, int32(i))
 	}
-	// Every k-subset of the root is an attachable k-clique.
+	// The attachable k-cliques, back to back in one flat list (clique i
+	// is cliques[i*k : (i+1)*k]): every k-subset of the root, then k per
+	// attached vertex.
+	cliques := make([]int32, 0, k*(k+1+(n-k-1)*k))
 	for drop := 0; drop <= k; drop++ {
-		cl := make([]int32, 0, k)
-		for i, v := range root {
-			if i != drop {
-				cl = append(cl, v)
+		for v := 0; v <= k; v++ {
+			if v != drop {
+				cliques = append(cliques, int32(v))
 			}
 		}
-		cliques = append(cliques, cl)
 	}
 	for v := int32(k + 1); v < int32(n); v++ {
-		base := cliques[rng.Intn(len(cliques))]
+		i := rng.Intn(len(cliques)/k) * k
+		base := cliques[i : i+k]
 		for _, u := range base {
 			b.AddEdge(u, v)
 		}
 		// New attachable cliques: v plus each (k-1)-subset of base.
-		for drop := 0; drop < len(base); drop++ {
-			cl := make([]int32, 0, k)
-			cl = append(cl, v)
-			for i, u := range base {
-				if i != drop {
-					cl = append(cl, u)
+		for drop := range base {
+			cliques = append(cliques, v)
+			for j, u := range base {
+				if j != drop {
+					cliques = append(cliques, u)
 				}
 			}
-			cliques = append(cliques, cl)
 		}
 	}
 	return b.BuildWorkers(workerArg(workers))

@@ -1,11 +1,15 @@
 package synth
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
 	"chordal/internal/analysis"
 	"chordal/internal/core"
+	"chordal/internal/graph"
 	"chordal/internal/verify"
 )
 
@@ -180,5 +184,40 @@ func TestDeterminism(t *testing.T) {
 	y := KTree(40, 2, 42)
 	if x.NumEdges() != y.NumEdges() {
 		t.Fatal("KTree not deterministic")
+	}
+}
+
+// csrHash is FNV-64a over a graph's CSR arrays, little-endian.
+func csrHash(g *graph.Graph) string {
+	h := fnv.New64a()
+	binary.Write(h, binary.LittleEndian, g.Offsets)
+	binary.Write(h, binary.LittleEndian, g.Adj)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestKTreeBytesPinned pins the CSR bytes of a few k-trees, among them
+// the sharded-ktree benchmark graph and the engine bake-off's, and of
+// one noised k-tree, to the values of the slice-per-clique construction
+// the flat clique list replaced: the draw sequence, and so every graph,
+// must not move.
+func TestKTreeBytesPinned(t *testing.T) {
+	for _, c := range []struct {
+		n, k int
+		seed uint64
+		want string
+	}{
+		{800, 24, 501, "eeb6f48befde6a8c"},
+		{1500, 24, 9, "9bfa8489ce948f83"},
+		{120, 4, 7, "e4ea2f11b3e1bb48"},
+		{50, 1, 2, "697705494847abe1"},
+		{25, 24, 3, "4c5e8bdb4b00d902"},
+	} {
+		if got := csrHash(KTree(c.n, c.k, c.seed)); got != c.want {
+			t.Errorf("KTree(%d, %d, %d) hashes to %s, want %s", c.n, c.k, c.seed, got, c.want)
+		}
+	}
+	g, planted := KTreePlusNoise(200, 3, 400, 9)
+	if got := csrHash(g); got != "38d46710e31a277b" || planted != 594 {
+		t.Errorf("KTreePlusNoise(200, 3, 400, 9) hashes to %s with %d planted, want 38d46710e31a277b with 594", got, planted)
 	}
 }

@@ -68,7 +68,7 @@ func oracleIsPEO(g *graph.Graph, order []int32) bool {
 func randomGraph(seed uint64, n, m int, grow bool) *graph.Graph {
 	rng := xrand.NewXoshiro256(seed)
 	adj := make([][]int32, n)
-	checker := incremental.NewChecker(n, 0)
+	checker := incremental.NewChecker(n)
 	b := graph.NewBuilder(n)
 	for k := 0; k < m && n > 1; k++ {
 		u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
@@ -77,7 +77,6 @@ func randomGraph(seed uint64, n, m int, grow bool) *graph.Graph {
 		}
 		adj[u] = append(adj[u], v)
 		adj[v] = append(adj[v], u)
-		checker.Invalidate()
 		b.AddEdge(u, v)
 	}
 	return b.Build()
@@ -165,7 +164,7 @@ func FuzzIsPEO(f *testing.F) {
 // g's edge order, stopping after limit violations (limit <= 0: none).
 func oracleAuditMaximality(g, sub *graph.Graph, limit int) []MaximalityViolation {
 	adj := AdjFromGraph(sub)
-	checker := incremental.NewChecker(len(adj), 0)
+	checker := incremental.NewChecker(len(adj))
 	var out []MaximalityViolation
 	g.Edges(func(u, v int32) {
 		if (limit > 0 && len(out) >= limit) || sub.HasEdge(u, v) {
@@ -187,7 +186,7 @@ func growChordal(g *graph.Graph, seed uint64, skip int) *graph.Graph {
 	us, vs := g.EdgeList()
 	n := g.NumVertices()
 	adj := make([][]int32, n)
-	checker := incremental.NewChecker(n, 0)
+	checker := incremental.NewChecker(n)
 	b := graph.NewBuilder(n)
 	for _, i := range rng.Perm(len(us)) {
 		u, v := us[i], vs[i]
@@ -196,7 +195,6 @@ func growChordal(g *graph.Graph, seed uint64, skip int) *graph.Graph {
 		}
 		adj[u] = append(adj[u], v)
 		adj[v] = append(adj[v], u)
-		checker.Invalidate()
 		b.AddEdge(u, v)
 	}
 	return b.Build()

@@ -424,8 +424,7 @@ type parallelStreamSession struct {
 
 // OpenStream implements StreamEngine: the session shares the engine's
 // declarative parameters (repair, verify and worker width apply to the
-// Close-time extraction; DegreeThreshold seeds the admission kernel's
-// hub cache).
+// Close-time extraction).
 func (parallelEngine) OpenStream(ctx context.Context, cfg EngineConfig, sc StreamConfig) (StreamSession, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -440,13 +439,12 @@ func (parallelEngine) OpenStream(ctx context.Context, cfg EngineConfig, sc Strea
 	if sc.Vertices > maxV {
 		return nil, fmt.Errorf("chordal: stream: vertices %d exceeds the cap %d", sc.Vertices, maxV)
 	}
-	opts, err := cfg.coreOptions()
-	if err != nil {
+	if _, err := cfg.coreOptions(); err != nil {
 		return nil, err
 	}
 	capacity := max(sc.Vertices, 256)
 	capacity = min(capacity, maxV)
-	m := incremental.New(capacity, opts.DegreeThreshold)
+	m := incremental.New(capacity)
 	m.SetMaxDeferred(cfg.MaxDeferred)
 	return &parallelStreamSession{
 		cfg:         cfg,
