@@ -121,6 +121,39 @@ func TestCLIModeConflicts(t *testing.T) {
 	}
 }
 
+// TestCLIBadGeneratorSpec pins that a generator spec outside its
+// family's parameter bounds ends the CLI with an error naming the
+// bound, not with the generator's precondition panic.
+func TestCLIBadGeneratorSpec(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go tool not on PATH")
+	}
+	repoRoot, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ spec, want string }{
+		{"ws:10:20:0.1", "2k < n"},
+		{"ktree:5:0", "1 <= k"},
+		{"gnm:10:1000", "possible edges"},
+	} {
+		cmd := exec.Command(goTool, "run", "./cmd/chordal", "-in", c.spec)
+		cmd.Dir = repoRoot
+		out, err := cmd.CombinedOutput()
+		if err == nil {
+			t.Errorf("chordal -in %s exited 0; want an error\n%s", c.spec, out)
+			continue
+		}
+		if strings.Contains(string(out), "panic:") || !strings.Contains(string(out), c.want) {
+			t.Errorf("chordal -in %s: want an error naming %q and no panic, got\n%s", c.spec, c.want, out)
+		}
+	}
+}
+
 // TestCLIStreamMode pipes an NDJSON delta feed into chordal -stream and
 // checks the full contract: one admission event per decision on stdout,
 // a trailing StreamReport under -json with a passing chordal verify, a

@@ -60,7 +60,7 @@ func repairMaximality(ctx context.Context, g *graph.Graph, res *Result) error {
 		res.RepairedEdges++
 	}
 	if res.RepairedEdges > 0 {
-		SortEdges(res.Edges)
+		SortEdges(res.NumVertices, res.Edges)
 	}
 	return nil
 }

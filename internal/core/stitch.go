@@ -24,7 +24,7 @@ func stitchComponents(g *graph.Graph, res *Result) {
 		}
 	})
 	if added {
-		SortEdges(res.Edges)
+		SortEdges(n, res.Edges)
 	}
 }
 

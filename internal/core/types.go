@@ -38,7 +38,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"chordal/internal/graph"
@@ -301,15 +300,42 @@ func (r *Result) collectEdges() []Edge {
 // same vertex ids; see EdgesToGraph.
 func (r *Result) ToGraph() *graph.Graph { return EdgesToGraph(r.NumVertices, r.Edges) }
 
-// SortEdges orders edges by (U, V), the canonical order of every
-// extraction result.
-func SortEdges(edges []Edge) {
-	slices.SortFunc(edges, func(a, b Edge) int {
-		if a.U != b.U {
-			return int(a.U) - int(b.U)
-		}
-		return int(a.V) - int(b.V)
-	})
+// SortEdges orders edges, whose endpoints lie in [0, n), by (U, V),
+// the canonical order of every extraction result. It is a stable
+// two-pass counting sort, by V into one scratch slice of len(edges)
+// and then by U back into edges, over n+1 counters: O(E+V) time, where
+// a comparison sort takes O(E log E).
+func SortEdges(n int, edges []Edge) {
+	if len(edges) < 2 {
+		return
+	}
+	scratch := make([]Edge, len(edges))
+	count := make([]int, n+1)
+	for _, e := range edges {
+		count[e.V+1]++
+	}
+	prefixSum(count)
+	for _, e := range edges {
+		scratch[count[e.V]] = e
+		count[e.V]++
+	}
+	clear(count)
+	for _, e := range scratch {
+		count[e.U+1]++
+	}
+	prefixSum(count)
+	for _, e := range scratch {
+		edges[count[e.U]] = e
+		count[e.U]++
+	}
+}
+
+// prefixSum turns per-key counts, stored one slot past their key, into
+// each key's first position.
+func prefixSum(count []int) {
+	for i := 1; i < len(count); i++ {
+		count[i] += count[i-1]
+	}
 }
 
 // EdgesToGraph builds the CSR graph over n vertices whose edge set is

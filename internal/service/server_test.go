@@ -342,6 +342,38 @@ func TestJobErrorsSurface(t *testing.T) {
 	}
 }
 
+// TestBadGeneratorSpecsRejected pins that a generator spec outside its
+// family's parameter bounds is a 400 at submission: no job is created,
+// so the generator's precondition panic is never reached on a job
+// goroutine, and the server keeps answering.
+func TestBadGeneratorSpecsRejected(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	for _, src := range []string{"ws:10:20:0.1", "ktree:10:20", "ktree:5:0", "geo:100:-1", "gnm:10:1000", "ws:100:2:2", "geo:10:NaN"} {
+		body, _ := json.Marshal(JobRequest{Source: src})
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", src, resp.StatusCode, msg)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || h["status"] != "ok" || h["jobs"] != float64(0) {
+		t.Fatalf("healthz after bad specs: status %d, %v; want 200, ok and no jobs", resp.StatusCode, h)
+	}
+}
+
 // TestPathSourcesRejectedByDefault pins the security default: a
 // network client must not be able to point jobs at server files.
 func TestPathSourcesRejectedByDefault(t *testing.T) {

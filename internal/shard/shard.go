@@ -405,7 +405,7 @@ func (res *Result) Reconcile(ctx context.Context, edges EdgeStream, parts int, o
 // outside ExtractContext (the out-of-core driver) call it after
 // Reconcile.
 func (res *Result) Finalize() {
-	core.SortEdges(res.Edges)
+	core.SortEdges(res.NumVertices, res.Edges)
 	res.Subgraph = core.EdgesToGraph(res.NumVertices, res.Edges)
 	peo, ok := verify.PEO(res.Subgraph)
 	if res.Chordal = ok; ok {

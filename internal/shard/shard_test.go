@@ -294,3 +294,19 @@ func TestOnShardIteration(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkShardExtractKTree times a 4-shard extraction of the
+// sharded-ktree benchmark graph: per-shard kernels, border admission,
+// and Finalize's counting sort, CSR build and chordality check.
+//
+//	go test -bench=ShardExtractKTree -run '^$' ./internal/shard
+func BenchmarkShardExtractKTree(b *testing.B) {
+	g := synth.KTree(800, 24, 501)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Extract(g, Options{Shards: 4}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

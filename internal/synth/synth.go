@@ -12,6 +12,7 @@ package synth
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"chordal/internal/graph"
 	"chordal/internal/parallel"
@@ -29,14 +30,27 @@ func workerArg(workers []int) int {
 	return 0
 }
 
+// CheckGNM reports whether GNM accepts its parameters: n ≥ 0 and
+// 0 ≤ m ≤ n(n−1)/2, the number of possible edges.
+func CheckGNM(n int, m int64) error {
+	if n < 0 || m < 0 {
+		return fmt.Errorf("synth: GNM needs n >= 0 and m >= 0, got n=%d m=%d", n, m)
+	}
+	// A product n(n−1) past 64 bits halves to more than any int64 m.
+	if hi, lo := bits.Mul64(uint64(n), uint64(n-1)); hi == 0 && uint64(m) > lo/2 {
+		return fmt.Errorf("synth: GNM m=%d exceeds the %d possible edges on %d vertices", m, lo/2, n)
+	}
+	return nil
+}
+
 // GNM returns a uniform random simple graph with n vertices and m
-// distinct edges (Erdős–Rényi G(n,m)). It panics if m exceeds the
-// number of possible edges. An optional trailing workers argument
-// bounds the parallel CSR construction (0 or omitted = machine width).
+// distinct edges (Erdős–Rényi G(n,m)). It panics with CheckGNM's
+// error on parameters outside its bounds. An optional trailing workers
+// argument bounds the parallel CSR construction (0 or omitted =
+// machine width).
 func GNM(n int, m int64, seed uint64, workers ...int) *graph.Graph {
-	max := int64(n) * int64(n-1) / 2
-	if m > max {
-		panic(fmt.Sprintf("synth: GNM m=%d exceeds %d possible edges", m, max))
+	if err := CheckGNM(n, m); err != nil {
+		panic(err)
 	}
 	rng := xrand.NewXoshiro256(seed)
 	us := make([]int32, 0, m)
@@ -62,18 +76,29 @@ func GNM(n int, m int64, seed uint64, workers ...int) *graph.Graph {
 	return graph.BuildFromEdgesWorkers(n, us, vs, workerArg(workers))
 }
 
+// CheckWattsStrogatz reports whether WattsStrogatz accepts its
+// parameters: 1 ≤ k, 2k < n and beta ∈ [0, 1].
+func CheckWattsStrogatz(n, k int, beta float64) error {
+	if k < 1 || k >= n-k {
+		return fmt.Errorf("synth: WattsStrogatz needs 1 <= k and 2k < n, got n=%d k=%d", n, k)
+	}
+	if !(beta >= 0 && beta <= 1) {
+		return fmt.Errorf("synth: WattsStrogatz beta %v out of [0,1]", beta)
+	}
+	return nil
+}
+
 // WattsStrogatz returns a small-world graph: a ring lattice where each
 // vertex connects to its k nearest neighbors on each side, with every
 // edge's far endpoint rewired uniformly at random with probability
 // beta. beta=0 is the lattice, beta=1 nearly random; intermediate
-// values give the high-clustering short-path regime. An optional
-// trailing workers argument bounds the parallel CSR construction.
+// values give the high-clustering short-path regime. It panics with
+// CheckWattsStrogatz's error on parameters outside its bounds. An
+// optional trailing workers argument bounds the parallel CSR
+// construction.
 func WattsStrogatz(n, k int, beta float64, seed uint64, workers ...int) *graph.Graph {
-	if k < 1 || 2*k >= n {
-		panic("synth: WattsStrogatz requires 1 <= k < n/2")
-	}
-	if beta < 0 || beta > 1 {
-		panic("synth: WattsStrogatz beta out of [0,1]")
+	if err := CheckWattsStrogatz(n, k, beta); err != nil {
+		panic(err)
 	}
 	rng := xrand.NewXoshiro256(seed)
 	us := make([]int32, 0, n*k)
@@ -93,15 +118,29 @@ func WattsStrogatz(n, k int, beta float64, seed uint64, workers ...int) *graph.G
 	return graph.BuildFromEdgesWorkers(n, us, vs, workerArg(workers))
 }
 
+// CheckRandomGeometric reports whether RandomGeometric accepts its
+// parameters: n ≥ 0 and radius ∈ (0, 1].
+func CheckRandomGeometric(n int, radius float64) error {
+	if n < 0 {
+		return fmt.Errorf("synth: RandomGeometric needs n >= 0, got %d", n)
+	}
+	if !(radius > 0 && radius <= 1) {
+		return fmt.Errorf("synth: RandomGeometric radius %v out of (0,1]", radius)
+	}
+	return nil
+}
+
 // RandomGeometric returns a random geometric graph: n points uniform in
 // the unit square, an edge whenever two points lie within radius.
 // Bucketing by a radius-sized grid keeps construction near-linear for
 // sparse regimes. These mesh-like graphs are the classic "easy to
-// partition" counterpoint to the paper's scale-free inputs. An optional
-// trailing workers argument bounds the parallel scan and construction.
+// partition" counterpoint to the paper's scale-free inputs. It panics
+// with CheckRandomGeometric's error on parameters outside its bounds.
+// An optional trailing workers argument bounds the parallel scan and
+// construction.
 func RandomGeometric(n int, radius float64, seed uint64, workers ...int) *graph.Graph {
-	if radius <= 0 || radius > 1 {
-		panic("synth: RandomGeometric radius out of (0,1]")
+	if err := CheckRandomGeometric(n, radius); err != nil {
+		panic(err)
 	}
 	rng := xrand.NewXoshiro256(seed)
 	xs := make([]float64, n)
@@ -160,52 +199,74 @@ func GeometricRadiusForDegree(n int, target float64) float64 {
 	return math.Sqrt(target / (math.Pi * float64(n)))
 }
 
+// CheckKTree reports whether KTree accepts its parameters: k ≥ 1 and
+// n ≥ k+1.
+func CheckKTree(n, k int) error {
+	if k < 1 || n <= k {
+		return fmt.Errorf("synth: KTree needs 1 <= k and n >= k+1, got n=%d k=%d", n, k)
+	}
+	return nil
+}
+
 // KTree returns a k-tree on n vertices: a (k+1)-clique grown by
 // repeatedly attaching a new vertex to a uniformly chosen existing
 // k-clique. k-trees are exactly the maximal graphs of treewidth k and
 // are chordal by construction; vertex ids follow construction order,
-// so ascending ids are a perfect elimination ordering in reverse. An
+// so ascending ids are a perfect elimination ordering in reverse. It
+// panics with CheckKTree's error on parameters outside its bounds. An
 // optional trailing workers argument bounds the parallel construction.
+//
+// The generator keeps O(n·k) state: the two endpoint arrays, sized
+// exactly for the k(k+1)/2 + (n−k−1)·k edges, and nothing else. Each
+// attached vertex v stores only base(v), the k ids of the clique it
+// attached to, in member order; its k edges' smaller endpoints are
+// that list, so base(v) lives in the endpoint array itself. The
+// attachable cliques are numbered in creation order and decoded on
+// demand. Clique c ≤ k is {0..k} ∖ {c}, ascending. Clique c > k, with
+// t = c − (k+1), is vertex k+1+t/k followed by that vertex's base
+// without entry t mod k. Step v draws one of the (k+1) + (v−k−1)·k
+// cliques that exist before it, so the draw sequence, and every graph,
+// is the one of a list that materializes all of them.
 func KTree(n, k int, seed uint64, workers ...int) *graph.Graph {
-	if k < 1 || n < k+1 {
-		panic("synth: KTree requires 1 <= k and n >= k+1")
+	if err := CheckKTree(n, k); err != nil {
+		panic(err)
 	}
 	rng := xrand.NewXoshiro256(seed)
-	b := graph.NewBuilder(n)
-	// Seed clique.
+	root := k * (k + 1) / 2
+	us := make([]int32, root+(n-k-1)*k)
+	vs := make([]int32, len(us))
+	// The root clique.
+	e := 0
 	for i := 0; i <= k; i++ {
 		for j := i + 1; j <= k; j++ {
-			b.AddEdge(int32(i), int32(j))
+			us[e], vs[e] = int32(i), int32(j)
+			e++
 		}
 	}
-	// The attachable k-cliques, back to back in one flat list (clique i
-	// is cliques[i*k : (i+1)*k]): every k-subset of the root, then k per
-	// attached vertex.
-	cliques := make([]int32, 0, k*(k+1+(n-k-1)*k))
-	for drop := 0; drop <= k; drop++ {
-		for v := 0; v <= k; v++ {
-			if v != drop {
-				cliques = append(cliques, int32(v))
-			}
-		}
-	}
-	for v := int32(k + 1); v < int32(n); v++ {
-		i := rng.Intn(len(cliques)/k) * k
-		base := cliques[i : i+k]
-		for _, u := range base {
-			b.AddEdge(u, v)
-		}
-		// New attachable cliques: v plus each (k-1)-subset of base.
-		for drop := range base {
-			cliques = append(cliques, v)
-			for j, u := range base {
-				if j != drop {
-					cliques = append(cliques, u)
+	// Attached vertex k+1+i owns edges root+i*k onwards; the smaller
+	// endpoints of those k edges are its base.
+	base := func(i int) []int32 { return us[root+i*k : root+(i+1)*k] }
+	for v := k + 1; v < n; v++ {
+		dst := base(v - k - 1)
+		if c := rng.Intn((k + 1) + (v-k-1)*k); c <= k {
+			for u, j := 0, 0; u <= k; u++ {
+				if u != c {
+					dst[j] = int32(u)
+					j++
 				}
 			}
+		} else {
+			t := c - (k + 1)
+			src, drop := base(t/k), t%k
+			dst[0] = int32(k + 1 + t/k)
+			copy(dst[1:], src[:drop])
+			copy(dst[1+drop:], src[drop+1:])
+		}
+		for j := range dst {
+			vs[root+(v-k-1)*k+j] = int32(v)
 		}
 	}
-	return b.BuildWorkers(workerArg(workers))
+	return graph.BuildFromEdgesWorkers(n, us, vs, workerArg(workers))
 }
 
 // KTreePlusNoise returns a k-tree with extra additional uniform random

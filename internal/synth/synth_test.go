@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"chordal/internal/analysis"
@@ -219,5 +220,63 @@ func TestKTreeBytesPinned(t *testing.T) {
 	g, planted := KTreePlusNoise(200, 3, 400, 9)
 	if got := csrHash(g); got != "38d46710e31a277b" || planted != 594 {
 		t.Errorf("KTreePlusNoise(200, 3, 400, 9) hashes to %s with %d planted, want 38d46710e31a277b with 594", got, planted)
+	}
+}
+
+// TestKTreeFootprint pins the generator's O(n·k) state. KTree(800, 24,
+// 501) on one worker allocates about 0.54 MB per call: the two
+// endpoint arrays, which also hold every vertex's base clique, and the
+// CSR build. A list that materialized every attachable clique (447 000
+// ids here) allocated 2.91 MB per call.
+func TestKTreeFootprint(t *testing.T) {
+	const limit = 1 << 20
+	const calls = 4
+	KTree(800, 24, 501, 1) // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		KTree(800, 24, 501, 1)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per > limit {
+		t.Fatalf("KTree(800, 24, 501, 1) allocated %d bytes per call, want at most %d", per, limit)
+	}
+}
+
+// TestChecksBound pins the generator checks on what a source spec
+// cannot reach (ParseSource refuses negative sizes and non-finite
+// floats first, and its own table covers the boundaries): negative
+// sizes, NaN, and GNM vertex counts whose n(n−1) nears or passes 64
+// bits.
+func TestChecksBound(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		err  error
+		ok   bool
+	}{
+		{"gnm empty", CheckGNM(0, 0), true},
+		{"gnm one vertex", CheckGNM(1, 1), false},
+		{"gnm negative m", CheckGNM(10, -1), false},
+		{"gnm negative n", CheckGNM(-1, 0), false},
+		{"gnm n(n-1) just below 2^64", CheckGNM(1<<32, math.MaxInt64), false},
+		{"gnm n(n-1) just past 2^64", CheckGNM(1<<32+1, math.MaxInt64), true},
+		{"ws beta NaN", CheckWattsStrogatz(10, 4, math.NaN()), false},
+		{"geo radius NaN", CheckRandomGeometric(10, math.NaN()), false},
+		{"geo negative n", CheckRandomGeometric(-1, 0.5), false},
+	} {
+		if (c.err == nil) != c.ok {
+			t.Errorf("%s: error %v, want accepted=%v", c.name, c.err, c.ok)
+		}
+	}
+}
+
+// BenchmarkKTree times the sharded-ktree benchmark graph's generation
+// on one worker.
+//
+//	go test -bench=KTree -run '^$' ./internal/synth
+func BenchmarkKTree(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		KTree(800, 24, 501, 1)
 	}
 }

@@ -55,6 +55,42 @@ func TestParseSourceErrors(t *testing.T) {
 	}
 }
 
+// TestParseSourceGeneratorBounds pins that ParseSource refuses a
+// generator spec outside its family's bounds (see SourceSpecs) with an
+// error, where the generator itself would panic on load, and that the
+// bounds themselves parse and load.
+func TestParseSourceGeneratorBounds(t *testing.T) {
+	for _, spec := range []string{
+		"ws:10:20:0.1", "ktree:10:20", "ktree:5:0", "geo:100:-1", "gnm:10:1000", "ws:100:2:2",
+		"ws:10:5:0.1", "ws:10:0:0.1", "ws:10:4:-0.1", "ktree:24:24", "geo:10:0", "geo:10:1.5", "gnm:10:46",
+		"ws:10:4:NaN", "ws:10:4:Inf", "geo:10:-Inf", "geo:10:nan",
+	} {
+		if src, err := chordal.ParseSource(spec); err == nil {
+			t.Errorf("ParseSource(%q) = %q, want an error", spec, src.Canonical())
+		}
+	}
+	for _, c := range []struct {
+		spec     string
+		vertices int
+	}{
+		{"ws:10:4:0.1", 10},
+		{"ws:10:4:0", 10},
+		{"ws:10:4:1", 10},
+		{"ktree:25:24", 25},
+		{"geo:10:1", 10},
+		{"gnm:10:45", 10},
+	} {
+		src, err := chordal.ParseSource(c.spec)
+		if err != nil {
+			t.Errorf("ParseSource(%q): %v", c.spec, err)
+			continue
+		}
+		if g, err := src.Load(); err != nil || g.NumVertices() != c.vertices {
+			t.Errorf("%s: load err %v, want a graph on %d vertices", c.spec, err, c.vertices)
+		}
+	}
+}
+
 func TestParseSourceFilePath(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.bin")

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -82,15 +83,18 @@ func (s Source) LoadWorkers(workers int) (*Graph, error) {
 }
 
 // SourceSpecs documents the generator spec grammar understood by
-// ParseSource, one spec per line.
-const SourceSpecs = `rmat-er:scale[:seed[:edgefactor]]   R-MAT, uniform quadrants
-rmat-g:scale[:seed[:edgefactor]]    R-MAT, skewed (communities)
-rmat-b:scale[:seed[:edgefactor]]    R-MAT, heavily skewed
-gse5140-crt[:downscale[:seed]]      bio suite (also -unt, gse17072-ctl, -non)
-gnm:n:m[:seed]                      uniform random G(n,m)
-ws:n:k:beta[:seed]                  Watts-Strogatz small world
-geo:n:radius[:seed]                 random geometric
-ktree:n:k[:seed]                    k-tree (chordal ground truth)
+// ParseSource, one spec per line, with each family's parameter bounds.
+// ParseSource refuses a gnm, ws, geo or ktree spec outside them with
+// the generator's own check (synth.CheckGNM and its siblings); an
+// R-MAT spec outside them fails when it loads.
+const SourceSpecs = `rmat-er:scale[:seed[:edgefactor]]   R-MAT, uniform quadrants (1<=scale<=30, edgefactor>=1)
+rmat-g:scale[:seed[:edgefactor]]    R-MAT, skewed (communities), same bounds
+rmat-b:scale[:seed[:edgefactor]]    R-MAT, heavily skewed, same bounds
+gse5140-crt[:downscale[:seed]]      bio suite (also -unt, gse17072-ctl, -non; downscale<1 reads as 1)
+gnm:n:m[:seed]                      uniform random G(n,m) (0<=m<=n(n-1)/2)
+ws:n:k:beta[:seed]                  Watts-Strogatz small world (1<=k, 2k<n, 0<=beta<=1)
+geo:n:radius[:seed]                 random geometric (n>=0, 0<radius<=1)
+ktree:n:k[:seed]                    k-tree, chordal ground truth (1<=k<n)
 <path>                              graph file (.bin/.mtx/edge list)`
 
 // UploadSource returns the canonical content-addressed source identity
@@ -130,7 +134,7 @@ func ParseSource(spec string) (Source, error) {
 			return 0, fmt.Errorf("chordal: source %q: missing %s", spec, name)
 		}
 		v, err := strconv.ParseFloat(args[i], 64)
-		if err != nil {
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			return 0, fmt.Errorf("chordal: source %q: bad %s %q", spec, name, args[i])
 		}
 		return v, nil
@@ -204,6 +208,9 @@ func ParseSource(spec string) (Source, error) {
 		if n < 0 || m < 0 {
 			return Source{}, fmt.Errorf("chordal: source %q: need gnm:n:m", spec)
 		}
+		if err := synth.CheckGNM(int(n), m); err != nil {
+			return Source{}, fmt.Errorf("chordal: source %q: %w", spec, err)
+		}
 		seed, err := intArg(2, "seed", 42)
 		if err != nil {
 			return Source{}, err
@@ -229,6 +236,9 @@ func ParseSource(spec string) (Source, error) {
 		if err != nil {
 			return Source{}, err
 		}
+		if err := synth.CheckWattsStrogatz(int(n), int(k), beta); err != nil {
+			return Source{}, fmt.Errorf("chordal: source %q: %w", spec, err)
+		}
 		seed, err := intArg(3, "seed", 42)
 		if err != nil {
 			return Source{}, err
@@ -250,6 +260,9 @@ func ParseSource(spec string) (Source, error) {
 		if err != nil {
 			return Source{}, err
 		}
+		if err := synth.CheckRandomGeometric(int(n), radius); err != nil {
+			return Source{}, fmt.Errorf("chordal: source %q: %w", spec, err)
+		}
 		seed, err := intArg(2, "seed", 42)
 		if err != nil {
 			return Source{}, err
@@ -270,6 +283,9 @@ func ParseSource(spec string) (Source, error) {
 		}
 		if n < 0 || k < 0 {
 			return Source{}, fmt.Errorf("chordal: source %q: need ktree:n:k", spec)
+		}
+		if err := synth.CheckKTree(int(n), int(k)); err != nil {
+			return Source{}, fmt.Errorf("chordal: source %q: %w", spec, err)
 		}
 		seed, err := intArg(2, "seed", 42)
 		if err != nil {
