@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -140,6 +141,9 @@ func TestCLIBadGeneratorSpec(t *testing.T) {
 		{"ws:10:20:0.1", "2k < n"},
 		{"ktree:5:0", "1 <= k"},
 		{"gnm:10:1000", "possible edges"},
+		{"rmat-er:31", "scale 31 out of range [1,30]"},
+		{"rmat-g:0", "scale 0 out of range [1,30]"},
+		{"rmat-b:10:42:0", "edge factor 0 must be >= 1"},
 	} {
 		cmd := exec.Command(goTool, "run", "./cmd/chordal", "-in", c.spec)
 		cmd.Dir = repoRoot
@@ -320,12 +324,6 @@ func TestCLIJSONReport(t *testing.T) {
 				Shards int `json:"shards"`
 			} `json:"shard"`
 		} `json:"extraction"`
-		Tuning *struct {
-			Grain           int    `json:"grain"`
-			DegreeThreshold int    `json:"degreeThreshold"`
-			Workers         int    `json:"workers"`
-			Source          string `json:"source"`
-		} `json:"tuning"`
 		Verify *struct {
 			Chordal bool `json:"chordal"`
 		} `json:"verify"`
@@ -344,10 +342,6 @@ func TestCLIJSONReport(t *testing.T) {
 	}
 	if rep.Verify == nil || !rep.Verify.Chordal {
 		t.Errorf("report verify %+v, want chordal", rep.Verify)
-	}
-	if rep.Tuning == nil || rep.Tuning.Grain < 1 || rep.Tuning.Workers < 1 ||
-		rep.Tuning.DegreeThreshold == 0 || rep.Tuning.Source == "" {
-		t.Errorf("report tuning %+v, want resolved grain/threshold/workers/source", rep.Tuning)
 	}
 	if len(rep.Timings) == 0 {
 		t.Error("report has no stage timings")
@@ -389,5 +383,66 @@ func TestCLIJSONReport(t *testing.T) {
 	if !bytes.Equal(cliBytes, libBytes) {
 		t.Errorf("CLI-written subgraph (%d bytes) differs from library Spec.Run (%d bytes)",
 			len(cliBytes), len(libBytes))
+	}
+}
+
+// TestCLIJSONWorkers pins the one width report of a run: chordal -json
+// gives the worker width the Algorithm 1 kernel ran at as
+// extraction.workers, for every engine that runs it, and has no tuning
+// object. -workers 1 reports 1; without the flag the width is the
+// machine's, GOMAXPROCS capped at the CPU count.
+func TestCLIJSONWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go tool not on PATH")
+	}
+	repoRoot, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin := filepath.Join(t.TempDir(), "chordal")
+	build := exec.Command(goTool, "build", "-o", bin, "./cmd/chordal")
+	build.Dir = repoRoot
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/chordal: %v\n%s", err, out)
+	}
+	machine := min(2, runtime.NumCPU())
+	for _, engine := range [][]string{
+		{"-engine", "parallel"},
+		{"-shards", "3"},
+		{"-engine", "external", "-shards", "3"},
+	} {
+		for _, c := range []struct {
+			flags []string
+			want  int
+		}{
+			{[]string{"-workers", "1"}, 1},
+			{nil, machine},
+		} {
+			args := append([]string{"-in", "rmat-er:9:7", "-json"}, engine...)
+			args = append(args, c.flags...)
+			cmd := exec.Command(bin, args...)
+			cmd.Env = append(os.Environ(), "GOMAXPROCS=2")
+			raw, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("chordal %v: %v", args, err)
+			}
+			var rep map[string]json.RawMessage
+			if err := json.Unmarshal(raw, &rep); err != nil {
+				t.Fatalf("chordal %v emitted unparseable output: %v", args, err)
+			}
+			if _, ok := rep["tuning"]; ok {
+				t.Errorf("chordal %v: report has a tuning object", args)
+			}
+			var ex struct {
+				Workers int `json:"workers"`
+			}
+			if err := json.Unmarshal(rep["extraction"], &ex); err != nil || ex.Workers != c.want {
+				t.Errorf("chordal %v: extraction.workers = %d (%v), want %d", args, ex.Workers, err, c.want)
+			}
+		}
 	}
 }

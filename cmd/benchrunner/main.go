@@ -11,8 +11,6 @@
 //	benchrunner -graph web.mtx -trials 5
 //	benchrunner -batch-suite 20                 # batched vs per-run throughput
 //	                                            # comparison -> BENCH_batch.json
-//	benchrunner -kernel-suite                   # degree-threshold x grain x
-//	                                            # workers sweep -> BENCH_kernels.json
 //	benchrunner -engine-suite                   # every engine x generator zoo
 //	                                            # bake-off -> BENCH_engines.json
 //	benchrunner -stream-suite                   # streaming-session throughput and
@@ -40,7 +38,6 @@ import (
 
 	"chordal"
 	"chordal/internal/experiments"
-	"chordal/internal/tune"
 )
 
 func main() {
@@ -51,8 +48,6 @@ func main() {
 		graphS    = flag.String("graph", "", "pipeline source (path or generator spec): run an extraction worker sweep on it instead of a paper experiment")
 		batchN    = flag.Int("batch-suite", 0, "run the batched-throughput comparison (chordal.Batch vs per-run Spec.Run) on an n-item bio-suite and write the JSON report")
 		batchOut  = flag.String("batch-out", "BENCH_batch.json", "output path for the -batch-suite report")
-		kernelRun = flag.Bool("kernel-suite", false, "sweep degree-threshold x grain x workers over the generator zoo, verify byte-identical outputs, and write the JSON report")
-		kernelOut = flag.String("kernel-out", "BENCH_kernels.json", "output path for the -kernel-suite report")
 		engineRun = flag.Bool("engine-suite", false, "run every registered engine over the generator zoo with verification and quality metrics (the bake-off matrix), and write the JSON report")
 		engineOut = flag.String("engine-out", "BENCH_engines.json", "output path for the -engine-suite report")
 		streamRun = flag.Bool("stream-suite", false, "measure streaming-session admission throughput and repair-cadence amortization over the generator zoo, and write the JSON report")
@@ -76,13 +71,6 @@ func main() {
 	}
 	if *batchN > 0 {
 		if err := batchBench(*batchN, *batchOut, cfg.Trials); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *kernelRun {
-		if err := kernelBench(*kernelOut, cfg.Trials); err != nil {
 			fmt.Fprintln(os.Stderr, "benchrunner:", err)
 			os.Exit(1)
 		}
@@ -136,11 +124,8 @@ type batchReport struct {
 	Items  int `json:"items"`
 	Unique int `json:"unique"`
 	CPUs   int `json:"cpus"`
-	// GOMAXPROCS and the tuner's calibrated kernel parameters pin down
-	// the machine conditions of the data point.
-	GOMAXPROCS           int `json:"gomaxprocs"`
-	TunedGrain           int `json:"tunedGrain"`
-	TunedDegreeThreshold int `json:"tunedDegreeThreshold"`
+	// GOMAXPROCS pins down the machine conditions of the data point.
+	GOMAXPROCS int `json:"gomaxprocs"`
 	// OverlapValid marks whether the batched-vs-sequential comparison
 	// measures real overlap: false on a single-CPU machine, where the
 	// shared pool cannot run items concurrently and any speedup is
@@ -203,16 +188,13 @@ func batchBench(n int, out string, trials int) error {
 	if trials < 1 {
 		trials = 1
 	}
-	prof := tune.Current()
 	rep := batchReport{
-		Items:                n,
-		CPUs:                 runtime.NumCPU(),
-		GOMAXPROCS:           runtime.GOMAXPROCS(0),
-		TunedGrain:           prof.Grain,
-		TunedDegreeThreshold: prof.DegreeThreshold,
-		OverlapValid:         runtime.NumCPU() > 1,
-		Trials:               trials,
-		Timestamp:            time.Now().UTC().Format(time.RFC3339),
+		Items:        n,
+		CPUs:         runtime.NumCPU(),
+		GOMAXPROCS:   runtime.GOMAXPROCS(0),
+		OverlapValid: runtime.NumCPU() > 1,
+		Trials:       trials,
+		Timestamp:    time.Now().UTC().Format(time.RFC3339),
 	}
 	measure := func(specs []chordal.Spec) (seqMs, batchMs float64, unique int, err error) {
 		seqMs, err = bestMillis(trials, func() error {
@@ -272,46 +254,6 @@ func batchBench(n int, out string, trials int) error {
 	return nil
 }
 
-// kernelPoint is one cell of the kernel sweep: a (source, workers,
-// grain, degree-threshold) configuration with its fastest extraction
-// time and the FNV-1a hash of its edge set (the byte-identity witness).
-type kernelPoint struct {
-	Source          string  `json:"source"`
-	Workers         int     `json:"workers"`
-	Grain           int     `json:"grain"`
-	DegreeThreshold int     `json:"degreeThreshold"`
-	Millis          float64 `json:"millis"`
-	ChordalEdges    int     `json:"chordalEdges"`
-	Iterations      int     `json:"iterations"`
-	EdgeHash        string  `json:"edgeHash"`
-}
-
-// kernelSummary compares, per source at equal worker count, the best
-// pure merge-scan configuration against the best hybrid one.
-type kernelSummary struct {
-	Source          string  `json:"source"`
-	Workers         int     `json:"workers"`
-	MergeScanMillis float64 `json:"mergeScanMillis"`
-	HybridMillis    float64 `json:"hybridMillis"`
-	// Speedup is mergeScan/hybrid: > 1 means the hybrid path won.
-	Speedup float64 `json:"speedup"`
-}
-
-// kernelReport is the JSON record of one -kernel-suite run.
-type kernelReport struct {
-	CPUs                 int `json:"cpus"`
-	GOMAXPROCS           int `json:"gomaxprocs"`
-	TunedGrain           int `json:"tunedGrain"`
-	TunedDegreeThreshold int `json:"tunedDegreeThreshold"`
-	Trials               int `json:"trials"`
-	// ByteIdentical reports that every configuration of every source
-	// produced the same edge-set hash — the sweep's correctness gate.
-	ByteIdentical bool            `json:"byteIdentical"`
-	Points        []kernelPoint   `json:"points"`
-	Summary       []kernelSummary `json:"summary"`
-	Timestamp     string          `json:"timestamp"`
-}
-
 // edgeHash is the FNV-1a digest of an edge set in its canonical (U, V)
 // order; equal hashes across configurations witness byte-identical
 // extractions.
@@ -330,134 +272,6 @@ func edgeHash(edges []chordal.Edge) string {
 		h.Write(buf[:])
 	}
 	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// kernelSources is the generator zoo of the kernel sweep: skewed R-MAT
-// (hub-heavy, the paper's main inputs) at two densities, a bio-suite
-// network (dense correlated clusters), a k-tree (uniformly large
-// chordal sets), and a uniform G(n,m) control.
-var kernelSources = []string{
-	"rmat-g:12",
-	"rmat-b:12:42:16",
-	"gse5140-crt:8",
-	"ktree:3000:48",
-	"gnm:4096:65536",
-}
-
-// kernelBench sweeps degree-threshold x grain x workers over the
-// generator zoo, verifies that every configuration extracts the same
-// edge set, prints the merge-scan vs hybrid comparison, and writes the
-// JSON report to out. Exits non-zero if any configuration's edge set
-// diverges.
-func kernelBench(out string, trials int) error {
-	if trials < 1 {
-		trials = 1
-	}
-	prof := tune.Current()
-	rep := kernelReport{
-		CPUs:                 runtime.NumCPU(),
-		GOMAXPROCS:           runtime.GOMAXPROCS(0),
-		TunedGrain:           prof.Grain,
-		TunedDegreeThreshold: prof.DegreeThreshold,
-		Trials:               trials,
-		ByteIdentical:        true,
-		Timestamp:            time.Now().UTC().Format(time.RFC3339),
-	}
-	thresholds := dedupInts([]int{-1, 2, prof.DegreeThreshold, 128})
-	grains := dedupInts([]int{16, prof.Grain, 256})
-	workerAxis := []int{1, 2}
-
-	fmt.Printf("kernel suite: %d CPUs, best of %d trials; tuned grain=%d threshold=%d\n",
-		rep.CPUs, trials, prof.Grain, prof.DegreeThreshold)
-	for _, source := range kernelSources {
-		acq, err := chordal.Spec{Source: source, Engine: chordal.EngineNone}.Run()
-		if err != nil {
-			return err
-		}
-		g := acq.Input
-		fmt.Printf("\n%s: %s\n", source, acq.InputStats)
-		wantHash := ""
-		// Per (source, workers): fastest merge-scan and hybrid cells.
-		type best struct{ merge, hybrid float64 }
-		bests := map[int]*best{}
-		for _, workers := range workerAxis {
-			bests[workers] = &best{}
-			for _, grain := range grains {
-				for _, thr := range thresholds {
-					pt := kernelPoint{
-						Source:          source,
-						Workers:         workers,
-						Grain:           grain,
-						DegreeThreshold: thr,
-					}
-					for t := 0; t < trials; t++ {
-						res, err := chordal.Extract(g, chordal.Options{
-							Workers:         workers,
-							Grain:           grain,
-							DegreeThreshold: thr,
-						})
-						if err != nil {
-							return err
-						}
-						ms := float64(res.Total.Microseconds()) / 1000
-						if pt.Millis == 0 || ms < pt.Millis {
-							pt.Millis = ms
-							pt.ChordalEdges = res.NumChordalEdges()
-							pt.Iterations = len(res.Iterations)
-							pt.EdgeHash = edgeHash(res.Edges)
-						}
-					}
-					if wantHash == "" {
-						wantHash = pt.EdgeHash
-					} else if pt.EdgeHash != wantHash {
-						rep.ByteIdentical = false
-						fmt.Printf("  DIVERGED: workers=%d grain=%d threshold=%d hash %s != %s\n",
-							workers, grain, thr, pt.EdgeHash, wantHash)
-					}
-					b := bests[workers]
-					if thr < 0 {
-						if b.merge == 0 || pt.Millis < b.merge {
-							b.merge = pt.Millis
-						}
-					} else if b.hybrid == 0 || pt.Millis < b.hybrid {
-						b.hybrid = pt.Millis
-					}
-					rep.Points = append(rep.Points, pt)
-				}
-			}
-		}
-		for _, workers := range workerAxis {
-			b := bests[workers]
-			s := kernelSummary{
-				Source:          source,
-				Workers:         workers,
-				MergeScanMillis: b.merge,
-				HybridMillis:    b.hybrid,
-			}
-			if b.hybrid > 0 {
-				s.Speedup = b.merge / b.hybrid
-			}
-			rep.Summary = append(rep.Summary, s)
-			fmt.Printf("  workers=%d: merge-scan %8.3f ms, hybrid %8.3f ms (%.2fx)\n",
-				workers, s.MergeScanMillis, s.HybridMillis, s.Speedup)
-		}
-	}
-
-	if rep.ByteIdentical {
-		fmt.Println("\nbyte-identity: all configurations extracted identical edge sets")
-	}
-	blob, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	if !rep.ByteIdentical {
-		return fmt.Errorf("kernel sweep outputs diverged across configurations")
-	}
-	return nil
 }
 
 // engineRow is one cell of the bake-off matrix: a (engine, config,
@@ -997,19 +811,6 @@ func externalBench(out string, trials int) error {
 		return fmt.Errorf("external suite: some cells diverged from the sharded baseline or failed verification")
 	}
 	return nil
-}
-
-// dedupInts drops duplicates preserving first occurrence.
-func dedupInts(in []int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, v := range in {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // sweep measures pipeline acquisition once and extraction across a

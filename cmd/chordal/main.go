@@ -58,9 +58,7 @@ func main() {
 		engineSel   = flag.String("engine", "", "extraction engine: "+strings.Join(chordal.EngineNames(), "|")+" (default parallel; -partition/-shards imply one; serial is an alias of dearing)")
 		variant     = flag.String("variant", "auto", "auto|opt|unopt")
 		schedule    = flag.String("schedule", "dataflow", "dataflow|async|sync")
-		workers     = flag.Int("workers", 0, "worker goroutines (0 = pick by machine model, capped at all CPUs)")
-		grain       = flag.Int("grain", 0, "extraction loop chunk size (0 = startup calibration)")
-		degreeThr   = flag.Int("degree-threshold", 0, "chordal-set size switching the subset test to the bitset probe (0 = startup calibration, negative = merge scan only)")
+		workers     = flag.Int("workers", 0, "worker goroutines (0 = machine width: GOMAXPROCS, capped at the CPU count)")
 		parts       = flag.Int("partition", 0, "use the distributed-style partitioned engine with this many partitions (plus cycle cleanup)")
 		shards      = flag.Int("shards", 0, "use the sharded engine with this many vertex-range shards (border edges reconciled chordality-preserving)")
 		stitchOnly  = flag.Bool("shard-stitch-only", false, "with -shards: reconcile border edges by spanning stitch only")
@@ -93,8 +91,6 @@ func main() {
 			Variant:         *variant,
 			Schedule:        *schedule,
 			Workers:         *workers,
-			Grain:           *grain,
-			DegreeThreshold: *degreeThr,
 			Repair:          *repair,
 			Stitch:          *stitch,
 			Partitions:      *parts,

@@ -13,7 +13,6 @@ import (
 	"chordal/internal/parallel"
 	"chordal/internal/partition"
 	"chordal/internal/shard"
-	"chordal/internal/tune"
 	"chordal/internal/verify"
 )
 
@@ -101,10 +100,9 @@ type EngineResult struct {
 	// External summarizes the out-of-core engine's IO behavior, when
 	// used (alongside Shard, which carries the reconciliation counters).
 	External *ExternalSummary
-	// Tuning is the resolved kernel tuning of the run; nil for engines
-	// that do not use the tunable kernels (dearing, elimination,
-	// partitioned).
-	Tuning *Tuning
+	// Workers is the worker width the Algorithm 1 kernel ran at
+	// (parallel, sharded, external); 0 for the other engines.
+	Workers int
 	// InputStats, when non-nil, carries the input's Table-I statistics
 	// computed by a SourceEngine from the file itself — the substitute
 	// for ComputeStats when no input graph is ever resident.
@@ -205,48 +203,6 @@ func init() {
 	RegisterEngine(externalEngine{})
 }
 
-// resolveTuning fills the kernel tuning of opts in place and returns
-// the decision record: explicit spec values win, everything left unset
-// comes from the startup calibration (tune.Current), and when the
-// caller did not bound Workers the cache-CPU model picks the width
-// with the smallest predicted runtime for the input's estimated
-// workload (clamped to local parallelism — on small inputs the model
-// knows that extra cores only add barrier cost).
-func resolveTuning(opts *Options, g *Graph) Tuning {
-	return resolveTuningStats(opts, g.MaxDegree(), g.NumVertices(), g.NumEdges())
-}
-
-// resolveTuningStats is resolveTuning from the input's degree summary
-// alone — the form the out-of-core engine uses, where no input graph is
-// resident and the summary comes from one pass over the file's offsets.
-func resolveTuningStats(opts *Options, maxDegree, numVertices int, numEdges int64) Tuning {
-	prof := tune.Current()
-	t := Tuning{Source: prof.Source}
-	if opts.Grain <= 0 {
-		opts.Grain = prof.Grain
-	} else {
-		t.Source = "spec"
-	}
-	if opts.DegreeThreshold == 0 {
-		// The calibrated threshold, shape-checked against this graph's
-		// degree summary: hub-free and uniformly dense graphs disable
-		// the hybrid probe (-1) because its amortization cannot win
-		// there (see tune.ThresholdFor).
-		opts.DegreeThreshold = prof.ThresholdFor(maxDegree, numVertices, numEdges)
-	} else {
-		t.Source = "spec"
-	}
-	t.Grain = opts.Grain
-	t.DegreeThreshold = opts.DegreeThreshold
-	if opts.Workers <= 0 {
-		w, model := tune.Width(tune.EstimateTrace(numVertices, numEdges), 0)
-		opts.Workers = w
-		t.WidthModel = model
-	}
-	t.Workers = parallel.WorkerCount(opts.Workers)
-	return t
-}
-
 // parallelEngine is the paper's multithreaded Algorithm 1 on the whole
 // graph.
 type parallelEngine struct{}
@@ -260,16 +216,14 @@ func (parallelEngine) Extract(ctx context.Context, g *Graph, cfg EngineConfig) (
 	if err != nil {
 		return nil, err
 	}
-	tun := resolveTuning(&opts, g)
 	if obs := cfg.Observer; obs != nil {
-		obs(newTuningEvent(tun))
 		opts.OnIteration = func(it IterationStats) { obs(newIterationEvent(nil, it)) }
 	}
 	r, err := core.ExtractContext(ctx, g, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &EngineResult{Subgraph: r.ToGraph(), Extraction: r, Tuning: &tun}, nil
+	return &EngineResult{Subgraph: r.ToGraph(), Extraction: r, Workers: parallel.WorkerCount(cfg.Workers)}, nil
 }
 
 // dearingEngine is the Dearing-Shier-Warner incremental extractor run
@@ -380,7 +334,6 @@ func (shardedEngine) Extract(ctx context.Context, g *Graph, cfg EngineConfig) (*
 	if err != nil {
 		return nil, err
 	}
-	tun := resolveTuning(&opts, g)
 	sOpts := shard.Options{
 		Shards:     cfg.Shards,
 		Core:       opts,
@@ -388,7 +341,6 @@ func (shardedEngine) Extract(ctx context.Context, g *Graph, cfg EngineConfig) (*
 		Repair:     opts.RepairMaximality,
 	}
 	if obs := cfg.Observer; obs != nil {
-		obs(newTuningEvent(tun))
 		sOpts.OnShardIteration = func(sh int, it IterationStats) {
 			shardIdx := sh
 			obs(newIterationEvent(&shardIdx, it))
@@ -399,7 +351,7 @@ func (shardedEngine) Extract(ctx context.Context, g *Graph, cfg EngineConfig) (*
 		return nil, err
 	}
 	sum := newShardSummary(r, g.NumEdges())
-	return &EngineResult{Subgraph: r.Subgraph, Shard: sum, Tuning: &tun, peo: r.PEO}, nil
+	return &EngineResult{Subgraph: r.Subgraph, Shard: sum, Workers: parallel.WorkerCount(cfg.Workers), peo: r.PEO}, nil
 }
 
 // newShardSummary maps a shard.Result onto the report summary shared by

@@ -7,6 +7,7 @@ import (
 
 	"chordal/internal/extio"
 	"chordal/internal/graph"
+	"chordal/internal/parallel"
 )
 
 // externalEngine is the out-of-core strategy: extraction runs against a
@@ -62,13 +63,12 @@ func (externalEngine) ExtractSource(ctx context.Context, path string, cfg Engine
 	if err != nil {
 		return nil, err
 	}
-	// The degree summary that drives tuning (hybrid threshold, width
-	// model) comes from one bounded-memory pass over the offsets array.
+	// The input's statistics come from one bounded-memory pass over the
+	// offsets array.
 	stats, err := m.Stats()
 	if err != nil {
 		return nil, err
 	}
-	tun := resolveTuningStats(&opts, stats.MaxDegree, stats.Vertices, stats.Edges)
 
 	xOpts := extio.Options{
 		Shards:     cfg.Shards,
@@ -78,7 +78,6 @@ func (externalEngine) ExtractSource(ctx context.Context, path string, cfg Engine
 		Repair:     opts.RepairMaximality,
 	}
 	if obs := cfg.Observer; obs != nil {
-		obs(newTuningEvent(tun))
 		xOpts.OnShardIteration = func(sh int, it IterationStats) {
 			shardIdx := sh
 			obs(newIterationEvent(&shardIdx, it))
@@ -105,7 +104,7 @@ func (externalEngine) ExtractSource(ctx context.Context, path string, cfg Engine
 		Subgraph:   r.Subgraph,
 		Shard:      sum,
 		External:   ext,
-		Tuning:     &tun,
+		Workers:    parallel.WorkerCount(cfg.Workers),
 		InputStats: &inputStats,
 		peo:        r.PEO,
 	}, nil

@@ -23,10 +23,6 @@ const (
 	// EventStageEnd marks a pipeline stage finishing; Millis carries its
 	// wall-clock duration.
 	EventStageEnd EventType = "stageEnd"
-	// EventTuning carries the resolved kernel tuning of the extract
-	// stage (grain, degree threshold, worker width and how each was
-	// decided), emitted once before the first iteration.
-	EventTuning EventType = "tuning"
 	// EventIteration carries one extraction iteration's statistics;
 	// Shard is set during sharded extraction and nil otherwise.
 	EventIteration EventType = "iteration"
@@ -47,27 +43,6 @@ const (
 	// own EventAdmit).
 	EventRepair EventType = "repair"
 )
-
-// Tuning describes the resolved kernel tuning of one extraction run:
-// the values the kernels actually used after the spec's overrides, the
-// startup calibration (internal/tune), and the machine model's width
-// choice were combined.
-type Tuning struct {
-	// Grain is the parallel-for chunk size of the extraction loop.
-	Grain int `json:"grain"`
-	// DegreeThreshold is the chordal-set size at which the subset test
-	// switches to the hybrid bitset probe; -1 means merge scan only.
-	DegreeThreshold int `json:"degreeThreshold"`
-	// Workers is the resolved worker width of the run.
-	Workers int `json:"workers"`
-	// WidthModel names the machine model that picked Workers; empty
-	// when the width came from the spec or caller instead.
-	WidthModel string `json:"widthModel,omitempty"`
-	// Source records where grain and threshold came from: "calibrated",
-	// "env", "off" (tuning disabled, defaults), or "spec" (at least one
-	// value set explicitly in the spec).
-	Source string `json:"source"`
-}
 
 // IterationEvent is the wire form of one extraction iteration's
 // statistics, flattened into the Event JSON object. Field names match
@@ -114,8 +89,6 @@ type Event struct {
 	// it mirrors IterationEvent for in-process consumers and is excluded
 	// from the wire form.
 	Stats *IterationStats `json:"-"`
-	// Tuning is the resolved kernel tuning; nil except on tuning events.
-	Tuning *Tuning `json:"tuning,omitempty"`
 	// Delta is the stream delta an admit/defer event reports; nil for
 	// every other kind.
 	Delta *StreamDelta `json:"delta,omitempty"`
@@ -162,12 +135,6 @@ func newIterationEvent(shard *int, it IterationStats) Event {
 			DurationMillis: durationMillis(it.Duration),
 		},
 	}
-}
-
-// newTuningEvent builds the resolved-tuning event.
-func newTuningEvent(t Tuning) Event {
-	tun := t
-	return Event{Type: EventTuning, Tuning: &tun}
 }
 
 // StreamDelta is the wire form of one streamed edge decision: the

@@ -139,10 +139,11 @@ func (a *Atomic) Drain(fn func(i int, w uint64)) {
 // Epoch is a single-owner membership set over [0, n) with O(1) clearing:
 // a slot is a member exactly when its tag equals the current epoch, so
 // Clear is one integer increment instead of an O(n) (or O(members))
-// reset. It is intended for per-worker scratch on hot paths — the
-// extraction kernel's hybrid subset test and the separator checks of
-// incremental.Checker materialize neighborhoods into one of these and
-// discard them per vertex or per edge without paying a reset loop.
+// reset. It is intended for single-owner scratch on hot paths: the
+// separator checks of incremental.Checker and the clique-forest
+// maximality audit of internal/verify mark neighborhoods in one of
+// these and discard them per edge or per vertex without paying a reset
+// loop.
 type Epoch struct {
 	tags []uint32
 	cur  uint32

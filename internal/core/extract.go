@@ -7,22 +7,16 @@ import (
 	"sync/atomic"
 	"time"
 
-	"chordal/internal/bitset"
 	"chordal/internal/graph"
 	"chordal/internal/parallel"
 	"chordal/internal/worklist"
 )
 
-// Default kernel tunables, used when Options leaves them at zero. The
-// root-package engines usually override both with values calibrated by
-// internal/tune at startup.
-const (
-	// defaultGrain is the parallel.For chunk size of the main loop.
-	defaultGrain = 64
-	// defaultDegreeThreshold is the chordal-set size at which the subset
-	// test switches from merge scan to the hybrid bitset probe.
-	defaultDegreeThreshold = 32
-)
+// Grain is the chunk size of the per-iteration parallel loop: one
+// work-stealing grab claims Grain vertex ids of the queue bitmap, four
+// 64-bit words (Grain queued parents under UnsortedQueue). It only
+// matters at two or more workers; one worker runs a plain loop.
+const Grain = 256
 
 // noParent marks a vertex whose lowest parents are exhausted (the
 // paper's "LP = 0"; we use -1 because ids start at 0). A vertex whose
@@ -36,18 +30,6 @@ type workerCounters struct {
 	tested   int64
 	accepted int64
 	scan     int64
-}
-
-// hybridScratch is one worker's state for the hybrid subset test: a
-// lazily allocated epoch set holding the membership of owner's chordal
-// set at length ownerLen. The chordal-set storage is append-only during
-// extraction, so (owner, ownerLen) fully identifies the materialized
-// contents — a cached set is stale exactly when the published length
-// moved, never silently.
-type hybridScratch struct {
-	set      *bitset.Epoch
-	owner    int32
-	ownerLen int32
 }
 
 // state carries the shared arrays of one extraction run.
@@ -65,14 +47,11 @@ type state struct {
 	snapLen  []int32 // synchronous schedule: lengths at iteration start
 	lpIter   []int32 // synchronous schedule: iteration that assigned lp[w]
 
-	frontier  *worklist.Frontier
-	workers   int
-	grain     int
-	threshold int // hybrid subset-test threshold, -1 = merge scan only
-	counters  []parallel.Padded[workerCounters]
-	hybrid    []parallel.Padded[hybridScratch]
-	opts      Options
-	iter      int
+	frontier *worklist.Frontier
+	workers  int
+	counters []parallel.Padded[workerCounters]
+	opts     Options
+	iter     int
 }
 
 // Extract runs Algorithm 1 on g and returns the maximal chordal edge set
@@ -113,40 +92,23 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 		g = g.SortAdjacency()
 	}
 
-	grain := opts.Grain
-	if grain <= 0 {
-		grain = defaultGrain
-	}
-	threshold := opts.DegreeThreshold
-	switch {
-	case threshold == 0:
-		threshold = defaultDegreeThreshold
-	case threshold < 0:
-		threshold = -1
-	}
 	st := &state{
-		g:         g,
-		opt:       variant == VariantOptimized,
-		workers:   workers,
-		grain:     grain,
-		threshold: threshold,
-		opts:      opts,
-		counters:  parallel.NewPadded[workerCounters](workers),
-		hybrid:    parallel.NewPadded[hybridScratch](workers),
+		g:        g,
+		opt:      variant == VariantOptimized,
+		workers:  workers,
+		opts:     opts,
+		counters: parallel.NewPadded[workerCounters](workers),
 	}
 	start := time.Now()
 	st.initialize()
 
 	res := &Result{
-		NumVertices:     n,
-		Variant:         variant,
-		Schedule:        opts.Schedule,
-		WorkersUsed:     workers,
-		Grain:           st.grain,
-		DegreeThreshold: st.threshold,
-		csetOff:         st.csetOff,
-		csetData:        st.csetData,
-		csetLen:         st.csetLen,
+		NumVertices: n,
+		Variant:     variant,
+		Schedule:    opts.Schedule,
+		csetOff:     st.csetOff,
+		csetData:    st.csetData,
+		csetLen:     st.csetLen,
 	}
 
 	// The while loop of Algorithm 1 (lines 11-24).
@@ -161,7 +123,7 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 		iterStart := time.Now()
 		before := st.totals()
 		queued := st.frontier.Len()
-		st.frontier.Visit(st.grain, st.processParent)
+		st.frontier.Visit(Grain, st.processParent)
 		after := st.totals()
 		res.Iterations = append(res.Iterations, IterationStats{
 			Index:         st.iter,
@@ -326,7 +288,6 @@ func (st *state) processParent(worker int, v int32) {
 func (st *state) testChain(worker int, parent, w int32) {
 	dataflow := st.opts.Schedule == ScheduleDataflow
 	ctr := &st.counters[worker].V
-	outer := parent
 	for {
 		// Subset test C[w] ⊆ C[parent] (line 15). This worker owns w,
 		// so C[w]'s length is stable; C[parent] may still be growing
@@ -344,7 +305,7 @@ func (st *state) testChain(worker int, parent, w int32) {
 		cw := st.csetData[st.csetOff[w] : st.csetOff[w]+int64(lw)]
 		cp := st.csetData[st.csetOff[parent] : st.csetOff[parent]+int64(lp)]
 		ctr.tested++
-		accepted := st.subsetTest(worker, parent, cw, cp, parent == outer)
+		accepted := subsetSorted(cw, cp)
 		if accepted {
 			// Lines 16-17: C[w] <- C[w] ∪ {parent}; EC <- EC ∪ {e}.
 			// Parents are tested in ascending order, so appending
@@ -415,47 +376,6 @@ func (st *state) publishParent(w, next int32) {
 	if next == noParent {
 		st.frontier.Ready(w)
 	}
-}
-
-// subsetTest decides the subset condition C[w] ⊆ C[parent] (line 15),
-// choosing between two exact tests of the same prefixes. Below the
-// degree threshold it merge-scans, O(|cp|). At or above it, it
-// materializes cp's membership into this worker's epoch set once and
-// probes each element of cw, O(|cw|) per test — a hub parent tested
-// against hundreds of children pays the materialization once and turns
-// every subsequent test from a scan of its (large) set into a scan of
-// the child's (small) one. Only the outer queued parent materializes
-// (cacheable): a dataflow chain visits a different parent per step, so
-// letting chains materialize would evict the hub's set between every
-// two of its children. The chordal-set storage is append-only during
-// extraction, so a cached (owner, length) pair always denotes
-// identical contents and the two paths agree on every input; the
-// threshold is a speed knob, never a semantic one.
-func (st *state) subsetTest(worker int, parent int32, cw, cp []int32, cacheable bool) bool {
-	if st.threshold < 0 || len(cp) < st.threshold || len(cw) > len(cp) {
-		return subsetSorted(cw, cp)
-	}
-	hs := &st.hybrid[worker].V
-	if hs.owner != parent || hs.ownerLen != int32(len(cp)) {
-		if !cacheable {
-			return subsetSorted(cw, cp)
-		}
-		if hs.set == nil {
-			hs.set = bitset.NewEpoch(st.g.NumVertices())
-		}
-		hs.set.Clear()
-		for _, x := range cp {
-			hs.set.Add(x)
-		}
-		hs.owner = parent
-		hs.ownerLen = int32(len(cp))
-	}
-	for _, x := range cw {
-		if !hs.set.Contains(x) {
-			return false
-		}
-	}
-	return true
 }
 
 // subsetSorted reports whether sorted slice a is a subset of sorted

@@ -9,7 +9,8 @@
 // (the smaller endpoints of its accepted chordal edges). Iterations are
 // barrier-synchronized. In each iteration, every queued parent v scans
 // its neighbors w; for those with LP[w] == v it tests the subset
-// condition C[w] ⊆ C[v]. If the condition holds, edge (v,w) joins the
+// condition C[w] ⊆ C[v] by a merge scan of the two sorted sets, linear
+// in |C[v]| as in the paper. If the condition holds, edge (v,w) joins the
 // chordal edge set and v joins C[w]. Whether or not it holds, w advances
 // to its next lowest parent, which is enqueued for the next iteration.
 // The loop ends when the queue empties. The chordal edge list is read
@@ -121,7 +122,9 @@ func (s Schedule) String() string {
 }
 
 // Options configures Extract. The zero value is ready to use: automatic
-// variant selection, GOMAXPROCS workers, dataflow schedule.
+// variant selection, GOMAXPROCS workers, dataflow schedule. The kernel
+// has one fixed configuration beyond these: the subset test is always
+// the merge scan, and the parallel loop's chunk size is Grain.
 type Options struct {
 	// Variant selects the Opt/Unopt code path; see Variant.
 	Variant Variant
@@ -129,20 +132,6 @@ type Options struct {
 	Workers int
 	// Schedule selects the test-ordering discipline; see Schedule.
 	Schedule Schedule
-	// Grain is the chunk size of the per-iteration parallel loop: one
-	// work-stealing grab claims grain vertex ids of the queue bitmap
-	// (grain queued parents under UnsortedQueue); <= 0 picks the
-	// built-in default. The root-package engines pass the calibrated
-	// grain from internal/tune here.
-	Grain int
-	// DegreeThreshold is the chordal-set size at or above which the
-	// subset test C[w] ⊆ C[parent] materializes C[parent] into a
-	// per-worker epoch set and probes each element of C[w] in O(|C[w]|),
-	// instead of merge-scanning in O(|C[parent]|). 0 picks the built-in
-	// default; negative disables the hybrid path (pure merge scan).
-	// The choice never changes the extracted edge set — the probe is an
-	// exact subset test against the same published prefix.
-	DegreeThreshold int
 	// UnsortedQueue visits each iteration's queue in arrival order
 	// instead of ascending vertex order. The default queue is a bitmap
 	// that is visited in ascending order at no cost, and a dataflow
@@ -227,13 +216,6 @@ type Result struct {
 	RepairedEdges int
 	// StitchedEdges counts edges added by the StitchComponents pass.
 	StitchedEdges int
-	// WorkersUsed, Grain, and DegreeThreshold are the resolved kernel
-	// parameters the run actually used (defaults applied), recorded so
-	// reports and benchmarks can state them without re-deriving the
-	// resolution rules.
-	WorkersUsed     int
-	Grain           int
-	DegreeThreshold int
 
 	csetOff  []int64
 	csetData []int32

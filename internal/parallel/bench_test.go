@@ -6,9 +6,9 @@ import (
 )
 
 // These benchmarks measure the dynamic For loop's scheduling overhead
-// across grain sizes — the same axis internal/tune calibrates at
-// startup. The body is a few arithmetic ops, so the numbers expose the
-// per-block steal cost rather than useful work.
+// across grain sizes, the axis the extraction kernel's fixed core.Grain
+// was chosen on (DESIGN.md §11). The body is a few arithmetic ops, so
+// the numbers expose the per-block steal cost rather than useful work.
 
 func benchFor(b *testing.B, grain int) {
 	const n = 1 << 15

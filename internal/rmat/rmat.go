@@ -89,13 +89,23 @@ func PresetParams(p Preset, scale int, seed uint64) Params {
 	return params
 }
 
+// Check reports whether scale and edgeFactor lie in the generator's
+// bounds: scale in [1,30] and edgeFactor >= 1. Validate applies it, and
+// spec parsers call it so that a bad spec fails when parsed.
+func Check(scale, edgeFactor int) error {
+	if scale < 1 || scale > 30 {
+		return fmt.Errorf("rmat: scale %d out of range [1,30]", scale)
+	}
+	if edgeFactor < 1 {
+		return fmt.Errorf("rmat: edge factor %d must be >= 1", edgeFactor)
+	}
+	return nil
+}
+
 // Validate reports whether the parameters are usable.
 func (p Params) Validate() error {
-	if p.Scale < 1 || p.Scale > 30 {
-		return fmt.Errorf("rmat: scale %d out of range [1,30]", p.Scale)
-	}
-	if p.EdgeFactor < 1 {
-		return fmt.Errorf("rmat: edge factor %d must be >= 1", p.EdgeFactor)
+	if err := Check(p.Scale, p.EdgeFactor); err != nil {
+		return err
 	}
 	sum := p.A + p.B + p.C + p.D
 	if sum < 0.999 || sum > 1.001 {

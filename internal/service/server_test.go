@@ -348,7 +348,10 @@ func TestJobErrorsSurface(t *testing.T) {
 // goroutine, and the server keeps answering.
 func TestBadGeneratorSpecsRejected(t *testing.T) {
 	_, ts := startServer(t, Config{})
-	for _, src := range []string{"ws:10:20:0.1", "ktree:10:20", "ktree:5:0", "geo:100:-1", "gnm:10:1000", "ws:100:2:2", "geo:10:NaN"} {
+	for _, src := range []string{
+		"ws:10:20:0.1", "ktree:10:20", "ktree:5:0", "geo:100:-1", "gnm:10:1000", "ws:100:2:2", "geo:10:NaN",
+		"rmat-er:31", "rmat-g:0", "rmat-b:10:42:0",
+	} {
 		body, _ := json.Marshal(JobRequest{Source: src})
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {

@@ -1,328 +1,27 @@
-// Package tune calibrates the machine-dependent kernel parameters at
-// process startup: the grain (chunk size) of the dynamic parallel-for
-// that drives every extraction iteration, and the degree threshold at
-// which the subset test switches from merge scan to the hybrid bitset
-// probe. Both are pure speed knobs — they never change an extracted
-// edge set — so the calibration is free to be approximate; its job is
-// only to avoid pathological settings on hardware the defaults were
-// not picked on.
+// Package tune reports the kernel configuration a process runs under.
+// The extraction kernel has one fixed configuration: the merge-scan
+// subset test, the parallel-loop chunk size core.Grain, and machine
+// width when a run leaves its worker count unset. Nothing is measured
+// at startup.
 //
-// Calibration is a few hundred microseconds of micro-benchmarks run
-// once per process (Current memoizes). It can be bypassed entirely
-// with CHORDAL_TUNE=off, and individual decisions can be pinned with
-// CHORDAL_TUNE_GRAIN and CHORDAL_TUNE_THRESHOLD, which take precedence
-// over measurement — the escape hatch for reproducing a run exactly on
-// different hardware.
-//
-// The package also answers "how wide should this job run": Width feeds
-// a workload trace (estimated from graph size, or recorded from a real
-// run) to the analytic cache-CPU model of internal/machine and picks
-// the processor count with the smallest predicted runtime, clamped to
-// the hardware limit. On a machine with few cores this degenerates to
-// using them all; its value is on wide machines where the model knows
-// that small inputs stop scaling long before machine width.
+// Only the benchmark module (perfbench) still imports this package, to
+// stamp its results. It goes with the next change to perfbench, which
+// drops that import (ROADMAP.md, item 2).
 package tune
 
-import (
-	"os"
-	"runtime"
-	"strconv"
-	"sync"
-	"time"
+import "chordal/internal/core"
 
-	"chordal/internal/bitset"
-	"chordal/internal/machine"
-	"chordal/internal/parallel"
-)
-
-// Defaults used when calibration is disabled or inconclusive; they
-// match the built-in defaults of internal/core.
-const (
-	DefaultGrain           = 64
-	DefaultDegreeThreshold = 32
-)
-
-// grainCandidates is the sweep grid of calibrateGrain, spanning the
-// plausible range: small grains balance skewed work, large grains
-// amortize the atomic block counter.
-var grainCandidates = []int{16, 64, 256, 1024}
-
-// Profile is the calibrated kernel configuration of this process.
+// Profile is the kernel configuration of this process.
 type Profile struct {
-	// Grain is the parallel.For chunk size for the extraction loop.
+	// Grain is the parallel-for chunk size of the extraction loop.
 	Grain int
-	// DegreeThreshold is the chordal-set size at which the hybrid
-	// bitset subset test takes over from the merge scan.
+	// DegreeThreshold is -1: the subset test is always the merge scan.
 	DegreeThreshold int
-	// CPUs and MaxProcs record the hardware and runtime widths the
-	// profile was calibrated under.
-	CPUs     int
-	MaxProcs int
-	// CalibrationTime is the wall-clock cost of Calibrate (0 when the
-	// profile came from defaults or the environment).
-	CalibrationTime time.Duration
-	// Source records how the profile was decided: "calibrated", "env"
-	// (at least one value pinned by environment), "off" (CHORDAL_TUNE=off,
-	// defaults used).
+	// Source records how the profile was decided; always "fixed".
 	Source string
 }
 
-var (
-	once    sync.Once
-	current Profile
-)
-
-// Current returns the process-wide profile, calibrating on first use.
-// CHORDAL_TUNE=off skips measurement; CHORDAL_TUNE_GRAIN and
-// CHORDAL_TUNE_THRESHOLD pin individual values.
+// Current returns the fixed kernel configuration. It measures nothing.
 func Current() Profile {
-	once.Do(func() { current = resolve(os.Getenv) })
-	return current
-}
-
-// resolve computes the profile under the given environment lookup
-// (parameterized for tests).
-func resolve(getenv func(string) string) Profile {
-	var p Profile
-	if getenv("CHORDAL_TUNE") == "off" {
-		p = Profile{
-			Grain:           DefaultGrain,
-			DegreeThreshold: DefaultDegreeThreshold,
-			CPUs:            runtime.NumCPU(),
-			MaxProcs:        runtime.GOMAXPROCS(0),
-			Source:          "off",
-		}
-	} else {
-		p = Calibrate()
-	}
-	if v, ok := envInt(getenv, "CHORDAL_TUNE_GRAIN"); ok && v > 0 {
-		p.Grain = v
-		p.Source = "env"
-	}
-	if v, ok := envInt(getenv, "CHORDAL_TUNE_THRESHOLD"); ok && v != 0 {
-		p.DegreeThreshold = v
-		p.Source = "env"
-	}
-	return p
-}
-
-func envInt(getenv func(string) string, key string) (int, bool) {
-	s := getenv(key)
-	if s == "" {
-		return 0, false
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
-}
-
-// Calibrate measures the grain and degree-threshold micro-benchmarks
-// and returns the resulting profile. It is cheap (sub-millisecond
-// scale) but not free; most callers want the memoized Current.
-func Calibrate() Profile {
-	start := time.Now()
-	p := Profile{
-		Grain:           calibrateGrain(),
-		DegreeThreshold: calibrateThreshold(),
-		CPUs:            runtime.NumCPU(),
-		MaxProcs:        runtime.GOMAXPROCS(0),
-		Source:          "calibrated",
-	}
-	p.CalibrationTime = time.Since(start)
-	return p
-}
-
-// calibrateGrain times a skew-free synthetic loop body under each
-// candidate grain and returns the fastest (preferring the larger grain
-// on a near-tie, since larger grains also reduce contention on skewed
-// real workloads the synthetic body cannot model).
-func calibrateGrain() int {
-	const n = 1 << 15
-	data := make([]int64, 1024)
-	for i := range data {
-		data[i] = int64(i)*2654435761 + 1
-	}
-	sinks := parallel.NewPadded[int64](parallel.WorkerCount(0))
-	best, bestT := DefaultGrain, time.Duration(0)
-	for _, grain := range grainCandidates {
-		var elapsed time.Duration
-		for rep := 0; rep < 3; rep++ {
-			t0 := time.Now()
-			parallel.For(n, 0, grain, func(worker, i int) {
-				sinks[worker].V ^= data[i&1023]
-			})
-			if d := time.Since(t0); rep == 0 || d < elapsed {
-				elapsed = d
-			}
-		}
-		// Prefer the larger grain unless it is measurably (>5%) slower.
-		if bestT == 0 || elapsed*100 < bestT*105 {
-			best, bestT = grain, elapsed
-		}
-	}
-	return best
-}
-
-// calibrateThreshold measures the per-element costs of the two subset
-// tests — merge scan versus epoch-set materialize-and-probe — and
-// solves for the set size where the probe's amortized cost wins,
-// assuming a hub's materialized set is reused across reuse children
-// with small child sets (the shape hub-heavy inputs actually have).
-func calibrateThreshold() int {
-	const (
-		size   = 256 // parent-set size used for per-element cost measurement
-		probes = 8   // child-set size per test
-		reuse  = 8   // assumed tests per materialization
-		reps   = 64
-	)
-	cp := make([]int32, size)
-	for i := range cp {
-		cp[i] = int32(2 * i)
-	}
-	cw := make([]int32, probes)
-	for i := range cw {
-		cw[i] = cp[i*(size/probes)]
-	}
-
-	sink := 0
-	t0 := time.Now()
-	for r := 0; r < reps; r++ {
-		i := 0
-		for _, x := range cw {
-			for i < len(cp) && cp[i] < x {
-				i++
-			}
-			if i < len(cp) && cp[i] == x {
-				sink++
-			}
-		}
-		// The merge scan pays for the whole parent set on accepting
-		// tests; finish the walk to model that full cost.
-		sink += len(cp) - i
-	}
-	scanPerElem := float64(time.Since(t0)) / float64(reps*size)
-
-	set := bitset.NewEpoch(2 * size)
-	t0 = time.Now()
-	for r := 0; r < reps; r++ {
-		set.Clear()
-		for _, x := range cp {
-			set.Add(x)
-		}
-	}
-	matPerElem := float64(time.Since(t0)) / float64(reps*size)
-
-	set.Clear()
-	for _, x := range cp {
-		set.Add(x)
-	}
-	t0 = time.Now()
-	for r := 0; r < reps*size/probes; r++ {
-		for _, x := range cw {
-			if set.Contains(x) {
-				sink++
-			}
-		}
-	}
-	probePerElem := float64(time.Since(t0)) / float64(reps*size)
-	_ = sink
-
-	// Break-even set size T: reuse tests by merge scan cost
-	// reuse·T·scan; by hybrid they cost T·mat (one materialization)
-	// plus reuse·probes·probe.
-	denom := reuse*scanPerElem - matPerElem
-	if denom <= 0 {
-		return DefaultDegreeThreshold
-	}
-	t := int(float64(reuse*probes)*probePerElem/denom) + 1
-	// Clamp to sanity: below 8 the bookkeeping dominates either way,
-	// above 512 the measurement is telling us probes are unusually
-	// slow, which the clamp treats as noise.
-	if t < 8 {
-		t = 8
-	}
-	if t > 512 {
-		t = 512
-	}
-	return t
-}
-
-// ThresholdFor adapts the profile's hybrid threshold to one graph's
-// degree shape. The hybrid probe only pays off when hubs are rare —
-// a few large chordal sets materialized once and probed by many small
-// children. Two cheap degree statistics detect the shapes where that
-// assumption fails, and both disable the hybrid (threshold -1) so the
-// kernel runs the pure merge scan:
-//
-//   - maxDegree < threshold: no chordal set can ever reach the
-//     threshold, so the hybrid branch is dead weight on every test.
-//   - average degree >= threshold: essentially every vertex is a "hub",
-//     so the kernel materializes constantly and the per-materialization
-//     reuse the break-even model assumes never happens. This is the
-//     k-tree shape (uniformly dense) that regressed to 0.92x.
-//
-// Values pinned by the environment (Source "env") and explicit spec
-// values (resolved before this is consulted) are never overridden —
-// they are the reproduce-exactly escape hatch. The check is pure
-// arithmetic on the degree summary, deterministic across machines, and
-// never changes the extracted edge set (the threshold is a speed knob).
-func (p Profile) ThresholdFor(maxDegree, vertices int, edges int64) int {
-	t := p.DegreeThreshold
-	if t <= 0 || p.Source == "env" || vertices == 0 {
-		return t
-	}
-	if maxDegree < t {
-		return -1
-	}
-	if avg := float64(2*edges) / float64(vertices); avg >= float64(t) {
-		return -1
-	}
-	return t
-}
-
-// EstimateTrace synthesizes a workload trace for an extraction over a
-// graph of the given size without running it: the dataflow schedule's
-// typical shape of a few geometrically shrinking iterations, with scan
-// work proportional to the edge count and the working set of the CSR
-// plus chordal storage (the same formula machine.TraceFromResult uses).
-func EstimateTrace(vertices int, edges int64) machine.Trace {
-	t := machine.Trace{
-		QueueSize:       make([]int, 3),
-		Work:            make([]int64, 3),
-		WorkingSetBytes: 24*int64(vertices) + 12*edges,
-	}
-	q := vertices / 2
-	w := 4 * edges // scan both directions plus subset-test traffic
-	for i := 0; i < 3; i++ {
-		if q < 1 {
-			q = 1
-		}
-		t.QueueSize[i] = q
-		t.Work[i] = w
-		q /= 4
-		w /= 4
-	}
-	return t
-}
-
-// Width returns the worker count in [1, limit] with the smallest
-// runtime predicted by the cache-CPU model for the traced workload,
-// evaluated on the power-of-two axis, together with the model's name.
-// limit <= 0 means the effective local parallelism.
-func Width(t machine.Trace, limit int) (int, string) {
-	m := machine.DefaultCacheCPU()
-	if limit <= 0 {
-		limit = parallel.WorkerCount(0)
-	}
-	best := 1
-	var bestT time.Duration
-	for i, p := range machine.PowersOfTwo(limit) {
-		d := m.Predict(t, p)
-		if i == 0 || d < bestT {
-			best, bestT = p, d
-		}
-	}
-	return best, m.Name()
+	return Profile{Grain: core.Grain, DegreeThreshold: -1, Source: "fixed"}
 }

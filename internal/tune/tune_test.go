@@ -3,168 +3,14 @@ package tune
 import (
 	"testing"
 
-	"chordal/internal/parallel"
+	"chordal/internal/core"
 )
 
-func TestCalibrateSane(t *testing.T) {
-	p := Calibrate()
-	if p.Source != "calibrated" {
-		t.Fatalf("Source = %q", p.Source)
-	}
-	found := false
-	for _, g := range grainCandidates {
-		if p.Grain == g {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("Grain = %d not among candidates %v", p.Grain, grainCandidates)
-	}
-	if p.DegreeThreshold < 8 || p.DegreeThreshold > 512 {
-		t.Fatalf("DegreeThreshold = %d outside [8, 512]", p.DegreeThreshold)
-	}
-	if p.CPUs < 1 || p.MaxProcs < 1 {
-		t.Fatalf("CPUs = %d, MaxProcs = %d", p.CPUs, p.MaxProcs)
-	}
-	if p.CalibrationTime <= 0 {
-		t.Fatalf("CalibrationTime = %v", p.CalibrationTime)
-	}
-}
-
-func TestResolveOff(t *testing.T) {
-	env := map[string]string{"CHORDAL_TUNE": "off"}
-	p := resolve(func(k string) string { return env[k] })
-	if p.Source != "off" {
-		t.Fatalf("Source = %q, want off", p.Source)
-	}
-	if p.Grain != DefaultGrain || p.DegreeThreshold != DefaultDegreeThreshold {
-		t.Fatalf("off profile = %+v, want defaults", p)
-	}
-}
-
-func TestResolveEnvOverrides(t *testing.T) {
-	env := map[string]string{
-		"CHORDAL_TUNE":           "off", // skip measurement for test speed
-		"CHORDAL_TUNE_GRAIN":     "128",
-		"CHORDAL_TUNE_THRESHOLD": "-1",
-	}
-	p := resolve(func(k string) string { return env[k] })
-	if p.Source != "env" {
-		t.Fatalf("Source = %q, want env", p.Source)
-	}
-	if p.Grain != 128 {
-		t.Fatalf("Grain = %d, want 128", p.Grain)
-	}
-	if p.DegreeThreshold != -1 {
-		t.Fatalf("DegreeThreshold = %d, want -1", p.DegreeThreshold)
-	}
-}
-
-func TestResolveBadEnvIgnored(t *testing.T) {
-	env := map[string]string{
-		"CHORDAL_TUNE":           "off",
-		"CHORDAL_TUNE_GRAIN":     "not-a-number",
-		"CHORDAL_TUNE_THRESHOLD": "",
-	}
-	p := resolve(func(k string) string { return env[k] })
-	if p.Grain != DefaultGrain || p.DegreeThreshold != DefaultDegreeThreshold {
-		t.Fatalf("bad env changed profile: %+v", p)
-	}
-}
-
-func TestCurrentMemoized(t *testing.T) {
-	a := Current()
-	b := Current()
-	if a != b {
-		t.Fatalf("Current not stable: %+v vs %+v", a, b)
-	}
-	if a.Grain < 1 {
-		t.Fatalf("Grain = %d", a.Grain)
-	}
-}
-
-func TestThresholdFor(t *testing.T) {
-	cal := Profile{DegreeThreshold: 40, Source: "calibrated"}
-	cases := []struct {
-		name     string
-		p        Profile
-		maxDeg   int
-		vertices int
-		edges    int64
-		want     int
-	}{
-		// The measured kernel-suite shapes: skewed graphs keep the
-		// calibrated threshold, the uniformly dense k-tree (avg degree
-		// 95 >= 40, the 0.92x regression) and hub-free graphs (max
-		// degree below the threshold) disable the hybrid outright.
-		{"rmat-b skewed hubs", cal, 660, 4096, 55300, 40},
-		{"gnm moderate", cal, 57, 4096, 65536, 40},
-		{"ktree uniform dense", cal, 2858, 3000, 142824, -1},
-		{"rmat-er hub-free", cal, 34, 16384, 131008, -1},
-		{"ws hub-free", cal, 23, 10000, 79990, -1},
-		{"avg exactly at threshold", cal, 100, 100, 2000, -1},
-		{"env pin wins", Profile{DegreeThreshold: 40, Source: "env"}, 2858, 3000, 142824, 40},
-		{"already disabled", Profile{DegreeThreshold: -1, Source: "calibrated"}, 660, 4096, 55300, -1},
-		{"empty graph", cal, 0, 0, 0, 40},
-	}
-	for _, tc := range cases {
-		if got := tc.p.ThresholdFor(tc.maxDeg, tc.vertices, tc.edges); got != tc.want {
-			t.Errorf("%s: ThresholdFor(%d, %d, %d) = %d, want %d",
-				tc.name, tc.maxDeg, tc.vertices, tc.edges, got, tc.want)
-		}
-	}
-}
-
-func TestEstimateTrace(t *testing.T) {
-	tr := EstimateTrace(1000, 5000)
-	if len(tr.QueueSize) != 3 || len(tr.Work) != 3 {
-		t.Fatalf("trace shape: %+v", tr)
-	}
-	for i := 0; i < 3; i++ {
-		if tr.QueueSize[i] < 1 {
-			t.Fatalf("QueueSize[%d] = %d", i, tr.QueueSize[i])
-		}
-		if i > 0 && tr.QueueSize[i] > tr.QueueSize[i-1] {
-			t.Fatal("queue sizes must shrink")
-		}
-	}
-	if tr.WorkingSetBytes <= 0 {
-		t.Fatalf("WorkingSetBytes = %d", tr.WorkingSetBytes)
-	}
-	// Degenerate inputs must not panic or produce zero queues.
-	tiny := EstimateTrace(1, 0)
-	for _, q := range tiny.QueueSize {
-		if q < 1 {
-			t.Fatalf("tiny queue %d", q)
-		}
-	}
-}
-
-func TestWidthBounds(t *testing.T) {
-	tr := EstimateTrace(1<<20, 1<<23)
-	for _, limit := range []int{1, 2, 8, 32} {
-		w, name := Width(tr, limit)
-		if w < 1 || w > limit {
-			t.Fatalf("Width(limit=%d) = %d", limit, w)
-		}
-		if name == "" {
-			t.Fatal("empty model name")
-		}
-	}
-	// Default limit uses local parallelism.
-	w, _ := Width(tr, 0)
-	if w < 1 || w > parallel.WorkerCount(0) {
-		t.Fatalf("Width(limit=0) = %d", w)
-	}
-}
-
-func TestWidthTinyWorkloadStaysNarrow(t *testing.T) {
-	// A trivially small workload must not ask for a wide machine: the
-	// model's per-core barrier cost dominates, so the argmin sits at or
-	// near one core.
-	tr := EstimateTrace(64, 128)
-	w, _ := Width(tr, 32)
-	if w > 4 {
-		t.Fatalf("tiny workload picked width %d", w)
+// TestCurrentFixed pins the profile perfbench stamps on its results:
+// the kernel's one fixed configuration.
+func TestCurrentFixed(t *testing.T) {
+	want := Profile{Grain: core.Grain, DegreeThreshold: -1, Source: "fixed"}
+	if got := Current(); got != want {
+		t.Fatalf("Current() = %+v, want %+v", got, want)
 	}
 }

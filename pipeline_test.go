@@ -64,6 +64,7 @@ func TestParseSourceGeneratorBounds(t *testing.T) {
 		"ws:10:20:0.1", "ktree:10:20", "ktree:5:0", "geo:100:-1", "gnm:10:1000", "ws:100:2:2",
 		"ws:10:5:0.1", "ws:10:0:0.1", "ws:10:4:-0.1", "ktree:24:24", "geo:10:0", "geo:10:1.5", "gnm:10:46",
 		"ws:10:4:NaN", "ws:10:4:Inf", "geo:10:-Inf", "geo:10:nan",
+		"rmat-er:31", "rmat-g:0", "rmat-b:10:42:0",
 	} {
 		if src, err := chordal.ParseSource(spec); err == nil {
 			t.Errorf("ParseSource(%q) = %q, want an error", spec, src.Canonical())
@@ -79,6 +80,8 @@ func TestParseSourceGeneratorBounds(t *testing.T) {
 		{"ktree:25:24", 25},
 		{"geo:10:1", 10},
 		{"gnm:10:45", 10},
+		{"rmat-er:1", 2},
+		{"rmat-b:1:42:1", 2},
 	} {
 		src, err := chordal.ParseSource(c.spec)
 		if err != nil {
@@ -261,7 +264,7 @@ func TestPipelineLoadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Subgraph != nil || res.Extraction != nil || res.Tuning != nil {
+	if res.Subgraph != nil || res.Extraction != nil || res.Workers != 0 {
 		t.Fatal("no extraction requested but an engine result is present")
 	}
 	if res.InputStats.Vertices != 40 {
@@ -282,6 +285,10 @@ func TestSourceCanonical(t *testing.T) {
 		{"geo:200:0.25:9", "geo:200:0.25:9", true},
 		{"ktree:50:3", "ktree:50:3:42", true},
 		{"gse5140-crt", "gse5140-crt:8:42", true},
+		// A downscale below 1 loads as 1, so it shares downscale 1's key.
+		{"gse5140-crt:0:1", "gse5140-crt:1:1", true},
+		{"gse5140-crt:-5:1", "gse5140-crt:1:1", true},
+		{"gse5140-crt:1:1", "gse5140-crt:1:1", true},
 		{"some/dir//graph.bin", "some/dir/graph.bin", false},
 	}
 	for _, c := range cases {

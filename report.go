@@ -118,7 +118,7 @@ type PipelineResult struct {
 	// (which this field shadows).
 	InputStats Stats
 	// EngineResult is the extract stage's outcome: the subgraph, the
-	// engine's summary and its kernel tuning. It is the zero value when
+	// engine's summary and its worker width. It is the zero value when
 	// no extraction stage ran, so Subgraph is nil then.
 	EngineResult
 	// Verified reports whether the verify stage ran; ChordalOK whether
@@ -166,6 +166,9 @@ type ReportExtraction struct {
 	// used by the parallel engine.
 	Variant  string `json:"variant,omitempty"`
 	Schedule string `json:"schedule,omitempty"`
+	// Workers is the worker width the Algorithm 1 kernel ran at
+	// (parallel, sharded and external engines).
+	Workers int `json:"workers,omitempty"`
 	// RepairedEdges and StitchedEdges count post-pass additions.
 	RepairedEdges int `json:"repairedEdges,omitempty"`
 	StitchedEdges int `json:"stitchedEdges,omitempty"`
@@ -212,10 +215,6 @@ type RunReport struct {
 	Input ReportInput `json:"input"`
 	// Extraction summarizes the engine stage; nil for engine "none".
 	Extraction *ReportExtraction `json:"extraction,omitempty"`
-	// Tuning is the resolved kernel tuning of the extract stage (grain,
-	// degree threshold, worker width, and how each was decided); nil
-	// for engines without tunable kernels.
-	Tuning *Tuning `json:"tuning,omitempty"`
 	// Verify carries the verify outcome; nil when verification was off.
 	Verify *ReportVerify `json:"verify,omitempty"`
 	// Quality scores the extracted subgraph against the input (edge
@@ -247,8 +246,6 @@ type StreamReport struct {
 	Input ReportInput `json:"input"`
 	// Extraction summarizes the canonical Close-time extraction.
 	Extraction *ReportExtraction `json:"extraction,omitempty"`
-	// Tuning is the resolved kernel tuning of that extraction.
-	Tuning *Tuning `json:"tuning,omitempty"`
 	// Verify carries the verify outcome; nil when verification was off.
 	Verify *ReportVerify `json:"verify,omitempty"`
 }
@@ -337,7 +334,7 @@ func Report(s Spec, res *PipelineResult) (RunReport, error) {
 		return RunReport{}, err
 	}
 	rep := RunReport{Spec: n, Canonical: canon, Quality: res.Quality}
-	rep.Input, rep.Extraction, rep.Tuning = summarize(n.Engine, res.InputStats, &res.EngineResult)
+	rep.Input, rep.Extraction = summarize(n.Engine, res.InputStats, &res.EngineResult)
 	if res.Verified {
 		rep.Verify = &ReportVerify{
 			Chordal:           res.ChordalOK,
@@ -354,23 +351,17 @@ func Report(s Spec, res *PipelineResult) (RunReport, error) {
 }
 
 // summarize builds the report sections RunReport and StreamReport
-// share: the input's statistics, the extraction by the named engine
-// (nil when no engine ran, so er.Subgraph is nil), and a copy of the
-// resolved kernel tuning.
-func summarize(engine string, in Stats, er *EngineResult) (ReportInput, *ReportExtraction, *Tuning) {
+// share: the input's statistics and the extraction by the named engine
+// (nil when no engine ran, so er.Subgraph is nil).
+func summarize(engine string, in Stats, er *EngineResult) (ReportInput, *ReportExtraction) {
 	input := ReportInput{
 		Vertices:  in.Vertices,
 		Edges:     in.Edges,
 		AvgDegree: in.AvgDegree,
 		MaxDegree: in.MaxDegree,
 	}
-	var tun *Tuning
-	if er.Tuning != nil {
-		t := *er.Tuning
-		tun = &t
-	}
 	if er.Subgraph == nil {
-		return input, nil, tun
+		return input, nil
 	}
 	ex := &ReportExtraction{
 		Engine:       engine,
@@ -381,6 +372,7 @@ func summarize(engine string, in Stats, er *EngineResult) (ReportInput, *ReportE
 		Dearing:      er.Dearing,
 		Elimination:  er.Elimination,
 		External:     er.External,
+		Workers:      er.Workers,
 	}
 	if in.Edges > 0 {
 		ex.EdgesKeptPct = 100 * float64(ex.ChordalEdges) / float64(in.Edges)
@@ -396,5 +388,5 @@ func summarize(engine string, in Stats, er *EngineResult) (ReportInput, *ReportE
 		ex.RepairedEdges = sh.RepairedEdges
 		ex.StitchedEdges = sh.StitchedEdges
 	}
-	return input, ex, tun
+	return input, ex
 }

@@ -84,9 +84,9 @@ func (s Source) LoadWorkers(workers int) (*Graph, error) {
 
 // SourceSpecs documents the generator spec grammar understood by
 // ParseSource, one spec per line, with each family's parameter bounds.
-// ParseSource refuses a gnm, ws, geo or ktree spec outside them with
-// the generator's own check (synth.CheckGNM and its siblings); an
-// R-MAT spec outside them fails when it loads.
+// ParseSource refuses a spec outside them with the generator's own
+// check (rmat.Check, synth.CheckGNM and its siblings). A bio downscale
+// below 1 loads as 1, so it canonicalizes to 1.
 const SourceSpecs = `rmat-er:scale[:seed[:edgefactor]]   R-MAT, uniform quadrants (1<=scale<=30, edgefactor>=1)
 rmat-g:scale[:seed[:edgefactor]]    R-MAT, skewed (communities), same bounds
 rmat-b:scale[:seed[:edgefactor]]    R-MAT, heavily skewed, same bounds
@@ -168,6 +168,9 @@ func ParseSource(spec string) (Source, error) {
 		if err != nil {
 			return Source{}, err
 		}
+		if err := rmat.Check(int(scale), int(edgeFactor)); err != nil {
+			return Source{}, fmt.Errorf("chordal: source %q: %w", spec, err)
+		}
 		canon := fmt.Sprintf("%s:%d:%d:%d", head, scale, seed, edgeFactor)
 		return Source{spec, canon, true, false, func(workers int) (*Graph, error) {
 			p := rmat.PresetParams(preset, int(scale), uint64(seed))
@@ -185,6 +188,9 @@ func ParseSource(spec string) (Source, error) {
 		if err != nil {
 			return Source{}, err
 		}
+		// biogen.PresetParams reads a downscale below 1 as 1; the key
+		// names the value that loads.
+		downscale = max(downscale, 1)
 		seed, err := intArg(1, "seed", 42)
 		if err != nil {
 			return Source{}, err

@@ -40,15 +40,6 @@ type EngineConfig struct {
 	// output is an equally valid representative, so a repeat of the
 	// same spec at a different parallelism still shares one identity.
 	Workers int `json:"workers,omitempty"`
-	// Grain overrides the extraction loop's parallel-for chunk size;
-	// <= 0 uses the startup calibration (internal/tune). Excluded from
-	// Canonical: a pure speed knob, it never changes the edge set.
-	Grain int `json:"grain,omitempty"`
-	// DegreeThreshold overrides the chordal-set size at which the
-	// subset test switches to the hybrid bitset probe; 0 uses the
-	// startup calibration, negative forces merge scan only. Excluded
-	// from Canonical for the same reason as Grain.
-	DegreeThreshold int `json:"degreeThreshold,omitempty"`
 	// Repair enables the maximality repair post-pass (DESIGN.md §5).
 	Repair bool `json:"repair,omitempty"`
 	// Stitch enables the component stitch post-pass.
@@ -108,8 +99,6 @@ func (c EngineConfig) coreOptions() (Options, error) {
 		Variant:          variant,
 		Schedule:         schedule,
 		Workers:          c.Workers,
-		Grain:            c.Grain,
-		DegreeThreshold:  c.DegreeThreshold,
 		RepairMaximality: c.Repair,
 		StitchComponents: c.Stitch,
 	}, nil
@@ -202,9 +191,6 @@ func (s Spec) Normalize() (Spec, error) {
 	n.Schedule = scheduleName(schedule)
 	if n.Workers < 0 {
 		n.Workers = 0
-	}
-	if n.Grain < 0 {
-		n.Grain = 0
 	}
 	if n.Partitions < 0 {
 		return n, fmt.Errorf("chordal: spec: partitions %d must be >= 0", n.Partitions)
@@ -334,8 +320,8 @@ func (s Spec) Validate() error {
 // order. Equal canonical strings mean "same input, same extraction,
 // same result", so the string is used verbatim as the cache and dedup
 // key across the library, CLI, and service (it replaced the service's
-// private option hash). Workers, Grain, DegreeThreshold and Output are
-// deliberately excluded: none of them changes the extracted subgraph.
+// private option hash). Workers and Output are deliberately excluded:
+// neither changes the extracted subgraph.
 // The encoding is pinned by golden tests; changing it invalidates
 // every persisted cache key.
 func (s Spec) Canonical() (string, error) {

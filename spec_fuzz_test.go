@@ -43,6 +43,7 @@ func FuzzSpecCanonical(f *testing.F) {
 		`{"source":"gnm:100:300","engine":"serial","start":3}`,
 		`{"source":"gnm:100:300","engine":"elimination","order":"amd"}`,
 		`{"source":"gnm:100:300","engine":"dearing","start":-2}`,
+		`{"source":"gnm:100:300","grain":128,"degreeThreshold":16}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

@@ -49,12 +49,10 @@ func TestSpecCanonicalGolden(t *testing.T) {
 				Relabel: "BFS",
 				Engine:  "parallel",
 				EngineConfig: chordal.EngineConfig{
-					Variant:         "unopt",
-					Schedule:        "sync",
-					Workers:         8,   // excluded from identity
-					Grain:           128, // excluded from identity
-					DegreeThreshold: 16,  // excluded from identity
-					Repair:          true,
+					Variant:  "unopt",
+					Schedule: "sync",
+					Workers:  8, // excluded from identity
+					Repair:   true,
 				},
 				Verify: true,
 				Output: "sub.bin", // excluded from identity
@@ -119,6 +117,45 @@ func TestSpecCanonicalGolden(t *testing.T) {
 	for _, c := range cases {
 		if got := mustCanonical(t, c.spec); got != c.want {
 			t.Errorf("%s:\n got  %s\n want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestSpecDecodesRetiredTuningFields pins wire compatibility with
+// specs persisted while the kernel still had a tunable grain and degree
+// threshold: JSON carrying "grain" and "degreeThreshold" still decodes,
+// keeps the canonical key of the same spec without them (neither field
+// was ever part of the key), and runs.
+func TestSpecDecodesRetiredTuningFields(t *testing.T) {
+	for _, c := range []struct{ with, without string }{
+		{
+			`{"v":1,"source":" RMAT-ER:12:42:8 ","relabel":"BFS","engine":"parallel","variant":"unopt","schedule":"sync","workers":8,"grain":128,"degreeThreshold":16,"repair":true,"verify":true,"output":"sub.bin"}`,
+			`{"v":1,"source":" RMAT-ER:12:42:8 ","relabel":"BFS","engine":"parallel","variant":"unopt","schedule":"sync","workers":8,"repair":true,"verify":true,"output":"sub.bin"}`,
+		},
+		{
+			`{"source":"gnm:300:1200:3","shards":2,"grain":128,"degreeThreshold":16,"verify":true}`,
+			`{"source":"gnm:300:1200:3","shards":2,"verify":true}`,
+		},
+	} {
+		var with, without chordal.Spec
+		if err := json.Unmarshal([]byte(c.with), &with); err != nil {
+			t.Fatalf("decode %s: %v", c.with, err)
+		}
+		if err := json.Unmarshal([]byte(c.without), &without); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := mustCanonical(t, with), mustCanonical(t, without); got != want {
+			t.Errorf("%s:\n key  %s\n want %s", c.with, got, want)
+		}
+		if with.Output != "" {
+			continue // runs only the cases that write no file
+		}
+		res, err := with.Run()
+		if err != nil {
+			t.Fatalf("run %s: %v", c.with, err)
+		}
+		if !res.ChordalOK || res.Subgraph.NumEdges() == 0 {
+			t.Fatalf("run %s: chordal %t, %d edges", c.with, res.ChordalOK, res.Subgraph.NumEdges())
 		}
 	}
 }

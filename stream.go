@@ -354,7 +354,7 @@ func (s *Stream) Close(ctx context.Context) (*StreamResult, error) {
 		Canonical: s.canonical,
 		Stream:    stats,
 	}
-	rep.Input, rep.Extraction, rep.Tuning = summarize(s.spec.Engine, ComputeStats(input), er)
+	rep.Input, rep.Extraction = summarize(s.spec.Engine, ComputeStats(input), er)
 	if s.spec.Verify {
 		s.emit(newStageEvent("verify"))
 		_, v, err := verifyStage(ctx, input, er)
