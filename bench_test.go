@@ -244,8 +244,7 @@ func batchSuiteSpecs() []chordal.Spec {
 
 // BenchmarkBatch runs the suite through chordal.Batch: one persistent
 // pool and shared budget, items overlapping. Compare against
-// BenchmarkBatchSequential, the per-run baseline; cmd/benchrunner
-// -batch-suite emits the same comparison as BENCH_batch.json.
+// BenchmarkBatchSequential, the per-run baseline.
 func BenchmarkBatch(b *testing.B) {
 	specs := batchSuiteSpecs()
 	b.ReportAllocs()

@@ -48,7 +48,6 @@ import (
 	"chordal/internal/graph"
 	"chordal/internal/quality"
 	"chordal/internal/rmat"
-	"chordal/internal/shard"
 	"chordal/internal/synth"
 	"chordal/internal/verify"
 )
@@ -145,31 +144,6 @@ func ExtractContext(ctx context.Context, g *Graph, opts Options) (*Result, error
 // starting from vertex 0 and returns the resulting chordal subgraph.
 func ExtractSerial(g *Graph) *Graph {
 	return dearing.Extract(g, 0).ToGraph(g.NumVertices())
-}
-
-// ShardOptions configures ExtractSharded; see the shard package for
-// field semantics. The zero value with Shards set is ready to use.
-type ShardOptions = shard.Options
-
-// ShardResult is the merged outcome of a sharded extraction, including
-// per-shard statistics and border reconciliation counts.
-type ShardResult = shard.Result
-
-// ShardStat describes one shard's extraction within a ShardResult.
-type ShardStat = shard.ShardStat
-
-// ExtractSharded runs Algorithm 1 independently on contiguous
-// vertex-range shards of g and reconciles the per-shard chordal
-// subgraphs with a chordality-preserving border stitch — the
-// out-of-core-shaped alternative to Extract for graphs whose full
-// worklist state should never be resident at once. See DESIGN.md §7.
-func ExtractSharded(g *Graph, opts ShardOptions) (*ShardResult, error) {
-	return shard.Extract(g, opts)
-}
-
-// ExtractShardedContext is ExtractSharded under a cancellable context.
-func ExtractShardedContext(ctx context.Context, g *Graph, opts ShardOptions) (*ShardResult, error) {
-	return shard.ExtractContext(ctx, g, opts)
 }
 
 // GenerateRMAT generates one of the paper's synthetic graph families at

@@ -2,6 +2,7 @@ package chordal_test
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -89,66 +90,69 @@ func TestEngineExternalDifferentialGrid(t *testing.T) {
 	}
 }
 
-// TestEngineExternalSourcePath exercises the true out-of-core path: a
-// .bin file source with the external engine skips the acquire stage
-// (Input stays nil, the file is never loaded whole), fills InputStats
-// from the file, and still produces the sharded engine's exact edges.
+// TestEngineExternalSourcePath exercises the true out-of-core path on
+// every zoo source at 2, 4 and 8 shards: a .bin file source with the
+// external engine skips the acquire stage (Input stays nil, the file
+// is never loaded whole), fills InputStats from the file, and still
+// produces the sharded engine's exact edges.
 func TestEngineExternalSourcePath(t *testing.T) {
-	const src = "gnm:2000:9000:17"
-	bin := filepath.Join(t.TempDir(), "input.bin")
-	acq, err := chordal.Spec{Source: src, Engine: chordal.EngineNone, Output: bin}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := acq.Input
+	dir := t.TempDir()
+	for i, src := range externalGridSources {
+		bin := filepath.Join(dir, fmt.Sprintf("input%d.bin", i))
+		acq, err := chordal.Spec{Source: src, Engine: chordal.EngineNone, Output: bin}.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := acq.Input
+		for _, shards := range []int{2, 4, 8} {
+			spec := chordal.Spec{
+				Source:       bin,
+				Engine:       chordal.EngineExternal,
+				EngineConfig: chordal.EngineConfig{Shards: shards},
+				Verify:       true,
+			}
+			res, err := spec.Run()
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", src, shards, err)
+			}
+			if res.Input != nil {
+				t.Fatalf("%s shards=%d: out-of-core run materialized the input graph", src, shards)
+			}
+			if res.InputStats != chordal.ComputeStats(g) {
+				t.Fatalf("%s shards=%d: InputStats %+v differ from the in-memory stats %+v",
+					src, shards, res.InputStats, chordal.ComputeStats(g))
+			}
+			if res.External == nil || !res.ChordalOK || res.Shard == nil || !res.Shard.Chordal {
+				t.Fatalf("%s shards=%d: out-of-core run incomplete: external=%v chordalOK=%t",
+					src, shards, res.External, res.ChordalOK)
+			}
+			if res.External.BytesRead == 0 || res.External.PeakResidentBytes <= 0 {
+				t.Fatalf("%s shards=%d: IO stats not accounted: %+v", src, shards, res.External)
+			}
 
-	res, err := chordal.Spec{
-		Source:       bin,
-		Engine:       chordal.EngineExternal,
-		EngineConfig: chordal.EngineConfig{Shards: 4},
-		Verify:       true,
-	}.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Input != nil {
-		t.Fatal("out-of-core run materialized the input graph")
-	}
-	if res.InputStats != chordal.ComputeStats(g) {
-		t.Fatalf("InputStats %+v differ from the in-memory stats %+v", res.InputStats, chordal.ComputeStats(g))
-	}
-	if res.External == nil || !res.ChordalOK || res.Shard == nil || !res.Shard.Chordal {
-		t.Fatalf("out-of-core run incomplete: external=%v chordalOK=%t", res.External, res.ChordalOK)
-	}
-	if res.External.BytesRead == 0 || res.External.PeakResidentBytes <= 0 {
-		t.Fatalf("IO stats not accounted: %+v", res.External)
-	}
+			shd, err := chordal.Runner{Input: g}.Run(context.Background(), chordal.Spec{
+				Engine:       chordal.EngineSharded,
+				EngineConfig: chordal.EngineConfig{Shards: shards},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameGraph(res.Subgraph, shd.Subgraph) {
+				t.Fatalf("%s shards=%d: out-of-core subgraph differs from sharded (%d vs %d edges)",
+					src, shards, res.Subgraph.NumEdges(), shd.Subgraph.NumEdges())
+			}
 
-	shd, err := chordal.Runner{Input: g}.Run(context.Background(), chordal.Spec{
-		Engine:       chordal.EngineSharded,
-		EngineConfig: chordal.EngineConfig{Shards: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameGraph(res.Subgraph, shd.Subgraph) {
-		t.Fatalf("out-of-core subgraph differs from sharded (%d vs %d edges)",
-			res.Subgraph.NumEdges(), shd.Subgraph.NumEdges())
-	}
-
-	// The run's report must carry the IO summary and the file-derived
-	// input stats.
-	rep, err := chordal.Report(chordal.Spec{
-		Source:       bin,
-		Engine:       chordal.EngineExternal,
-		EngineConfig: chordal.EngineConfig{Shards: 4},
-		Verify:       true,
-	}, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Extraction == nil || rep.Extraction.External == nil || rep.Input.Edges != g.NumEdges() {
-		t.Fatalf("report missing external summary or input stats: %+v", rep.Extraction)
+			// The run's report must carry the IO summary and the
+			// file-derived input stats.
+			rep, err := chordal.Report(spec, res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Extraction == nil || rep.Extraction.External == nil || rep.Input.Edges != g.NumEdges() {
+				t.Fatalf("%s shards=%d: report missing external summary or input stats: %+v",
+					src, shards, rep.Extraction)
+			}
+		}
 	}
 }
 

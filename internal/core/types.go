@@ -90,9 +90,11 @@ const (
 	// own lowest parents), and a vertex chains through as many
 	// finalized parents as possible within one iteration. This is the
 	// semantics under which the paper's Theorem 2 proof is sound; it
-	// yields a schedule-independent edge set and the paper's observed
-	// iteration counts (about three for R-MAT inputs, around ten for
-	// the gene networks).
+	// yields a schedule-independent edge set. The iteration count is
+	// not independent: at two or more workers it depends on thread
+	// timing. At one worker, `benchrunner -exp pct` (scales 14-16, bio
+	// downscale 8) counts 8 iterations for RMAT-ER, 12-15 for RMAT-G,
+	// 15-21 for RMAT-B and 11-16 for the four gene networks.
 	ScheduleDataflow Schedule = iota
 	// ScheduleAsync follows the pseudocode of Algorithm 1 literally:
 	// a queued parent tests its children against whatever chordal-set

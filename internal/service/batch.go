@@ -198,16 +198,10 @@ func (s *Server) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, errors.New("service: no such batch"))
 		return
 	}
-	flusher, ok := w.(http.Flusher)
+	flusher, ok := startSSE(w)
 	if !ok {
-		httpError(w, http.StatusInternalServerError, errors.New("service: response writer cannot stream"))
 		return
 	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
 
 	// One forwarder per member replays and follows that job's log; the
 	// single writer loop serializes frames onto the wire. Forwarders
@@ -219,9 +213,7 @@ func (s *Server) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(index int, job *Job) {
 			defer wg.Done()
-			cursor := 0
-			for {
-				evs, terminal, changed := job.eventsSince(cursor)
+			follow(ctx, job, func(evs []sseEvent) bool {
 				for _, e := range evs {
 					frame := batchFrame{
 						name: e.name,
@@ -230,19 +222,11 @@ func (s *Server) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
 					select {
 					case frames <- frame:
 					case <-ctx.Done():
-						return
+						return false
 					}
 				}
-				cursor += len(evs)
-				if terminal {
-					return
-				}
-				select {
-				case <-changed:
-				case <-ctx.Done():
-					return
-				}
-			}
+				return true
+			})
 		}(i, job)
 	}
 	go func() {

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"sync"
 	"time"
 
@@ -46,7 +45,9 @@ type Metrics struct {
 	ChordalEdges int     `json:"chordalEdges"`
 	EdgesKeptPct float64 `json:"edgesKeptPct"`
 	// Iterations is the extract loop's iteration count (whole-graph
-	// extraction; sharded jobs report per-shard counts instead).
+	// extraction; sharded jobs report per-shard counts instead). A
+	// diagnostic: a cache hit carries the count of the run that filled
+	// the cache, and at two or more workers it depends on thread timing.
 	Iterations int `json:"iterations"`
 	// Shards is the shard count of a sharded extraction (0 for
 	// whole-graph jobs); ShardIterations has one kernel iteration count
@@ -129,16 +130,9 @@ type JobStatus struct {
 	Metrics *Metrics `json:"metrics,omitempty"`
 }
 
-// sseEvent is one pre-marshaled server-sent event in a job's log.
-type sseEvent struct {
-	name string
-	data []byte
-}
-
 // Job is one submitted extraction: lifecycle state, the append-only
 // event log that SSE subscribers replay and follow, and the result.
-// All fields behind mu; events are pre-marshaled so subscribers only
-// copy bytes.
+// All fields behind mu.
 type Job struct {
 	id     string
 	spec   jobSpec
@@ -167,8 +161,7 @@ type Job struct {
 	err       error
 	metrics   *Metrics
 	subgraph  *graph.Graph
-	events    []sseEvent
-	changed   chan struct{} // closed and replaced on every append
+	log       eventLog
 }
 
 // newJob creates a queued job for spec.
@@ -178,7 +171,6 @@ func newJob(id string, spec jobSpec, now time.Time) *Job {
 		spec:    spec,
 		created: now,
 		state:   StateQueued,
-		changed: make(chan struct{}),
 	}
 	j.appendEvent("state", map[string]string{"state": StateQueued})
 	return j
@@ -187,36 +179,21 @@ func newJob(id string, spec jobSpec, now time.Time) *Job {
 // ID returns the server-assigned job identifier.
 func (j *Job) ID() string { return j.id }
 
-// appendLocked appends a marshaled event to the log and wakes
-// subscribers. Callers hold j.mu.
-func (j *Job) appendLocked(name string, data any) {
-	payload, err := json.Marshal(data)
-	if err != nil {
-		payload = []byte(`{}`)
-	}
-	j.events = append(j.events, sseEvent{name, payload})
-	close(j.changed)
-	j.changed = make(chan struct{})
-}
-
 // appendEvent marshals data and appends it to the event log, waking
 // subscribers. Callers must not hold j.mu.
 func (j *Job) appendEvent(name string, data any) {
 	j.mu.Lock()
-	j.appendLocked(name, data)
+	j.log.add(name, data)
 	j.mu.Unlock()
 }
 
-// eventsSince returns the events after cursor, whether the job is
-// terminal, and a channel closed on the next append — the subscription
-// primitive behind the SSE handler.
+// eventsSince makes Job an eventSource: the log after cursor, and
+// whether the job is terminal.
 func (j *Job) eventsSince(cursor int) (evs []sseEvent, terminal bool, changed <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if cursor < len(j.events) {
-		evs = j.events[cursor:]
-	}
-	return evs, terminalState(j.state), j.changed
+	evs, changed = j.log.since(cursor)
+	return evs, terminalState(j.state), changed
 }
 
 // setRunning transitions the job to running. The state change and its
@@ -226,7 +203,7 @@ func (j *Job) setRunning(now time.Time) {
 	j.mu.Lock()
 	j.state = StateRunning
 	j.started = now
-	j.appendLocked("state", map[string]string{"state": StateRunning})
+	j.log.add("state", map[string]string{"state": StateRunning})
 	j.mu.Unlock()
 }
 
@@ -240,7 +217,7 @@ func (j *Job) complete(now time.Time, m *Metrics, sub *graph.Graph) {
 	j.finished = now
 	j.metrics = m
 	j.subgraph = sub
-	j.appendLocked("done", j.statusLocked())
+	j.log.add("done", j.statusLocked())
 	j.mu.Unlock()
 }
 
@@ -257,7 +234,7 @@ func (j *Job) fail(now time.Time, err error) {
 	}
 	j.finished = now
 	j.err = err
-	j.appendLocked("done", j.statusLocked())
+	j.log.add("done", j.statusLocked())
 	j.mu.Unlock()
 }
 

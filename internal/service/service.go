@@ -515,7 +515,11 @@ func (s *Server) submitTenant(spec jobSpec, upload *graph.Graph, tenant string) 
 		// the cache — missing both, and re-running the pipeline, is
 		// impossible.
 		if j, ok := s.inflight[key]; ok {
-			return j, false, nil
+			// A job publishes its "done" event before its runner
+			// leaves this map, so a client that resubmits on that
+			// event can still land here: a hit on the finished job.
+			_, done := j.result()
+			return j, done, nil
 		}
 	}
 	if job, ok := s.tryCachedLocked(spec); ok {
@@ -782,34 +786,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, errors.New("service: no such job"))
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, errors.New("service: response writer cannot stream"))
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-
-	cursor := 0
-	for {
-		evs, terminal, changed := job.eventsSince(cursor)
-		for _, e := range evs {
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.name, e.data)
-		}
-		cursor += len(evs)
-		flusher.Flush()
-		if terminal {
-			return
-		}
-		select {
-		case <-changed:
-		case <-r.Context().Done():
-			return
-		}
-	}
+	serveSSE(w, r, job)
 }
 
 // handleResult serves GET /v1/jobs/{id}/result: the extracted chordal
@@ -827,32 +804,33 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("service: job %s is %s, result not available", job.ID(), job.Status().State))
 		return
 	}
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "edges"
-	}
-	var err error
-	switch format {
-	case "edges":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s.txt", job.ID()))
-		err = graph.WriteEdgeList(w, sub)
+	writeResult(w, r, job.ID(), sub)
+}
+
+// writeResult serves a result subgraph as an attachment named after
+// id, in the request's format: a text edge list (format=edges, the
+// default), binary CSR (format=bin), or Matrix Market (format=mtx).
+func writeResult(w http.ResponseWriter, r *http.Request, id string, sub *graph.Graph) {
+	var (
+		ext, ctype string
+		write      func(io.Writer, *graph.Graph) error
+	)
+	switch format := r.URL.Query().Get("format"); format {
+	case "", "edges":
+		ext, ctype, write = "txt", "text/plain; charset=utf-8", graph.WriteEdgeList
 	case "bin":
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s.bin", job.ID()))
-		err = graph.WriteBinary(w, sub)
+		ext, ctype, write = "bin", "application/octet-stream", graph.WriteBinary
 	case "mtx":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s.mtx", job.ID()))
-		err = graph.WriteMatrixMarket(w, sub)
+		ext, ctype, write = "mtx", "text/plain; charset=utf-8", graph.WriteMatrixMarket
 	default:
 		httpError(w, http.StatusBadRequest, fmt.Errorf("service: unknown format %q (want edges|bin|mtx)", format))
 		return
 	}
-	if err != nil {
-		// Headers are already sent; the broken stream is the signal.
-		return
-	}
+	w.Header().Set("Content-Type", ctype)
+	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s.%s", id, ext))
+	// A write error comes after the headers are sent; the broken
+	// stream is the client's signal.
+	_ = write(w, sub)
 }
 
 // handleHealthz serves GET /healthz with liveness and occupancy

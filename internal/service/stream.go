@@ -94,25 +94,13 @@ type streamSession struct {
 	finished   time.Time
 	report     *chordal.StreamReport
 	subgraph   *graph.Graph
-	events     []sseEvent
-	changed    chan struct{}
-}
-
-// appendEventLocked mirrors Job.appendLocked; callers hold ss.mu.
-func (ss *streamSession) appendEventLocked(name string, data any) {
-	payload, err := json.Marshal(data)
-	if err != nil {
-		payload = []byte(`{}`)
-	}
-	ss.events = append(ss.events, sseEvent{name, payload})
-	close(ss.changed)
-	ss.changed = make(chan struct{})
+	log        eventLog
 }
 
 // appendEvent appends one SSE event and wakes subscribers.
 func (ss *streamSession) appendEvent(name string, data any) {
 	ss.mu.Lock()
-	ss.appendEventLocked(name, data)
+	ss.log.add(name, data)
 	ss.mu.Unlock()
 }
 
@@ -123,14 +111,13 @@ func (ss *streamSession) touch(now time.Time) {
 	ss.mu.Unlock()
 }
 
-// eventsSince mirrors Job.eventsSince for the SSE handler.
+// eventsSince makes a session an eventSource: the log after cursor,
+// and whether the session is closed or canceled.
 func (ss *streamSession) eventsSince(cursor int) (evs []sseEvent, terminal bool, changed <-chan struct{}) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
-	if cursor < len(ss.events) {
-		evs = ss.events[cursor:]
-	}
-	return evs, ss.state != StreamOpen, ss.changed
+	evs, changed = ss.log.since(cursor)
+	return evs, ss.state != StreamOpen, changed
 }
 
 // status snapshots the session's JSON view. It reads the Stream's
@@ -197,7 +184,6 @@ func (s *Server) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 		created:    now,
 		state:      StreamOpen,
 		lastActive: now,
-		changed:    make(chan struct{}),
 	}
 	// OpenStream validates the spec (engine capability, relabel/output
 	// conflicts) and builds the session; the observer feeds the SSE log.
@@ -314,7 +300,7 @@ func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request) {
 		ss.mu.Lock()
 		ss.state = StreamCanceled
 		ss.finished = now
-		ss.appendEventLocked("done", map[string]string{"state": StreamCanceled, "error": err.Error()})
+		ss.log.add("done", map[string]string{"state": StreamCanceled, "error": err.Error()})
 		ss.mu.Unlock()
 		httpError(w, http.StatusInternalServerError, err)
 		return
@@ -326,7 +312,7 @@ func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request) {
 		ss.lastActive = now
 		ss.report = &res.Report
 		ss.subgraph = res.Subgraph
-		ss.appendEventLocked("done", res.Report)
+		ss.log.add("done", res.Report)
 	}
 	rep := ss.report
 	ss.mu.Unlock()
@@ -356,7 +342,7 @@ func (s *Server) handleStreamDelete(w http.ResponseWriter, r *http.Request) {
 	if ss.state == StreamOpen {
 		ss.state = StreamCanceled
 		ss.finished = time.Now()
-		ss.appendEventLocked("done", map[string]string{"state": StreamCanceled})
+		ss.log.add("done", map[string]string{"state": StreamCanceled})
 	}
 	ss.mu.Unlock()
 	s.mu.Lock()
@@ -374,34 +360,7 @@ func (s *Server) handleStreamEvents(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, errors.New("service: no such stream"))
 		return
 	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, errors.New("service: response writer cannot stream"))
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-
-	cursor := 0
-	for {
-		evs, terminal, changed := ss.eventsSince(cursor)
-		for _, e := range evs {
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.name, e.data)
-		}
-		cursor += len(evs)
-		flusher.Flush()
-		if terminal {
-			return
-		}
-		select {
-		case <-changed:
-		case <-r.Context().Done():
-			return
-		}
-	}
+	serveSSE(w, r, ss)
 }
 
 // handleStreamResult serves GET /v1/streams/{id}/result: the canonical
@@ -421,24 +380,5 @@ func (s *Server) handleStreamResult(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("service: stream %s is %s, result not available", ss.id, state))
 		return
 	}
-	format := r.URL.Query().Get("format")
-	if format == "" {
-		format = "edges"
-	}
-	switch format {
-	case "edges":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s.txt", ss.id))
-		graph.WriteEdgeList(w, sub)
-	case "bin":
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s.bin", ss.id))
-		graph.WriteBinary(w, sub)
-	case "mtx":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s.mtx", ss.id))
-		graph.WriteMatrixMarket(w, sub)
-	default:
-		httpError(w, http.StatusBadRequest, fmt.Errorf("service: unknown format %q (want edges|bin|mtx)", format))
-	}
+	writeResult(w, r, ss.id, sub)
 }

@@ -30,7 +30,11 @@ type ShardSummary struct {
 	// Shards is the shard count actually used (after clamping).
 	Shards int `json:"shards"`
 	// PerShardIterations and PerShardEdges have one entry per shard:
-	// the kernel's iteration count and chordal edge count.
+	// the kernel's iteration count and chordal edge count. The
+	// iteration counts are a diagnostic, not part of the result: at two
+	// or more workers they depend on thread timing while the edges do
+	// not, and a cached chordald report carries the counts of the run
+	// that filled the cache.
 	PerShardIterations []int `json:"perShardIterations"`
 	PerShardEdges      []int `json:"perShardEdges"`
 	// InteriorEdges is the merged per-shard chordal edge total before
@@ -160,7 +164,10 @@ type ReportExtraction struct {
 	EdgesKeptPct float64 `json:"edgesKeptPct"`
 	// Iterations is the extract loop's iteration count (parallel
 	// whole-graph engine; sharded runs report per-shard counts in
-	// Shard instead).
+	// Shard instead). It is a diagnostic, not part of the result: at
+	// two or more workers the dataflow count depends on thread timing
+	// while the edge set does not, and a cached chordald report carries
+	// the count of the run that filled the cache.
 	Iterations int `json:"iterations,omitempty"`
 	// Variant and Schedule are the code path and test ordering actually
 	// used by the parallel engine.

@@ -2,6 +2,7 @@ package chordal_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -82,14 +83,18 @@ func TestStreamSpecValidation(t *testing.T) {
 
 // TestStreamEquivalenceGrid is the stream layer's central equivalence
 // property: streaming a graph's edges — in the batch engine's input
-// order or reversed — and closing with repair on yields a final
-// subgraph byte-identical to the batch parallel engine with the
-// maximality repair pass on the same input. Close canonicalizes by
-// running the batch engine over the accumulated edge set, so the
-// identity holds by construction for every arrival order; this test
-// pins the whole path (delta accounting, input reconstruction,
-// canonical extraction) and requires the two surfaces to report the
-// same extraction and verify outcome.
+// order or reversed, repairing only at Close or every 64 or 512
+// deltas — and closing with repair on yields a final subgraph
+// byte-identical to the batch parallel engine with the maximality
+// repair pass on the same input. Close canonicalizes by running the
+// batch engine over the accumulated edge set, so the identity holds by
+// construction for every arrival order and cadence; this test pins the
+// whole path (delta accounting, input reconstruction, mid-stream
+// repair passes, canonical extraction) and requires the two surfaces
+// to report the same extraction and verify outcome. The mid-stream
+// cadences run in input order only: on gse5140-crt:64:3 a cadence of
+// 64 makes 192 passes over a long deferred queue, most of the grid's
+// time.
 func TestStreamEquivalenceGrid(t *testing.T) {
 	sources := []string{
 		"rmat-er:8:3", "rmat-g:8:7", "rmat-b:8:5",
@@ -122,33 +127,43 @@ func TestStreamEquivalenceGrid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, reverse := range []bool{false, true} {
+		for _, c := range []struct {
+			every   int
+			reverse bool
+		}{{0, false}, {0, true}, {64, false}, {512, false}} {
+			cell := fmt.Sprintf("%s (repairEvery=%d, reverse=%t)", srcSpec, c.every, c.reverse)
 			spec := chordal.Spec{Mode: chordal.ModeStream, EngineConfig: cfg, Verify: true}
-			s, err := chordal.OpenStream(context.Background(), spec, chordal.StreamConfig{Vertices: g.NumVertices()})
+			s, err := chordal.OpenStream(context.Background(), spec,
+				chordal.StreamConfig{Vertices: g.NumVertices(), RepairEvery: c.every})
 			if err != nil {
 				t.Fatal(err)
 			}
-			pushAll(t, s, g, reverse)
+			pushAll(t, s, g, c.reverse)
 			res, err := s.Close(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !sameGraph(res.Input, g) {
-				t.Errorf("%s (reverse=%t): accumulated input differs from the source graph", srcSpec, reverse)
+				t.Errorf("%s: accumulated input differs from the source graph", cell)
 			}
 			if !sameGraph(res.Subgraph, batch.Subgraph) {
-				t.Errorf("%s (reverse=%t): stream subgraph (%d edges) differs from parallel+repair (%d edges)",
-					srcSpec, reverse, res.Subgraph.NumEdges(), batch.Subgraph.NumEdges())
+				t.Errorf("%s: stream subgraph (%d edges) differs from parallel+repair (%d edges)",
+					cell, res.Subgraph.NumEdges(), batch.Subgraph.NumEdges())
 			}
 			st := res.Report.Stream
 			if st.Pushed != g.NumEdges() {
-				t.Errorf("%s: pushed %d of %d deltas", srcSpec, st.Pushed, g.NumEdges())
+				t.Errorf("%s: pushed %d of %d deltas", cell, st.Pushed, g.NumEdges())
+			}
+			// Close runs one pass; every source has more than 64 edges,
+			// so the cadence must have run at least one more.
+			if c.every == 64 && st.Repairs <= 1 {
+				t.Errorf("%s: %d repair passes, want the cadence to fire", cell, st.Repairs)
 			}
 			if got, want := res.Report.Extraction, batchRep.Extraction; got == nil || want == nil || !reflect.DeepEqual(*got, *want) {
-				t.Errorf("%s (reverse=%t): stream extraction report %+v, batch %+v", srcSpec, reverse, got, want)
+				t.Errorf("%s: stream extraction report %+v, batch %+v", cell, got, want)
 			}
 			if got, want := res.Report.Verify, batchRep.Verify; got == nil || want == nil || *got != *want {
-				t.Errorf("%s (reverse=%t): stream verify report %+v, batch %+v", srcSpec, reverse, got, want)
+				t.Errorf("%s: stream verify report %+v, batch %+v", cell, got, want)
 			}
 		}
 	}
