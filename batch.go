@@ -3,36 +3,34 @@ package chordal
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"chordal/internal/parallel"
 )
 
-// This file defines the batch layer: one call that runs many Specs over
-// a single persistent worker pool and shared budget — the paper's
-// headline workload is a suite of gene-correlation graphs extracted
-// back-to-back, not one giant graph. Batch amortizes what per-item
-// Spec.Run cannot: items run concurrently inside one worker budget
+// This file defines the batch layer: one call that runs many Specs
+// inside one worker budget — the paper's headline workload is a suite
+// of gene-correlation graphs extracted back-to-back, not one giant
+// graph. Batch does what per-item Spec.Run cannot: items run
+// concurrently on fixed-width slots whose widths sum to the budget
 // (never oversubscribing the machine the way N full-width runs would),
-// the pool's budget leases persist across items instead of being
-// re-negotiated per run, and items with identical Canonical() keys are
-// deduplicated onto one execution. The service's POST /v1/batches and
-// the CLI's -batch mode are thin layers over the same semantics.
+// and items with identical Canonical() keys are deduplicated onto one
+// execution. The service's POST /v1/batches and the CLI's -batch mode
+// are thin layers over the same semantics.
 
 // BatchOptions configures a Batch run. The zero value is ready to use:
-// machine-width budget, one pool slot per token, events discarded.
+// machine-width budget, one slot per token, events discarded.
 type BatchOptions struct {
 	// Workers is the total worker-token budget shared by every item in
 	// the batch; <= 0 selects the machine's effective parallelism. An
 	// item's own Spec.Workers request is honored only below its slot's
 	// granted width — the batch never oversubscribes its budget.
 	Workers int
-	// Concurrency bounds simultaneously running items (the pool's slot
+	// Concurrency bounds simultaneously running items (the slot
 	// count). <= 0 selects one slot per budget token — for suites of
 	// small graphs, cross-item overlap beats within-item width. Values
-	// above the budget are clamped; each slot leases an equal share of
-	// the budget and holds it for the batch's lifetime.
+	// above the budget are clamped. Each slot runs its items at a fixed
+	// width: the budget split evenly, the remainder on the first slots.
 	Concurrency int
 	// Observer receives every item's event stream, each event tagged
 	// with its batch item index in Event.Batch. Items run concurrently,
@@ -70,7 +68,7 @@ type BatchResult struct {
 	Items []BatchItem
 	// Unique counts the items that ran their own execution —
 	// duplicates, invalid items, output-path collisions, and items
-	// canceled before a pool slot accepted them are excluded.
+	// canceled before a slot took them are excluded.
 	Unique int
 	// Wall is the batch's wall-clock time, scheduling included. Compare
 	// with the sum of per-item timings to see the overlap won.
@@ -105,9 +103,9 @@ func (r *BatchResult) VerifyFailed() int {
 	return n
 }
 
-// Batch runs every spec over one persistent worker pool and shared
-// budget, with bounded concurrency and per-item events tagged with the
-// item index. Items whose Canonical() keys collide are deduplicated
+// Batch runs every spec inside one worker budget on fixed-width slots,
+// with bounded concurrency and per-item events tagged with the item
+// index. Items whose Canonical() keys collide are deduplicated
 // (unless their Output paths differ — every requested file is still
 // written): only the first runs, later duplicates share its result and
 // record DupOf. Invalid specs, and distinct specs naming one Output
@@ -180,49 +178,24 @@ func Batch(ctx context.Context, specs []Spec, opts BatchOptions) (*BatchResult, 
 		res.Unique++
 	}
 
-	budget := parallel.NewBudget(opts.Workers)
-	pool := parallel.NewPool(ctx, budget, opts.Concurrency)
-	defer pool.Close()
-
-	var wg sync.WaitGroup
+	// The unique items run on fixed-width slots, so the widths of
+	// concurrent items never sum past the budget. An item no slot took
+	// before ctx ended did not run, so it is not one of the batch's
+	// executed uniques.
+	var todo []int
 	for i := range res.Items {
-		it := &res.Items[i]
-		if it.Err != nil || it.DupOf >= 0 {
-			continue
-		}
-		idx := i
-		// One tag per item, not per event: Event is delivered by value,
-		// so every event of this item can share the one pointer.
-		tag := idx
-		task := func(workers int) {
-			defer wg.Done()
-			spec := res.Items[idx].Spec
-			// The slot's granted width is the item's parallelism bound;
-			// an explicit smaller request in the spec still wins.
-			if spec.Workers <= 0 || spec.Workers > workers {
-				spec.Workers = workers
-			}
-			runner := Runner{}
-			if obs := opts.Observer; obs != nil {
-				runner.Observer = func(ev Event) {
-					ev.Batch = &tag
-					obs(ev)
-				}
-			}
-			out, err := runner.Run(ctx, spec)
-			res.Items[idx].Result = out
-			res.Items[idx].Err = err
-		}
-		wg.Add(1)
-		if err := pool.Submit(ctx, task); err != nil {
-			// Never accepted by a slot: the item did not run, so it is
-			// not one of the batch's executed uniques.
-			wg.Done()
-			it.Err = err
-			res.Unique--
+		if res.Items[i].Err == nil && res.Items[i].DupOf < 0 {
+			todo = append(todo, i)
 		}
 	}
-	wg.Wait()
+	started := parallel.Slots(ctx, len(todo), opts.Workers, opts.Concurrency, func(k, width int) {
+		it := &res.Items[todo[k]]
+		it.Result, it.Err = runBatchItem(ctx, todo[k], it.Spec, width, opts.Observer)
+	})
+	for _, i := range todo[started:] {
+		res.Items[i].Err = ctx.Err()
+		res.Unique--
+	}
 
 	// Settle duplicates onto their originals' outcomes.
 	for i := range res.Items {
@@ -235,4 +208,24 @@ func Batch(ctx context.Context, specs []Spec, opts BatchOptions) (*BatchResult, 
 	}
 	res.Wall = time.Since(start)
 	return res, ctx.Err()
+}
+
+// runBatchItem runs item index of a batch at its slot's width; an
+// explicit narrower Workers request in the spec still wins. Every event
+// is tagged with the item index.
+func runBatchItem(ctx context.Context, index int, spec Spec, width int, obs Observer) (*PipelineResult, error) {
+	if spec.Workers <= 0 || spec.Workers > width {
+		spec.Workers = width
+	}
+	runner := Runner{}
+	if obs != nil {
+		// One tag per item, not per event: Event is delivered by value,
+		// so every event of this item can share the one pointer.
+		tag := index
+		runner.Observer = func(ev Event) {
+			ev.Batch = &tag
+			obs(ev)
+		}
+	}
+	return runner.Run(ctx, spec)
 }

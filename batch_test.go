@@ -2,12 +2,15 @@ package chordal_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"chordal"
 )
@@ -225,9 +228,108 @@ func TestBatchCancel(t *testing.T) {
 		t.Fatalf("Batch err = %v, want context.Canceled", err)
 	}
 	for i, it := range res.Items {
-		if it.Err == nil {
-			t.Errorf("item %d ran to completion under a dead context", i)
+		if !errors.Is(it.Err, context.Canceled) {
+			t.Errorf("item %d err = %v, want context.Canceled", i, it.Err)
 		}
+	}
+}
+
+// slotEngine records the worker width (cfg.Workers) of every batch
+// item in flight. The first wave of items waits at a gate until wave
+// items run at once, so every slot is seen busy.
+type slotEngine struct {
+	mu       sync.Mutex
+	total    int
+	split    map[int]int // width -> number of slots of that width
+	running  map[int]int // width -> items in flight at that width
+	inflight int
+	sum      int
+	peak     int
+	wave     int
+	gate     chan struct{}
+	opened   bool
+	errs     []string
+}
+
+func (*slotEngine) Name() string { return "test-slots" }
+
+func (e *slotEngine) Extract(_ context.Context, g *chordal.Graph, cfg chordal.EngineConfig) (*chordal.EngineResult, error) {
+	w := cfg.Workers
+	e.mu.Lock()
+	e.inflight++
+	e.sum += w
+	e.running[w]++
+	e.peak = max(e.peak, e.inflight)
+	if e.running[w] > e.split[w] {
+		e.errs = append(e.errs, fmt.Sprintf("%d items in flight at width %d, but the split %v has %d such slots", e.running[w], w, e.split, e.split[w]))
+	}
+	if e.sum > e.total {
+		e.errs = append(e.errs, fmt.Sprintf("in-flight widths sum to %d, over the %d-token budget", e.sum, e.total))
+	}
+	if e.inflight == e.wave && !e.opened {
+		e.opened = true
+		close(e.gate)
+	}
+	e.mu.Unlock()
+	select {
+	case <-e.gate:
+	case <-time.After(10 * time.Second):
+		e.mu.Lock()
+		e.errs = append(e.errs, fmt.Sprintf("never %d items in flight at once", e.wave))
+		e.mu.Unlock()
+	}
+	e.mu.Lock()
+	e.inflight--
+	e.sum -= w
+	e.running[w]--
+	e.mu.Unlock()
+	return &chordal.EngineResult{Subgraph: chordal.BuildFromEdges(g.NumVertices(), nil, nil)}, nil
+}
+
+var slotRecorder = &slotEngine{}
+var registerSlots sync.Once
+
+// TestBatchSlotWidths pins how Batch divides its budget: at most
+// min(Concurrency, Workers) items run at once, each at its slot's fixed
+// width, the widths splitting the budget evenly with the remainder on
+// the first slots (8 tokens on 3 slots run at 3, 3 and 2).
+func TestBatchSlotWidths(t *testing.T) {
+	registerSlots.Do(func() { chordal.RegisterEngine(slotRecorder) })
+	for _, tc := range []struct {
+		workers, concurrency int
+		split                map[int]int
+	}{
+		{8, 3, map[int]int{3: 2, 2: 1}},
+		{4, 0, map[int]int{1: 4}},
+		{2, 5, map[int]int{1: 2}},
+		{5, 2, map[int]int{3: 1, 2: 1}},
+	} {
+		wave := 0
+		for _, n := range tc.split {
+			wave += n
+		}
+		slotRecorder.mu.Lock()
+		slotRecorder.total, slotRecorder.split, slotRecorder.running = tc.workers, tc.split, map[int]int{}
+		slotRecorder.wave, slotRecorder.gate, slotRecorder.opened, slotRecorder.peak = wave, make(chan struct{}), false, 0
+		slotRecorder.errs = nil
+		slotRecorder.mu.Unlock()
+
+		var specs []chordal.Spec
+		for seed := 1; seed <= 12; seed++ {
+			specs = append(specs, chordal.Spec{Source: fmt.Sprintf("gnm:30:60:%d", seed), Engine: "test-slots"})
+		}
+		res, err := chordal.Batch(context.Background(), specs, chordal.BatchOptions{Workers: tc.workers, Concurrency: tc.concurrency})
+		if err != nil || res.Failed() != 0 {
+			t.Fatalf("workers=%d concurrency=%d: Batch err %v, %d items failed", tc.workers, tc.concurrency, err, res.Failed())
+		}
+		slotRecorder.mu.Lock()
+		for _, e := range slotRecorder.errs {
+			t.Errorf("workers=%d concurrency=%d: %s", tc.workers, tc.concurrency, e)
+		}
+		if slotRecorder.peak != wave {
+			t.Errorf("workers=%d concurrency=%d: peak %d items in flight, want %d", tc.workers, tc.concurrency, slotRecorder.peak, wave)
+		}
+		slotRecorder.mu.Unlock()
 	}
 }
 

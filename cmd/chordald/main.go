@@ -23,7 +23,7 @@
 // Endpoints (see internal/service and README.md for the full API):
 //
 //	POST   /v1/jobs              submit (JSON {source, options} or multipart upload)
-//	GET    /v1/jobs/{id}         status + metrics
+//	GET    /v1/jobs/{id}         status + run report
 //	DELETE /v1/jobs/{id}         cancel a queued or running job
 //	GET    /v1/jobs/{id}/events  SSE progress stream
 //	GET    /v1/jobs/{id}/result  chordal subgraph (?format=edges|bin|mtx)
@@ -85,8 +85,8 @@ func main() {
 		Scheduler: sched.Config{
 			MaxQueue:      *maxQueue,
 			DefaultTenant: sched.TenantConfig{Weight: *defWeight},
+			Tenants:       tenants,
 		},
-		Tenants: tenants,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: svc}
 

@@ -1,6 +1,6 @@
 // Service walks the extraction service's HTTP API end to end: submit a
-// job, follow its server-sent-event progress stream, read the status
-// metrics, download the resulting chordal subgraph, and demonstrate
+// job, follow its server-sent-event progress stream, read the run
+// report, download the resulting chordal subgraph, and demonstrate
 // that resubmitting the same spec is a cache hit.
 //
 // By default it starts an in-process server on a loopback port so the
@@ -47,22 +47,23 @@ func main() {
 	}
 
 	// 1. Submit a job: POST /v1/jobs with a Source spec and options.
-	status := submit(base, *source)
+	status, _ := submit(base, *source)
 	fmt.Printf("submitted job %s (state %s, source %s)\n\n", status.ID, status.State, status.Source)
 
 	// 2. Follow the SSE progress stream until the terminal done event.
 	fmt.Println("event stream:")
 	status = follow(base, status.ID)
 
-	// 3. Status + metrics.
+	// 3. Status + run report.
 	if status.State != service.StateDone {
 		log.Fatalf("job ended %s: %s", status.State, status.Error)
 	}
-	m := status.Metrics
+	rep := status.Report
 	fmt.Printf("\njob done: %d vertices, %d input edges -> %d chordal edges (%.1f%%) in %d iterations\n",
-		m.Vertices, m.InputEdges, m.ChordalEdges, m.EdgesKeptPct, m.Iterations)
-	if m.Chordal != nil {
-		fmt.Printf("verified chordal: %v\n", *m.Chordal)
+		rep.Input.Vertices, rep.Input.Edges, rep.Extraction.ChordalEdges, rep.Extraction.EdgesKeptPct, rep.Extraction.Iterations)
+	fmt.Printf("canonical key: %s\n", rep.Canonical)
+	if rep.Verify != nil {
+		fmt.Printf("verified chordal: %v\n", rep.Verify.Chordal)
 	}
 
 	// 4. Fetch the subgraph as a text edge list.
@@ -77,14 +78,17 @@ func main() {
 	}
 	resp.Body.Close()
 
-	// 5. Resubmit the same spec, spelled differently: served from cache.
-	again := submit(base, " "+strings.ToUpper(*source)+" ")
-	fmt.Printf("\nresubmitted as %q: state %s, cached %t (no re-extraction)\n",
-		strings.ToUpper(*source), again.State, again.Cached)
+	// 5. Resubmit the same spec, spelled differently: a cache hit (HTTP
+	// 200) returns the job that produced the result, with no
+	// re-extraction.
+	again, code := submit(base, " "+strings.ToUpper(*source)+" ")
+	fmt.Printf("\nresubmitted as %q: HTTP %d, job %s, state %s (cache hit: %t)\n",
+		strings.ToUpper(*source), code, again.ID, again.State, code == http.StatusOK)
 }
 
-// submit posts a JSON job request and decodes the returned status.
-func submit(base, source string) service.JobStatus {
+// submit posts a JSON job request and decodes the returned status and
+// its HTTP status code.
+func submit(base, source string) (service.JobStatus, int) {
 	body, _ := json.Marshal(service.JobRequest{Source: source})
 	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -98,7 +102,7 @@ func submit(base, source string) service.JobStatus {
 	if st.Error != "" && st.ID == "" {
 		log.Fatalf("submission rejected: %s", st.Error)
 	}
-	return st
+	return st, resp.StatusCode
 }
 
 // follow prints the job's SSE stream until the done event, returning

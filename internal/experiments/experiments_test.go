@@ -54,13 +54,25 @@ func TestTable1Content(t *testing.T) {
 	}
 }
 
+// TestPctContent checks the §V table: it says it extracts at one
+// worker, and two runs print the same table, iteration counts included.
 func TestPctContent(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Pct(&buf, tinyConfig()); err != nil {
-		t.Fatal(err)
+	run := func() string {
+		var buf bytes.Buffer
+		if err := Pct(&buf, tinyConfig()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
 	}
-	if !strings.Contains(buf.String(), "%") {
+	first := run()
+	if !strings.Contains(first, "%") {
 		t.Fatal("Pct output has no percentages")
+	}
+	if header, _, _ := strings.Cut(first, "\n"); !strings.Contains(header, "(one worker)") {
+		t.Errorf("Pct header %q does not say it runs at one worker", header)
+	}
+	if second := run(); second != first {
+		t.Errorf("two Pct runs differ:\n%s\n%s", first, second)
 	}
 }
 

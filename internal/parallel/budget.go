@@ -67,29 +67,6 @@ func (b *Budget) Lease(want int) int {
 	return granted
 }
 
-// TryLease takes up to want tokens without blocking: it returns the
-// granted count, or 0 when the pool is currently empty (a grant of 0
-// needs no Release). want <= 0 requests the full pool. Pool slots use
-// it so a slot never parks holding a queued task while other holders —
-// possibly idle slots of another pool on the same budget — sit on the
-// tokens it is waiting for.
-func (b *Budget) TryLease(want int) int {
-	if want <= 0 || want > b.total {
-		want = b.total
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.avail == 0 {
-		return 0
-	}
-	granted := want
-	if granted > b.avail {
-		granted = b.avail
-	}
-	b.avail -= granted
-	return granted
-}
-
 // LeaseContext is Lease under a context: a caller blocked on an empty
 // pool is released when ctx is done, receiving 0 tokens and ctx.Err().
 // A canceled job must never wait out another job's lease, and a grant

@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"chordal"
 	"encoding/json"
 	"net/http"
 	"strings"
@@ -53,7 +54,7 @@ func waitBatchDone(t *testing.T, base, id string) BatchStatus {
 // TestBatchEndpointFanOut drives POST /v1/batches end to end: items
 // fan out to ordinary jobs, identical items share one job via the
 // usual dedup, the aggregate status reaches Done with per-item
-// metrics, and the member jobs remain individually addressable.
+// run reports, and the member jobs remain individually addressable.
 func TestBatchEndpointFanOut(t *testing.T) {
 	_, ts := startServer(t, Config{MaxConcurrent: 2, Workers: 4})
 	verify := true
@@ -81,8 +82,8 @@ func TestBatchEndpointFanOut(t *testing.T) {
 		t.Fatalf("final counts %+v, want 3 done", final.Counts)
 	}
 	for _, item := range final.Items {
-		if item.Metrics == nil || item.Metrics.Chordal == nil || !*item.Metrics.Chordal {
-			t.Errorf("item %d lacks verified metrics: %+v", item.Index, item.Metrics)
+		if item.Report == nil || item.Report.Verify == nil || !item.Report.Verify.Chordal {
+			t.Errorf("item %d lacks a verified run report: %+v", item.Index, item.Report)
 		}
 	}
 
@@ -127,7 +128,7 @@ func TestBatchEndpointValidation(t *testing.T) {
 
 	resp, err = http.Post(ts.URL+"/v1/batches", "application/json", body(BatchRequest{Items: []JobRequest{
 		{Source: "gnm:100:300:1"},
-		{Source: "gnm:10:20", Options: JobOptions{Engine: "serial", Shards: 4}},
+		{Source: "gnm:10:20", Options: JobOptions{Engine: "serial", EngineConfig: chordal.EngineConfig{Shards: 4}}},
 	}}))
 	if err != nil {
 		t.Fatal(err)

@@ -25,77 +25,6 @@ func terminalState(s string) bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// StageMillis is one pipeline stage's wall-clock duration in the
-// status metrics.
-type StageMillis struct {
-	// Stage is the pipeline stage name (acquire, relabel, extract,
-	// verify).
-	Stage string `json:"stage"`
-	// Millis is the stage's wall-clock duration in milliseconds.
-	Millis float64 `json:"millis"`
-}
-
-// Metrics summarizes a completed extraction for GET /v1/jobs/{id}.
-type Metrics struct {
-	// Vertices and InputEdges describe the acquired input graph.
-	Vertices   int   `json:"vertices"`
-	InputEdges int64 `json:"inputEdges"`
-	// ChordalEdges is |EC|, the extracted chordal edge count;
-	// EdgesKeptPct is its share of the input edges.
-	ChordalEdges int     `json:"chordalEdges"`
-	EdgesKeptPct float64 `json:"edgesKeptPct"`
-	// Iterations is the extract loop's iteration count (whole-graph
-	// extraction; sharded jobs report per-shard counts instead). A
-	// diagnostic: a cache hit carries the count of the run that filled
-	// the cache, and at two or more workers it depends on thread timing.
-	Iterations int `json:"iterations"`
-	// Shards is the shard count of a sharded extraction (0 for
-	// whole-graph jobs); ShardIterations has one kernel iteration count
-	// per shard.
-	Shards          int   `json:"shards,omitempty"`
-	ShardIterations []int `json:"shardIterations,omitempty"`
-	// BorderTotal counts input edges crossing shards;
-	// StitchedBorderEdges the cross-shard bridges admitted by the
-	// spanning stitch; BorderAdmitted the border edges admitted by the
-	// exact chordality-preserving pass.
-	BorderTotal         int `json:"borderTotal,omitempty"`
-	StitchedBorderEdges int `json:"stitchedBorderEdges,omitempty"`
-	BorderAdmitted      int `json:"borderAdmitted,omitempty"`
-	// EdgeCut is the number of input edges crossing the shard
-	// partition (equal to BorderTotal, typed for the report) and
-	// EdgeCutPct its percentage of the input edges; shard jobs only.
-	EdgeCut    int64   `json:"edgeCut,omitempty"`
-	EdgeCutPct float64 `json:"edgeCutPct,omitempty"`
-	// External carries the out-of-core engine's IO accounting (bytes
-	// mapped/read/spilled, peak resident estimate, decode/kernel
-	// overlap); nil for in-memory engines.
-	External *chordal.ExternalSummary `json:"external,omitempty"`
-	// Variant and Schedule are the code path and test-ordering
-	// discipline actually used.
-	Variant  string `json:"variant"`
-	Schedule string `json:"schedule"`
-	// Workers is the parallelism granted by the shared worker budget.
-	Workers int `json:"workers"`
-	// Chordal reports the verify stage's chordality check; nil when
-	// verification was disabled.
-	Chordal *bool `json:"chordal,omitempty"`
-	// MaximalityAudited reports whether the bounded maximality audit
-	// ran; ReAddableEdges is the number of violations it found.
-	MaximalityAudited bool `json:"maximalityAudited"`
-	ReAddableEdges    int  `json:"reAddableEdges"`
-	// RepairedEdges and StitchedEdges count post-pass additions.
-	RepairedEdges int `json:"repairedEdges"`
-	StitchedEdges int `json:"stitchedEdges"`
-	// Quality scores the extracted subgraph against the input (edge
-	// retention, fill-in, treewidth, chromatic number); nil when no
-	// subgraph was extracted or the metrics were skipped.
-	Quality *chordal.Quality `json:"quality,omitempty"`
-	// Stages holds per-stage wall-clock timings; TotalMillis is their
-	// sum.
-	Stages      []StageMillis `json:"stages"`
-	TotalMillis float64       `json:"totalMillis"`
-}
-
 // JobStatus is the JSON view of a job returned by POST /v1/jobs and
 // GET /v1/jobs/{id}, and carried by the terminal "done" SSE event.
 type JobStatus struct {
@@ -126,8 +55,13 @@ type JobStatus struct {
 	Finished *time.Time `json:"finished,omitempty"`
 	// Error is the failure message of a failed job.
 	Error string `json:"error,omitempty"`
-	// Metrics summarizes the extraction once the job is done.
-	Metrics *Metrics `json:"metrics,omitempty"`
+	// Report is the library's run report (chordal.Report) once the job
+	// is done: the normalized spec with the granted worker width, its
+	// canonical key, input statistics, the engine summary, the verify
+	// outcome, quality and per-stage timings. A service-side acquire
+	// leads the timings. A cache hit carries the report of the run that
+	// filled the cache.
+	Report *chordal.RunReport `json:"report,omitempty"`
 }
 
 // Job is one submitted extraction: lifecycle state, the append-only
@@ -159,7 +93,7 @@ type Job struct {
 	started   time.Time
 	finished  time.Time
 	err       error
-	metrics   *Metrics
+	report    *chordal.RunReport
 	subgraph  *graph.Graph
 	log       eventLog
 }
@@ -207,15 +141,15 @@ func (j *Job) setRunning(now time.Time) {
 	j.mu.Unlock()
 }
 
-// complete finishes the job with its metrics and extracted subgraph,
+// complete finishes the job with its run report and extracted subgraph,
 // appending the terminal "done" event atomically with the state change
 // (a subscriber that sees the terminal state is guaranteed the event is
 // already in the log).
-func (j *Job) complete(now time.Time, m *Metrics, sub *graph.Graph) {
+func (j *Job) complete(now time.Time, rep *chordal.RunReport, sub *graph.Graph) {
 	j.mu.Lock()
 	j.state = StateDone
 	j.finished = now
-	j.metrics = m
+	j.report = rep
 	j.subgraph = sub
 	j.log.add("done", j.statusLocked())
 	j.mu.Unlock()
@@ -289,7 +223,7 @@ func (j *Job) statusLocked() JobStatus {
 		Cached:  j.cached,
 		Tenant:  j.tenant,
 		Created: j.created,
-		Metrics: j.metrics,
+		Report:  j.report,
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -310,53 +244,4 @@ func (j *Job) result() (*graph.Graph, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.subgraph, j.state == StateDone && j.subgraph != nil
-}
-
-// buildMetrics converts a pipeline result into the wire metrics.
-func buildMetrics(res *chordal.PipelineResult, workers int, extra []StageMillis) *Metrics {
-	m := &Metrics{
-		Vertices:   res.InputStats.Vertices,
-		InputEdges: res.InputStats.Edges,
-		Workers:    workers,
-		Stages:     extra,
-	}
-	if res.Subgraph != nil {
-		m.ChordalEdges = int(res.Subgraph.NumEdges())
-		if res.InputStats.Edges > 0 {
-			m.EdgesKeptPct = 100 * float64(m.ChordalEdges) / float64(res.InputStats.Edges)
-		}
-	}
-	if r := res.Extraction; r != nil {
-		m.Iterations = len(r.Iterations)
-		m.Variant = r.Variant.String()
-		m.Schedule = r.Schedule.String()
-		m.RepairedEdges = r.RepairedEdges
-		m.StitchedEdges = r.StitchedEdges
-	}
-	if sh := res.Shard; sh != nil {
-		m.Shards = sh.Shards
-		m.ShardIterations = sh.PerShardIterations
-		m.BorderTotal = sh.BorderTotal
-		m.StitchedEdges = sh.StitchedEdges
-		m.StitchedBorderEdges = sh.BorderBridges
-		m.BorderAdmitted = sh.BorderAdmitted
-		m.RepairedEdges = sh.RepairedEdges
-		m.EdgeCut = sh.EdgeCut
-		m.EdgeCutPct = sh.EdgeCutPct
-	}
-	m.External = res.External
-	if res.Verified {
-		ok := res.ChordalOK
-		m.Chordal = &ok
-		m.MaximalityAudited = res.MaximalityAudited
-		m.ReAddableEdges = res.ReAddableEdges
-	}
-	m.Quality = res.Quality
-	for _, st := range res.Timings {
-		m.Stages = append(m.Stages, StageMillis{st.Stage, float64(st.Duration.Microseconds()) / 1000})
-	}
-	for _, st := range m.Stages {
-		m.TotalMillis += st.Millis
-	}
-	return m
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"chordal"
 	"encoding/json"
 	"net/http"
 	"runtime"
@@ -183,7 +184,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	// The canceled job leased nothing, so after releasing the hold a
 	// full-width request must get every token and complete.
 	svc.budget.Release(hold)
-	body, _ := json.Marshal(JobRequest{Source: "gnm:1000:3000", Options: JobOptions{Workers: 2}})
+	body, _ := json.Marshal(JobRequest{Source: "gnm:1000:3000", Options: JobOptions{EngineConfig: chordal.EngineConfig{Workers: 2}}})
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +193,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	json.NewDecoder(resp.Body).Decode(&full)
 	resp.Body.Close()
 	_, done = followEvents(t, ts.URL, full.ID)
-	if done.State != StateDone || done.Metrics.Workers != 2 {
+	if done.State != StateDone || done.Report.Spec.Workers != 2 {
 		t.Fatalf("post-cancel full-width job: %+v", done)
 	}
 }
@@ -267,7 +268,7 @@ func TestCancelNoGoroutineLeak(t *testing.T) {
 
 // TestShardedJobOverHTTP drives the shards=N option end to end: the
 // job must finish verified chordal with per-shard iteration counts in
-// its metrics, and its cache identity must be distinct from the
+// its run report, and its cache identity must be distinct from the
 // unsharded spec.
 func TestShardedJobOverHTTP(t *testing.T) {
 	_, ts := startServer(t, Config{})
@@ -285,14 +286,14 @@ func TestShardedJobOverHTTP(t *testing.T) {
 	if done.State != StateDone {
 		t.Fatalf("sharded job: %q (error %q)", done.State, done.Error)
 	}
-	m := done.Metrics
-	if m.Shards != 4 || len(m.ShardIterations) != 4 {
-		t.Fatalf("shard metrics %+v, want 4 shards with per-shard iterations", m)
+	sh := done.Report.Extraction.Shard
+	if sh == nil || sh.Shards != 4 || len(sh.PerShardIterations) != 4 {
+		t.Fatalf("shard summary %+v, want 4 shards with per-shard iterations", sh)
 	}
-	if m.Chordal == nil || !*m.Chordal {
-		t.Fatalf("sharded result not verified chordal: %+v", m)
+	if v := done.Report.Verify; v == nil || !v.Chordal {
+		t.Fatalf("sharded result not verified chordal: %+v", v)
 	}
-	if m.BorderTotal == 0 {
+	if sh.BorderTotal == 0 {
 		t.Errorf("4-way shard of an R-MAT graph reported no border edges")
 	}
 	if counts["iteration"] < 4 {

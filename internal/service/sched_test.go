@@ -159,11 +159,11 @@ func TestServiceLoadShed429(t *testing.T) {
 // while other tenants are unaffected, and stream opens draw from the
 // same bucket.
 func TestTenantRateLimit429(t *testing.T) {
-	_, ts := startServer(t, Config{
+	_, ts := startServer(t, Config{Scheduler: sched.Config{
 		Tenants: map[string]sched.TenantConfig{
 			"limited": {RatePerSec: 0.001, Burst: 1},
 		},
-	})
+	}})
 
 	if _, code := submitTenantJSON(t, ts.URL, "limited", JobRequest{Source: "gnm:300:900"}); code != http.StatusAccepted {
 		t.Fatalf("first limited submission: code %d, want 202", code)

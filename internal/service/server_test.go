@@ -106,15 +106,15 @@ func TestServeJobEndToEnd(t *testing.T) {
 	if done.State != StateDone {
 		t.Fatalf("terminal state %q (error %q), want %q", done.State, done.Error, StateDone)
 	}
-	m := done.Metrics
-	if m == nil {
-		t.Fatal("done status has no metrics")
+	rep := done.Report
+	if rep == nil || rep.Extraction == nil {
+		t.Fatal("done status has no run report")
 	}
-	if m.Chordal == nil || !*m.Chordal {
-		t.Errorf("result not verified chordal: %+v", m)
+	if rep.Verify == nil || !rep.Verify.Chordal {
+		t.Errorf("result not verified chordal: %+v", rep)
 	}
-	if m.ChordalEdges <= 0 || m.Iterations < 1 {
-		t.Errorf("implausible metrics: %+v", m)
+	if rep.Extraction.ChordalEdges <= 0 || rep.Extraction.Iterations < 1 {
+		t.Errorf("implausible report: %+v", rep.Extraction)
 	}
 
 	// Status endpoint agrees with the terminal event.
@@ -125,8 +125,8 @@ func TestServeJobEndToEnd(t *testing.T) {
 	var polled JobStatus
 	json.NewDecoder(resp.Body).Decode(&polled)
 	resp.Body.Close()
-	if polled.State != StateDone || polled.Metrics == nil {
-		t.Errorf("GET status = %+v, want done with metrics", polled)
+	if polled.State != StateDone || polled.Report == nil {
+		t.Errorf("GET status = %+v, want done with a run report", polled)
 	}
 
 	// Result in edge-list form matches the reported edge count.
@@ -142,7 +142,7 @@ func TestServeJobEndToEnd(t *testing.T) {
 	if sc := bufio.NewScanner(resp.Body); sc.Scan() {
 		header = sc.Text()
 	}
-	want := fmt.Sprintf("%d edges", m.ChordalEdges)
+	want := fmt.Sprintf("%d edges", rep.Extraction.ChordalEdges)
 	if !strings.Contains(header, want) {
 		t.Errorf("result header %q does not report %s", header, want)
 	}
@@ -156,8 +156,8 @@ func TestServeJobEndToEnd(t *testing.T) {
 	if st2.ID != st.ID || st2.State != StateDone {
 		t.Errorf("resubmission: %+v, want the original done job %s", st2, st.ID)
 	}
-	if st2.Metrics == nil || st2.Metrics.ChordalEdges != m.ChordalEdges {
-		t.Errorf("cached metrics %+v, want %d chordal edges", st2.Metrics, m.ChordalEdges)
+	if st2.Report == nil || st2.Report.Extraction.ChordalEdges != rep.Extraction.ChordalEdges {
+		t.Errorf("cached report %+v, want %d chordal edges", st2.Report, rep.Extraction.ChordalEdges)
 	}
 }
 
@@ -185,15 +185,15 @@ func TestConcurrentSubmissions(t *testing.T) {
 	}
 	wg.Wait()
 
-	edges := -1
+	edges := int64(-1)
 	for i, st := range states {
 		if st.State != StateDone {
 			t.Fatalf("client %d: state %q (error %q)", i, st.State, st.Error)
 		}
-		if edges == -1 {
-			edges = st.Metrics.ChordalEdges
-		} else if st.Metrics.ChordalEdges != edges {
-			t.Errorf("client %d: %d chordal edges, others got %d", i, st.Metrics.ChordalEdges, edges)
+		if got := st.Report.Extraction.ChordalEdges; edges == -1 {
+			edges = got
+		} else if got != edges {
+			t.Errorf("client %d: %d chordal edges, others got %d", i, got, edges)
 		}
 	}
 
@@ -242,9 +242,9 @@ func TestMultipartUpload(t *testing.T) {
 	if done.State != StateDone {
 		t.Fatalf("upload job: %q (error %q)", done.State, done.Error)
 	}
-	if done.Metrics.ChordalEdges != 5 {
+	if got := done.Report.Extraction.ChordalEdges; got != 5 {
 		// All five edges fit: the chord triangulates the square.
-		t.Errorf("upload extraction kept %d edges, want 5", done.Metrics.ChordalEdges)
+		t.Errorf("upload extraction kept %d edges, want 5", got)
 	}
 
 	st2, code2 := post()
@@ -287,8 +287,8 @@ func TestMalformedBinaryUpload(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("well-formed upload after the rejected one: status %d body %s", code, body)
 	}
-	if _, done := followEvents(t, ts.URL, st.ID); done.State != StateDone || done.Metrics.ChordalEdges != 5 {
-		t.Fatalf("well-formed upload: %q (error %q), %d chordal edges, want done with 5", done.State, done.Error, done.Metrics.ChordalEdges)
+	if _, done := followEvents(t, ts.URL, st.ID); done.State != StateDone || done.Report.Extraction.ChordalEdges != 5 {
+		t.Fatalf("well-formed upload: %q (error %q), report %+v, want done with 5 chordal edges", done.State, done.Error, done.Report)
 	}
 }
 
@@ -429,7 +429,7 @@ func TestSpecParityAcrossSurfaces(t *testing.T) {
 	// The service decodes the equivalent JSON request to the same key.
 	js, err := newJobSpec(JobRequest{
 		Source:  " RMAT-G:9:5 ",
-		Options: JobOptions{Repair: true},
+		Options: JobOptions{EngineConfig: chordal.EngineConfig{Repair: true}},
 	}, false)
 	if err != nil {
 		t.Fatal(err)
@@ -439,7 +439,7 @@ func TestSpecParityAcrossSurfaces(t *testing.T) {
 	}
 
 	// And the job's extracted bytes match the library run's.
-	st, _ := submitJSON(t, ts.URL, JobRequest{Source: "rmat-g:9:5", Options: JobOptions{Repair: true}})
+	st, _ := submitJSON(t, ts.URL, JobRequest{Source: "rmat-g:9:5", Options: JobOptions{EngineConfig: chordal.EngineConfig{Repair: true}}})
 	if _, done := followEvents(t, ts.URL, st.ID); done.State != StateDone {
 		t.Fatalf("service job: %s (%s)", done.State, done.Error)
 	}

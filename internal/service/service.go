@@ -7,7 +7,7 @@
 //	POST   /v1/jobs              submit a job: JSON {source, options} or
 //	                             a multipart graph upload (field "graph",
 //	                             optional "options" JSON field)
-//	GET    /v1/jobs/{id}         status + metrics
+//	GET    /v1/jobs/{id}         status + run report
 //	DELETE /v1/jobs/{id}         cancel a queued or running job; it
 //	                             drains at the next iteration boundary
 //	                             into the terminal "canceled" state with
@@ -73,8 +73,8 @@
 // LRU caches exploit that identity: generated input graphs are cached
 // by canonical source (the benchmark and bio-suite shapes regenerate
 // the same specs constantly), and completed extractions are cached by
-// the full canonical spec, so a repeated spec is served instantly with
-// Cached: true in its status. A result-cache hit returns the job that
+// the full canonical spec, so a repeated spec is served instantly
+// (HTTP 200). A result-cache hit returns the job that
 // produced the result (or one persistent born-done job if that one was
 // garbage collected) rather than registering a new job per request,
 // and identical cacheable specs submitted while the first is still
@@ -144,16 +144,13 @@ type Config struct {
 	JobTTL time.Duration
 	// Scheduler configures the weighted-fair run queue and admission
 	// control: the global pending bound, the default tenant policy
-	// template, and per-tenant overrides (see sched.Config). Slots is
+	// template, and per-tenant policy by tenant name (see sched.Config;
+	// chordald's -tenant-config file fills Scheduler.Tenants). Slots is
 	// ignored — MaxConcurrent is the slot count. The zero value keeps
 	// the pre-scheduler behavior for single-tenant traffic: FIFO
 	// dispatch at weight 1, no rate limits, and a generous (4096)
 	// pending bound in place of unbounded queueing.
 	Scheduler sched.Config
-	// Tenants holds per-tenant scheduling policy by tenant name,
-	// merged over (and overriding) Scheduler.Tenants — the
-	// -tenant-config file surfaces here.
-	Tenants map[string]sched.TenantConfig
 }
 
 // cachedResult is one completed extraction in the result LRU. jobID is
@@ -162,7 +159,7 @@ type Config struct {
 // collected; it is read and written under Server.mu.
 type cachedResult struct {
 	jobID    string
-	metrics  Metrics
+	report   *chordal.RunReport
 	subgraph *graph.Graph
 }
 
@@ -220,16 +217,6 @@ func New(cfg Config) *Server {
 	}
 	schedCfg := cfg.Scheduler
 	schedCfg.Slots = cfg.MaxConcurrent
-	if len(cfg.Tenants) > 0 {
-		merged := make(map[string]sched.TenantConfig, len(schedCfg.Tenants)+len(cfg.Tenants))
-		for name, tc := range schedCfg.Tenants {
-			merged[name] = tc
-		}
-		for name, tc := range cfg.Tenants {
-			merged[name] = tc
-		}
-		schedCfg.Tenants = merged
-	}
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:      cfg,
@@ -245,8 +232,8 @@ func New(cfg Config) *Server {
 			return g.SizeBytes()
 		}),
 		results: newLRU[*cachedResult](cfg.ResultCacheBytes, func(r *cachedResult) int64 {
-			// The subgraph CSR dominates; metrics and bookkeeping ride
-			// along under a small fixed charge.
+			// The subgraph CSR dominates; the report and bookkeeping
+			// ride along under a small fixed charge.
 			cost := int64(4096)
 			if r.subgraph != nil {
 				cost += r.subgraph.SizeBytes()
@@ -586,8 +573,7 @@ func (s *Server) tryCachedLocked(spec jobSpec) (*Job, bool) {
 	// started/finished; stamp both with the submission instant (the
 	// job is not yet published, so direct writes are safe).
 	job.started = now
-	m := hit.metrics
-	job.complete(now, &m, hit.subgraph)
+	job.complete(now, hit.report, hit.subgraph)
 	hit.jobID = job.ID()
 	s.jobs[job.ID()] = job
 	return job, true
@@ -700,7 +686,7 @@ func (s *Server) run(job *Job, upload *graph.Graph) {
 	// input cache (uploads were parsed at submission; generated sources
 	// are deterministic in their canonical spec). File-path sources load
 	// inside the runner, where the acquire stage is timed as usual.
-	var acquire []StageMillis
+	var acquire []chordal.StageTiming
 	switch {
 	case upload != nil:
 		runner.Input = upload
@@ -728,7 +714,7 @@ func (s *Server) run(job *Job, upload *graph.Graph) {
 				job.fail(time.Now(), err)
 				return
 			}
-			acquire = append(acquire, StageMillis{"acquire", float64(time.Since(t0).Microseconds()) / 1000})
+			acquire = []chordal.StageTiming{{Stage: "acquire", Duration: time.Since(t0)}}
 			s.inputs.Add(spec.Source, g)
 			runner.Input = g
 		}
@@ -739,10 +725,16 @@ func (s *Server) run(job *Job, upload *graph.Graph) {
 		job.fail(time.Now(), err)
 		return
 	}
-	m := buildMetrics(res, granted, acquire)
-	job.complete(time.Now(), m, res.Subgraph)
+	// The service's own acquire leads the runner's stage timings.
+	res.Timings = append(acquire, res.Timings...)
+	rep, err := chordal.Report(spec, res)
+	if err != nil {
+		job.fail(time.Now(), err)
+		return
+	}
+	job.complete(time.Now(), &rep, res.Subgraph)
 	if job.spec.cacheable() {
-		s.results.Add(job.spec.Key(), &cachedResult{jobID: job.ID(), metrics: *m, subgraph: res.Subgraph})
+		s.results.Add(job.spec.Key(), &cachedResult{jobID: job.ID(), report: &rep, subgraph: res.Subgraph})
 	}
 }
 

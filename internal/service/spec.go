@@ -24,64 +24,36 @@ type JobRequest struct {
 	Options JobOptions `json:"options"`
 }
 
-// JobOptions is the wire form of the extraction configuration. String
-// enums use the CLI names so the HTTP API and the chordal command read
+// JobOptions is the wire form of the extraction configuration: the
+// library's chordal.EngineConfig, whose JSON fields flatten into the
+// options object, plus the spec fields a job may set. String enums use
+// the CLI names so the HTTP API and the chordal command read
 // identically. JSON key order and omitted-versus-defaulted fields do
 // not affect job identity: the decoded chordal.Spec is normalized and
-// its Canonical() string is the job key.
+// its Canonical() string is the job key. A spec's Output path cannot be
+// set from the wire; results are downloaded, never written by the
+// server.
+//
+// Workers requests extraction parallelism from the server's shared
+// worker budget: the job receives up to the requested count, limited
+// to the tokens currently free (at least one; a request against an
+// exhausted budget waits for the first release). <= 0 requests the
+// default fair share of the budget (total / MaxConcurrent; the server
+// clamps MaxConcurrent to the budget), which keeps default-width jobs
+// genuinely concurrent; request more for full width on an idle server.
+// The report's spec carries the actual grant.
 type JobOptions struct {
 	// Engine names the extraction engine (chordal.EngineNames; default
 	// parallel). Omitted, it is implied by Partitions/Shards when
 	// exactly one of them is set; conflicting selections are rejected.
 	Engine string `json:"engine,omitempty"`
-	// Variant is auto|opt|unopt (default auto).
-	Variant string `json:"variant,omitempty"`
-	// Schedule is dataflow|async|sync (default dataflow).
-	Schedule string `json:"schedule,omitempty"`
 	// Relabel is none|bfs|degree (default none).
 	Relabel string `json:"relabel,omitempty"`
-	// Workers requests extraction parallelism, granted from the
-	// server's shared worker budget: the job receives up to the
-	// requested count, limited to the tokens currently free (at least
-	// one; a request against an exhausted pool waits for the first
-	// release). <= 0 requests the default fair share of the budget
-	// (total / MaxConcurrent; the server clamps MaxConcurrent to the
-	// budget), which keeps default-width jobs genuinely concurrent;
-	// request more for full width on an idle server. The metrics
-	// report the actual grant.
-	Workers int `json:"workers,omitempty"`
-	// Repair enables the maximality repair post-pass.
-	Repair bool `json:"repair,omitempty"`
-	// Stitch enables the component stitch post-pass.
-	Stitch bool `json:"stitch,omitempty"`
-	// Partitions > 0 runs the distributed-style partitioned baseline
-	// engine with this many parts.
-	Partitions int `json:"partitions,omitempty"`
-	// Shards > 0 runs the sharded engine: the kernel runs per
-	// contiguous vertex-range shard inside the job's worker lease and
-	// border edges are reconciled with a chordality-preserving stitch
-	// (see DESIGN.md §7). 0 (the default) extracts the whole graph in
-	// one kernel.
-	Shards int `json:"shards,omitempty"`
-	// ShardStitchOnly restricts border reconciliation to the spanning
-	// stitch. Ignored (and canonicalized away) unless the sharded
-	// engine runs.
-	ShardStitchOnly bool `json:"shardStitchOnly,omitempty"`
-	// ResidentShards bounds how many decoded shards the external
-	// engine holds in memory at once (default 2, the double-buffer
-	// minimum). A residency knob, not identity: it never splits the
-	// canonical job key.
-	ResidentShards int `json:"residentShards,omitempty"`
-	// MaxDeferred bounds a stream session's deferred-edge queue;
-	// deltas past the bound drop with an overflow event. 0 (default)
-	// is unbounded; rejected outside stream mode.
-	MaxDeferred int `json:"maxDeferred,omitempty"`
-	// Start is the dearing engine's start vertex; setting it non-zero
-	// with any other engine is rejected.
-	Start int `json:"start,omitempty"`
-	// Order is the elimination engine's ordering, natural|mindeg
-	// (default mindeg); setting it with any other engine is rejected.
-	Order string `json:"order,omitempty"`
+	// EngineConfig holds the engine parameters (variant, schedule,
+	// workers, repair, stitch, partitions, shards, shardStitchOnly,
+	// residentShards, maxDeferred, start, order); its fields document
+	// their meaning and which of them enter the canonical key.
+	chordal.EngineConfig
 	// Verify runs the chordality check (and maximality audit on small
 	// inputs) on the result; omitted means true.
 	Verify *bool `json:"verify,omitempty"`
@@ -102,26 +74,13 @@ func (o JobOptions) Spec(source string) (chordal.Spec, error) {
 // describe; Spec and the stream-open handler normalize it themselves.
 func (o JobOptions) rawSpec(source string) chordal.Spec {
 	return chordal.Spec{
-		V:       chordal.SpecVersion,
-		Source:  source,
-		Relabel: o.Relabel,
-		Mode:    o.Mode,
-		Engine:  o.Engine,
-		EngineConfig: chordal.EngineConfig{
-			Variant:         o.Variant,
-			Schedule:        o.Schedule,
-			Workers:         o.Workers,
-			Repair:          o.Repair,
-			Stitch:          o.Stitch,
-			Partitions:      o.Partitions,
-			Shards:          o.Shards,
-			ShardStitchOnly: o.ShardStitchOnly,
-			ResidentShards:  o.ResidentShards,
-			MaxDeferred:     o.MaxDeferred,
-			Start:           o.Start,
-			Order:           o.Order,
-		},
-		Verify: o.Verify == nil || *o.Verify,
+		V:            chordal.SpecVersion,
+		Source:       source,
+		Relabel:      o.Relabel,
+		Mode:         o.Mode,
+		Engine:       o.Engine,
+		EngineConfig: o.EngineConfig,
+		Verify:       o.Verify == nil || *o.Verify,
 	}
 }
 

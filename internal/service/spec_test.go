@@ -69,15 +69,15 @@ func TestCanonicalKeyOptionSpellings(t *testing.T) {
 	// Options that change the output change the key.
 	off := false
 	variants := []JobRequest{
-		{Source: "gnm:1000:5000", Options: JobOptions{Repair: true}},
-		{Source: "gnm:1000:5000", Options: JobOptions{Stitch: true}},
+		{Source: "gnm:1000:5000", Options: JobOptions{EngineConfig: chordal.EngineConfig{Repair: true}}},
+		{Source: "gnm:1000:5000", Options: JobOptions{EngineConfig: chordal.EngineConfig{Stitch: true}}},
 		{Source: "gnm:1000:5000", Options: JobOptions{Relabel: "bfs"}},
-		{Source: "gnm:1000:5000", Options: JobOptions{Schedule: "sync"}},
-		{Source: "gnm:1000:5000", Options: JobOptions{Variant: "unopt"}},
+		{Source: "gnm:1000:5000", Options: JobOptions{EngineConfig: chordal.EngineConfig{Schedule: "sync"}}},
+		{Source: "gnm:1000:5000", Options: JobOptions{EngineConfig: chordal.EngineConfig{Variant: "unopt"}}},
 		{Source: "gnm:1000:5000", Options: JobOptions{Verify: &off}},
-		{Source: "gnm:1000:5000", Options: JobOptions{Shards: 2}},
-		{Source: "gnm:1000:5000", Options: JobOptions{Shards: 8}},
-		{Source: "gnm:1000:5000", Options: JobOptions{Shards: 8, ShardStitchOnly: true}},
+		{Source: "gnm:1000:5000", Options: JobOptions{EngineConfig: chordal.EngineConfig{Shards: 2}}},
+		{Source: "gnm:1000:5000", Options: JobOptions{EngineConfig: chordal.EngineConfig{Shards: 8}}},
+		{Source: "gnm:1000:5000", Options: JobOptions{EngineConfig: chordal.EngineConfig{Shards: 8, ShardStitchOnly: true}}},
 	}
 	seen := map[string]int{keys[0]: -1}
 	for i, req := range variants {
@@ -93,12 +93,12 @@ func TestCanonicalKeyOptionSpellings(t *testing.T) {
 // without sharding is meaningless and must not split the cache key.
 func TestShardStitchOnlyCanonicalized(t *testing.T) {
 	plain := specKey(t, JobRequest{Source: "gnm:1000:5000"})
-	noop := specKey(t, JobRequest{Source: "gnm:1000:5000", Options: JobOptions{ShardStitchOnly: true}})
+	noop := specKey(t, JobRequest{Source: "gnm:1000:5000", Options: JobOptions{EngineConfig: chordal.EngineConfig{ShardStitchOnly: true}}})
 	if plain != noop {
 		t.Errorf("shardStitchOnly without shards split the key: %s vs %s", plain, noop)
 	}
-	a := specKey(t, JobRequest{Source: "gnm:1000:5000", Options: JobOptions{Shards: 4}})
-	b := specKey(t, JobRequest{Source: "gnm:1000:5000", Options: JobOptions{Shards: 4, ShardStitchOnly: true}})
+	a := specKey(t, JobRequest{Source: "gnm:1000:5000", Options: JobOptions{EngineConfig: chordal.EngineConfig{Shards: 4}}})
+	b := specKey(t, JobRequest{Source: "gnm:1000:5000", Options: JobOptions{EngineConfig: chordal.EngineConfig{Shards: 4, ShardStitchOnly: true}}})
 	if a == b {
 		t.Error("shardStitchOnly with shards must change the key")
 	}
@@ -110,13 +110,13 @@ func TestCanonicalKeyRejectsBadSpecs(t *testing.T) {
 		{Source: "   "},
 		{Source: "rmat-er"},  // missing scale
 		{Source: "gnm:1000"}, // missing m
-		{Source: "gnm:1000:5000", Options: JobOptions{Variant: "fast"}},
-		{Source: "gnm:1000:5000", Options: JobOptions{Schedule: "eventually"}},
+		{Source: "gnm:1000:5000", Options: JobOptions{EngineConfig: chordal.EngineConfig{Variant: "fast"}}},
+		{Source: "gnm:1000:5000", Options: JobOptions{EngineConfig: chordal.EngineConfig{Schedule: "eventually"}}},
 		{Source: "gnm:1000:5000", Options: JobOptions{Relabel: "random"}},
-		{Source: "gnm:1000:5000", Options: JobOptions{Shards: -1}},
+		{Source: "gnm:1000:5000", Options: JobOptions{EngineConfig: chordal.EngineConfig{Shards: -1}}},
 		{Source: "gnm:1000:5000", Options: JobOptions{Engine: "warp"}},
-		{Source: "gnm:1000:5000", Options: JobOptions{Engine: "serial", Shards: 4}},
-		{Source: "gnm:1000:5000", Options: JobOptions{Partitions: 2, Shards: 4}},
+		{Source: "gnm:1000:5000", Options: JobOptions{Engine: "serial", EngineConfig: chordal.EngineConfig{Shards: 4}}},
+		{Source: "gnm:1000:5000", Options: JobOptions{EngineConfig: chordal.EngineConfig{Partitions: 2, Shards: 4}}},
 	} {
 		if _, err := newJobSpec(req, false); err == nil {
 			t.Errorf("newJobSpec(%+v): want error", req)
@@ -137,13 +137,13 @@ func TestEngineOptionWired(t *testing.T) {
 	if serial := specKey(t, JobRequest{Source: "gnm:1000:5000", Options: JobOptions{Engine: "serial"}}); serial != dearing {
 		t.Errorf("serial alias key %q != dearing key %q", serial, dearing)
 	}
-	implicit := specKey(t, JobRequest{Source: "gnm:1000:5000", Options: JobOptions{Shards: 4}})
-	explicit := specKey(t, JobRequest{Source: "gnm:1000:5000", Options: JobOptions{Engine: "sharded", Shards: 4}})
+	implicit := specKey(t, JobRequest{Source: "gnm:1000:5000", Options: JobOptions{EngineConfig: chordal.EngineConfig{Shards: 4}}})
+	explicit := specKey(t, JobRequest{Source: "gnm:1000:5000", Options: JobOptions{Engine: "sharded", EngineConfig: chordal.EngineConfig{Shards: 4}}})
 	if implicit != explicit {
 		t.Errorf("implicit sharded key %q != explicit %q", implicit, explicit)
 	}
-	partImplicit := specKey(t, JobRequest{Source: "gnm:1000:5000", Options: JobOptions{Partitions: 4}})
-	partExplicit := specKey(t, JobRequest{Source: "gnm:1000:5000", Options: JobOptions{Engine: "partitioned", Partitions: 4}})
+	partImplicit := specKey(t, JobRequest{Source: "gnm:1000:5000", Options: JobOptions{EngineConfig: chordal.EngineConfig{Partitions: 4}}})
+	partExplicit := specKey(t, JobRequest{Source: "gnm:1000:5000", Options: JobOptions{Engine: "partitioned", EngineConfig: chordal.EngineConfig{Partitions: 4}}})
 	if partImplicit != partExplicit {
 		t.Errorf("implicit partitioned key %q != explicit %q", partImplicit, partExplicit)
 	}

@@ -45,7 +45,7 @@ func TestStreamSessionEndToEnd(t *testing.T) {
 	}
 
 	st, code := openStream(t, ts.URL, StreamOpenRequest{
-		Options:  JobOptions{Repair: true},
+		Options:  JobOptions{EngineConfig: chordal.EngineConfig{Repair: true}},
 		Vertices: g.NumVertices(),
 	})
 	if code != http.StatusCreated || st.State != StreamOpen {

@@ -295,7 +295,7 @@ type BatchReport struct {
 	VerifyFailed int `json:"verifyFailed"`
 	// WallMillis is the batch's wall-clock time; SumMillis the sum of
 	// per-item stage totals. Sum exceeding wall is the overlap the
-	// shared pool won over running the items back-to-back.
+	// concurrent slots won over running the items back-to-back.
 	WallMillis float64 `json:"wallMillis"`
 	SumMillis  float64 `json:"sumMillis"`
 }
