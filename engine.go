@@ -59,8 +59,8 @@ const (
 	// held in memory, and per-shard edges spill to a temp file before the
 	// border reconciliation. Byte-identical to EngineSharded at equal
 	// shard counts; requires Shards >= 1. With a .bin file source the
-	// Runner skips the acquire stage entirely (see SourceEngine); other
-	// inputs are spilled to a temp .bin first.
+	// Runner skips the acquire stage entirely and the engine reads the
+	// file itself; other inputs are spilled to a temp .bin first.
 	EngineExternal = "external"
 	// EngineNone is not a registered Engine: it marks a Spec that stops
 	// after acquire/relabel (and optional write), extracting nothing.
@@ -104,8 +104,8 @@ type EngineResult struct {
 	// (parallel, sharded, external); 0 for the other engines.
 	Workers int
 	// InputStats, when non-nil, carries the input's Table-I statistics
-	// computed by a SourceEngine from the file itself — the substitute
-	// for ComputeStats when no input graph is ever resident.
+	// computed by the external engine from the file itself — the
+	// substitute for ComputeStats when no input graph is ever resident.
 	InputStats *Stats
 
 	// peo is the MCS order of Subgraph validated by the engine's own
@@ -135,21 +135,6 @@ type Engine interface {
 	// observed at the engine's natural boundaries; cfg carries the
 	// declarative parameters plus the run's Observer.
 	Extract(ctx context.Context, g *Graph, cfg EngineConfig) (*EngineResult, error)
-}
-
-// SourceEngine is an Engine that can extract directly from a source
-// file without the input graph ever being materialized in memory. The
-// Runner takes this path when the selected engine implements it and the
-// spec's source is a binary-CSR file path: the acquire stage is skipped
-// and the engine owns all input IO. PipelineResult.Input stays nil on
-// this path (InputStats is filled from EngineResult.InputStats), which
-// also disables the stages that need a resident input — the maximality
-// audit and quality metrics.
-type SourceEngine interface {
-	Engine
-	// ExtractSource runs the strategy against the graph stored at path
-	// (binary CSR format) under ctx.
-	ExtractSource(ctx context.Context, path string, cfg EngineConfig) (*EngineResult, error)
 }
 
 var (

@@ -50,8 +50,12 @@ func (e externalEngine) Extract(ctx context.Context, g *Graph, cfg EngineConfig)
 	return e.ExtractSource(ctx, path, cfg)
 }
 
-// ExtractSource implements SourceEngine: extract straight from the
-// binary-CSR file at path without ever materializing the whole graph.
+// ExtractSource extracts straight from the binary-CSR file at path
+// without ever materializing the whole graph. Runner.Run calls it
+// directly for a .bin file source, skipping the acquire stage; the
+// result's InputStats come from the file, and PipelineResult.Input
+// stays nil, which disables the stages that need a resident input —
+// the maximality audit and quality metrics.
 func (externalEngine) ExtractSource(ctx context.Context, path string, cfg EngineConfig) (*EngineResult, error) {
 	m, err := extio.Open(path)
 	if err != nil {

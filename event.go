@@ -85,10 +85,6 @@ type Event struct {
 	// IterationEvent flattens the iteration's wire statistics into the
 	// event object; nil for non-iteration events.
 	*IterationEvent
-	// Stats is the iteration's native statistics with exact durations;
-	// it mirrors IterationEvent for in-process consumers and is excluded
-	// from the wire form.
-	Stats *IterationStats `json:"-"`
 	// Delta is the stream delta an admit/defer event reports; nil for
 	// every other kind.
 	Delta *StreamDelta `json:"delta,omitempty"`
@@ -121,11 +117,9 @@ func newStageEndEvent(stage string, d time.Duration) Event {
 // newIterationEvent builds an iteration event; shard is nil for
 // whole-graph extraction.
 func newIterationEvent(shard *int, it IterationStats) Event {
-	stats := it
 	return Event{
 		Type:  EventIteration,
 		Shard: shard,
-		Stats: &stats,
 		IterationEvent: &IterationEvent{
 			Index:          it.Index,
 			QueueSize:      it.QueueSize,
@@ -171,9 +165,8 @@ func newRepairEvent(repaired int) Event {
 }
 
 // newVerifyEvent builds the verify-outcome event.
-func newVerifyEvent(v ReportVerify) Event {
-	ok := v.Chordal
-	return Event{Type: EventVerify, Chordal: &ok, MaximalityAudited: v.MaximalityAudited, ReAddableEdges: v.ReAddableEdges}
+func newVerifyEvent(ok, audited bool, reAddable int) Event {
+	return Event{Type: EventVerify, Chordal: &ok, MaximalityAudited: audited, ReAddableEdges: reAddable}
 }
 
 // durationMillis converts a duration to fractional milliseconds, the

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"chordal/internal/graph"
+	"chordal/internal/incremental"
 )
 
 // Variant selects the paper's two implementations.
@@ -171,10 +172,10 @@ type Options struct {
 }
 
 // Edge is an undirected chordal edge; by construction U < V and U was
-// the lowest parent that admitted the edge.
-type Edge struct {
-	U, V int32
-}
+// the lowest parent that admitted the edge. It is the admission
+// kernel's edge type, so kernel, repair and stream edges share one
+// type.
+type Edge = incremental.Edge
 
 // IterationStats records one while-loop iteration of Algorithm 1,
 // the quantities behind Figure 7 of the paper.

@@ -161,6 +161,74 @@ func TestServeJobEndToEnd(t *testing.T) {
 	}
 }
 
+// jobStageEvents streams SSE for a job until the terminal "done" event,
+// returning its stage and stageEnd events in order.
+func jobStageEvents(t *testing.T, base, id string) []chordal.Event {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatalf("GET events: %v", err)
+	}
+	defer resp.Body.Close()
+	var evs []chordal.Event
+	var event string
+	scanner := bufio.NewScanner(resp.Body)
+	scanner.Buffer(make([]byte, 1<<20), 1<<20)
+	for scanner.Scan() {
+		line := scanner.Text()
+		switch {
+		case strings.HasPrefix(line, "event: "):
+			event = strings.TrimPrefix(line, "event: ")
+		case event == "done":
+			return evs
+		case strings.HasPrefix(line, "data: ") && (event == "stage" || event == "stageEnd"):
+			var ev chordal.Event
+			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
+				t.Fatalf("decode %s event: %v", event, err)
+			}
+			evs = append(evs, ev)
+		}
+	}
+	t.Fatalf("event stream ended without a done event (err=%v)", scanner.Err())
+	return nil
+}
+
+// TestJobStageEventsPaired: every stage event in a job's SSE log is
+// followed by a stageEnd for the same stage, including the acquire the
+// service runs itself for a generated input — on a cold job, and on an
+// input-cache hit (the same source under other options, so the result
+// cache misses), whose acquire is marked cached.
+func TestJobStageEventsPaired(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	for _, c := range []struct {
+		opts   JobOptions
+		cached bool
+	}{
+		{JobOptions{}, false},
+		{JobOptions{Relabel: "degree"}, true},
+	} {
+		st, code := submitJSON(t, ts.URL, JobRequest{Source: "rmat-er:8:7", Options: c.opts})
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %+v: status %d, want %d", c.opts, code, http.StatusAccepted)
+		}
+		evs := jobStageEvents(t, ts.URL, st.ID)
+		var stages []string
+		for i := 0; i < len(evs); i += 2 {
+			begin := evs[i]
+			if begin.Type != chordal.EventStageBegin || i+1 == len(evs) {
+				t.Fatalf("job %s: event %d is %s %s, want a stage begin with its end (log %+v)", st.ID, i, begin.Type, begin.Stage, evs)
+			}
+			if end := evs[i+1]; end.Type != chordal.EventStageEnd || end.Stage != begin.Stage || end.Cached != begin.Cached {
+				t.Fatalf("job %s: stage %s is followed by %+v, want its stageEnd", st.ID, begin.Stage, end)
+			}
+			stages = append(stages, begin.Stage)
+		}
+		if len(stages) == 0 || stages[0] != "acquire" || evs[0].Cached != c.cached {
+			t.Errorf("job %s: stage events %+v, want acquire first with cached=%t", st.ID, evs, c.cached)
+		}
+	}
+}
+
 // TestConcurrentSubmissions hammers one spec from many goroutines with
 // the race detector on: every job must complete, and once the first
 // finishes the rest of the traffic is eventually served from cache.

@@ -685,15 +685,23 @@ func (s *Server) run(job *Job, upload *graph.Graph) {
 	// Resolve the input ahead of the run when it can come from the
 	// input cache (uploads were parsed at submission; generated sources
 	// are deterministic in their canonical spec). File-path sources load
-	// inside the runner, where the acquire stage is timed as usual.
+	// inside the runner, where the acquire stage is timed as usual. The
+	// service's own acquire reports its begin and end like the runner's
+	// stages; an input-cache hit reports the lookup time.
+	stageEnd := func(d time.Duration, cached bool) {
+		observe(chordal.Event{Type: chordal.EventStageEnd, Stage: "acquire", Cached: cached,
+			Millis: float64(d.Microseconds()) / 1000})
+	}
 	var acquire []chordal.StageTiming
 	switch {
 	case upload != nil:
 		runner.Input = upload
 	case job.spec.generated:
+		t0 := time.Now()
 		if g, ok := s.inputs.Get(spec.Source); ok {
 			runner.Input = g
 			observe(chordal.Event{Type: chordal.EventStageBegin, Stage: "acquire", Cached: true})
+			stageEnd(time.Since(t0), true)
 		} else {
 			if err := job.ctx.Err(); err != nil {
 				job.fail(time.Now(), err)
@@ -705,7 +713,7 @@ func (s *Server) run(job *Job, upload *graph.Graph) {
 				return
 			}
 			observe(chordal.Event{Type: chordal.EventStageBegin, Stage: "acquire"})
-			t0 := time.Now()
+			t0 = time.Now()
 			// Generation honors the job's lease; the sampled graph is
 			// identical at any width, so caching it by canonical spec
 			// stays sound.
@@ -715,6 +723,7 @@ func (s *Server) run(job *Job, upload *graph.Graph) {
 				return
 			}
 			acquire = []chordal.StageTiming{{Stage: "acquire", Duration: time.Since(t0)}}
+			stageEnd(acquire[0].Duration, false)
 			s.inputs.Add(spec.Source, g)
 			runner.Input = g
 		}

@@ -391,10 +391,8 @@ func (res *Result) Reconcile(ctx context.Context, edges EdgeStream, parts int, o
 			return nil
 		}
 		admitted, _ := m.RepairContext(ctx) // ctx error rechecked by the caller
-		for _, e := range admitted {
-			res.Edges = append(res.Edges, core.Edge{U: e.U, V: e.V})
-			res.RepairedEdges++
-		}
+		res.Edges = append(res.Edges, admitted...)
+		res.RepairedEdges += len(admitted)
 	}
 	return nil
 }

@@ -236,25 +236,16 @@ type RunReport struct {
 }
 
 // StreamReport is the JSON-ready summary of a closed streaming
-// session: the normalized stream-mode spec and its canonical identity,
-// the online session counters, the accumulated input, and the
-// canonical Close-time extraction and verify outcomes. `chordal
-// -stream -json` emits it, and the service returns it from POST
-// /v1/streams/{id}/close.
+// session: the run report of the Close-time run over the accumulated
+// input, under the stream-mode spec and its canonical identity, plus
+// the online session counters. `chordal -stream -json` emits it, and
+// the service returns it from POST /v1/streams/{id}/close.
 type StreamReport struct {
-	// Spec is the normalized stream-mode spec the session ran.
-	Spec Spec `json:"spec"`
-	// Canonical is the spec's identity (Spec.Canonical), shared across
-	// the library, CLI, and service.
-	Canonical string `json:"canonical"`
+	// RunReport is the report of the Close-time run; its Spec and
+	// Canonical are the session's stream-mode ones.
+	RunReport
 	// Stream holds the online session counters at Close.
 	Stream StreamStats `json:"stream"`
-	// Input describes the graph accumulated from the deltas.
-	Input ReportInput `json:"input"`
-	// Extraction summarizes the canonical Close-time extraction.
-	Extraction *ReportExtraction `json:"extraction,omitempty"`
-	// Verify carries the verify outcome; nil when verification was off.
-	Verify *ReportVerify `json:"verify,omitempty"`
 }
 
 // BatchItemReport is one batch item in a BatchReport.
@@ -340,8 +331,48 @@ func Report(s Spec, res *PipelineResult) (RunReport, error) {
 	if err != nil {
 		return RunReport{}, err
 	}
-	rep := RunReport{Spec: n, Canonical: canon, Quality: res.Quality}
-	rep.Input, rep.Extraction = summarize(n.Engine, res.InputStats, &res.EngineResult)
+	in, er := res.InputStats, &res.EngineResult
+	rep := RunReport{
+		Spec:      n,
+		Canonical: canon,
+		Input: ReportInput{
+			Vertices:  in.Vertices,
+			Edges:     in.Edges,
+			AvgDegree: in.AvgDegree,
+			MaxDegree: in.MaxDegree,
+		},
+		Quality: res.Quality,
+	}
+	// The extraction section is nil when no engine ran (er.Subgraph is
+	// nil then).
+	if er.Subgraph != nil {
+		ex := &ReportExtraction{
+			Engine:       n.Engine,
+			ChordalEdges: er.Subgraph.NumEdges(),
+			SerialMillis: durationMillis(er.SerialDuration),
+			Partition:    er.Partition,
+			Shard:        er.Shard,
+			Dearing:      er.Dearing,
+			Elimination:  er.Elimination,
+			External:     er.External,
+			Workers:      er.Workers,
+		}
+		if in.Edges > 0 {
+			ex.EdgesKeptPct = 100 * float64(ex.ChordalEdges) / float64(in.Edges)
+		}
+		if r := er.Extraction; r != nil {
+			ex.Iterations = len(r.Iterations)
+			ex.Variant = variantName(r.Variant)
+			ex.Schedule = scheduleName(r.Schedule)
+			ex.RepairedEdges = r.RepairedEdges
+			ex.StitchedEdges = r.StitchedEdges
+		}
+		if sh := er.Shard; sh != nil {
+			ex.RepairedEdges = sh.RepairedEdges
+			ex.StitchedEdges = sh.StitchedEdges
+		}
+		rep.Extraction = ex
+	}
 	if res.Verified {
 		rep.Verify = &ReportVerify{
 			Chordal:           res.ChordalOK,
@@ -355,45 +386,4 @@ func Report(s Spec, res *PipelineResult) (RunReport, error) {
 		rep.TotalMillis += ms
 	}
 	return rep, nil
-}
-
-// summarize builds the report sections RunReport and StreamReport
-// share: the input's statistics and the extraction by the named engine
-// (nil when no engine ran, so er.Subgraph is nil).
-func summarize(engine string, in Stats, er *EngineResult) (ReportInput, *ReportExtraction) {
-	input := ReportInput{
-		Vertices:  in.Vertices,
-		Edges:     in.Edges,
-		AvgDegree: in.AvgDegree,
-		MaxDegree: in.MaxDegree,
-	}
-	if er.Subgraph == nil {
-		return input, nil
-	}
-	ex := &ReportExtraction{
-		Engine:       engine,
-		ChordalEdges: er.Subgraph.NumEdges(),
-		SerialMillis: durationMillis(er.SerialDuration),
-		Partition:    er.Partition,
-		Shard:        er.Shard,
-		Dearing:      er.Dearing,
-		Elimination:  er.Elimination,
-		External:     er.External,
-		Workers:      er.Workers,
-	}
-	if in.Edges > 0 {
-		ex.EdgesKeptPct = 100 * float64(ex.ChordalEdges) / float64(in.Edges)
-	}
-	if r := er.Extraction; r != nil {
-		ex.Iterations = len(r.Iterations)
-		ex.Variant = variantName(r.Variant)
-		ex.Schedule = scheduleName(r.Schedule)
-		ex.RepairedEdges = r.RepairedEdges
-		ex.StitchedEdges = r.StitchedEdges
-	}
-	if sh := er.Shard; sh != nil {
-		ex.RepairedEdges = sh.RepairedEdges
-		ex.StitchedEdges = sh.StitchedEdges
-	}
-	return input, ex
 }

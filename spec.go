@@ -124,8 +124,8 @@ type Spec struct {
 	// Mode selects batch execution (the default; Run) or a streaming
 	// session (OpenStream): batch|stream. Batch normalizes to the empty
 	// string, so every pre-existing spec — and its canonical key — is
-	// unchanged. Stream mode requires a StreamEngine-capable engine,
-	// takes its input as edge deltas (Source must be empty), and is
+	// unchanged. Stream sessions run the parallel engine, take their
+	// input as edge deltas (Source must be empty), and are
 	// incompatible with Relabel and Output (both need the whole graph up
 	// front; the session's Close delivers the result instead).
 	Mode string `json:"mode,omitempty"`
@@ -282,13 +282,8 @@ func (s Spec) Normalize() (Spec, error) {
 		// pre-existing spec's JSON form and canonical key byte-identical.
 		n.Mode = ""
 	case ModeStream:
-		if n.Engine == EngineNone {
-			return n, fmt.Errorf("chordal: spec: stream mode requires an extraction engine")
-		}
-		if eng, ok := LookupEngine(n.Engine); !ok {
-			return n, fmt.Errorf("chordal: spec: unknown engine %q", n.Engine)
-		} else if _, ok := eng.(StreamEngine); !ok {
-			return n, fmt.Errorf("chordal: spec: engine %q does not support streaming (it implements no StreamEngine)", n.Engine)
+		if n.Engine != EngineParallel {
+			return n, fmt.Errorf("chordal: spec: stream sessions run the %s engine (engine %q selected)", EngineParallel, n.Engine)
 		}
 		if n.Source != "" {
 			return n, fmt.Errorf("chordal: spec: stream mode takes edge deltas through the session, not a source (%q)", n.Source)
@@ -401,26 +396,6 @@ type Runner struct {
 // cost grows with the number of absent edges.
 const maxAuditEdges = 200000
 
-// verifyStage is the verify stage of Runner.Run and Stream.Close. It
-// takes the chordality certificate of er.Subgraph and, when it holds
-// and the input g is resident with at most maxAuditEdges edges, audits
-// maximality from the certificate's order, counting at most 10
-// re-addable edges. The certificate is returned for the quality
-// metrics to reuse.
-func verifyStage(ctx context.Context, g *Graph, er *EngineResult) ([]int32, ReportVerify, error) {
-	peo, ok := er.certificate()
-	v := ReportVerify{Chordal: ok}
-	if ok && g != nil && g.NumEdges() <= maxAuditEdges {
-		viol, err := verify.AuditMaximalityFromPEO(ctx, g, er.Subgraph, peo, 10)
-		if err != nil {
-			return nil, v, err
-		}
-		v.MaximalityAudited = true
-		v.ReAddableEdges = len(viol)
-	}
-	return peo, v, nil
-}
-
 // Run executes the spec under ctx. The spec is normalized first, so
 // validation errors surface before any work. Cancellation is observed
 // between stages and, inside the parallel and sharded engines, between
@@ -457,25 +432,20 @@ func (r Runner) Run(ctx context.Context, s Spec) (*PipelineResult, error) {
 		return nil, err
 	}
 	g := r.Input
-	// Out-of-core fast path: when the selected engine can extract
-	// straight from a file (SourceEngine) and the source is a binary-CSR
-	// path, skip the acquire stage entirely — the input is never
-	// materialized in memory. Generated and content-addressed sources
-	// still load normally (there is no file to map).
-	var srcEng SourceEngine
+	// Out-of-core fast path: the external engine extracts straight from
+	// a binary-CSR file source, so the acquire stage is skipped and the
+	// input is never materialized in memory. Generated and
+	// content-addressed sources still load normally (there is no file to
+	// map).
 	var srcPath string
-	if g == nil && s.Source != "" && s.Engine != EngineNone {
-		if eng, ok := LookupEngine(s.Engine); ok {
-			if se, ok := eng.(SourceEngine); ok {
-				if src, err := ParseSource(s.Source); err == nil &&
-					!src.Generated() && !src.ContentAddressed() &&
-					strings.HasSuffix(strings.ToLower(src.Canonical()), ".bin") {
-					srcEng, srcPath = se, src.Canonical()
-				}
-			}
+	if g == nil && s.Source != "" && s.Engine == EngineExternal {
+		if src, err := ParseSource(s.Source); err == nil &&
+			!src.Generated() && !src.ContentAddressed() &&
+			strings.HasSuffix(strings.ToLower(src.Canonical()), ".bin") {
+			srcPath = src.Canonical()
 		}
 	}
-	if g == nil && srcEng == nil {
+	if g == nil && srcPath == "" {
 		if s.Source == "" {
 			return nil, fmt.Errorf("chordal: spec needs a source (or a Runner-injected input graph)")
 		}
@@ -525,8 +495,8 @@ func (r Runner) Run(ctx context.Context, s Spec) (*PipelineResult, error) {
 		cfg.Observer = r.Observer
 		start := enter("extract")
 		var er *EngineResult
-		if srcEng != nil {
-			er, err = srcEng.ExtractSource(ctx, srcPath, cfg)
+		if srcPath != "" {
+			er, err = externalEngine{}.ExtractSource(ctx, srcPath, cfg)
 		} else {
 			er, err = eng.Extract(ctx, g, cfg)
 		}
@@ -555,13 +525,19 @@ func (r Runner) Run(ctx context.Context, s Spec) (*PipelineResult, error) {
 			return nil, fmt.Errorf("chordal: spec: verify requires an extraction engine")
 		}
 		start := enter("verify")
-		var v ReportVerify
-		if peo, v, err = verifyStage(ctx, g, &res.EngineResult); err != nil {
-			return nil, err
-		}
+		// With a chordal subgraph and a resident input of at most
+		// maxAuditEdges edges, the maximality audit runs from the
+		// certificate's order, counting at most 10 re-addable edges.
+		peo, res.ChordalOK = res.certificate()
 		res.Verified = true
-		res.ChordalOK, res.MaximalityAudited, res.ReAddableEdges = v.Chordal, v.MaximalityAudited, v.ReAddableEdges
-		emit(newVerifyEvent(v))
+		if res.ChordalOK && g != nil && g.NumEdges() <= maxAuditEdges {
+			viol, err := verify.AuditMaximalityFromPEO(ctx, g, res.Subgraph, peo, 10)
+			if err != nil {
+				return nil, err
+			}
+			res.MaximalityAudited, res.ReAddableEdges = true, len(viol)
+		}
+		emit(newVerifyEvent(res.ChordalOK, res.MaximalityAudited, res.ReAddableEdges))
 		mark("verify", start)
 	}
 

@@ -487,10 +487,12 @@ func TestObserverEventStream(t *testing.T) {
 			verifyEv = &e
 		}
 		if ev.Type == chordal.EventIteration {
-			if ev.IterationEvent == nil || ev.Stats == nil {
-				t.Error("iteration event without stats")
-			} else if ev.Index != ev.Stats.Index {
-				t.Errorf("wire index %d != stats index %d", ev.Index, ev.Stats.Index)
+			// Sharded extraction: every iteration carries its wire
+			// statistics, a 1-based index and its shard.
+			if ev.IterationEvent == nil {
+				t.Error("iteration event without wire stats")
+			} else if ev.Index < 1 || ev.Shard == nil {
+				t.Errorf("iteration event index %d shard %v, want a 1-based index and a shard", ev.Index, ev.Shard)
 			}
 		}
 	}

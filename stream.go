@@ -5,12 +5,13 @@ package chordal
 // or rejects edge deltas online against a maintained chordal subgraph —
 // the incremental.Maintainer kernel shared with the batch engines — and
 // emits typed EventAdmit/EventDefer/EventRepair events as decisions
-// land. Closing the session produces the canonical result: the spec's
-// batch engine runs over the accumulated input edge set, so the final
-// subgraph is independent of delta arrival order and byte-identical to
-// a batch run of the same spec on the same graph (the online view is
-// exact but greedy — it depends on arrival order, so it narrates the
-// stream rather than defining the artifact; see DESIGN.md §13).
+// land. Closing the session produces the canonical result: Runner.Run
+// of the spec's batch twin over the accumulated input edge set, so the
+// final subgraph and its report are independent of delta arrival order
+// and equal to a batch run of the same spec on the same graph (the
+// online view is exact but greedy — it depends on arrival order, so it
+// narrates the stream rather than defining the artifact; see DESIGN.md
+// §13).
 
 import (
 	"context"
@@ -86,45 +87,9 @@ type StreamConfig struct {
 	// Close (when the spec enables repair).
 	RepairEvery int
 	// Observer receives the session's event stream: admit/defer per
-	// delta, repair-pass summaries, and the Close-time extract/verify
-	// stage events.
+	// delta, repair-pass summaries, and the Close-time run's events
+	// (extract and verify stage begin/end, iterations, verify outcome).
 	Observer Observer
-}
-
-// StreamEngine is implemented by engines that can run as a streaming
-// session. The batch Extract and the session share one admission
-// kernel (internal/incremental), so an engine opts in by describing how
-// to seed, grow, and finalize a session — not by reimplementing
-// admission.
-type StreamEngine interface {
-	Engine
-	// OpenStream starts a session with the engine's declarative
-	// parameters and the runtime session config.
-	OpenStream(ctx context.Context, cfg EngineConfig, sc StreamConfig) (StreamSession, error)
-}
-
-// StreamSession is the engine-level state of one streaming run: the
-// maintained chordal subgraph plus whatever the engine needs to
-// finalize. Sessions are single-owner; the Stream wrapper serializes
-// access.
-type StreamSession interface {
-	// Admit applies one edge delta to the maintained subgraph.
-	Admit(u, v int32) (bool, AdmitReason)
-	// Repair retests deferred edges until a pass admits nothing,
-	// returning the edges admitted (in admission order).
-	Repair(ctx context.Context) ([]Edge, error)
-	// Edges returns the maintained subgraph's edges with U < V in
-	// (U, V) order — the online view, not the canonical result.
-	Edges() []Edge
-	// Vertices is the current universe size; EdgeCount and
-	// DeferredCount size the maintained subgraph and the repair queue.
-	Vertices() int
-	EdgeCount() int
-	DeferredCount() int
-	// Finalize reconstructs the accumulated input graph (every distinct
-	// valid delta) and runs the engine's batch extraction over it,
-	// returning the input and the canonical engine result.
-	Finalize(ctx context.Context) (*Graph, *EngineResult, error)
 }
 
 // OpenStream opens a streaming session for a stream-mode spec. The
@@ -143,21 +108,22 @@ func OpenStream(ctx context.Context, s Spec, cfg StreamConfig) (*Stream, error) 
 	if err != nil {
 		return nil, err
 	}
-	eng, ok := LookupEngine(n.Engine)
-	if !ok {
-		return nil, fmt.Errorf("chordal: spec: unknown engine %q", n.Engine)
-	}
-	se, ok := eng.(StreamEngine)
-	if !ok {
-		return nil, fmt.Errorf("chordal: spec: engine %q does not support streaming", n.Engine)
-	}
-	ecfg := n.EngineConfig
-	ecfg.Observer = cfg.Observer
-	sess, err := se.OpenStream(ctx, ecfg, cfg)
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return &Stream{spec: n, canonical: canon, cfg: cfg, sess: sess}, nil
+	maxV := cfg.MaxVertices
+	if maxV <= 0 {
+		maxV = DefaultMaxStreamVertices
+	}
+	if cfg.Vertices < 0 {
+		return nil, fmt.Errorf("chordal: stream: vertices %d must be >= 0", cfg.Vertices)
+	}
+	if cfg.Vertices > maxV {
+		return nil, fmt.Errorf("chordal: stream: vertices %d exceeds the cap %d", cfg.Vertices, maxV)
+	}
+	m := incremental.New(min(max(cfg.Vertices, 256), maxV))
+	m.SetMaxDeferred(n.MaxDeferred)
+	return &Stream{spec: n, canonical: canon, cfg: cfg, m: m, used: cfg.Vertices, maxVertices: maxV}, nil
 }
 
 // StreamStats snapshots a session's counters. Admitted counts deltas
@@ -193,7 +159,7 @@ type StreamResult struct {
 	// Input is the graph accumulated from every distinct valid delta.
 	Input *Graph
 	// Subgraph is the canonical final chordal subgraph — the spec's
-	// batch engine run over Input, so it is independent of the order
+	// batch twin run over Input, so it is independent of the order
 	// deltas arrived in and byte-identical to a batch run of the same
 	// spec on the same graph.
 	Subgraph *Graph
@@ -201,21 +167,27 @@ type StreamResult struct {
 	Report StreamReport
 }
 
-// Stream is one live streaming session: a stream-mode Spec bound to an
-// engine session, with event emission, repair cadence, and the
-// Close-time canonical extraction. Safe for concurrent use; decisions
+// Stream is one live streaming session: a stream-mode Spec bound to
+// the shared admission kernel, with event emission, repair cadence,
+// and the Close-time canonical run. Safe for concurrent use; decisions
 // are serialized in push order.
 type Stream struct {
 	mu        sync.Mutex
 	spec      Spec
 	canonical string
 	cfg       StreamConfig
-	sess      StreamSession
-	seq       int64
-	sincePush int
-	stats     StreamStats
-	closed    bool
-	result    *StreamResult
+	m         *incremental.Maintainer
+	// used is the vertex universe the session reports and closes with:
+	// the configured initial size, extended to the largest vertex a
+	// delta actually named (the maintainer's capacity grows by doubling
+	// and may overshoot; that overshoot is invisible here).
+	used        int
+	maxVertices int
+	seq         int64
+	sincePush   int
+	stats       StreamStats
+	closed      bool
+	result      *StreamResult
 }
 
 // Spec returns the session's normalized spec.
@@ -245,7 +217,16 @@ func (s *Stream) Push(ctx context.Context, u, v int32) (StreamDelta, error) {
 	if s.closed {
 		return StreamDelta{}, ErrStreamClosed
 	}
-	ok, reason := s.sess.Admit(u, v)
+	// Grow the universe on demand, within the cap, before the kernel
+	// rules on the delta.
+	ok, reason := false, AdmitInvalid
+	if hi := int(max(u, v)) + 1; u >= 0 && v >= 0 && u != v && hi <= s.maxVertices {
+		if hi > s.m.Vertices() {
+			s.m.Grow(min(max(2*s.m.Vertices(), hi), s.maxVertices))
+		}
+		s.used = max(s.used, hi)
+		ok, reason = s.m.Admit(u, v)
+	}
 	s.seq++
 	s.stats.Pushed++
 	switch reason {
@@ -285,7 +266,7 @@ func (s *Stream) Repair(ctx context.Context) (int, error) {
 // repairLocked is Repair with s.mu held.
 func (s *Stream) repairLocked(ctx context.Context) (int, error) {
 	s.sincePush = 0
-	admitted, err := s.sess.Repair(ctx)
+	admitted, err := s.m.RepairContext(ctx)
 	s.stats.Repairs++
 	s.stats.Repaired += int64(len(admitted))
 	for _, e := range admitted {
@@ -308,9 +289,9 @@ func (s *Stream) Stats() StreamStats {
 // statsLocked builds the counter snapshot; callers hold s.mu.
 func (s *Stream) statsLocked() StreamStats {
 	st := s.stats
-	st.Deferred = int64(s.sess.DeferredCount())
-	st.Vertices = s.sess.Vertices()
-	st.SubgraphEdges = s.sess.EdgeCount()
+	st.Deferred = int64(s.m.DeferredCount())
+	st.Vertices = s.used
+	st.SubgraphEdges = s.m.EdgeCount()
 	return st
 }
 
@@ -320,14 +301,16 @@ func (s *Stream) statsLocked() StreamStats {
 func (s *Stream) Maintained() []Edge {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.sess.Edges()
+	return s.m.EdgeList()
 }
 
 // Close finalizes the session: a last repair pass when the spec enables
 // repair (so the online event stream reaches its fixpoint), then the
-// canonical extraction — the spec's batch engine over the accumulated
-// input — and the spec's verify stage on its result. Close is
-// idempotent: repeated calls return the first result.
+// canonical run — Runner.Run of the spec's batch twin (Mode and
+// MaxDeferred cleared) over the accumulated input, so the report
+// carries the same extraction, verify outcome, quality and stage
+// timings as the batch run, and the observer sees the same stage
+// events. Close is idempotent: repeated calls return the first result.
 func (s *Stream) Close(ctx context.Context) (*StreamResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -344,28 +327,29 @@ func (s *Stream) Close(ctx context.Context) (*StreamResult, error) {
 	}
 	stats := s.statsLocked()
 
-	s.emit(newStageEvent("extract"))
-	input, er, err := s.sess.Finalize(ctx)
+	// Every distinct valid delta is either in the maintained subgraph or
+	// still deferred, so their union reconstructs the accumulated input
+	// exactly.
+	kept, deferred := s.m.EdgeList(), s.m.DeferredEdges()
+	us := make([]int32, 0, len(kept)+len(deferred))
+	vs := make([]int32, 0, len(kept)+len(deferred))
+	for _, part := range [][]Edge{kept, deferred} {
+		for _, e := range part {
+			us, vs = append(us, e.U), append(vs, e.V)
+		}
+	}
+	input := graph.SubgraphFromEdgesWorkers(s.used, us, vs, s.spec.Workers)
+	batch := s.spec
+	batch.Mode, batch.MaxDeferred = "", 0
+	res, err := Runner{Input: input, Observer: s.cfg.Observer}.Run(ctx, batch)
 	if err != nil {
 		return nil, err
 	}
-	rep := StreamReport{
-		Spec:      s.spec,
-		Canonical: s.canonical,
-		Stream:    stats,
+	run, err := Report(s.spec, res)
+	if err != nil {
+		return nil, err
 	}
-	rep.Input, rep.Extraction = summarize(s.spec.Engine, ComputeStats(input), er)
-	if s.spec.Verify {
-		s.emit(newStageEvent("verify"))
-		_, v, err := verifyStage(ctx, input, er)
-		if err != nil {
-			return nil, err
-		}
-		rep.Verify = &v
-		s.emit(newVerifyEvent(v))
-	}
-
-	s.result = &StreamResult{Input: input, Subgraph: er.Subgraph, Report: rep}
+	s.result = &StreamResult{Input: input, Subgraph: res.Subgraph, Report: StreamReport{RunReport: run, Stream: stats}}
 	s.closed = true
 	return s.result, nil
 }
@@ -406,119 +390,4 @@ func ParseEdgeDelta(line string) (EdgeDelta, error) {
 		return EdgeDelta{}, fmt.Errorf("chordal: bad edge delta %q: %w", s, err)
 	}
 	return EdgeDelta{U: int32(u), V: int32(v)}, nil
-}
-
-// parallelStreamSession is the parallel engine's streaming session: the
-// shared admission kernel over a growable universe, finalized by the
-// engine's own batch Extract.
-type parallelStreamSession struct {
-	cfg EngineConfig
-	m   *incremental.Maintainer
-	// used is the vertex universe the session reports and finalizes
-	// with: the configured initial size, extended to the largest vertex
-	// a delta actually named (the maintainer's capacity grows by
-	// doubling and may overshoot; that overshoot is invisible here).
-	used        int
-	maxVertices int
-}
-
-// OpenStream implements StreamEngine: the session shares the engine's
-// declarative parameters (repair, verify and worker width apply to the
-// Close-time extraction).
-func (parallelEngine) OpenStream(ctx context.Context, cfg EngineConfig, sc StreamConfig) (StreamSession, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	maxV := sc.MaxVertices
-	if maxV <= 0 {
-		maxV = DefaultMaxStreamVertices
-	}
-	if sc.Vertices < 0 {
-		return nil, fmt.Errorf("chordal: stream: vertices %d must be >= 0", sc.Vertices)
-	}
-	if sc.Vertices > maxV {
-		return nil, fmt.Errorf("chordal: stream: vertices %d exceeds the cap %d", sc.Vertices, maxV)
-	}
-	if _, err := cfg.coreOptions(); err != nil {
-		return nil, err
-	}
-	capacity := max(sc.Vertices, 256)
-	capacity = min(capacity, maxV)
-	m := incremental.New(capacity)
-	m.SetMaxDeferred(cfg.MaxDeferred)
-	return &parallelStreamSession{
-		cfg:         cfg,
-		m:           m,
-		used:        sc.Vertices,
-		maxVertices: maxV,
-	}, nil
-}
-
-// Admit implements StreamSession: grow the universe on demand (within
-// the cap), then delegate to the shared kernel.
-func (s *parallelStreamSession) Admit(u, v int32) (bool, AdmitReason) {
-	if u < 0 || v < 0 || u == v {
-		return false, AdmitInvalid
-	}
-	hi := int(max(u, v)) + 1
-	if hi > s.maxVertices {
-		return false, AdmitInvalid
-	}
-	if hi > s.m.Vertices() {
-		s.m.Grow(min(max(2*s.m.Vertices(), hi), s.maxVertices))
-	}
-	if hi > s.used {
-		s.used = hi
-	}
-	return s.m.Admit(u, v)
-}
-
-// Repair implements StreamSession.
-func (s *parallelStreamSession) Repair(ctx context.Context) ([]Edge, error) {
-	admitted, err := s.m.RepairContext(ctx)
-	return convertEdges(admitted), err
-}
-
-// Edges implements StreamSession.
-func (s *parallelStreamSession) Edges() []Edge { return convertEdges(s.m.EdgeList()) }
-
-// Vertices implements StreamSession.
-func (s *parallelStreamSession) Vertices() int { return s.used }
-
-// EdgeCount implements StreamSession.
-func (s *parallelStreamSession) EdgeCount() int { return s.m.EdgeCount() }
-
-// DeferredCount implements StreamSession.
-func (s *parallelStreamSession) DeferredCount() int { return s.m.DeferredCount() }
-
-// Finalize implements StreamSession: every distinct valid delta is
-// either in the maintained subgraph or still deferred, so their union
-// reconstructs the accumulated input exactly; the engine's batch
-// Extract over it is the canonical, arrival-order-independent result.
-func (s *parallelStreamSession) Finalize(ctx context.Context) (*Graph, *EngineResult, error) {
-	kept := s.m.EdgeList()
-	deferred := s.m.DeferredEdges()
-	us := make([]int32, 0, len(kept)+len(deferred))
-	vs := make([]int32, 0, len(kept)+len(deferred))
-	for _, e := range kept {
-		us, vs = append(us, e.U), append(vs, e.V)
-	}
-	for _, e := range deferred {
-		us, vs = append(us, e.U), append(vs, e.V)
-	}
-	g := graph.SubgraphFromEdgesWorkers(s.used, us, vs, s.cfg.Workers)
-	er, err := parallelEngine{}.Extract(ctx, g, s.cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, er, nil
-}
-
-// convertEdges maps the kernel's edge type onto the public one.
-func convertEdges(in []incremental.Edge) []Edge {
-	out := make([]Edge, len(in))
-	for i, e := range in {
-		out[i] = Edge{U: e.U, V: e.V}
-	}
-	return out
 }

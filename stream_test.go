@@ -2,6 +2,7 @@ package chordal_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -87,11 +88,13 @@ func TestStreamSpecValidation(t *testing.T) {
 // deltas — and closing with repair on yields a final subgraph
 // byte-identical to the batch parallel engine with the maximality
 // repair pass on the same input. Close canonicalizes by running the
-// batch engine over the accumulated edge set, so the identity holds by
-// construction for every arrival order and cadence; this test pins the
-// whole path (delta accounting, input reconstruction, mid-stream
-// repair passes, canonical extraction) and requires the two surfaces
-// to report the same extraction and verify outcome. The mid-stream
+// spec's batch twin over the accumulated edge set, so the identity
+// holds by construction for every arrival order and cadence; this test
+// pins the whole path (delta accounting, input reconstruction,
+// mid-stream repair passes, the canonical run) and requires the close
+// report to equal the batch run report in everything but the spec, its
+// canonical key and the timings, which must name exactly the extract
+// and verify stages (the batch run also acquires). The mid-stream
 // cadences run in input order only: on gse5140-crt:64:3 a cadence of
 // 64 makes 192 passes over a long deferred queue, most of the grid's
 // time.
@@ -159,11 +162,21 @@ func TestStreamEquivalenceGrid(t *testing.T) {
 			if c.every == 64 && st.Repairs <= 1 {
 				t.Errorf("%s: %d repair passes, want the cadence to fire", cell, st.Repairs)
 			}
-			if got, want := res.Report.Extraction, batchRep.Extraction; got == nil || want == nil || !reflect.DeepEqual(*got, *want) {
-				t.Errorf("%s: stream extraction report %+v, batch %+v", cell, got, want)
+			var stages []string
+			for _, tm := range res.Report.Timings {
+				stages = append(stages, tm.Stage)
 			}
-			if got, want := res.Report.Verify, batchRep.Verify; got == nil || want == nil || *got != *want {
-				t.Errorf("%s: stream verify report %+v, batch %+v", cell, got, want)
+			if want := []string{"extract", "verify"}; !reflect.DeepEqual(stages, want) {
+				t.Errorf("%s: close timings %v, want %v", cell, stages, want)
+			}
+			got, want := res.Report.RunReport, batchRep
+			for _, r := range []*chordal.RunReport{&got, &want} {
+				r.Spec, r.Canonical, r.Timings, r.TotalMillis = chordal.Spec{}, "", nil, 0
+			}
+			if !reflect.DeepEqual(got, want) {
+				gj, _ := json.Marshal(got)
+				wj, _ := json.Marshal(want)
+				t.Errorf("%s: close report differs from the batch report\n stream %s\n batch  %s", cell, gj, wj)
 			}
 		}
 	}
@@ -279,6 +292,20 @@ func TestStreamSessionMechanics(t *testing.T) {
 	}
 	if res.Report.Verify.ReAddableEdges != 0 || !res.Report.Verify.MaximalityAudited {
 		t.Fatalf("close verify: %+v", res.Report.Verify)
+	}
+	// Close runs the batch twin through Runner.Run: its observer sees a
+	// begin/end pair for each stage, and the report times both.
+	var stages []string
+	for _, ev := range events {
+		if ev.Type == chordal.EventStageBegin || ev.Type == chordal.EventStageEnd {
+			stages = append(stages, string(ev.Type)+" "+ev.Stage)
+		}
+	}
+	if want := []string{"stage extract", "stageEnd extract", "stage verify", "stageEnd verify"}; !reflect.DeepEqual(stages, want) {
+		t.Fatalf("close stage events %v, want %v", stages, want)
+	}
+	if len(res.Report.Timings) != 2 || res.Report.Quality == nil {
+		t.Fatalf("close report timings %+v quality %+v, want extract and verify timed and quality set", res.Report.Timings, res.Report.Quality)
 	}
 	// Idempotent close; pushes after close fail.
 	if res2, err := s.Close(ctx); err != nil || res2 != res {
