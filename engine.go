@@ -315,21 +315,9 @@ func (shardedEngine) Name() string { return EngineSharded }
 
 // Extract implements Engine with shard.ExtractContext.
 func (shardedEngine) Extract(ctx context.Context, g *Graph, cfg EngineConfig) (*EngineResult, error) {
-	opts, err := cfg.coreOptions()
+	sOpts, err := cfg.shardOptions()
 	if err != nil {
 		return nil, err
-	}
-	sOpts := shard.Options{
-		Shards:     cfg.Shards,
-		Core:       opts,
-		StitchOnly: cfg.ShardStitchOnly,
-		Repair:     opts.RepairMaximality,
-	}
-	if obs := cfg.Observer; obs != nil {
-		sOpts.OnShardIteration = func(sh int, it IterationStats) {
-			shardIdx := sh
-			obs(newIterationEvent(&shardIdx, it))
-		}
 	}
 	r, err := shard.ExtractContext(ctx, g, sOpts)
 	if err != nil {
@@ -337,6 +325,24 @@ func (shardedEngine) Extract(ctx context.Context, g *Graph, cfg EngineConfig) (*
 	}
 	sum := newShardSummary(r, g.NumEdges())
 	return &EngineResult{Subgraph: r.Subgraph, Shard: sum, Workers: parallel.WorkerCount(cfg.Workers), peo: r.PEO}, nil
+}
+
+// shardOptions resolves the declarative fields onto the options of the
+// sharded and external engines, which extract and reconcile alike: per
+// -shard iteration events reach the observer tagged with their shard.
+func (c EngineConfig) shardOptions() (shard.Options, error) {
+	opts, err := c.coreOptions()
+	if err != nil {
+		return shard.Options{}, err
+	}
+	sOpts := shard.Options{Shards: c.Shards, Core: opts, StitchOnly: c.ShardStitchOnly, Repair: c.Repair}
+	if obs := c.Observer; obs != nil {
+		sOpts.OnShardIteration = func(sh int, it IterationStats) {
+			shardIdx := sh
+			obs(newIterationEvent(&shardIdx, it))
+		}
+	}
+	return sOpts, nil
 }
 
 // newShardSummary maps a shard.Result onto the report summary shared by

@@ -63,7 +63,7 @@ func (externalEngine) ExtractSource(ctx context.Context, path string, cfg Engine
 	}
 	defer m.Close()
 
-	opts, err := cfg.coreOptions()
+	sOpts, err := cfg.shardOptions()
 	if err != nil {
 		return nil, err
 	}
@@ -74,20 +74,7 @@ func (externalEngine) ExtractSource(ctx context.Context, path string, cfg Engine
 		return nil, err
 	}
 
-	xOpts := extio.Options{
-		Shards:     cfg.Shards,
-		Resident:   cfg.ResidentShards,
-		Core:       opts,
-		StitchOnly: cfg.ShardStitchOnly,
-		Repair:     opts.RepairMaximality,
-	}
-	if obs := cfg.Observer; obs != nil {
-		xOpts.OnShardIteration = func(sh int, it IterationStats) {
-			shardIdx := sh
-			obs(newIterationEvent(&shardIdx, it))
-		}
-	}
-	r, err := extio.Extract(ctx, m, xOpts)
+	r, err := extio.Extract(ctx, m, extio.Options{Options: sOpts, Resident: cfg.ResidentShards})
 	if err != nil {
 		return nil, err
 	}

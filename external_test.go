@@ -211,7 +211,8 @@ func TestEngineExternalSpecSurface(t *testing.T) {
 		}
 	}
 
-	// external in stream mode: no StreamEngine implementation.
+	// external in stream mode: stream sessions run only the parallel
+	// engine.
 	streamExt := chordal.Spec{Mode: chordal.ModeStream, Engine: chordal.EngineExternal,
 		EngineConfig: chordal.EngineConfig{Shards: 2}}
 	if err := streamExt.Validate(); err == nil {

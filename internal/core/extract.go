@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"chordal/internal/graph"
+	"chordal/internal/incremental"
 	"chordal/internal/parallel"
 	"chordal/internal/worklist"
 )
@@ -62,8 +63,8 @@ func Extract(g *graph.Graph, opts Options) (*Result, error) {
 }
 
 // ExtractContext runs Algorithm 1 on g under ctx. Cancellation is
-// observed at iteration boundaries (and before the repair and stitch
-// post-passes): when ctx is done, all worker goroutines of the current
+// observed at iteration boundaries and by the stitch and repair
+// post-passes: when ctx is done, all worker goroutines of the current
 // iteration drain and ctx.Err() is returned, so a canceled job never
 // leaks workers.
 func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
@@ -145,15 +146,39 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if opts.RepairMaximality {
-		if err := repairMaximality(ctx, g, res); err != nil {
+	if opts.RepairMaximality || opts.StitchComponents {
+		if err := res.reconcile(ctx, g, opts); err != nil {
 			return nil, err
 		}
 	}
-	if opts.StitchComponents {
-		stitchComponents(g, res)
-	}
 	return res, nil
+}
+
+// reconcile runs the StitchComponents and RepairMaximality post-passes
+// through incremental.Reconcile over g's edges, with no border
+// (DESIGN.md §5), then sorts the grown edge list and rebuilds the
+// chordal sets from it in one pass: an ascending list hands each vertex
+// its smaller neighbors in ascending order, into sets sized for all of
+// them. A canceled pass returns ctx.Err() for the caller to drop r.
+func (r *Result) reconcile(ctx context.Context, g *graph.Graph, opts Options) error {
+	kept := len(r.Edges)
+	edges, c, err := incremental.Reconcile(ctx, r.NumVertices, r.Edges,
+		func(fn func(u, v int32)) error { g.Edges(fn); return nil },
+		incremental.Passes{Stitch: opts.StitchComponents, Repair: opts.RepairMaximality})
+	if err != nil {
+		return err
+	}
+	r.Edges, r.StitchedEdges, r.RepairedEdges = edges, c.Stitched, c.Repaired
+	if len(edges) == kept {
+		return nil
+	}
+	SortEdges(r.NumVertices, r.Edges)
+	clear(r.csetLen)
+	for _, e := range r.Edges {
+		r.csetData[r.csetOff[e.V]+int64(r.csetLen[e.V])] = e.U
+		r.csetLen[e.V]++
+	}
+	return nil
 }
 
 // totals sums the per-worker counters.

@@ -338,6 +338,54 @@ func TestToGraphMatchesBuilder(t *testing.T) {
 	}
 }
 
+// TestStitchAndRepairKeepChordalSets checks the chordal sets that the
+// post-passes rebuild from the grown edge list: after repair, stitch
+// and both, on either code path, ChordalNeighbors(v) lists exactly the
+// smaller endpoints of v's edges in ascending order, and HasChordalEdge
+// holds for every edge and for no other pair of the input.
+func TestStitchAndRepairKeepChordalSets(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		opts Options
+	}{
+		{"repair", randomGraph(300, 1500, 12), Options{RepairMaximality: true}},
+		{"stitch", randomGraph(400, 300, 13), Options{StitchComponents: true}},
+		{"both", randomGraph(400, 600, 14), Options{RepairMaximality: true, StitchComponents: true}},
+		{"both-unopt", randomGraph(400, 600, 14), Options{RepairMaximality: true, StitchComponents: true, Variant: VariantUnoptimized}},
+	}
+	for _, c := range cases {
+		res, err := Extract(c.g, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.RepairedEdges+res.StitchedEdges == 0 {
+			t.Fatalf("%s: the post-passes added no edge, so the case does not cover them", c.name)
+		}
+		want := make([][]int32, res.NumVertices)
+		for _, e := range res.Edges {
+			want[e.V] = append(want[e.V], e.U)
+			if !res.HasChordalEdge(e.U, e.V) {
+				t.Fatalf("%s: HasChordalEdge(%d,%d) is false for an edge of the list", c.name, e.U, e.V)
+			}
+		}
+		for v := int32(0); int(v) < res.NumVertices; v++ {
+			if got := res.ChordalNeighbors(v); !slices.Equal(got, want[v]) {
+				t.Fatalf("%s: ChordalNeighbors(%d) = %v, want %v", c.name, v, got, want[v])
+			}
+		}
+		inList := 0
+		c.g.Edges(func(u, v int32) {
+			if res.HasChordalEdge(u, v) {
+				inList++
+			}
+		})
+		if inList != len(res.Edges) {
+			t.Fatalf("%s: HasChordalEdge holds for %d input edges, the list has %d", c.name, inList, len(res.Edges))
+		}
+	}
+}
+
 // TestSortEdgesMatchesComparator checks the counting sort against a
 // comparator sort by (U, V) on shuffled, distinct, oriented edge sets:
 // empty, on one vertex, one hub owning every edge as the smaller and
@@ -631,6 +679,32 @@ func TestRepairObservesContext(t *testing.T) {
 		if _, err := ExtractContext(ctx, g, opts); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%d edges: a context canceled after the kernel's last check returned %v, want context.Canceled", g.NumEdges(), err)
 		}
+	}
+}
+
+// TestStitchObservesContext cancels between the kernel and the stitch
+// pass, as TestRepairObservesContext does for repair: only the stitch's
+// input scan, which checks the context every 1024 edges, can see it.
+// The graph has 2 000 vertices and about 1 500 edges, so the stitch
+// joins hundreds of components.
+func TestStitchObservesContext(t *testing.T) {
+	g := randomGraph(2000, 1500, 13)
+	opts := Options{Workers: 1}
+	probe := &countingCtx{Context: context.Background(), limit: -1}
+	if _, err := ExtractContext(probe, g, opts); err != nil {
+		t.Fatal(err)
+	}
+	opts.StitchComponents = true
+	res, err := ExtractContext(context.Background(), g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StitchedEdges == 0 || g.NumEdges() < 1024 {
+		t.Fatalf("the stitch added %d edges to %d input edges; want a scan that checks the context", res.StitchedEdges, g.NumEdges())
+	}
+	ctx := &countingCtx{Context: context.Background(), limit: probe.calls}
+	if _, err := ExtractContext(ctx, g, opts); !errors.Is(err, context.Canceled) {
+		t.Fatalf("a context canceled after the kernel's last check returned %v, want context.Canceled", err)
 	}
 }
 

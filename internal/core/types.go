@@ -147,16 +147,17 @@ type Options struct {
 	// queue becomes a list of per-worker arrival buffers, and a waiting
 	// parent is pushed again behind the arrivals before it.
 	UnsortedQueue bool
-	// RepairMaximality runs a post-pass that re-tests rejected edges
-	// against the final chordal sets and re-admits any that pass the
-	// subset condition and, verified by maximum cardinality search,
-	// keep the subgraph chordal. See DESIGN.md §5 for why Algorithm 1
-	// alone can leave such edges behind.
+	// RepairMaximality runs a post-pass that offers every absent input
+	// edge to the exact separator criterion and retests the rejected
+	// ones until none can be added, so the result is maximal chordal.
+	// See DESIGN.md §5 for why Algorithm 1 alone can leave such edges
+	// behind.
 	RepairMaximality bool
 	// StitchComponents adds one original-graph edge between distinct
 	// components of the extracted subgraph whenever one exists (a
 	// cycle-free spanning stitch), the generalization of the
-	// component-combining remark below Theorem 2.
+	// component-combining remark below Theorem 2. With both post-passes
+	// on, the stitch runs first.
 	StitchComponents bool
 	// OnEvent, when non-nil, receives every subset test: parent v,
 	// child w, and whether edge (v,w) was accepted. It is invoked

@@ -16,31 +16,20 @@ import (
 	"chordal/internal/shard"
 )
 
-// Options configures an out-of-core extraction. The semantics-affecting
-// fields (Shards, StitchOnly, Repair, Core's schedule/threshold) mirror
-// shard.Options exactly — at equal values the merged edge set is
-// byte-identical to the in-memory sharded engine. Resident and the
-// worker split are speed-only.
+// Options configures an out-of-core extraction. The embedded
+// shard.Options are the in-memory sharded engine's, and at equal values
+// the merged edge set is byte-identical to it. Two of them read
+// differently here: Core.Workers is the total budget, split one lease
+// for IO and the rest for the kernels, and shards extract one at a
+// time, so OnShardIteration is never invoked concurrently. Resident,
+// SpillDir and the worker split are speed-only.
 type Options struct {
-	// Shards is the number of contiguous vertex-range shards, clamped to
-	// [1, NumVertices] like shard.Options.Shards.
-	Shards int
+	shard.Options
 	// Resident bounds how many decoded shards are held in memory at
 	// once: the one being extracted plus up to Resident-1 prefetched by
 	// the IO lane. <= 0 defaults to 2, the minimum that overlaps decode
 	// with extraction; 1 disables prefetch entirely.
 	Resident int
-	// Core configures the per-shard kernels; Core.Workers is the total
-	// budget, split one lease for IO and the rest for the kernels.
-	Core core.Options
-	// StitchOnly and Repair select the reconciliation depth, exactly as
-	// in shard.Options.
-	StitchOnly bool
-	Repair     bool
-	// OnShardIteration receives each shard kernel's iteration
-	// statistics; shards extract one at a time here, so unlike the
-	// in-memory sharded engine it is never invoked concurrently.
-	OnShardIteration func(shard int, it core.IterationStats)
 	// SpillDir is the directory for the per-shard edge spill file; empty
 	// means os.TempDir.
 	SpillDir string
@@ -93,11 +82,11 @@ type decoded struct {
 
 // Extract runs the disk-shard driver on m: decode contiguous
 // vertex-range shards (at most opts.Resident resident, shard N+1's
-// decode overlapping shard N's extraction), run the internal/shard
-// per-shard kernel on each, spill per-shard subgraph edges to a temp
-// file, then merge and reconcile borders streaming the input's edges
-// from disk. The merged edge set is byte-identical to
-// shard.ExtractContext on the same graph at equal shard counts.
+// decode overlapping shard N's extraction), run shard.Options.RunShard
+// on each, spill per-shard subgraph edges to a temp file, then merge
+// and reconcile borders streaming the input's edges from disk. The
+// merged edge set is byte-identical to shard.ExtractContext on the same
+// graph at equal shard counts.
 func Extract(ctx context.Context, m *MappedCSR, opts Options) (*Result, error) {
 	start := time.Now()
 	startRead := m.BytesRead()
@@ -118,38 +107,14 @@ func Extract(ctx context.Context, m *MappedCSR, opts Options) (*Result, error) {
 		res.IO.BytesMapped = m.SizeBytes()
 	}
 
-	// runShard mirrors shard.ExtractContext's per-shard option
-	// discipline exactly (post-passes off, events off) — the kernels
-	// must behave identically for the differential byte-identity proof.
-	runShard := func(p int, sub *graph.Graph, lo int32, kernelWorkers int) ([]core.Edge, error) {
-		co := opts.Core
-		co.Workers = kernelWorkers
-		co.RepairMaximality = false
-		co.StitchComponents = false
-		co.OnEvent = nil
-		co.OnIteration = nil
-		if opts.OnShardIteration != nil {
-			co.OnIteration = func(it core.IterationStats) { opts.OnShardIteration(p, it) }
-		}
+	// kernel runs shard p's kernel through shard.Options.RunShard, timing
+	// it for IOStats.KernelTime.
+	kernel := func(p int, sub *graph.Graph, lo int32, kernelWorkers int) ([]core.Edge, error) {
 		kt := time.Now()
-		r, err := core.ExtractContext(ctx, sub, co)
+		edges, st, err := opts.RunShard(ctx, p, sub, lo, kernelWorkers)
 		res.IO.KernelTime += time.Since(kt)
-		if err != nil {
-			return nil, err
-		}
-		edges := make([]core.Edge, len(r.Edges))
-		for i, e := range r.Edges {
-			edges[i] = core.Edge{U: lo + e.U, V: lo + e.V}
-		}
-		res.Shards[p] = shard.ShardStat{
-			Shard:         p,
-			Vertices:      sub.NumVertices(),
-			InteriorEdges: sub.NumEdges(),
-			ChordalEdges:  len(r.Edges),
-			Iterations:    len(r.Iterations),
-			Duration:      r.Total,
-		}
-		return edges, nil
+		res.Shards[p] = st
+		return edges, err
 	}
 
 	if parts == 1 {
@@ -163,13 +128,13 @@ func Extract(ctx context.Context, m *MappedCSR, opts Options) (*Result, error) {
 		}
 		res.IO.DecodeTime = time.Since(dt)
 		res.IO.PeakResident = g.SizeBytes()
-		edges, err := runShard(0, g, 0, workers)
+		edges, err := kernel(0, g, 0, workers)
 		if err != nil {
 			return nil, err
 		}
 		res.Edges = edges
 	} else {
-		if err := extractStreaming(ctx, m, res, parts, resident, workers, runShard, opts.SpillDir); err != nil {
+		if err := extractStreaming(ctx, m, res, parts, resident, workers, kernel, opts.SpillDir); err != nil {
 			return nil, err
 		}
 	}
@@ -177,8 +142,7 @@ func Extract(ctx context.Context, m *MappedCSR, opts Options) (*Result, error) {
 		return nil, err
 	}
 
-	sOpts := shard.Options{Shards: parts, Core: opts.Core, StitchOnly: opts.StitchOnly, Repair: opts.Repair}
-	if err := res.Reconcile(ctx, m.Edges, parts, sOpts); err != nil {
+	if err := res.Reconcile(ctx, m.Edges, parts, opts.Options); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -195,7 +159,7 @@ func Extract(ctx context.Context, m *MappedCSR, opts Options) (*Result, error) {
 // enforces the residency bound, while the caller's goroutine runs the
 // kernels with the remaining workers and spills each shard's edges.
 func extractStreaming(ctx context.Context, m *MappedCSR, res *Result, parts, resident, workers int,
-	runShard func(int, *graph.Graph, int32, int) ([]core.Edge, error), spillDir string) error {
+	kernel func(int, *graph.Graph, int32, int) ([]core.Edge, error), spillDir string) error {
 	n := res.NumVertices
 	// One parallel lease goes to the IO lane; the kernels get the rest.
 	kernelWorkers := max(workers-1, 1)
@@ -253,7 +217,7 @@ func extractStreaming(ctx context.Context, m *MappedCSR, res *Result, parts, res
 		if residentBytes > peak {
 			peak = residentBytes
 		}
-		edges, err := runShard(d.p, d.sub, d.lo, kernelWorkers)
+		edges, err := kernel(d.p, d.sub, d.lo, kernelWorkers)
 		if err != nil {
 			cancel()
 			for range ch {

@@ -200,7 +200,7 @@ func TestExtractMatchesShardPackage(t *testing.T) {
 						t.Fatal(err)
 					}
 					got, err := Extract(context.Background(), m,
-						Options{Shards: shards, Resident: resident, StitchOnly: stitchOnly, SpillDir: t.TempDir()})
+						Options{Options: shard.Options{Shards: shards, StitchOnly: stitchOnly}, Resident: resident, SpillDir: t.TempDir()})
 					m.Close()
 					if err != nil {
 						t.Fatal(err)
@@ -239,7 +239,7 @@ func TestExtractCancellation(t *testing.T) {
 	defer m.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Extract(ctx, m, Options{Shards: 8, SpillDir: t.TempDir()}); err == nil {
+	if _, err := Extract(ctx, m, Options{Options: shard.Options{Shards: 8}, SpillDir: t.TempDir()}); err == nil {
 		t.Fatal("canceled extraction returned nil error")
 	}
 }

@@ -1,12 +1,15 @@
 package incremental_test
 
 import (
+	"context"
 	"slices"
 	"testing"
 	"testing/quick"
 
+	"chordal/internal/core"
 	"chordal/internal/graph"
 	"chordal/internal/incremental"
+	"chordal/internal/rmat"
 	"chordal/internal/synth"
 	"chordal/internal/verify"
 	"chordal/internal/xrand"
@@ -262,6 +265,40 @@ func TestBorderAdmissionSearchWork(t *testing.T) {
 	const marked = 13331
 	if got := m.SearchMarked(); got > 2*marked {
 		t.Fatalf("border admission marked %d adjacency entries, want at most 2×%d", got, marked)
+	}
+}
+
+// TestRepairSearchWork pins the intersection and search work of the
+// repair pass on rmat-b:11, the stream-ingest benchmark's graph, run
+// through Reconcile as core's RepairMaximality runs it: the kernel's
+// edge set seeded, every input edge offered in graph order, then the
+// retests to the fixpoint. The counts were taken while core ran its
+// own copy of the pass; the bound leaves 2× for a change that costs
+// more per check.
+func TestRepairSearchWork(t *testing.T) {
+	g, err := rmat.Generate(rmat.PresetParams(rmat.B, 11, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Extract(g, core.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := func(fn func(u, v int32)) error { g.Edges(fn); return nil }
+	scanned, marked, err := incremental.ReconcileWork(context.Background(), g.NumVertices(), res.Edges, input,
+		incremental.Passes{Repair: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 373 repaired edges on 14 119 input edges, 3 046 kept by the
+	// kernel.
+	const searched = 29350782
+	if scanned > 2*searched {
+		t.Fatalf("repair scanned %d adjacency entries, want at most 2×%d", scanned, searched)
+	}
+	const marks = 39753
+	if marked > 2*marks {
+		t.Fatalf("repair marked %d adjacency entries, want at most 2×%d", marked, marks)
 	}
 }
 

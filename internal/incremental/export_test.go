@@ -1,5 +1,7 @@
 package incremental
 
+import "context"
+
 // SearchScanned returns the adjacency entries the separator searches of
 // m's current Checker have read.
 func (m *Maintainer) SearchScanned() int64 { return m.checker.scanned }
@@ -19,4 +21,15 @@ func (m *Maintainer) Intersection(u, v int32) []int32 {
 		}
 	}
 	return common
+}
+
+// ReconcileWork runs Reconcile and returns the adjacency entries the
+// separator searches of its border and repair passes read and their
+// intersections marked.
+func ReconcileWork(ctx context.Context, n int, edges []Edge, input EdgeStream, p Passes) (scanned, marked int64, err error) {
+	_, _, m, err := reconcile(ctx, n, edges, input, p)
+	if m == nil {
+		return 0, 0, err
+	}
+	return m.checker.scanned, m.checker.marked, err
 }

@@ -19,12 +19,15 @@
 // admissions, so deferred edges are retested until a pass admits
 // nothing.
 //
-// Every admission site in the repository — the shard border
-// reconciliation, the core repair post-pass, and the streaming
-// sessions — delegates here; there is exactly one implementation of the
-// separator criterion. (The maximality audit in internal/verify decides
-// absent edges on a clique tree instead, and keeps this criterion as
-// its test oracle.)
+// Reconcile runs the three offline passes that follow a kernel — the
+// spanning stitch, the exact admission of shard-border edges, and the
+// repair scan with its retest fixpoint — for both core's post-passes
+// and the sharded engines' border reconciliation. Every admission site
+// in the repository — those passes and the streaming sessions —
+// delegates here; there is exactly one implementation of the separator
+// criterion. (The maximality audit in internal/verify decides absent
+// edges on a clique tree instead, and keeps this criterion as its test
+// oracle.)
 package incremental
 
 import (
@@ -198,18 +201,18 @@ func (s *Checker) separates(adj [][]int32, u, v int32) bool {
 
 // Maintainer holds a chordal subgraph of an n-vertex universe and
 // decides edge insertions with the separator criterion. It is the one
-// admission kernel shared by the batch engines (shard border
-// reconciliation, the repair post-pass) and the streaming sessions.
+// admission kernel shared by Reconcile and the streaming sessions.
 // A Maintainer is single-owner: callers serialize access.
 type Maintainer struct {
 	adj     [][]int32
 	checker *Checker
-	// uf is a union-find over the maintained subgraph's components:
-	// Admit takes the O(α) bridge fast path when the endpoints are in
+	// uf is a union-find over the maintained subgraph's components, by
+	// size with path halving, and the repository's only one: Admit
+	// takes the O(α) bridge fast path when the endpoints are in
 	// different components, skipping the check entirely, and the same-
 	// component fact is what licenses an empty intersection as a
 	// rejection without the search (an empty separator cannot separate
-	// connected vertices).
+	// connected vertices). Reconcile's spanning stitch runs on it alone.
 	uf       []int32
 	ufSize   []int32
 	deferred []Edge
@@ -226,18 +229,33 @@ type Maintainer struct {
 
 // New returns a Maintainer over an empty subgraph of n vertices.
 func New(n int) *Maintainer {
-	m := &Maintainer{
-		adj:        make([][]int32, n),
-		checker:    NewChecker(n),
-		uf:         make([]int32, n),
-		ufSize:     make([]int32, n),
-		inDeferred: make(map[int64]struct{}),
-	}
+	m := components(n)
+	m.open(nil)
+	return m
+}
+
+// components returns a Maintainer that holds only the union-find, over
+// n singleton components: no adjacency and no checker until open.
+func components(n int) *Maintainer {
+	m := &Maintainer{uf: make([]int32, n), ufSize: make([]int32, n)}
 	for i := range m.uf {
 		m.uf[i] = int32(i)
 		m.ufSize[i] = 1
 	}
 	return m
+}
+
+// open completes a Maintainer from components: it builds the checker,
+// the deferred queue's dedup map and the adjacency of edges, whose
+// components the union-find must already hold, in list order.
+func (m *Maintainer) open(edges []Edge) {
+	n := len(m.uf)
+	m.adj = make([][]int32, n)
+	m.checker = NewChecker(n)
+	m.inDeferred = make(map[int64]struct{})
+	for _, e := range edges {
+		m.link(e.U, e.V)
+	}
 }
 
 // Seed adds the edge {u, v} without any chordality check — the caller
@@ -341,7 +359,8 @@ func (m *Maintainer) Admit(u, v int32) (bool, Reason) {
 
 // admit is Admit with the deferred-queue policy explicit; Repair
 // retests with deferOnReject=false so a rejected edge keeps its one
-// queue slot instead of re-entering.
+// queue slot instead of re-entering, and Reconcile decides border edges
+// with it, because its repair scan queues every rejection afresh.
 func (m *Maintainer) admit(u, v int32, deferOnReject bool) (bool, Reason) {
 	n := int32(len(m.adj))
 	if u == v || u < 0 || v < 0 || u >= n || v >= n {
@@ -377,14 +396,19 @@ func (m *Maintainer) admit(u, v int32, deferOnReject bool) (bool, Reason) {
 	return true, ReasonAdmitted
 }
 
-// add records an edge: adjacency on both sides, the checker's cached
-// marking if it belongs to an endpoint (that list just grew), and the
-// component union.
+// add records an edge: its adjacency (link) and the component union.
 func (m *Maintainer) add(u, v int32) {
+	m.link(u, v)
+	m.union(u, v)
+}
+
+// link records an edge in the adjacency on both sides and in the
+// checker's cached marking if it belongs to an endpoint (that list
+// just grew).
+func (m *Maintainer) link(u, v int32) {
 	m.adj[u] = append(m.adj[u], v)
 	m.adj[v] = append(m.adj[v], u)
 	m.checker.linked(u, v)
-	m.union(u, v)
 	m.edges++
 }
 
@@ -424,16 +448,6 @@ func (m *Maintainer) RepairContext(ctx context.Context) ([]Edge, error) {
 	return admitted, nil
 }
 
-// ResetDeferred drops the deferred queue. The shard repair pass uses it
-// to rebuild the queue from a full scan of the original graph, so its
-// retest order matches the scan order exactly.
-func (m *Maintainer) ResetDeferred() {
-	m.deferred = m.deferred[:0]
-	for k := range m.inDeferred {
-		delete(m.inDeferred, k)
-	}
-}
-
 // find is union-find lookup with path halving.
 func (m *Maintainer) find(v int32) int32 {
 	for m.uf[v] != v {
@@ -443,17 +457,19 @@ func (m *Maintainer) find(v int32) int32 {
 	return v
 }
 
-// union merges the components of u and v by size.
-func (m *Maintainer) union(u, v int32) {
+// union merges the components of u and v by size and reports whether
+// they were apart.
+func (m *Maintainer) union(u, v int32) bool {
 	ru, rv := m.find(u), m.find(v)
 	if ru == rv {
-		return
+		return false
 	}
 	if m.ufSize[ru] < m.ufSize[rv] {
 		ru, rv = rv, ru
 	}
 	m.uf[rv] = ru
 	m.ufSize[ru] += m.ufSize[rv]
+	return true
 }
 
 // sortEdges orders edges by (U, V), the canonical result order.

@@ -12,27 +12,32 @@
 // part assignment. Edges interior to a shard are decided by that
 // shard's own run of core.ExtractContext; edges whose endpoints lie in
 // different shards (border edges) are never seen by any kernel and are
-// reconciled afterwards in two chordality-preserving passes:
+// reconciled afterwards by incremental.Reconcile, the passes core's
+// StitchComponents and RepairMaximality also run, given the
+// shard-crossing predicate:
 //
 //  1. Spanning stitch: a union-find over the merged interior edge sets
 //     admits any original edge joining two distinct components. Such an
 //     edge is a bridge of the result, a bridge lies on no cycle, so no
 //     chordless cycle can appear (the generalization of the paper's
-//     remark below Theorem 2 that core.stitchComponents already uses).
+//     remark below Theorem 2).
 //  2. Border admission (skipped under StitchOnly): each remaining
 //     border edge {u, v} is tested with the exact dynamic-chordal-graph
-//     separator criterion (incremental.Maintainer, the repository's one
-//     admission kernel) against the merged subgraph built so far — the
-//     admit-if-it-closes-a-triangle idea of the distributed baseline in
-//     internal/partition, but with the exact criterion, so chordality
-//     is preserved by construction instead of repaired by a
+//     separator criterion against the merged subgraph built so far —
+//     the admit-if-it-closes-a-triangle idea of the distributed
+//     baseline in internal/partition, but with the exact criterion, so
+//     chordality is preserved by construction instead of repaired by a
 //     cycle-elimination pass afterwards.
+//  3. Repair (only under Repair): every absent original edge, interior
+//     or border, is offered to the same criterion and the rejections
+//     are retested until none can be added.
 //
-// Both passes are sequential scans in a deterministic edge order, and
+// The passes are sequential scans in a deterministic edge order, and
 // the per-shard kernels run the schedule-independent dataflow
 // discipline, so the merged edge set is byte-identical across worker
-// counts. See DESIGN.md §7 for the proof sketch and the maximality
-// trade-off.
+// counts. With one shard there is no border, and the result is core's
+// with StitchComponents (and RepairMaximality under Repair). See
+// DESIGN.md §7 for the proof sketch and the maximality trade-off.
 package shard
 
 import (
@@ -137,23 +142,6 @@ type Result struct {
 // NumChordalEdges returns the merged chordal edge count.
 func (r *Result) NumChordalEdges() int { return len(r.Edges) }
 
-// EdgeStream iterates every undirected input edge exactly once as
-// (u, v) with u < v, in ascending-u, adjacency-position order — the
-// order graph.Graph.Edges produces. Reconcile's admission sequence (and
-// therefore the merged edge set) is a function of this order, so any
-// alternative input representation (extio's disk-backed CSR) must
-// reproduce it exactly to stay byte-identical with the in-memory path.
-// A stream may be consumed more than once and must replay identically.
-type EdgeStream func(fn func(u, v int32)) error
-
-// GraphEdges adapts an in-memory graph to an EdgeStream.
-func GraphEdges(g *graph.Graph) EdgeStream {
-	return func(fn func(u, v int32)) error {
-		g.Edges(fn)
-		return nil
-	}
-}
-
 // Extract runs a sharded extraction with a background context.
 func Extract(g *graph.Graph, opts Options) (*Result, error) {
 	return ExtractContext(context.Background(), g, opts)
@@ -187,40 +175,6 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 
 	res := &Result{NumVertices: n, Shards: make([]ShardStat, parts)}
 
-	// Per-shard kernels. The per-shard options disable the kernel's own
-	// post-passes: stitching and repair are global decisions made after
-	// the merge, where the reconciled edge set is known.
-	runShard := func(p int, sub *graph.Graph, remap func(int32) int32) ([]core.Edge, error) {
-		co := opts.Core
-		co.Workers = perShard
-		co.RepairMaximality = false
-		co.StitchComponents = false
-		co.OnEvent = nil
-		co.OnIteration = nil
-		if opts.OnShardIteration != nil {
-			co.OnIteration = func(it core.IterationStats) {
-				opts.OnShardIteration(p, it)
-			}
-		}
-		r, err := core.ExtractContext(ctx, sub, co)
-		if err != nil {
-			return nil, err
-		}
-		edges := make([]core.Edge, len(r.Edges))
-		for i, e := range r.Edges {
-			edges[i] = core.Edge{U: remap(e.U), V: remap(e.V)}
-		}
-		res.Shards[p] = ShardStat{
-			Shard:         p,
-			Vertices:      sub.NumVertices(),
-			InteriorEdges: sub.NumEdges(),
-			ChordalEdges:  len(r.Edges),
-			Iterations:    len(r.Iterations),
-			Duration:      r.Total,
-		}
-		return edges, nil
-	}
-
 	var (
 		shardEdges = make([][]core.Edge, parts)
 		errMu      sync.Mutex
@@ -229,11 +183,11 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 	if parts == 1 {
 		// Single shard: the induced subgraph is the graph itself — skip
 		// the copy and run the kernel directly.
-		edges, err := runShard(0, g, func(v int32) int32 { return v })
+		edges, st, err := opts.RunShard(ctx, 0, g, 0, perShard)
 		if err != nil {
 			return nil, err
 		}
-		shardEdges[0] = edges
+		shardEdges[0], res.Shards[0] = edges, st
 	} else {
 		parallel.For(parts, conc, 1, func(_, p int) {
 			lo, hi := partition.Bounds(n, parts, p)
@@ -244,7 +198,7 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 			// The keep set is a contiguous ascending range, so local id
 			// i maps back to lo+i.
 			sub, _ := g.InducedSubgraph(ids)
-			edges, err := runShard(p, sub, func(v int32) int32 { return lo + v })
+			edges, st, err := opts.RunShard(ctx, p, sub, lo, perShard)
 			if err != nil {
 				errMu.Lock()
 				if firstErr == nil {
@@ -253,7 +207,7 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 				errMu.Unlock()
 				return
 			}
-			shardEdges[p] = edges
+			shardEdges[p], res.Shards[p] = edges, st
 		})
 		if firstErr != nil {
 			return nil, firstErr
@@ -272,7 +226,8 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 		return nil, err
 	}
 
-	if err := res.Reconcile(ctx, GraphEdges(g), parts, opts); err != nil {
+	graphEdges := func(fn func(u, v int32)) error { g.Edges(fn); return nil }
+	if err := res.Reconcile(ctx, graphEdges, parts, opts); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -284,117 +239,62 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 	return res, nil
 }
 
-// Reconcile performs the border passes: spanning stitch, optional exact
-// border admission, and the optional full repair. It appends to
-// res.Edges and fills the border counters. The per-shard edge sets must
-// already be merged into res.Edges in shard index order. An error from
-// the edge stream is returned as-is; cancellation aborts silently and is
-// surfaced by the caller's own ctx check, as before the stream refactor.
-func (res *Result) Reconcile(ctx context.Context, edges EdgeStream, parts int, opts Options) error {
-	n := res.NumVertices
-	partOf := partition.PartOf(n, max(parts, 1))
-
-	// Pass 1 — spanning stitch. Seed the union-find with the merged
-	// interior edges, then admit any original edge bridging two
-	// components. Border edges that do not bridge are remembered for
-	// pass 2.
-	uf := core.NewUnionFind(n)
-	for _, e := range res.Edges {
-		uf.Union(e.U, e.V)
+// RunShard runs the per-shard kernel: core.ExtractContext on sub, the
+// subgraph induced by a contiguous vertex range that starts at global
+// id lo, on workers workers. The kernel's own post-passes and OnEvent
+// are off, because stitching and repair are global decisions made after
+// the merge, and OnShardIteration receives its iterations as shard p's.
+// It returns the chordal edges in global ids and the shard's stats.
+// ExtractContext and the out-of-core driver in internal/extio both run
+// their kernels through it, so the two engines' kernels agree.
+func (o Options) RunShard(ctx context.Context, p int, sub *graph.Graph, lo int32, workers int) ([]core.Edge, ShardStat, error) {
+	co := o.Core
+	co.Workers = workers
+	co.RepairMaximality = false
+	co.StitchComponents = false
+	co.OnEvent = nil
+	co.OnIteration = nil
+	if o.OnShardIteration != nil {
+		co.OnIteration = func(it core.IterationStats) { o.OnShardIteration(p, it) }
 	}
-	var deferred []core.Edge
-	err := edges(func(u, v int32) {
-		border := parts > 1 && partOf(u) != partOf(v)
-		if border {
-			res.BorderTotal++
-		}
-		if uf.Find(u) != uf.Find(v) {
-			uf.Union(u, v)
-			res.Edges = append(res.Edges, core.Edge{U: u, V: v})
-			res.StitchedEdges++
-			if border {
-				res.BorderBridges++
-			}
-			return
-		}
-		if border {
-			deferred = append(deferred, core.Edge{U: u, V: v})
-		}
-	})
+	r, err := core.ExtractContext(ctx, sub, co)
 	if err != nil {
-		return err
+		return nil, ShardStat{}, err
 	}
+	edges := make([]core.Edge, len(r.Edges))
+	for i, e := range r.Edges {
+		edges[i] = core.Edge{U: lo + e.U, V: lo + e.V}
+	}
+	return edges, ShardStat{
+		Shard:         p,
+		Vertices:      sub.NumVertices(),
+		InteriorEdges: sub.NumEdges(),
+		ChordalEdges:  len(r.Edges),
+		Iterations:    len(r.Iterations),
+		Duration:      r.Total,
+	}, nil
+}
 
-	if opts.StitchOnly && !opts.Repair {
-		return nil
+// Reconcile runs the border passes through incremental.Reconcile: the
+// spanning stitch, the exact border admission unless opts.StitchOnly,
+// and the full repair under opts.Repair, with an edge crossing shards
+// when its endpoints lie in different parts of the parts-way
+// contiguous partition. It appends to res.Edges and fills the border
+// counters. The per-shard edge sets must already be merged into
+// res.Edges in shard index order, and edges must stream the input in
+// graph.Graph.Edges order. An error from the stream is returned as is;
+// a canceled pass returns ctx.Err().
+func (res *Result) Reconcile(ctx context.Context, edges incremental.EdgeStream, parts int, opts Options) error {
+	passes := incremental.Passes{Stitch: true, AdmitBorder: !opts.StitchOnly, Repair: opts.Repair}
+	if parts > 1 {
+		partOf := partition.PartOf(res.NumVertices, parts)
+		passes.Border = func(u, v int32) bool { return partOf(u) != partOf(v) }
 	}
-	if ctx.Err() != nil {
-		return nil
-	}
-
-	// Passes 2 and 3 delegate admission to incremental.Maintainer — the
-	// repository's one implementation of the separator criterion —
-	// seeded with the merged subgraph. Each check intersects N(u) and
-	// N(v) once and rejects an empty intersection without the search
-	// (after pass 1 every candidate's endpoints lie in one component, so
-	// an empty N(u) ∩ N(v) cannot separate them). The last marked list
-	// stays cached, and exact, across admissions, so the candidates of
-	// the ascending-u order that share a hub probe only the other list
-	// (DESIGN.md §7). Every rejection is recorded in the deferred queue
-	// for the repair fixpoint.
-	m := incremental.New(n)
-	for _, e := range res.Edges {
-		m.Seed(e.U, e.V)
-	}
-
-	// Pass 2 — exact border admission in deterministic order. The
-	// exact check can walk a large part of the merged graph per edge,
-	// so cancellation is observed every few hundred edges: a canceled
-	// job must release its budget tokens promptly, not after the whole
-	// border drains.
-	if !opts.StitchOnly {
-		for i, e := range deferred {
-			if i%256 == 0 && ctx.Err() != nil {
-				return nil
-			}
-			if ok, _ := m.Admit(e.U, e.V); ok {
-				res.Edges = append(res.Edges, e)
-				res.BorderAdmitted++
-			}
-		}
-	}
-
-	// Pass 3 — optional full repair to maximality, the merged analogue
-	// of core's RepairMaximality post-pass: one scan of the original
-	// graph defers every inadmissible absent edge in scan order, then
-	// the maintainer retests the queue until a pass admits nothing.
-	if opts.Repair {
-		m.ResetDeferred() // rebuild the queue in edge-stream scan order
-		scanned, aborted := 0, false
-		err := edges(func(u, v int32) {
-			if aborted {
-				return
-			}
-			if scanned++; scanned%1024 == 0 && ctx.Err() != nil {
-				aborted = true
-				return
-			}
-			if ok, _ := m.Admit(u, v); ok {
-				res.Edges = append(res.Edges, core.Edge{U: u, V: v})
-				res.RepairedEdges++
-			}
-		})
-		if err != nil {
-			return err
-		}
-		if aborted {
-			return nil
-		}
-		admitted, _ := m.RepairContext(ctx) // ctx error rechecked by the caller
-		res.Edges = append(res.Edges, admitted...)
-		res.RepairedEdges += len(admitted)
-	}
-	return nil
+	merged, c, err := incremental.Reconcile(ctx, res.NumVertices, res.Edges, edges, passes)
+	res.Edges = merged
+	res.StitchedEdges, res.BorderBridges, res.BorderTotal = c.Stitched, c.BorderBridges, c.BorderTotal
+	res.BorderAdmitted, res.RepairedEdges = c.BorderAdmitted, c.Repaired
+	return err
 }
 
 // Finalize sorts the merged edge set into the canonical (U, V) order,

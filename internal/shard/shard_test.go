@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
 	"chordal/internal/core"
 	"chordal/internal/graph"
+	"chordal/internal/partition"
 	"chordal/internal/rmat"
 	"chordal/internal/synth"
 	"chordal/internal/verify"
@@ -239,6 +241,34 @@ func TestShardedKTreeKeepsEverything(t *testing.T) {
 	}
 }
 
+// TestBorderFootprint pins the allocation of a border-heavy sharded
+// extraction: gnm:20000:150000:7 cut into 8 shards on one worker, where
+// most of the input crosses shards and most border checks reject.
+// Deciding border edges without queueing the rejections allocates about
+// 11.6 MiB per call. Queueing each rejection in the deferred queue and
+// its dedup map, which nothing read without repair and the repair pass
+// rebuilt from its own scan, allocated 25.5 MiB.
+func TestBorderFootprint(t *testing.T) {
+	const limit = 18 << 20
+	const calls = 2
+	g := synth.GNM(20000, 150000, 7, 1)
+	opts := Options{Shards: 8, Core: core.Options{Workers: 1}}
+	if _, err := Extract(g, opts); err != nil { // warm up
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, err := Extract(g, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per > limit {
+		t.Fatalf("8-shard extraction of gnm:20000:150000:7 allocated %d bytes per call, want at most %d", per, limit)
+	}
+}
+
 // TestShardClampAndTinyGraphs covers degenerate shapes: more shards
 // than vertices, empty and single-vertex graphs.
 func TestShardClampAndTinyGraphs(t *testing.T) {
@@ -267,6 +297,64 @@ func TestShardCancellation(t *testing.T) {
 	cancel()
 	if _, err := ExtractContext(ctx, g, Options{Shards: 4}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// countingCtx is a context whose Err counts its calls and reports
+// context.Canceled from call limit+1 on (never, when limit < 0).
+type countingCtx struct {
+	context.Context
+	calls, limit int
+}
+
+func (c *countingCtx) Err() error {
+	c.calls++
+	if c.limit >= 0 && c.calls > c.limit {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestReconcileObservesContext runs a stitch-only reconciliation of the
+// shard kernels' merged edge sets under a context that is canceled
+// from its first check on, so the cancel lands after the kernels' last
+// check: the stitch's input scan checks the context every 1024 edges,
+// and Reconcile must return context.Canceled itself rather than finish
+// and leave the cancellation to its caller. One shard has no border;
+// four have one.
+func TestReconcileObservesContext(t *testing.T) {
+	g := rmatG(t, 10)
+	n := g.NumVertices()
+	input := func(fn func(u, v int32)) error { g.Edges(fn); return nil }
+	for _, parts := range []int{1, 4} {
+		opts := Options{Shards: parts, StitchOnly: true}
+		var kernels []core.Edge
+		for p := 0; p < parts; p++ {
+			lo, hi := partition.Bounds(n, parts, p)
+			ids := make([]int32, 0, hi-lo)
+			for v := lo; v < hi; v++ {
+				ids = append(ids, v)
+			}
+			sub, _ := g.InducedSubgraph(ids)
+			edges, _, err := opts.RunShard(context.Background(), p, sub, lo, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kernels = append(kernels, edges...)
+		}
+		probe := &countingCtx{Context: context.Background(), limit: -1}
+		res := &Result{NumVertices: n, Edges: slices.Clone(kernels)}
+		if err := res.Reconcile(probe, input, parts, opts); err != nil {
+			t.Fatal(err)
+		}
+		if res.StitchedEdges == 0 || probe.calls == 0 {
+			t.Fatalf("parts=%d: the stitch added %d edges and checked the context %d times; want both", parts, res.StitchedEdges, probe.calls)
+		}
+		ctx := &countingCtx{Context: context.Background(), limit: 0}
+		res = &Result{NumVertices: n, Edges: slices.Clone(kernels)}
+		if err := res.Reconcile(ctx, input, parts, opts); !errors.Is(err, context.Canceled) {
+			t.Fatalf("parts=%d: a canceled stitch-only reconciliation returned %v, want context.Canceled", parts, err)
+		}
 	}
 }
 

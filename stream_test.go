@@ -64,10 +64,10 @@ func TestStreamSpecValidation(t *testing.T) {
 		{Mode: "stream", Source: "gnm:100:300"},                         // deltas, not a source
 		{Mode: "stream", Relabel: "bfs"},                                // needs the whole graph
 		{Mode: "stream", Output: "out.bin"},                             // results come from Close
-		{Mode: "stream", Engine: "serial"},                              // no StreamEngine
+		{Mode: "stream", Engine: "serial"},                              // streams run only parallel
 		{Mode: "stream", Engine: "none"},                                // no engine at all
 		{Mode: "trickle"},                                               // unknown mode
-		{Mode: "stream", EngineConfig: chordal.EngineConfig{Shards: 2}}, // sharded: no StreamEngine
+		{Mode: "stream", EngineConfig: chordal.EngineConfig{Shards: 2}}, // sharded: streams run only parallel
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
