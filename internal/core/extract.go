@@ -163,7 +163,7 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 func (r *Result) reconcile(ctx context.Context, g *graph.Graph, opts Options) error {
 	kept := len(r.Edges)
 	edges, c, err := incremental.Reconcile(ctx, r.NumVertices, r.Edges,
-		func(fn func(u, v int32)) error { g.Edges(fn); return nil },
+		func(fn func(u, v int32) bool) error { g.EdgesWhile(fn); return nil },
 		incremental.Passes{Stitch: opts.StitchComponents, Repair: opts.RepairMaximality})
 	if err != nil {
 		return err

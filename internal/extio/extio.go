@@ -275,7 +275,9 @@ const edgeChunkAdj = 1 << 18
 // u < v, in ascending-u, adjacency-position order — the same order
 // graph.Graph.Edges produces, which the shard reconciliation pass
 // depends on. Adjacency is decoded in bounded chunks, never held whole.
-func (m *MappedCSR) Edges(fn func(u, v int32)) error {
+// When fn returns false, Edges returns nil without decoding another
+// chunk: it is an incremental.EdgeStream.
+func (m *MappedCSR) Edges(fn func(u, v int32) bool) error {
 	var offBuf []int64
 	var adjBuf []int32
 	const vertexChunk = 1 << 16
@@ -301,8 +303,8 @@ func (m *MappedCSR) Edges(fn func(u, v int32)) error {
 			base := offs[v-lo]
 			for u := v; u < end; u++ {
 				for _, w := range adj[offs[u-lo]-base : offs[u+1-lo]-base] {
-					if w > int32(u) {
-						fn(int32(u), w)
+					if w > int32(u) && !fn(int32(u), w) {
+						return nil
 					}
 				}
 			}

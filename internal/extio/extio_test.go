@@ -3,6 +3,7 @@ package extio
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -113,11 +114,34 @@ func TestEdgesMatchesGraphOrder(t *testing.T) {
 	g.Edges(func(u, v int32) { want = append(want, core.Edge{U: u, V: v}) })
 	for mode, m := range openBoth(t, path) {
 		var got []core.Edge
-		if err := m.Edges(func(u, v int32) { got = append(got, core.Edge{U: u, V: v}) }); err != nil {
+		if err := m.Edges(func(u, v int32) bool { got = append(got, core.Edge{U: u, V: v}); return true }); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: edge stream differs from graph.Edges (got %d, want %d edges)", mode, len(got), len(want))
+		}
+	}
+}
+
+// TestReconcileStopsReadingOnCancel reconciles a .bin whose adjacency
+// spans several Edges chunks under a canceled context. The stitch scan
+// stops the stream at its first context check, so the reader decodes
+// the offsets and at most one adjacency chunk, not the whole file.
+func TestReconcileStopsReadingOnCancel(t *testing.T) {
+	g := testGraph(t, rmat.ER, 16, 7)
+	if len(g.Adj) < 3*edgeChunkAdj {
+		t.Fatalf("adjacency of %d entries spans fewer than 3 chunks of %d", len(g.Adj), edgeChunkAdj)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	limit := int64(g.NumVertices()+1)*8 + edgeChunkAdj*4
+	for mode, m := range openBoth(t, writeBin(t, g)) {
+		res := &shard.Result{NumVertices: m.NumVertices()}
+		if err := res.Reconcile(ctx, m.Edges, 4, shard.Options{Shards: 4}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: a canceled reconcile returned %v, want context.Canceled", mode, err)
+		}
+		if got := m.BytesRead(); got > limit {
+			t.Fatalf("%s: a canceled reconcile read %d of %d bytes, want at most %d (the offsets and one chunk)", mode, got, m.SizeBytes(), limit)
 		}
 	}
 }

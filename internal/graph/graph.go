@@ -212,10 +212,16 @@ func (g *Graph) checkSortedSymmetric() error {
 // Edges calls fn once per undirected edge with u < v. Iteration order is
 // by u then adjacency position.
 func (g *Graph) Edges(fn func(u, v int32)) {
+	g.EdgesWhile(func(u, v int32) bool { fn(u, v); return true })
+}
+
+// EdgesWhile is Edges with an early exit: it stops at the first edge
+// for which fn returns false.
+func (g *Graph) EdgesWhile(fn func(u, v int32) bool) {
 	for u := 0; u < g.NumVertices(); u++ {
 		for _, v := range g.Neighbors(int32(u)) {
-			if int32(u) < v {
-				fn(int32(u), v)
+			if int32(u) < v && !fn(int32(u), v) {
+				return
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -126,6 +127,15 @@ func TestEdgesIteratesOnce(t *testing.T) {
 	us, vs := g.EdgeList()
 	if len(us) != 21 || len(vs) != 21 {
 		t.Fatalf("EdgeList lengths %d/%d", len(us), len(vs))
+	}
+	// EdgesWhile yields the same prefix and stops when fn says so.
+	var got []int32
+	g.EdgesWhile(func(u, v int32) bool {
+		got = append(got, u, v)
+		return len(got) < 2*8
+	})
+	if want := []int32{0, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 1, 2, 1, 3}; !slices.Equal(got, want) {
+		t.Fatalf("EdgesWhile yielded %v, want %v", got, want)
 	}
 }
 

@@ -213,6 +213,37 @@ func TestCanAddEdgeScratchReuse(t *testing.T) {
 	}
 }
 
+// TestCheckerSharedMarkSet decides, on one reused Checker, checks whose
+// marks fall on vertex 1 in both roles: the search of {5, 0} marks 1,
+// and 1 is in the separators of {0, 4} and {0, 3}. The separator and
+// the search share one mark set, so each check must start from a set
+// that holds only its own separator: a stale mark from the previous
+// check would block the path that rejects {0, 4} or {5, 0}, and a
+// separator dropped before the search would let {0, 3}'s search through.
+func TestCheckerSharedMarkSet(t *testing.T) {
+	// 1 fans over the path 0-2-3-4, and 5 hangs from 3.
+	adj := adjOf(6, [][2]int32{{0, 1}, {0, 2}, {1, 2}, {1, 3}, {1, 4}, {2, 3}, {3, 4}, {3, 5}})
+	c := incremental.NewChecker(6)
+	ref := make([]int32, 6)
+	for i, q := range []struct {
+		u, v int32
+		want bool
+	}{
+		{5, 0, false}, // searched from 5: marks 3, then 1, 2 and 4, then reaches 0
+		{0, 4, false}, // separator {1}, marked by the last search; 0-2-3-4 avoids it
+		{5, 0, false}, // the reverse order: the search after the separator {1}
+		{0, 3, true},  // separator {1, 2}, every neighbor of 0
+		{0, 4, false}, // after a separator that held 2, the first step of 0-2-3-4
+	} {
+		if want := referenceCanAddEdge(adj, q.u, q.v, ref); want != q.want {
+			t.Fatalf("check %d: the oracle decides {%d,%d} %t, want %t", i, q.u, q.v, want, q.want)
+		}
+		if got := c.CanAddEdge(adj, q.u, q.v); got != q.want {
+			t.Fatalf("check %d: CanAddEdge(%d,%d) = %t on the reused Checker, oracle %t", i, q.u, q.v, got, q.want)
+		}
+	}
+}
+
 // borderReplay runs the k-tree border admission the sharded engine runs
 // on g = synth.KTree(800, 24, 501): g cut into 4 contiguous id ranges,
 // every interior edge seeded (an induced subgraph of a chordal graph is
@@ -268,24 +299,31 @@ func TestBorderAdmissionSearchWork(t *testing.T) {
 	}
 }
 
-// TestRepairSearchWork pins the intersection and search work of the
-// repair pass on rmat-b:11, the stream-ingest benchmark's graph, run
-// through Reconcile as core's RepairMaximality runs it: the kernel's
-// edge set seeded, every input edge offered in graph order, then the
-// retests to the fixpoint. The counts were taken while core ran its
-// own copy of the pass; the bound leaves 2× for a change that costs
-// more per check.
-func TestRepairSearchWork(t *testing.T) {
+// repairInput returns the input of the repair pass that
+// TestRepairSearchWork pins and BenchmarkRepairPass times: rmat-b:11,
+// the stream-ingest benchmark's graph, as an edge stream, its vertex
+// count, and core's one-worker kernel edges of it.
+func repairInput(tb testing.TB) (n int, kept []incremental.Edge, input incremental.EdgeStream) {
 	g, err := rmat.Generate(rmat.PresetParams(rmat.B, 11, 42))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	res, err := core.Extract(g, core.Options{Workers: 1})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	input := func(fn func(u, v int32)) error { g.Edges(fn); return nil }
-	scanned, marked, err := incremental.ReconcileWork(context.Background(), g.NumVertices(), res.Edges, input,
+	return g.NumVertices(), res.Edges, func(fn func(u, v int32) bool) error { g.EdgesWhile(fn); return nil }
+}
+
+// TestRepairSearchWork pins the intersection and search work of the
+// repair pass on repairInput, run through Reconcile as core's
+// RepairMaximality runs it: the kernel's edge set seeded, every input
+// edge offered in graph order, then the retests to the fixpoint. The
+// counts were taken while core ran its own copy of the pass; the bound
+// leaves 2× for a change that costs more per check.
+func TestRepairSearchWork(t *testing.T) {
+	n, kept, input := repairInput(t)
+	scanned, marked, err := incremental.ReconcileWork(context.Background(), n, kept, input,
 		incremental.Passes{Repair: true})
 	if err != nil {
 		t.Fatal(err)
@@ -311,5 +349,20 @@ func BenchmarkBorderAdmission(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		borderReplay(b, g)
+	}
+}
+
+// BenchmarkRepairPass times Reconcile's repair pass on repairInput,
+// building the Maintainer included.
+//
+//	go test -bench=RepairPass -run '^$' ./internal/incremental
+func BenchmarkRepairPass(b *testing.B) {
+	n, kept, input := repairInput(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := incremental.Reconcile(context.Background(), n, kept, input, incremental.Passes{Repair: true}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

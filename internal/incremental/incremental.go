@@ -9,15 +9,17 @@
 // neighborhood N(u) ∩ N(v) separates u from v (then every cycle through
 // the new edge gains a chord at the separator). A check is one
 // intersection, which marks N(u) ∩ N(v), and one search that avoids it.
-// Checker implements the test over a caller-owned adjacency; Maintainer
-// owns the adjacency and layers on a union-find bridge fast path, the
-// rejection of connected endpoints whose intersection is empty, a hub
-// marking kept exact across admissions (its lists only grow), a
-// deferred-edge queue for rejected insertions, and Repair — the
-// fixpoint retest that closes the paper's Theorem 2 maximality gap
-// (DESIGN.md §5): a rejected edge can become addable after later
-// admissions, so deferred edges are retested until a pass admits
-// nothing.
+// Checker implements the test over a caller-owned adjacency with two
+// epoch mark sets: one holds the separator and, during the search, the
+// visited vertices as well, and the other caches the marked hub list
+// across checks. Maintainer owns the adjacency and layers on a
+// union-find bridge fast path, the rejection of connected endpoints
+// whose intersection is empty, a hub marking kept exact across
+// admissions (its lists only grow), a deferred-edge queue for rejected
+// insertions, and Repair — the fixpoint retest that closes the paper's
+// Theorem 2 maximality gap (DESIGN.md §5): a rejected edge can become
+// addable after later admissions, so deferred edges are retested until
+// a pass admits nothing.
 //
 // Reconcile runs the three offline passes that follow a kernel — the
 // spanning stitch, the exact admission of shard-border edges, and the
@@ -71,9 +73,12 @@ const (
 	ReasonOverflow Reason = "overflow"
 )
 
-// Checker is the reusable scratch state of the separator test: epoch
-// mark sets (bitset.Epoch) whose O(1) clear replaces per-call restore
-// loops. A Checker is single-owner: give each worker its own.
+// Checker is the reusable scratch state of the separator test: two
+// epoch mark sets (bitset.Epoch) whose O(1) clear replaces per-call
+// restore loops. sep is cleared by every check; it holds the separator
+// and then the vertices the search enters. nbr holds the marked hub
+// list and outlives the per-check clear. A Checker is single-owner:
+// give each worker its own.
 //
 // Each intersection leaves its marked list in nbr, so the next checks
 // against the same hub probe the other endpoint's list without marking
@@ -84,8 +89,7 @@ const (
 // CanAddEdge, whose caller may change the adjacency between calls,
 // drops the marking first.
 type Checker struct {
-	sep      *bitset.Epoch // N(u) ∩ N(v) of the current check
-	visited  *bitset.Epoch // search visit marks
+	sep      *bitset.Epoch // N(u) ∩ N(v), then the vertices the search enters
 	nbr      *bitset.Epoch // membership of adj[nbrOwner], the last marked list
 	nbrOwner int32         // vertex whose adjacency nbr holds, or -1
 	stack    []int32
@@ -100,7 +104,6 @@ type Checker struct {
 func NewChecker(n int) *Checker {
 	return &Checker{
 		sep:      bitset.NewEpoch(n),
-		visited:  bitset.NewEpoch(n),
 		nbr:      bitset.NewEpoch(n),
 		nbrOwner: -1,
 	}
@@ -124,8 +127,8 @@ func (s *Checker) CanAddEdge(adj [][]int32, u, v int32) bool {
 	return s.separates(adj, u, v)
 }
 
-// intersect marks N(u) ∩ N(v) in sep and reports whether it is
-// non-empty. One list is probed against a marking of the other: the
+// intersect clears sep, marks N(u) ∩ N(v) in it and reports whether it
+// is non-empty. One list is probed against a marking of the other: the
 // cached marking when it belongs to an endpoint, otherwise a fresh
 // marking of the longer list, which becomes the cached one.
 func (s *Checker) intersect(adj [][]int32, u, v int32) bool {
@@ -170,6 +173,12 @@ func (s *Checker) linked(u, v int32) {
 // the searched endpoint's whole side of the separator, O(V+E) worst
 // case. Starting from the shorter list makes that side the endpoint
 // alone whenever its neighborhood lies inside the other's.
+//
+// The search marks each vertex it enters in sep too, so one tag per
+// adjacency entry answers both "in the separator" and "visited". The
+// target is never marked: it is not in N(u) ∩ N(v), and the search
+// returns on reaching it. The next check's intersect clears the set
+// before anything reads it.
 func (s *Checker) separates(adj [][]int32, u, v int32) bool {
 	// Reachability in G − sep is symmetric, so either endpoint decides
 	// the same, but an admitted edge costs the whole component of the
@@ -178,9 +187,8 @@ func (s *Checker) separates(adj [][]int32, u, v int32) bool {
 	if len(adj[v]) < len(adj[u]) {
 		u, v = v, u
 	}
-	s.visited.Clear()
 	s.stack = append(s.stack[:0], u)
-	s.visited.Add(u)
+	s.sep.Add(u)
 	for len(s.stack) > 0 {
 		x := s.stack[len(s.stack)-1]
 		s.stack = s.stack[:len(s.stack)-1]
@@ -189,8 +197,8 @@ func (s *Checker) separates(adj [][]int32, u, v int32) bool {
 				s.scanned += int64(i + 1)
 				return false
 			}
-			if !s.sep.Contains(y) && !s.visited.Contains(y) {
-				s.visited.Add(y)
+			if !s.sep.Contains(y) {
+				s.sep.Add(y)
 				s.stack = append(s.stack, y)
 			}
 		}

@@ -2,6 +2,7 @@ package incremental_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -134,6 +135,38 @@ func TestMaintainerRandomStream(t *testing.T) {
 	for e := range offered {
 		if !got[e] {
 			t.Fatalf("offered edge %v lost", e)
+		}
+	}
+}
+
+// TestReconcileStopsCanceledStream runs each pass that scans the input
+// over a stream of 100 000 path edges, under a context canceled before
+// Reconcile starts. The scan checks the context every 1024 edges and
+// must stop the stream there, not skip the rest of it.
+func TestReconcileStopsCanceledStream(t *testing.T) {
+	const n = 100_001
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, p := range map[string]incremental.Passes{
+		"stitch": {Stitch: true},
+		"border": {Border: func(u, v int32) bool { return u%2 == 0 }, AdmitBorder: true},
+		"repair": {Repair: true},
+	} {
+		produced := 0
+		path := func(fn func(u, v int32) bool) error {
+			for u := int32(0); u+1 < n; u++ {
+				produced++
+				if !fn(u, u+1) {
+					break
+				}
+			}
+			return nil
+		}
+		if _, _, err := incremental.Reconcile(ctx, n, nil, path, p); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: a canceled Reconcile returned %v, want context.Canceled", name, err)
+		}
+		if produced > 1024 {
+			t.Fatalf("%s: the stream produced %d edges after the cancel, want at most 1024", name, produced)
 		}
 	}
 }

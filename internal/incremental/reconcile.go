@@ -8,7 +8,9 @@ import "context"
 // function of this order, so another input representation (extio's
 // disk-backed CSR) must reproduce it exactly to decide the same. A
 // stream may be consumed more than once and must replay identically.
-type EdgeStream func(fn func(u, v int32)) error
+// When fn returns false the stream stops reading its input and returns
+// nil at once: a canceled pass does not decode the rest of a file.
+type EdgeStream func(fn func(u, v int32) bool) error
 
 // Passes selects the passes Reconcile runs, in field order.
 type Passes struct {
@@ -123,20 +125,18 @@ func reconcile(ctx context.Context, n int, edges []Edge, input EdgeStream, p Pas
 }
 
 // scan streams input to fn, checking ctx every 1024 edges; once ctx is
-// done it skips the rest of the stream and returns ctx.Err().
+// done it stops the stream and returns ctx.Err().
 func scan(ctx context.Context, input EdgeStream, fn func(u, v int32)) error {
 	var ctxErr error
 	scanned := 0
-	err := input(func(u, v int32) {
-		if ctxErr != nil {
-			return
-		}
+	err := input(func(u, v int32) bool {
 		if scanned++; scanned%1024 == 0 {
 			if ctxErr = ctx.Err(); ctxErr != nil {
-				return
+				return false
 			}
 		}
 		fn(u, v)
+		return true
 	})
 	if ctxErr != nil {
 		return ctxErr

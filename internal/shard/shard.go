@@ -226,7 +226,7 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 		return nil, err
 	}
 
-	graphEdges := func(fn func(u, v int32)) error { g.Edges(fn); return nil }
+	graphEdges := func(fn func(u, v int32) bool) error { g.EdgesWhile(fn); return nil }
 	if err := res.Reconcile(ctx, graphEdges, parts, opts); err != nil {
 		return nil, err
 	}

@@ -325,7 +325,7 @@ func (c *countingCtx) Err() error {
 func TestReconcileObservesContext(t *testing.T) {
 	g := rmatG(t, 10)
 	n := g.NumVertices()
-	input := func(fn func(u, v int32)) error { g.Edges(fn); return nil }
+	input := func(fn func(u, v int32) bool) error { g.EdgesWhile(fn); return nil }
 	for _, parts := range []int{1, 4} {
 		opts := Options{Shards: parts, StitchOnly: true}
 		var kernels []core.Edge

@@ -1,8 +1,8 @@
 // Command doclint enforces the documentation contract of the public
 // API surface: every exported symbol in the given package directories
 // must carry a doc comment, and every package must have package-level
-// godoc. CI runs it over the facade and service packages and fails the
-// build on violations.
+// godoc. CI runs it over the root package and every internal package
+// and fails the build on violations.
 //
 // Usage:
 //
