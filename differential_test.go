@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"chordal"
+	"chordal/internal/chordalalg"
 )
 
 // This file is the differential half of the engine bake-off: several
@@ -48,8 +49,11 @@ func differentialEngines() []struct {
 // verify stage runs), the hole finder (a constructive witness search),
 // the chordalalg PEO (which re-derives and re-checks its own ordering),
 // and the metamorphic fill identity — elimination of a chordal graph
-// under its own perfect elimination ordering creates exactly zero fill. Each output must also be a subgraph of its input, and the
-// dearing engine's result must be maximal from every start vertex.
+// under its own perfect elimination ordering creates exactly zero fill.
+// The quality stage's treewidth must match chordalalg.TreewidthFromPEO
+// over that ordering. Each output must also be a subgraph of its input,
+// and the dearing engine's result must be maximal from every start
+// vertex.
 // Runs under -race in CI.
 func TestEngineDifferentialGrid(t *testing.T) {
 	for _, src := range differentialSources {
@@ -86,6 +90,13 @@ func TestEngineDifferentialGrid(t *testing.T) {
 				if err != nil {
 					t.Errorf("%s: PEO derivation failed: %v", eng.label, err)
 					continue
+				}
+				// The quality stage's treewidth, the largest label of the
+				// certificate's MCS (the sharded and external engines hand
+				// over their self-check's), must match a recount over the
+				// order.
+				if q := res.Quality; q == nil || !q.CliquesComputed || q.Treewidth != chordalalg.TreewidthFromPEO(sub, peo) {
+					t.Errorf("%s: quality %+v, want treewidth %d", eng.label, q, chordalalg.TreewidthFromPEO(sub, peo))
 				}
 				// Metamorphic identity: zero fill under the subgraph's own
 				// PEO — ties the fill count to the verifier.

@@ -109,19 +109,22 @@ type EngineResult struct {
 	InputStats *Stats
 
 	// peo is the MCS order of Subgraph validated by the engine's own
-	// chordality self-check (sharded, external), or nil.
-	peo []int32
+	// chordality self-check (sharded, external), or nil; treewidth is
+	// the largest label that search assigned.
+	peo       []int32
+	treewidth int
 }
 
-// certificate returns the MCS order of er.Subgraph and whether it is a
-// perfect elimination ordering, which holds exactly when the subgraph
-// is chordal: the run's one certificate of chordality, which the
-// maximality audit and the quality metrics reuse. The order an engine's
-// self-check already validated is handed over; otherwise verify.PEO
-// computes it.
-func (er *EngineResult) certificate() ([]int32, bool) {
+// certificate returns the MCS order of er.Subgraph, the largest label
+// the search assigned, and whether the order is a perfect elimination
+// ordering, which holds exactly when the subgraph is chordal: the run's
+// one certificate of chordality, which the maximality audit and the
+// quality metrics reuse. The order and width an engine's self-check
+// already validated are handed over; otherwise verify.PEO computes
+// them.
+func (er *EngineResult) certificate() (peo []int32, width int, ok bool) {
 	if er.peo != nil {
-		return er.peo, true
+		return er.peo, er.treewidth, true
 	}
 	return verify.PEO(er.Subgraph)
 }
@@ -324,7 +327,7 @@ func (shardedEngine) Extract(ctx context.Context, g *Graph, cfg EngineConfig) (*
 		return nil, err
 	}
 	sum := newShardSummary(r, g.NumEdges())
-	return &EngineResult{Subgraph: r.Subgraph, Shard: sum, Workers: parallel.WorkerCount(cfg.Workers), peo: r.PEO}, nil
+	return &EngineResult{Subgraph: r.Subgraph, Shard: sum, Workers: parallel.WorkerCount(cfg.Workers), peo: r.PEO, treewidth: r.Treewidth}, nil
 }
 
 // shardOptions resolves the declarative fields onto the options of the

@@ -98,5 +98,6 @@ func (externalEngine) ExtractSource(ctx context.Context, path string, cfg Engine
 		Workers:    parallel.WorkerCount(cfg.Workers),
 		InputStats: &inputStats,
 		peo:        r.PEO,
+		treewidth:  r.Treewidth,
 	}, nil
 }

@@ -17,7 +17,7 @@ import (
 // cardinality search (verify.PEO). It returns an error if g is not
 // chordal.
 func PEO(g *graph.Graph) ([]int32, error) {
-	order, ok := verify.PEO(g)
+	order, _, ok := verify.PEO(g)
 	if !ok {
 		return nil, fmt.Errorf("chordalalg: graph is not chordal")
 	}

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -39,11 +39,11 @@ type state struct {
 	opt bool // optimized (sorted-adjacency) code path
 
 	lp           []int32 // current lowest parent id, or noParent (atomic access)
-	lpIdx        []int32 // Opt: cursor into the sorted smaller-neighbor prefix
+	lpIdx        []int32 // Opt: index of lp[w] among w's candidate parents
 	smallerCount []int32 // number of neighbors with smaller id
 
 	csetOff  []int64 // prefix offsets into csetData, one region per vertex
-	csetData []int32 // chordal neighbor storage, ascending per vertex
+	csetData []int32 // chordal neighbor storage, ascending per vertex (Opt: candidates past csetLen)
 	csetLen  []int32 // published lengths (atomic access)
 	snapLen  []int32 // synchronous schedule: lengths at iteration start
 	lpIter   []int32 // synchronous schedule: iteration that assigned lp[w]
@@ -197,6 +197,8 @@ func (st *state) totals() (t workerCounters) {
 // vertices the frontier may visit from the start: under the dataflow
 // schedule those with no smaller neighbor, whose chordal sets are final
 // and empty; under the other schedules, which never wait, all of them.
+// Under Opt each vertex's chordal-set region starts out holding its
+// sorted smaller neighbors, the candidate parents nextParent walks.
 func (st *state) initialize() {
 	g := st.g
 	n := g.NumVertices()
@@ -212,7 +214,7 @@ func (st *state) initialize() {
 		nb := g.Neighbors(int32(v))
 		if st.opt {
 			// Sorted: smaller neighbors form a prefix.
-			k := sort.Search(len(nb), func(i int) bool { return nb[i] >= int32(v) })
+			k, _ := slices.BinarySearch(nb, int32(v))
 			st.smallerCount[v] = int32(k)
 			if k > 0 {
 				st.lp[v] = nb[0]
@@ -253,6 +255,10 @@ func (st *state) initialize() {
 
 	// Q1 <- distinct lowest parents.
 	parallel.For(n, st.workers, 2048, func(worker, v int) {
+		if st.opt {
+			// The region is as long as the smaller-neighbor prefix.
+			copy(st.csetData[st.csetOff[v]:st.csetOff[v+1]], g.Neighbors(int32(v)))
+		}
 		if p := st.lp[v]; p != noParent {
 			st.frontier.Push(worker, p)
 		}
@@ -283,8 +289,8 @@ func (st *state) processParent(worker int, v int32) {
 	start := 0
 	if st.opt {
 		// Children have larger ids; with sorted adjacency they are the
-		// suffix after v's position.
-		start = sort.Search(len(nb), func(i int) bool { return nb[i] > v })
+		// suffix after v's smaller neighbors.
+		start = int(st.smallerCount[v])
 	}
 	for _, w := range nb[start:] {
 		if w <= v {
@@ -363,13 +369,17 @@ func (st *state) testChain(worker int, parent, w int32) {
 }
 
 // nextParent returns w's next lowest parent after current, advancing the
-// Opt cursor or rescanning the adjacency in the Unopt variant.
+// Opt cursor or rescanning the adjacency in the Unopt variant. The Opt
+// cursor reads candidate idx from C[w]'s own region, which testChain
+// has just touched: candidates 0..idx-1 have been tested, and the at
+// most idx parents accepted among them fill slots below idx, so slot
+// idx still holds its candidate.
 func (st *state) nextParent(worker int, w, current int32) int32 {
 	if st.opt {
 		idx := st.lpIdx[w] + 1
 		st.lpIdx[w] = idx
 		if idx < st.smallerCount[w] {
-			return st.g.Neighbors(w)[idx]
+			return st.csetData[st.csetOff[w]+int64(idx)]
 		}
 		return noParent
 	}

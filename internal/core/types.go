@@ -22,7 +22,14 @@
 // C[w] is an append-only array published with an atomic length store
 // (the paper's "store the set of chordal neighbors as an atomic
 // process"); concurrent readers of a parent's C[v] observe a consistent
-// prefix. The Schedule option decides which prefix a test reads:
+// prefix. Under the Opt variant, C[w]'s region (one slot per smaller
+// neighbor) starts out holding w's sorted smaller neighbors, its
+// candidate parents, and the next lowest parent is read from there.
+// Overwriting is safe: when w tests candidate k it has accepted at most
+// k parents, so the accepted parent lands in a slot at or below k, over
+// a candidate already consumed, and only w's owner reads past the
+// published length. The Schedule option decides which prefix a test
+// reads:
 //
 //   - Dataflow, the default, tests (v, w) only once C[v] is final. The
 //     frontier hands a queued parent to the kernel only after it is

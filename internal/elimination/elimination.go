@@ -31,16 +31,18 @@ import (
 // the filled graph is then the structure of the Cholesky factor L of
 // that symmetric pattern, so fill = |L| − n − |E|. |L| comes from the
 // column counts of L, computed without forming L: the elimination tree
-// by Liu's algorithm with path compression ("The role of elimination
-// trees in sparse factorization", SIAM J. Matrix Anal. Appl. 1990),
-// a postorder of it, then the skeleton/least-common-ancestor column
-// counts of Gilbert, Ng and Peyton ("An efficient algorithm to compute
-// row and column counts for sparse Cholesky factorization", SIAM J.
-// Matrix Anal. Appl. 1994). g is read once, by the elimination-tree
-// pass, which also records each edge's later endpoint as an elimination
-// step; the column counts then read those contiguous position lists.
-// Complexity is O(E·α(E, V)) time and O(V + E) space, one int32 per
-// edge, whatever the fill.
+// by Liu's algorithm ("The role of elimination trees in sparse
+// factorization", SIAM J. Matrix Anal. Appl. 1990), a postorder of it,
+// then the skeleton/least-common-ancestor column counts of Gilbert, Ng
+// and Peyton ("An efficient algorithm to compute row and column counts
+// for sparse Cholesky factorization", SIAM J. Matrix Anal. Appl. 1994).
+// g is read once, by the elimination-tree pass, which also records each
+// edge's later endpoint as an elimination step; the column counts then
+// read those contiguous position lists. Both passes climb a disjoint-set
+// forest (see find) united by size, with one root label per set, and
+// that is what bounds the time by O(E·α(E, V)): path compression alone
+// guarantees only O(E log V). Space is O(V + E), one int32 per edge,
+// whatever the fill.
 func Fill(g *graph.Graph, order []int32) (int64, error) {
 	pos, err := positions(g.NumVertices(), order)
 	if err != nil {
@@ -75,38 +77,68 @@ func positions(n int, order []int32) ([]int32, error) {
 
 // etree returns the elimination tree of g under order, on elimination
 // steps: parent[k] is the step whose vertex is the parent of order[k],
-// -1 for a root. Each step k climbs from every earlier neighbor to its
-// current root, and ancestor[] compresses the climbed paths to k. The
-// same sweep lists every later neighbor by its step: the steps after k
-// adjacent to order[k] are later[start[k]:start[k+1]], so each edge
-// appears once, under its earlier endpoint.
+// -1 for a root. It is Liu's algorithm on a disjoint-set forest: the
+// steps before k form subtrees of the tree, one set per subtree, and
+// each set's representative r keeps the subtree's root in root[r]. Step
+// k finds the set of every earlier neighbor; a set that is not yet k's
+// gets k as its root's parent and joins k's set, whose root is k. The
+// sets are united by size (set[r] = −size at a representative) and
+// found with path halving. The same sweep lists every later neighbor by
+// its step: the steps after k adjacent to order[k] are
+// later[start[k]:start[k+1]], so each edge appears once, under its
+// earlier endpoint.
 func etree(g *graph.Graph, order, pos []int32) (parent []int32, start []int, later []int32) {
 	n := len(order)
 	parent = make([]int32, n)
-	ancestor := make([]int32, n)
+	set := make([]int32, n)
+	root := make([]int32, n)
 	start = make([]int, n+1)
 	later = make([]int32, 0, g.NumEdges())
 	for k, v := range order {
 		step := int32(k)
-		parent[k], ancestor[k] = -1, -1
+		parent[k], set[k], root[k] = -1, -1, step
+		rk := step // representative of k's set
 		for _, w := range g.Neighbors(v) {
 			i := pos[w]
 			if i > step {
 				later = append(later, i)
 				continue
 			}
-			for i != -1 && i < step {
-				next := ancestor[i]
-				ancestor[i] = step
-				if next == -1 {
-					parent[i] = step
-				}
-				i = next
+			r := find(set, i)
+			if r == rk {
+				continue // already in k's subtree
 			}
+			parent[root[r]] = step
+			rk = union(set, rk, r)
+			root[rk] = step
 		}
 		start[k+1] = len(later)
 	}
 	return parent, start, later
+}
+
+// find returns the representative of i's set in the disjoint-set forest
+// set, where set[x] is x's parent and a negative entry marks a
+// representative, of −set[x] members. It halves the path it climbs.
+func find(set []int32, i int32) int32 {
+	for set[i] >= 0 {
+		if up := set[set[i]]; up >= 0 {
+			set[i] = up
+		}
+		i = set[i]
+	}
+	return i
+}
+
+// union joins the sets of representatives a and b, the smaller under
+// the larger, and returns the representative of the union.
+func union(set []int32, a, b int32) int32 {
+	if set[a] > set[b] {
+		a, b = b, a
+	}
+	set[a] += set[b]
+	set[b] = a
+	return a
 }
 
 // postorder returns the steps of the forest parent in depth-first
@@ -153,17 +185,22 @@ func postorder(parent []int32) []int32 {
 // algorithm adds +1 at j per skeleton entry (an edge {i, j}, i > j,
 // whose j is a leaf of the i-th row subtree) and −1 at the least common
 // ancestor of consecutive leaves of each row subtree, then sums the
-// differences up the tree. Values stay int64: a column count is at most
-// n, but partial sums over many children are not.
+// differences up the tree. The least common ancestors come from a
+// disjoint-set forest over the postorder: once j is done its set joins
+// its parent's, so a leaf's set is labelled with its highest ancestor
+// not yet done, the least common ancestor with the current step. Values
+// stay int64: a column count is at most n, but partial sums over many
+// children are not.
 func colCounts(start []int, later, parent, post []int32) []int64 {
 	n := len(parent)
 	delta := make([]int64, n)
 	first := make([]int32, n)    // first[j]: postorder index of j's first descendant
 	maxFirst := make([]int32, n) // maxFirst[i]: largest first[j] seen for row i
 	prevLeaf := make([]int32, n) // prevLeaf[i]: last leaf found in row subtree i
-	ancestor := make([]int32, n) // disjoint-set forest for the LCA queries
+	set := make([]int32, n)      // disjoint-set forest for the LCA queries (see find)
+	root := make([]int32, n)     // root[r]: the subtree root of representative r's set
 	for i := range first {
-		first[i], maxFirst[i], prevLeaf[i], ancestor[i] = -1, -1, -1, int32(i)
+		first[i], maxFirst[i], prevLeaf[i], set[i], root[i] = -1, -1, -1, -1, int32(i)
 	}
 	for k, j := range post {
 		if first[j] == -1 {
@@ -189,19 +226,11 @@ func colCounts(start []int, later, parent, post []int32) []int64 {
 			if prev == -1 {
 				continue // first leaf of row subtree i
 			}
-			q := prev
-			for q != ancestor[q] {
-				q = ancestor[q]
-			}
-			for s := prev; s != q; {
-				next := ancestor[s]
-				ancestor[s] = q
-				s = next
-			}
+			q := root[find(set, prev)]
 			delta[q]-- // rows counted under both prev and j overlap from q up
 		}
 		if p := parent[j]; p != -1 {
-			ancestor[j] = p
+			root[union(set, find(set, j), find(set, p))] = p
 		}
 	}
 	for j, p := range parent {
@@ -387,7 +416,7 @@ func ChordalGuidedOrder(g *graph.Graph, opts core.Options) ([]int32, error) {
 	if err != nil {
 		return nil, err
 	}
-	peo, ok := verify.PEO(res.ToGraph())
+	peo, _, ok := verify.PEO(res.ToGraph())
 	if !ok {
 		return nil, fmt.Errorf("elimination: extracted subgraph failed PEO validation")
 	}

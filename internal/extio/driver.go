@@ -48,8 +48,13 @@ type IOStats struct {
 	BytesRead int64
 	// SpillBytes is the size of the per-shard edge spill file.
 	SpillBytes int64
-	// PeakResident estimates the high-water mark of decoded shard CSR
-	// bytes held at once — the quantity Resident bounds.
+	// PeakResident bounds the decoded shard CSR bytes held at once, the
+	// quantity Resident bounds: the largest summed graph.SizeBytes of
+	// Resident consecutive shards, which the double buffer holds when
+	// the kernel lane has one and the IO lane has decoded the next
+	// Resident-1. (The IO lane's in-progress decode transiently adds one
+	// more.) It is computed from the shard sizes alone, so it depends
+	// on the input and the shard count, never on thread timing.
 	PeakResident int64
 	// Shards and Resident echo the clamped shard count and residency
 	// bound the run used.
@@ -200,7 +205,7 @@ func extractStreaming(ctx context.Context, m *MappedCSR, res *Result, parts, res
 	}()
 
 	phase := time.Now()
-	var residentBytes, peak int64
+	sizes := make([]int64, parts)
 	for d := range ch {
 		if d.err != nil {
 			return d.err
@@ -212,11 +217,7 @@ func extractStreaming(ctx context.Context, m *MappedCSR, res *Result, parts, res
 			return err
 		}
 		res.IO.DecodeTime += d.decode
-		// Watermark: this shard plus whatever the IO lane has buffered.
-		residentBytes = d.sub.SizeBytes() * int64(len(ch)+1)
-		if residentBytes > peak {
-			peak = residentBytes
-		}
+		sizes[d.p] = d.sub.SizeBytes()
 		edges, err := kernel(d.p, d.sub, d.lo, kernelWorkers)
 		if err != nil {
 			cancel()
@@ -238,7 +239,7 @@ func extractStreaming(ctx context.Context, m *MappedCSR, res *Result, parts, res
 	if hidden := res.IO.DecodeTime + res.IO.KernelTime - wall; hidden > 0 {
 		res.IO.Overlap = hidden
 	}
-	res.IO.PeakResident = peak
+	res.IO.PeakResident = residentPeak(sizes, resident)
 	res.IO.SpillBytes = sp.bytes
 
 	// The IO lane produced shards in index order and the kernel lane
@@ -251,6 +252,22 @@ func extractStreaming(ctx context.Context, m *MappedCSR, res *Result, parts, res
 	}
 	res.Edges = merged
 	return nil
+}
+
+// residentPeak returns the largest sum of resident consecutive entries
+// of sizes, the shard sizes in index order: the most the double buffer
+// holds at once, since the kernel lane takes shards in index order and
+// the IO lane decodes at most resident-1 ahead of it.
+func residentPeak(sizes []int64, resident int) int64 {
+	var sum, peak int64
+	for p, s := range sizes {
+		sum += s
+		if p >= resident {
+			sum -= sizes[p-resident]
+		}
+		peak = max(peak, sum)
+	}
+	return peak
 }
 
 // spill is the temp file holding extracted per-shard edges: raw

@@ -252,6 +252,58 @@ func TestExtractMatchesShardPackage(t *testing.T) {
 	}
 }
 
+// TestPeakResidentIsDeterministic pins IOStats.PeakResident to the
+// largest summed size of Resident consecutive shards, computed here
+// from the shards themselves, on a skewed graph whose shards differ in
+// size: every run at every worker count must report that one value,
+// whatever the IO lane had buffered when each shard arrived.
+func TestPeakResidentIsDeterministic(t *testing.T) {
+	g := testGraph(t, rmat.B, 9, 3)
+	path := writeBin(t, g)
+	m, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	const shards = 5
+	sizes := make([]int64, shards)
+	for p := range sizes {
+		lo, hi := partition.Bounds(g.NumVertices(), shards, p)
+		sub, err := m.Shard(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[p] = sub.SizeBytes()
+	}
+	if sizes[0] == sizes[1] || sizes[1] == sizes[2] {
+		t.Fatalf("shard sizes %v: want unequal neighbours", sizes)
+	}
+	for _, resident := range []int{1, 2, 3} {
+		var want int64
+		for p := range sizes {
+			var sum int64
+			for _, s := range sizes[p:min(p+resident, shards)] {
+				sum += s
+			}
+			want = max(want, sum)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			for run := 0; run < 4; run++ {
+				got, err := Extract(context.Background(), m, Options{
+					Options:  shard.Options{Shards: shards, Core: core.Options{Workers: workers}},
+					Resident: resident, SpillDir: t.TempDir()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.IO.PeakResident != want {
+					t.Fatalf("resident=%d workers=%d run %d: peak resident %d, want %d (shard sizes %v)",
+						resident, workers, run, got.IO.PeakResident, want, sizes)
+				}
+			}
+		}
+	}
+}
+
 // TestExtractCancellation checks a canceled context surfaces promptly
 // with no goroutine left blocked on the shard channel.
 func TestExtractCancellation(t *testing.T) {

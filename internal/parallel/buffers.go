@@ -3,46 +3,52 @@ package parallel
 // EdgeBuffers collects (u, v) endpoint pairs into per-worker slices so
 // parallel generators and parsers can emit edges without locks, then
 // gathers them into the flat endpoint slices BuildFromEdges consumes.
-// Each worker must append only through its own index.
+// Each worker must append only through its own index. A worker's two
+// slices live in one Padded slot, so the slice headers every Add
+// rewrites never share a cache line with another worker's.
 type EdgeBuffers struct {
-	us, vs [][]int32
+	bufs []Padded[edgeBuffer]
+}
+
+// edgeBuffer is one worker's endpoint slices.
+type edgeBuffer struct {
+	us, vs []int32
 }
 
 // NewEdgeBuffers returns buffers for the given number of worker slots
 // (at least 1).
 func NewEdgeBuffers(workers int) *EdgeBuffers {
-	if workers < 1 {
-		workers = 1
-	}
-	return &EdgeBuffers{us: make([][]int32, workers), vs: make([][]int32, workers)}
+	return &EdgeBuffers{bufs: NewPadded[edgeBuffer](workers)}
 }
 
 // Workers returns the number of per-worker slots.
-func (b *EdgeBuffers) Workers() int { return len(b.us) }
+func (b *EdgeBuffers) Workers() int { return len(b.bufs) }
 
 // Grow pre-allocates capacity for n additional edges in worker's buffer.
 func (b *EdgeBuffers) Grow(worker, n int) {
-	if cap(b.us[worker])-len(b.us[worker]) < n {
-		us := make([]int32, len(b.us[worker]), len(b.us[worker])+n)
-		copy(us, b.us[worker])
-		b.us[worker] = us
-		vs := make([]int32, len(b.vs[worker]), len(b.vs[worker])+n)
-		copy(vs, b.vs[worker])
-		b.vs[worker] = vs
+	e := &b.bufs[worker].V
+	if cap(e.us)-len(e.us) < n {
+		us := make([]int32, len(e.us), len(e.us)+n)
+		copy(us, e.us)
+		e.us = us
+		vs := make([]int32, len(e.vs), len(e.vs)+n)
+		copy(vs, e.vs)
+		e.vs = vs
 	}
 }
 
 // Add appends the edge (u, v) to worker's buffer.
 func (b *EdgeBuffers) Add(worker int, u, v int32) {
-	b.us[worker] = append(b.us[worker], u)
-	b.vs[worker] = append(b.vs[worker], v)
+	e := &b.bufs[worker].V
+	e.us = append(e.us, u)
+	e.vs = append(e.vs, v)
 }
 
 // Len returns the total number of buffered edges across all workers.
 func (b *EdgeBuffers) Len() int {
 	total := 0
-	for _, s := range b.us {
-		total += len(s)
+	for i := range b.bufs {
+		total += len(b.bufs[i].V.us)
 	}
 	return total
 }
@@ -54,16 +60,16 @@ func (b *EdgeBuffers) Concat() (us, vs []int32) {
 	total := b.Len()
 	us = make([]int32, total)
 	vs = make([]int32, total)
-	offsets := make([]int, len(b.us))
+	offsets := make([]int, len(b.bufs))
 	off := 0
-	for w, s := range b.us {
+	for w := range b.bufs {
 		offsets[w] = off
-		off += len(s)
+		off += len(b.bufs[w].V.us)
 	}
-	ForChunks(len(b.us), len(b.us), func(_, lo, hi int) {
+	ForChunks(len(b.bufs), len(b.bufs), func(_, lo, hi int) {
 		for w := lo; w < hi; w++ {
-			copy(us[offsets[w]:], b.us[w])
-			copy(vs[offsets[w]:], b.vs[w])
+			copy(us[offsets[w]:], b.bufs[w].V.us)
+			copy(vs[offsets[w]:], b.bufs[w].V.vs)
 		}
 	})
 	return us, vs

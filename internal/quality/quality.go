@@ -17,7 +17,6 @@ package quality
 import (
 	"fmt"
 
-	"chordal/internal/chordalalg"
 	"chordal/internal/elimination"
 	"chordal/internal/graph"
 	"chordal/internal/verify"
@@ -49,9 +48,12 @@ type Metrics struct {
 	SubgraphFill int64 `json:"subgraphFill"`
 	// CliquesComputed reports whether the chordal-graph invariants ran
 	// (skipped above Limits.MaxCliqueVertices). Treewidth is exact on the
-	// subgraph (linear-time via its PEO); MaxCliqueSize = Treewidth + 1
-	// is recorded explicitly for readability, and ChromaticNumber equals
-	// it, because a chordal graph is perfect (0 on an empty vertex set).
+	// subgraph: it is the largest label the maximum cardinality search
+	// behind the subgraph's PEO assigned at pick time (verify.PEO), the
+	// largest later neighborhood of that PEO. MaxCliqueSize = Treewidth
+	// + 1 is recorded explicitly for readability, and ChromaticNumber
+	// equals it, because a chordal graph is perfect (0 on an empty
+	// vertex set).
 	CliquesComputed bool `json:"cliquesComputed"`
 	Treewidth       int  `json:"treewidth"`
 	ChromaticNumber int  `json:"chromaticNumber"`
@@ -79,19 +81,20 @@ func DefaultLimits() Limits {
 // the fill count comes from an elimination tree (see elimination.Fill).
 // A caller that already holds that PEO calls ComputeFromPEO instead.
 func Compute(g, sub *graph.Graph, lim Limits) (*Metrics, error) {
-	peo, ok := verify.PEO(sub)
+	peo, width, ok := verify.PEO(sub)
 	if !ok {
 		return nil, fmt.Errorf("quality: subgraph is not chordal")
 	}
-	return ComputeFromPEO(g, sub, peo, lim)
+	return ComputeFromPEO(g, sub, peo, width, lim)
 }
 
 // ComputeFromPEO is Compute for a caller that holds a perfect
-// elimination ordering of sub validated by verify.PEO, as Runner.Run's
-// verify stage does. The ordering is trusted as a PEO, not checked
-// again; an order that is not a permutation of the vertices is an
-// error.
-func ComputeFromPEO(g, sub *graph.Graph, peo []int32, lim Limits) (*Metrics, error) {
+// elimination ordering of sub and its width, both as verify.PEO
+// returned and validated them, as Runner.Run's verify stage does. The
+// ordering is trusted as a PEO and width as its largest label, not
+// checked again; an order that is not a permutation of the vertices is
+// an error.
+func ComputeFromPEO(g, sub *graph.Graph, peo []int32, width int, lim Limits) (*Metrics, error) {
 	if g.NumVertices() != sub.NumVertices() {
 		return nil, fmt.Errorf("quality: subgraph has %d vertices, input %d", sub.NumVertices(), g.NumVertices())
 	}
@@ -108,7 +111,7 @@ func ComputeFromPEO(g, sub *graph.Graph, peo []int32, lim Limits) (*Metrics, err
 	}
 	m.FillComputed = true
 	if lim.MaxCliqueVertices <= 0 || sub.NumVertices() <= lim.MaxCliqueVertices {
-		m.Treewidth = chordalalg.TreewidthFromPEO(sub, peo)
+		m.Treewidth = width
 		m.MaxCliqueSize = m.Treewidth + 1
 		// A chordal graph is perfect: χ = ω = treewidth + 1, and 0 with
 		// no vertices to color.

@@ -38,7 +38,7 @@ func TestComputeOnChordalIdentity(t *testing.T) {
 // tested here, not computed in production.
 func requireNoSelfFill(t *testing.T, sub *graph.Graph) {
 	t.Helper()
-	peo, ok := verify.PEO(sub)
+	peo, _, ok := verify.PEO(sub)
 	if !ok {
 		t.Fatal("subgraph is not chordal")
 	}
@@ -107,11 +107,11 @@ func TestComputeFromPEOMatchesCompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	peo, ok := verify.PEO(sub)
+	peo, width, ok := verify.PEO(sub)
 	if !ok {
 		t.Fatal("extracted subgraph is not chordal")
 	}
-	got, err := ComputeFromPEO(g, sub, peo, DefaultLimits())
+	got, err := ComputeFromPEO(g, sub, peo, width, DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,10 +124,10 @@ func TestComputeFromPEOMatchesCompute(t *testing.T) {
 	requireNoSelfFill(t, sub)
 	// The trusted order is still checked for being a permutation, and
 	// the vertex sets must match.
-	if _, err := ComputeFromPEO(g, sub, peo[:len(peo)-1], DefaultLimits()); err == nil {
+	if _, err := ComputeFromPEO(g, sub, peo[:len(peo)-1], width, DefaultLimits()); err == nil {
 		t.Fatal("short order accepted")
 	}
-	if _, err := ComputeFromPEO(synth.KTree(299, 4, 5), sub, peo, DefaultLimits()); err == nil {
+	if _, err := ComputeFromPEO(synth.KTree(299, 4, 5), sub, peo, width, DefaultLimits()); err == nil {
 		t.Fatal("vertex-count mismatch accepted")
 	}
 }
@@ -163,11 +163,11 @@ func TestChromaticNumberMatchesColoring(t *testing.T) {
 			t.Fatal(err)
 		}
 		sub := res.ToGraph()
-		peo, ok := verify.PEO(sub)
+		peo, width, ok := verify.PEO(sub)
 		if !ok {
 			t.Fatalf("%s: extracted subgraph is not chordal", name)
 		}
-		m, err := ComputeFromPEO(g, sub, peo, DefaultLimits())
+		m, err := ComputeFromPEO(g, sub, peo, width, DefaultLimits())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -132,9 +132,11 @@ type Result struct {
 	// the reconciliation argument.
 	Chordal bool
 	// PEO is the MCS order of Subgraph that the self-check validated
-	// (verify.PEO), kept as the run's certificate of chordality; nil
-	// when Chordal is false.
-	PEO []int32
+	// (verify.PEO), kept as the run's certificate of chordality, and
+	// Treewidth the largest label that search assigned, the treewidth
+	// of Subgraph; nil and 0 when Chordal is false.
+	PEO       []int32
+	Treewidth int
 	// Total is the wall-clock time of the whole sharded extraction.
 	Total time.Duration
 }
@@ -305,8 +307,8 @@ func (res *Result) Reconcile(ctx context.Context, edges incremental.EdgeStream, 
 func (res *Result) Finalize() {
 	core.SortEdges(res.NumVertices, res.Edges)
 	res.Subgraph = core.EdgesToGraph(res.NumVertices, res.Edges)
-	peo, ok := verify.PEO(res.Subgraph)
+	peo, width, ok := verify.PEO(res.Subgraph)
 	if res.Chordal = ok; ok {
-		res.PEO = peo
+		res.PEO, res.Treewidth = peo, width
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"chordal"
+	"chordal/internal/chordalalg"
 	"chordal/internal/verify"
 )
 
@@ -62,7 +63,7 @@ func TestAuditMaximalityZooGrid(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				sub := res.Subgraph
-				peo, ok := verify.PEO(sub)
+				peo, _, ok := verify.PEO(sub)
 				if !ok {
 					t.Fatalf("%s: output is not chordal", name)
 				}
@@ -88,6 +89,26 @@ func TestAuditMaximalityZooGrid(t *testing.T) {
 	}
 }
 
+// TestPEOWidthZoo requires PEO's width, the largest label its maximum
+// cardinality search assigned at pick time, to equal the largest later
+// neighborhood of the order it returns (chordalalg.TreewidthFromPEO),
+// on every zoo input, which is not chordal, and on its one-worker
+// parallel extraction, where the width is the treewidth.
+func TestPEOWidthZoo(t *testing.T) {
+	for _, src := range auditSources {
+		res, err := chordal.Spec{Source: src, Engine: chordal.EngineParallel, EngineConfig: chordal.EngineConfig{Workers: 1}}.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range []*chordal.Graph{res.Input, res.Subgraph} {
+			order, width, ok := verify.PEO(g)
+			if want := chordalalg.TreewidthFromPEO(g, order); width != want {
+				t.Errorf("%s (chordal %t): PEO width %d, TreewidthFromPEO %d", src, ok, width, want)
+			}
+		}
+	}
+}
+
 // BenchmarkAuditMaximal audits a maximal output, the shape a stream's
 // Close audits: the parallel engine with repair on rmat-b:11, at the
 // verify stage's limit of 10, from the validated MCS order. The tree
@@ -99,7 +120,7 @@ func BenchmarkAuditMaximal(b *testing.B) {
 		b.Fatal(err)
 	}
 	g, sub := res.Input, res.Subgraph
-	peo, ok := verify.PEO(sub)
+	peo, _, ok := verify.PEO(sub)
 	if !ok {
 		b.Fatal("output is not chordal")
 	}

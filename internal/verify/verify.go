@@ -35,18 +35,25 @@ import (
 // graph is chordal, every vertex is simplicial in the subgraph induced
 // by itself and the vertices after it in the returned order.
 func MCSOrder(g *graph.Graph) []int32 {
-	return mcsOrder(g.NumVertices(), func(v int32) []int32 { return g.Neighbors(v) })
+	order, _ := mcsOrder(g.NumVertices(), func(v int32) []int32 { return g.Neighbors(v) })
+	return order
 }
 
 // MCSOrderAdj is MCSOrder over a slice-of-slices adjacency.
 func MCSOrderAdj(adj [][]int32) []int32 {
-	return mcsOrder(len(adj), func(v int32) []int32 { return adj[v] })
+	order, _ := mcsOrder(len(adj), func(v int32) []int32 { return adj[v] })
+	return order
 }
 
 // mcsOrder is the shared MCS implementation: repeatedly pick an
 // unvisited vertex with the most visited neighbors, using weight
-// buckets for O(V+E) total time.
-func mcsOrder(n int, nbrs func(int32) []int32) []int32 {
+// buckets for O(V+E) total time. It also returns width, the largest
+// label (count of visited neighbors) a vertex had when it was picked.
+// A vertex's visited neighbors at its pick are its later neighbors in
+// the returned order, so width is the largest later neighborhood of
+// that order, for any graph: the number chordalalg.TreewidthFromPEO
+// computes from it, and the treewidth when the order is a PEO.
+func mcsOrder(n int, nbrs func(int32) []int32) (order []int32, width int) {
 	weight := make([]int32, n)
 	visited := make([]bool, n)
 
@@ -79,12 +86,13 @@ func mcsOrder(n int, nbrs func(int32) []int32) []int32 {
 		pushBucket(v, 0)
 	}
 
-	order := make([]int32, n)
+	order = make([]int32, n)
 	maxW := int32(0)
 	for i := 0; i < n; i++ {
 		for maxW > 0 && head[maxW] == -1 {
 			maxW--
 		}
+		width = max(width, int(maxW))
 		v := head[maxW]
 		removeBucket(v, maxW)
 		visited[v] = true
@@ -102,16 +110,17 @@ func mcsOrder(n int, nbrs func(int32) []int32) []int32 {
 			}
 		}
 	}
-	return order
+	return order, width
 }
 
-// PEO returns the Maximum Cardinality Search order of g (MCSOrder) and
-// whether it is a perfect elimination ordering of g, which holds
-// exactly when g is chordal. The order is returned either way; only a
-// validated one is a certificate.
-func PEO(g *graph.Graph) ([]int32, bool) {
-	order := MCSOrder(g)
-	return order, IsPEO(g, order)
+// PEO returns the Maximum Cardinality Search order of g (MCSOrder), the
+// largest label the search assigned at pick time, and whether the
+// order is a perfect elimination ordering of g, which holds exactly
+// when g is chordal. The order is returned either way; only a validated
+// one is a certificate, and then width is the treewidth of g.
+func PEO(g *graph.Graph) (order []int32, width int, ok bool) {
+	order, width = mcsOrder(g.NumVertices(), func(v int32) []int32 { return g.Neighbors(v) })
+	return order, width, IsPEO(g, order)
 }
 
 // IsPEO reports whether order is a perfect elimination ordering of the
@@ -171,7 +180,7 @@ func isPEO(n int, nbrs func(int32) []int32, order []int32) bool {
 
 // IsChordal reports whether g is a chordal graph.
 func IsChordal(g *graph.Graph) bool {
-	_, ok := PEO(g)
+	_, _, ok := PEO(g)
 	return ok
 }
 
@@ -274,7 +283,7 @@ func audit(ctx context.Context, g, sub *graph.Graph, order func() []int32, limit
 // IsMaximalChordal reports whether sub is chordal and no edge of g can
 // be added to it without breaking chordality.
 func IsMaximalChordal(g, sub *graph.Graph) bool {
-	peo, ok := PEO(sub)
+	peo, _, ok := PEO(sub)
 	if !ok {
 		return false
 	}

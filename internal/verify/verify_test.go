@@ -76,7 +76,7 @@ func TestIsChordalKnownGraphs(t *testing.T) {
 			t.Errorf("%s: IsChordal = %v, want %v", c.name, got, c.want)
 		}
 		// PEO returns the MCS order with the same verdict.
-		order, ok := PEO(c.g)
+		order, _, ok := PEO(c.g)
 		if ok != c.want || !slices.Equal(order, MCSOrder(c.g)) {
 			t.Errorf("%s: PEO = %v, %t; want MCSOrder %v, %t", c.name, order, ok, MCSOrder(c.g), c.want)
 		}
@@ -185,7 +185,7 @@ func TestAuditMaximalityFromPEOCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	g, sub := cycle(4), path(4)
-	peo, ok := PEO(sub)
+	peo, _, ok := PEO(sub)
 	if !ok {
 		t.Fatal("path-4 is not chordal")
 	}
@@ -238,7 +238,7 @@ func BenchmarkPEOSmallWorld(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := PEO(sub); !ok {
+		if _, _, ok := PEO(sub); !ok {
 			b.Fatal("extracted subgraph is not chordal")
 		}
 	}

@@ -76,9 +76,11 @@ type ExternalSummary struct {
 	BytesRead int64 `json:"bytesRead"`
 	// SpillBytes is the size of the per-shard edge spill file.
 	SpillBytes int64 `json:"spillBytes"`
-	// PeakResidentBytes estimates the high-water mark of decoded shard
-	// CSR bytes held in memory at once — the quantity ResidentShards
-	// bounds.
+	// PeakResidentBytes bounds the decoded shard CSR bytes held in
+	// memory at once, the quantity ResidentShards bounds: the largest
+	// summed size of ResidentShards consecutive shards. It comes from
+	// the shard sizes alone, so one input and shard count always report
+	// the same value.
 	PeakResidentBytes int64 `json:"peakResidentBytes"`
 	// ResidentShards is the residency bound the run used (after
 	// defaulting).

@@ -516,10 +516,11 @@ func (r Runner) Run(ctx context.Context, s Spec) (*PipelineResult, error) {
 	}
 
 	// peo is the subgraph's validated MCS order, the run's one
-	// certificate of chordality (EngineResult.certificate): the verify
-	// stage takes it and hands it to the maximality audit, and the
-	// quality metrics reuse it.
+	// certificate of chordality (EngineResult.certificate), and width
+	// its largest MCS label: the verify stage takes them and hands peo
+	// to the maximality audit, and the quality metrics reuse both.
 	var peo []int32
+	var width int
 	if s.Verify {
 		if res.Subgraph == nil {
 			return nil, fmt.Errorf("chordal: spec: verify requires an extraction engine")
@@ -528,7 +529,7 @@ func (r Runner) Run(ctx context.Context, s Spec) (*PipelineResult, error) {
 		// With a chordal subgraph and a resident input of at most
 		// maxAuditEdges edges, the maximality audit runs from the
 		// certificate's order, counting at most 10 re-addable edges.
-		peo, res.ChordalOK = res.certificate()
+		peo, width, res.ChordalOK = res.certificate()
 		res.Verified = true
 		if res.ChordalOK && g != nil && g.NumEdges() <= maxAuditEdges {
 			viol, err := verify.AuditMaximalityFromPEO(ctx, g, res.Subgraph, peo, 10)
@@ -550,10 +551,10 @@ func (r Runner) Run(ctx context.Context, s Spec) (*PipelineResult, error) {
 	if g != nil && res.Subgraph != nil {
 		ok := res.ChordalOK
 		if !res.Verified {
-			peo, ok = res.certificate()
+			peo, width, ok = res.certificate()
 		}
 		if ok {
-			if q, err := quality.ComputeFromPEO(g, res.Subgraph, peo, quality.DefaultLimits()); err == nil {
+			if q, err := quality.ComputeFromPEO(g, res.Subgraph, peo, width, quality.DefaultLimits()); err == nil {
 				res.Quality = q
 			}
 		}
