@@ -181,8 +181,8 @@ type brokenEngine struct{}
 
 func (brokenEngine) Name() string { return "test-broken" }
 func (brokenEngine) Extract(_ context.Context, g *chordal.Graph, _ chordal.EngineConfig) (*chordal.EngineResult, error) {
-	sub := chordal.BuildFromEdges(g.NumVertices(), []int32{0, 1, 2, 3}, []int32{1, 2, 3, 0})
-	return &chordal.EngineResult{Subgraph: sub}, nil
+	sub, err := chordal.BuildFromEdges(g.NumVertices(), []int32{0, 1, 2, 3}, []int32{1, 2, 3, 0})
+	return &chordal.EngineResult{Subgraph: sub}, err
 }
 
 var registerBroken sync.Once
@@ -283,7 +283,8 @@ func (e *slotEngine) Extract(_ context.Context, g *chordal.Graph, cfg chordal.En
 	e.sum -= w
 	e.running[w]--
 	e.mu.Unlock()
-	return &chordal.EngineResult{Subgraph: chordal.BuildFromEdges(g.NumVertices(), nil, nil)}, nil
+	sub, err := chordal.BuildFromEdges(g.NumVertices(), nil, nil)
+	return &chordal.EngineResult{Subgraph: sub}, err
 }
 
 var slotRecorder = &slotEngine{}

@@ -3,8 +3,8 @@
 //
 //	go test -bench=. -benchmem
 //
-// Mapping to the paper (see also EXPERIMENTS.md and cmd/benchrunner for
-// the full sweeps with printed series):
+// Mapping to the paper (see cmd/benchrunner -exp for the full sweeps
+// with printed series):
 //
 //	BenchmarkGenerate*        Table I inputs
 //	BenchmarkExtract*         Figures 4 & 6 measured kernel (Opt/Unopt x ER/G/B)
@@ -341,7 +341,7 @@ func BenchmarkSubsetRate(b *testing.B) {
 // --- Broader families (paper future work) ---
 
 func BenchmarkExtractGNM(b *testing.B) {
-	g := synth.GNM(1<<benchScale, 8<<benchScale, 7)
+	g := must(synth.GNM(1<<benchScale, 8<<benchScale, 7))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Extract(g, core.Options{}); err != nil {
@@ -352,7 +352,7 @@ func BenchmarkExtractGNM(b *testing.B) {
 
 func BenchmarkExtractGeometric(b *testing.B) {
 	n := 1 << benchScale
-	g := synth.RandomGeometric(n, synth.GeometricRadiusForDegree(n, 8), 7)
+	g := must(synth.RandomGeometric(n, synth.GeometricRadiusForDegree(n, 8), 7))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Extract(g, core.Options{}); err != nil {
@@ -362,7 +362,10 @@ func BenchmarkExtractGeometric(b *testing.B) {
 }
 
 func BenchmarkExtractKTreeNoise(b *testing.B) {
-	g, _ := synth.KTreePlusNoise(1<<benchScale, 3, 1<<benchScale, 7)
+	g, _, err := synth.KTreePlusNoise(1<<benchScale, 3, 1<<benchScale, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Extract(g, core.Options{}); err != nil {
@@ -374,7 +377,7 @@ func BenchmarkExtractKTreeNoise(b *testing.B) {
 // --- Elimination application kernels ---
 
 func BenchmarkMinDegreeOrder(b *testing.B) {
-	g := synth.GNM(1024, 4096, 7)
+	g := must(synth.GNM(1024, 4096, 7))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if order, err := elimination.MinDegreeOrder(context.Background(), g); err != nil || len(order) != 1024 {
@@ -384,7 +387,10 @@ func BenchmarkMinDegreeOrder(b *testing.B) {
 }
 
 func BenchmarkFillChordalGuided(b *testing.B) {
-	g, _ := synth.KTreePlusNoise(1024, 3, 512, 7)
+	g, _, err := synth.KTreePlusNoise(1024, 3, 512, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
 	order, err := elimination.ChordalGuidedOrder(g, core.Options{})
 	if err != nil {
 		b.Fatal(err)
@@ -400,7 +406,7 @@ func BenchmarkFillChordalGuided(b *testing.B) {
 // --- Facade sanity under bench load ---
 
 func BenchmarkFacadeExtract(b *testing.B) {
-	g, err := chordal.GenerateRMAT(chordal.RMATER, 12, 7)
+	g, err := rmat.Generate(rmat.PresetParams(rmat.ER, 12, 7))
 	if err != nil {
 		b.Fatal(err)
 	}

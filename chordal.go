@@ -8,20 +8,24 @@
 // Many problems that are NP-hard in general — maximum clique, chromatic
 // number, treewidth — are linear-time on chordal graphs, so extracting
 // a large chordal subgraph is a practical preprocessing and sampling
-// step; see the Cliques, Coloring and Decompose helpers.
+// step; see the MaxClique, Coloring and Decompose helpers.
 //
 // # Quick start
 //
-//	g, _ := chordal.GenerateRMAT(chordal.RMATER, 14, 42)
+//	src, _ := chordal.ParseSource("rmat-er:14:42")
+//	g, _ := src.Load()
 //	res, _ := chordal.Extract(g, chordal.Options{})
 //	fmt.Println(res.NumChordalEdges(), "chordal edges in",
 //		len(res.Iterations), "iterations")
 //	sub := res.ToGraph()
 //	fmt.Println("chordal:", chordal.IsChordal(sub))
 //
-// The package is a thin, documented facade over the internal packages;
-// everything needed for extraction, generation, verification and the
-// downstream chordal-graph algorithms is re-exported here.
+// A graph comes from ParseSource, which names a file or a generator
+// spec (SourceSpecs lists the families and their bounds), or from a
+// Builder. Both refuse parameters outside their bounds with an error.
+// The toolkit functions below (Extract, the chordality checks, the
+// chordal-graph algorithms and the elimination orders) are thin
+// wrappers over the internal packages.
 //
 // For whole runs (acquire → relabel → extract → verify → write), build
 // a declarative Spec: it is versioned, JSON-round-trippable, selects
@@ -38,25 +42,19 @@ package chordal
 
 import (
 	"context"
+	"fmt"
+	"math"
 
-	"chordal/internal/analysis"
-	"chordal/internal/biogen"
 	"chordal/internal/chordalalg"
 	"chordal/internal/core"
-	"chordal/internal/dearing"
 	"chordal/internal/elimination"
 	"chordal/internal/graph"
 	"chordal/internal/quality"
-	"chordal/internal/rmat"
-	"chordal/internal/synth"
 	"chordal/internal/verify"
 )
 
 // Graph is an immutable undirected graph in compressed sparse row form.
 type Graph = graph.Graph
-
-// Builder accumulates edges for Graph construction.
-type Builder = graph.Builder
 
 // Stats holds the Table-I structural statistics of a graph.
 type Stats = graph.Stats
@@ -96,35 +94,45 @@ const (
 	ScheduleSynchronous = core.ScheduleSynchronous
 )
 
-// RMATPreset selects one of the paper's three R-MAT parameterizations.
-type RMATPreset = rmat.Preset
-
-// The paper's synthetic graph families.
-const (
-	RMATER = rmat.ER // uniform: Erdős–Rényi-like
-	RMATG  = rmat.G  // skewed: small-world with communities
-	RMATB  = rmat.B  // heavily skewed: widest degree distribution
-)
-
-// BioDataset names the four gene-correlation networks modeled after the
-// paper's GEO inputs.
-type BioDataset = biogen.Dataset
-
-// The paper's biological network suite.
-const (
-	GSE5140CRT  = biogen.GSE5140CRT
-	GSE5140UNT  = biogen.GSE5140UNT
-	GSE17072CTL = biogen.GSE17072CTL
-	GSE17072NON = biogen.GSE17072NON
-)
+// Builder accumulates the edges of a graph on a fixed vertex count.
+// It records what it is given; Build checks it.
+type Builder struct {
+	n      int
+	us, vs []int32
+}
 
 // NewBuilder returns a Builder for a graph with n vertices.
-func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
+func NewBuilder(n int) *Builder { return &Builder{n: n} }
 
-// BuildFromEdges constructs a simple undirected graph from endpoint
-// slices, dropping self loops and duplicates.
-func BuildFromEdges(n int, us, vs []int32) *Graph {
-	return graph.BuildFromEdges(n, us, vs)
+// AddEdge records the undirected edge {u, v}. Build drops self loops
+// and duplicates, and fails on an endpoint outside [0, n).
+func (b *Builder) AddEdge(u, v int32) {
+	b.us = append(b.us, u)
+	b.vs = append(b.vs, v)
+}
+
+// Build returns the simple graph on the recorded edges, or the error
+// BuildFromEdges reports for them.
+func (b *Builder) Build() (*Graph, error) { return BuildFromEdges(b.n, b.us, b.vs) }
+
+// BuildFromEdges constructs a simple undirected graph on n vertices
+// from endpoint slices, dropping self loops and duplicates. It returns
+// an error, naming the first offending edge, when n is negative or
+// exceeds the int32 id space, when the slices differ in length, or when
+// an endpoint lies outside [0, n).
+func BuildFromEdges(n int, us, vs []int32) (*Graph, error) {
+	if n < 0 || n > math.MaxInt32 {
+		return nil, fmt.Errorf("chordal: vertex count %d outside [0, %d]", n, math.MaxInt32)
+	}
+	if len(us) != len(vs) {
+		return nil, fmt.Errorf("chordal: %d edge sources but %d edge targets", len(us), len(vs))
+	}
+	for i, u := range us {
+		if v := vs[i]; u < 0 || v < 0 || int(u) >= n || int(v) >= n {
+			return nil, fmt.Errorf("chordal: edge %d (%d, %d) has an endpoint outside [0, %d)", i, u, v, n)
+		}
+	}
+	return graph.BuildFromEdges(n, us, vs), nil
 }
 
 // Extract runs the multithreaded maximal-chordal-subgraph algorithm on
@@ -133,40 +141,15 @@ func Extract(g *Graph, opts Options) (*Result, error) {
 	return core.Extract(g, opts)
 }
 
-// ExtractContext is Extract under a cancellable context: cancellation
-// is observed at iteration boundaries and returns ctx.Err() with no
-// leaked worker goroutines.
-func ExtractContext(ctx context.Context, g *Graph, opts Options) (*Result, error) {
-	return core.ExtractContext(ctx, g, opts)
-}
-
-// ExtractSerial runs the serial baseline of Dearing, Shier and Warner
-// starting from vertex 0 and returns the resulting chordal subgraph.
-func ExtractSerial(g *Graph) *Graph {
-	return dearing.Extract(g, 0).ToGraph(g.NumVertices())
-}
-
-// GenerateRMAT generates one of the paper's synthetic graph families at
-// the given scale (2^scale vertices, 8·2^scale requested edges).
-func GenerateRMAT(preset RMATPreset, scale int, seed uint64) (*Graph, error) {
-	return rmat.Generate(rmat.PresetParams(preset, scale, seed))
-}
-
-// GenerateBio generates a synthetic gene-correlation network modeled
-// after one of the paper's GEO datasets. downscale divides the gene
-// count (1 reproduces the paper's network sizes).
-func GenerateBio(dataset BioDataset, downscale int, seed uint64) (*Graph, error) {
-	return biogen.Generate(biogen.PresetParams(dataset, downscale, seed))
-}
-
 // IsChordal reports whether g is a chordal graph (via maximum
 // cardinality search, O(V+E)).
 func IsChordal(g *Graph) bool { return verify.IsChordal(g) }
 
 // IsMaximalChordal reports whether sub is chordal and cannot absorb any
-// further edge of g without breaking chordality. It costs one MCS pass
-// and one clique-tree build over sub, O(V+E), plus O(log n · log ω + ω)
-// per edge of g absent from sub, where ω is sub's largest clique.
+// further edge of g without breaking chordality. A sub whose vertex
+// count differs from g's reports false. It costs one MCS pass and one
+// clique-tree build over sub, O(V+E), plus O(log n · log ω + ω) per
+// edge of g absent from sub, where ω is sub's largest clique.
 func IsMaximalChordal(g, sub *Graph) bool { return verify.IsMaximalChordal(g, sub) }
 
 // PerfectEliminationOrdering returns a PEO of the chordal graph g, or
@@ -190,100 +173,17 @@ type TreeDecomposition = chordalalg.TreeDecomposition
 // ComputeStats returns the Table-I structural statistics of g.
 func ComputeStats(g *Graph) Stats { return graph.ComputeStats(g) }
 
-// ClusteringByDegree returns the Figure-2 series: average clustering
-// coefficient per vertex degree.
-func ClusteringByDegree(g *Graph) []analysis.DegreeClusteringPoint {
-	return analysis.ClusteringByDegree(g)
-}
-
-// DegreeClusteringPoint is one degree bucket of ClusteringByDegree.
-type DegreeClusteringPoint = analysis.DegreeClusteringPoint
-
-// ShortestPathHistogram returns the Figure-3 series: ordered-pair
-// counts per shortest-path length; sources=0 runs every BFS root.
-func ShortestPathHistogram(g *Graph, sources int) []int64 {
-	return analysis.ShortestPathHistogram(g, sources)
-}
-
-// BFSRelabel renumbers g in breadth-first order from root. Running
-// Extract on the relabeled graph of a connected input yields a
-// connected chordal subgraph (remark below the paper's Theorem 2).
-func BFSRelabel(g *Graph, root int32) *Graph {
-	return g.Relabel(analysis.BFSOrder(g, root))
-}
-
-// LoadGraph reads a graph from a file; the format follows the
-// extension (.bin binary CSR, .mtx Matrix Market, otherwise edge list).
-func LoadGraph(path string) (*Graph, error) { return graph.LoadFile(path) }
-
-// SaveGraph writes a graph to a file; format selection as in LoadGraph.
+// SaveGraph writes a graph to a file; the format follows the extension
+// (.bin binary CSR, .mtx Matrix Market, otherwise edge list), and
+// ParseSource reads the file back.
 func SaveGraph(path string, g *Graph) error { return graph.SaveFile(path, g) }
-
-// MaximumIndependentSet returns a maximum independent set of the
-// chordal graph g (linear-time by the PEO greedy).
-func MaximumIndependentSet(g *Graph) ([]int32, error) {
-	return chordalalg.MaximumIndependentSet(g)
-}
-
-// CliqueCover partitions the chordal graph g into the minimum number
-// of cliques.
-func CliqueCover(g *Graph) ([][]int32, int, error) { return chordalalg.CliqueCover(g) }
-
-// FindHole returns a chordless cycle of length >= 4 witnessing that g
-// is not chordal, or nil when g is chordal.
-func FindHole(g *Graph) []int32 {
-	return verify.FindHole(verify.AdjFromGraph(g))
-}
-
-// DegreeRelabel renumbers g so the highest-degree vertices receive the
-// smallest ids — a maximality heuristic for Extract on graphs whose
-// hubs carry large ids (see DESIGN.md §5).
-func DegreeRelabel(g *Graph) *Graph {
-	return g.Relabel(analysis.DegreeOrder(g))
-}
-
-// GenerateGNM returns a uniform random simple graph with n vertices
-// and m edges, part of the broader input set the paper's conclusion
-// proposes.
-func GenerateGNM(n int, m int64, seed uint64) *Graph { return synth.GNM(n, m, seed) }
-
-// GenerateWattsStrogatz returns a small-world graph (ring lattice with
-// 2k neighbors per vertex, rewiring probability beta).
-func GenerateWattsStrogatz(n, k int, beta float64, seed uint64) *Graph {
-	return synth.WattsStrogatz(n, k, beta, seed)
-}
-
-// GenerateGeometric returns a random geometric (mesh-like) graph with
-// the given connection radius in the unit square.
-func GenerateGeometric(n int, radius float64, seed uint64) *Graph {
-	return synth.RandomGeometric(n, radius, seed)
-}
-
-// GenerateKTree returns a k-tree on n vertices — a maximal chordal
-// graph of treewidth k, useful as ground truth for extraction quality.
-func GenerateKTree(n, k int, seed uint64) *Graph { return synth.KTree(n, k, seed) }
 
 // Quality scores an extracted chordal subgraph against its input:
 // edge retention, fill-in under the subgraph's perfect elimination
 // ordering, and the exact chordal-graph invariants (treewidth,
 // chromatic number). Populated on PipelineResult.Quality and
-// RunReport.Quality; compute directly with ComputeQuality.
+// RunReport.Quality.
 type Quality = quality.Metrics
-
-// QualityLimits bounds the optional metric groups of ComputeQuality:
-// the chordal invariants can be skipped on large subgraphs. Retention
-// and fill have no bound because their exact counts are near-linear.
-type QualityLimits = quality.Limits
-
-// DefaultQualityLimits returns the bounds the Runner applies to its
-// always-on quality reporting.
-func DefaultQualityLimits() QualityLimits { return quality.DefaultLimits() }
-
-// ComputeQuality scores the chordal subgraph sub against its input
-// graph g. sub must be chordal and share g's vertex set.
-func ComputeQuality(g, sub *Graph, lim QualityLimits) (*Quality, error) {
-	return quality.Compute(g, sub, lim)
-}
 
 // Fill counts the fill edges symbolic elimination creates on g under
 // the given ordering; zero exactly when the ordering is a perfect

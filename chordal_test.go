@@ -5,11 +5,32 @@ import (
 	"testing"
 
 	"chordal"
+	"chordal/internal/analysis"
+	"chordal/internal/biogen"
+	"chordal/internal/chordalalg"
+	"chordal/internal/dearing"
+	"chordal/internal/graph"
+	"chordal/internal/rmat"
+	"chordal/internal/synth"
+	"chordal/internal/verify"
 )
 
+// must returns a generator's graph and panics on its error: every
+// generator call in these tests names parameters inside its bounds.
+func must(g *chordal.Graph, err error) *chordal.Graph {
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 func TestQuickstartFlow(t *testing.T) {
-	// The README's quickstart must work exactly as written.
-	g, err := chordal.GenerateRMAT(chordal.RMATER, 10, 42)
+	// The README's quickstart must work as written (at a smaller scale).
+	src, err := chordal.ParseSource("rmat-er:10:42")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := src.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +53,10 @@ func TestBuilderFacade(t *testing.T) {
 	b.AddEdge(1, 2)
 	b.AddEdge(2, 3)
 	b.AddEdge(3, 0)
-	g := b.Build()
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := chordal.Extract(g, chordal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -40,15 +64,15 @@ func TestBuilderFacade(t *testing.T) {
 	if res.NumChordalEdges() != 3 {
 		t.Fatalf("C4 kept %d edges", res.NumChordalEdges())
 	}
-	g2 := chordal.BuildFromEdges(3, []int32{0, 1}, []int32{1, 2})
-	if g2.NumEdges() != 2 {
-		t.Fatal("BuildFromEdges wrong")
+	g2, err := chordal.BuildFromEdges(3, []int32{0, 1}, []int32{1, 2})
+	if err != nil || g2.NumEdges() != 2 {
+		t.Fatalf("BuildFromEdges = %v, %v", g2, err)
 	}
 }
 
 func TestSerialFacade(t *testing.T) {
-	g, _ := chordal.GenerateRMAT(chordal.RMATG, 9, 3)
-	sub := chordal.ExtractSerial(g)
+	g := must(rmat.Generate(rmat.PresetParams(rmat.G, 9, 3)))
+	sub := dearing.Extract(g, 0).ToGraph(g.NumVertices())
 	if !chordal.IsChordal(sub) {
 		t.Fatal("serial result not chordal")
 	}
@@ -58,7 +82,7 @@ func TestSerialFacade(t *testing.T) {
 }
 
 func TestBioFacade(t *testing.T) {
-	g, err := chordal.GenerateBio(chordal.GSE17072NON, 64, 5)
+	g, err := biogen.Generate(biogen.PresetParams(biogen.GSE17072NON, 64, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +96,7 @@ func TestBioFacade(t *testing.T) {
 }
 
 func TestChordalAlgorithmsFacade(t *testing.T) {
-	g, _ := chordal.GenerateRMAT(chordal.RMATB, 9, 4)
+	g := must(rmat.Generate(rmat.PresetParams(rmat.B, 9, 4)))
 	res, _ := chordal.Extract(g, chordal.Options{})
 	sub := res.ToGraph()
 
@@ -115,11 +139,11 @@ func TestChordalAlgorithmsFacade(t *testing.T) {
 func TestBFSRelabelConnectivity(t *testing.T) {
 	// The remark below Theorem 2: BFS numbering of a connected graph
 	// makes the extracted subgraph connected.
-	g, _ := chordal.GenerateRMAT(chordal.RMATER, 10, 6)
+	g := must(rmat.Generate(rmat.PresetParams(rmat.ER, 10, 6)))
 	// Take the largest connected piece by relabeling and testing on the
 	// BFS-relabeled graph directly: extract and check the component
 	// containing vertex 0 spans all vertices reachable in g.
-	rg := chordal.BFSRelabel(g, 0)
+	rg := g.Relabel(analysis.BFSOrder(g, 0))
 	res, err := chordal.Extract(rg, chordal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -153,12 +177,12 @@ func reach(g *chordal.Graph, src int32) []bool {
 }
 
 func TestSaveLoadFacade(t *testing.T) {
-	g, _ := chordal.GenerateRMAT(chordal.RMATER, 8, 7)
+	g := must(rmat.Generate(rmat.PresetParams(rmat.ER, 8, 7)))
 	path := filepath.Join(t.TempDir(), "g.bin")
 	if err := chordal.SaveGraph(path, g); err != nil {
 		t.Fatal(err)
 	}
-	back, err := chordal.LoadGraph(path)
+	back, err := graph.LoadFileWorkers(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +192,11 @@ func TestSaveLoadFacade(t *testing.T) {
 }
 
 func TestAnalysisFacade(t *testing.T) {
-	g, _ := chordal.GenerateBio(chordal.GSE5140UNT, 64, 8)
-	if pts := chordal.ClusteringByDegree(g); len(pts) == 0 {
+	g := must(biogen.Generate(biogen.PresetParams(biogen.GSE5140UNT, 64, 8)))
+	if pts := analysis.ClusteringByDegree(g); len(pts) == 0 {
 		t.Fatal("no clustering points")
 	}
-	if h := chordal.ShortestPathHistogram(g, 64); len(h) < 2 {
+	if h := analysis.ShortestPathHistogram(g, 64); len(h) < 2 {
 		t.Fatal("degenerate path histogram")
 	}
 	s := chordal.ComputeStats(g)
@@ -183,18 +207,18 @@ func TestAnalysisFacade(t *testing.T) {
 
 func TestExtendedFacade(t *testing.T) {
 	// k-tree ground truth through the facade.
-	kt := chordal.GenerateKTree(60, 2, 5)
+	kt := must(synth.KTree(60, 2, 5))
 	if !chordal.IsChordal(kt) {
 		t.Fatal("k-tree not chordal")
 	}
-	if hole := chordal.FindHole(kt); hole != nil {
+	if hole := verify.FindHole(verify.AdjFromGraph(kt)); hole != nil {
 		t.Fatalf("hole %v in chordal graph", hole)
 	}
-	mis, err := chordal.MaximumIndependentSet(kt)
+	mis, err := chordalalg.MaximumIndependentSet(kt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cover, num, err := chordal.CliqueCover(kt)
+	cover, num, err := chordalalg.CliqueCover(kt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,13 +232,16 @@ func TestExtendedFacade(t *testing.T) {
 	b.AddEdge(1, 2)
 	b.AddEdge(2, 3)
 	b.AddEdge(3, 0)
-	c4 := b.Build()
-	if hole := chordal.FindHole(c4); len(hole) != 4 {
+	c4, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hole := verify.FindHole(verify.AdjFromGraph(c4)); len(hole) != 4 {
 		t.Fatalf("C4 witness %v", hole)
 	}
 
 	// Elimination orderings.
-	g := chordal.GenerateGNM(120, 480, 9)
+	g := must(synth.GNM(120, 480, 9))
 	order, err := chordal.ChordalGuidedOrder(g)
 	if err != nil {
 		t.Fatal(err)
@@ -233,14 +260,14 @@ func TestExtendedFacade(t *testing.T) {
 	}
 
 	// Degree relabel keeps structure.
-	dr := chordal.DegreeRelabel(g)
+	dr := g.Relabel(analysis.DegreeOrder(g))
 	if dr.NumEdges() != g.NumEdges() {
-		t.Fatal("DegreeRelabel changed edge count")
+		t.Fatal("degree relabel changed edge count")
 	}
 
 	// Other generators produce valid graphs.
-	ws := chordal.GenerateWattsStrogatz(100, 3, 0.2, 4)
-	geo := chordal.GenerateGeometric(200, 0.1, 4)
+	ws := must(synth.WattsStrogatz(100, 3, 0.2, 4))
+	geo := must(synth.RandomGeometric(200, 0.1, 4))
 	for _, gg := range []*chordal.Graph{ws, geo} {
 		res, err := chordal.Extract(gg, chordal.Options{})
 		if err != nil {

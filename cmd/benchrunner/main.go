@@ -15,8 +15,8 @@
 //
 // The paper's absolute scales (2^24-2^26 vertices on a 128-processor
 // Cray XMT) exceed commodity environments; pick -scales to fit your
-// memory and time budget. EXPERIMENTS.md records the shape comparisons
-// between these outputs and the paper's figures.
+// memory and time budget. The printed series are the measured side of
+// each comparison with the paper's figures.
 package main
 
 import (

@@ -6,6 +6,8 @@ import (
 
 	"chordal"
 	"chordal/internal/chordalalg"
+	"chordal/internal/quality"
+	"chordal/internal/verify"
 )
 
 // This file is the differential half of the engine bake-off: several
@@ -82,7 +84,7 @@ func TestEngineDifferentialGrid(t *testing.T) {
 					t.Errorf("%s: verifier says output is not chordal", eng.label)
 				}
 				// Oracle 2: the hole finder must fail to produce a witness.
-				if hole := chordal.FindHole(sub); hole != nil {
+				if hole := verify.FindHole(verify.AdjFromGraph(sub)); hole != nil {
 					t.Errorf("%s: found chordless cycle %v in output", eng.label, hole)
 				}
 				// Oracle 3: chordalalg derives its own PEO or errors.
@@ -126,7 +128,7 @@ func TestEngineDifferentialGrid(t *testing.T) {
 // Runner scores from the verify stage's certificate and reports the
 // self-fill as 0 without counting it, so the test recounts it under the
 // subgraph's own PEO and requires the certificate path to agree field
-// for field with a standalone ComputeQuality, and a run without a
+// for field with a standalone quality.Compute, and a run without a
 // verify stage to score the same.
 func TestEngineQualityConsistency(t *testing.T) {
 	for _, eng := range differentialEngines() {
@@ -156,12 +158,12 @@ func TestEngineQualityConsistency(t *testing.T) {
 		if fill, err := chordal.Fill(res.Subgraph, peo); err != nil || fill != 0 {
 			t.Errorf("%s: recounted self-fill %d (err %v), want 0", eng.label, fill, err)
 		}
-		want, err := chordal.ComputeQuality(res.Input, res.Subgraph, chordal.DefaultQualityLimits())
+		want, err := quality.Compute(res.Input, res.Subgraph, quality.DefaultLimits())
 		if err != nil {
 			t.Fatalf("%s: %v", eng.label, err)
 		}
 		if *q != *want {
-			t.Errorf("%s: Runner quality %+v, ComputeQuality %+v", eng.label, *q, *want)
+			t.Errorf("%s: Runner quality %+v, quality.Compute %+v", eng.label, *q, *want)
 		}
 		// Without a verify stage the quality stage takes the certificate
 		// itself, and scores the same.

@@ -18,7 +18,11 @@ import (
 
 func main() {
 	// A scale-12 RMAT-B graph: skewed degrees, dense local communities.
-	g, err := chordal.GenerateRMAT(chordal.RMATB, 12, 2012)
+	src, err := chordal.ParseSource("rmat-b:12:2012")
+	if err != nil {
+		log.Fatal(err)
+	}
+	g, err := src.Load()
 	if err != nil {
 		log.Fatal(err)
 	}

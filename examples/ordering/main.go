@@ -22,8 +22,8 @@ func main() {
 		g    *chordal.Graph
 	}{
 		{"k-tree(1000,3) + 500 noise edges", noisyKTree()},
-		{"random geometric, avg degree 8", chordal.GenerateGeometric(1500, 0.041, 7)},
-		{"RMAT-G scale 10", mustRMAT()},
+		{"random geometric, avg degree 8", load("geo:1500:0.041:7")},
+		{"RMAT-G scale 10", load("rmat-g:10:7")},
 	}
 	for _, inst := range instances {
 		fmt.Printf("== %s: %s ==\n", inst.name, chordal.ComputeStats(inst.g))
@@ -58,7 +58,7 @@ func main() {
 func noisyKTree() *chordal.Graph {
 	// A treewidth-3 backbone plus noise: the planted chordal part is a
 	// best case for the guided ordering.
-	base := chordal.GenerateKTree(1000, 3, 42)
+	base := load("ktree:1000:3:42")
 	us, vs := base.EdgeList()
 	// Add 500 pseudo-random extra edges.
 	state := uint64(99)
@@ -78,11 +78,20 @@ func noisyKTree() *chordal.Graph {
 		vs = append(vs, v)
 		added++
 	}
-	return chordal.BuildFromEdges(1000, us, vs)
+	g, err := chordal.BuildFromEdges(1000, us, vs)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return g
 }
 
-func mustRMAT() *chordal.Graph {
-	g, err := chordal.GenerateRMAT(chordal.RMATG, 10, 7)
+// load acquires the graph a source spec names (see chordal.SourceSpecs).
+func load(spec string) *chordal.Graph {
+	src, err := chordal.ParseSource(spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	g, err := src.Load()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -28,7 +28,10 @@ func main() {
 	for _, e := range edges {
 		b.AddEdge(e[0], e[1])
 	}
-	g := b.Build()
+	g, err := b.Build()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("input graph: %s\n\n", chordal.ComputeStats(g))
 
 	// Trace every subset test. One worker keeps the printout in

@@ -28,19 +28,14 @@ func main() {
 	)
 	flag.Parse()
 
-	var p chordal.RMATPreset
-	switch *preset {
-	case "er":
-		p = chordal.RMATER
-	case "g":
-		p = chordal.RMATG
-	case "b":
-		p = chordal.RMATB
-	default:
+	if *preset != "er" && *preset != "g" && *preset != "b" {
 		log.Fatalf("unknown preset %q", *preset)
 	}
-
-	g, err := chordal.GenerateRMAT(p, *scale, 7)
+	src, err := chordal.ParseSource(fmt.Sprintf("rmat-%s:%d:7", *preset, *scale))
+	if err != nil {
+		log.Fatal(err)
+	}
+	g, err := src.Load()
 	if err != nil {
 		log.Fatal(err)
 	}

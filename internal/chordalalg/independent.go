@@ -68,13 +68,3 @@ func CliqueCover(g *graph.Graph) (cover [][]int32, num int, err error) {
 	}
 	return cover, len(cover), nil
 }
-
-// IndependenceNumber returns the size of a maximum independent set of
-// the chordal graph g.
-func IndependenceNumber(g *graph.Graph) (int, error) {
-	set, err := MaximumIndependentSet(g)
-	if err != nil {
-		return 0, err
-	}
-	return len(set), nil
-}

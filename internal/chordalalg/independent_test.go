@@ -126,11 +126,11 @@ func TestCliqueCoverValid(t *testing.T) {
 			}
 		}
 		// Perfection: cover size equals independence number.
-		alpha, err := IndependenceNumber(g)
+		mis, err := MaximumIndependentSet(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if num != alpha {
+		if alpha := len(mis); num != alpha {
 			t.Fatalf("clique cover %d != independence number %d", num, alpha)
 		}
 	}

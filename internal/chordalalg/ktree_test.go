@@ -7,6 +7,16 @@ import (
 	"chordal/internal/synth"
 )
 
+// must returns a generator's graph and panics on its error: every
+// generator call in this package's tests names parameters inside the
+// generator's bounds.
+func must(g *graph.Graph, err error) *graph.Graph {
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 // isCliqueIn reports whether every pair of vertices in c is adjacent in
 // g.
 func isCliqueIn(g *graph.Graph, c []int32) bool {
@@ -64,9 +74,9 @@ func TestMaximalCliquesTable(t *testing.T) {
 	}{
 		{"path-6", path(6), 5, 2, false},
 		{"complete-5", complete(5), 1, 5, false},
-		{"ktree-50-3", synth.KTree(50, 3, 1), 47, 4, false},
-		{"ktree-200-4", synth.KTree(200, 4, 13), 196, 5, false},
-		{"ktree-120-8", synth.KTree(120, 8, 7), 112, 9, false},
+		{"ktree-50-3", must(synth.KTree(50, 3, 1)), 47, 4, false},
+		{"ktree-200-4", must(synth.KTree(200, 4, 13)), 196, 5, false},
+		{"ktree-120-8", must(synth.KTree(120, 8, 7)), 112, 9, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -117,9 +127,9 @@ func TestDecomposeKTreeTable(t *testing.T) {
 		g    *graph.Graph
 		k    int
 	}{
-		{"ktree-50-3", synth.KTree(50, 3, 1), 3},
-		{"ktree-200-4", synth.KTree(200, 4, 13), 4},
-		{"ktree-120-8", synth.KTree(120, 8, 7), 8},
+		{"ktree-50-3", must(synth.KTree(50, 3, 1)), 3},
+		{"ktree-200-4", must(synth.KTree(200, 4, 13)), 4},
+		{"ktree-120-8", must(synth.KTree(120, 8, 7)), 8},
 		{"path-10", path(10), 1},
 		{"complete-6", complete(6), 5},
 	}

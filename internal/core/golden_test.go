@@ -81,7 +81,7 @@ func TestGoldenCounts(t *testing.T) {
 // some iteration's counts, and with them the digest, even when the
 // final edge set survives.
 func TestGoldenSchedule(t *testing.T) {
-	g := synth.WattsStrogatz(2000, 8, 0.1, 3, 1)
+	g := must(synth.WattsStrogatz(2000, 8, 0.1, 3, 1))
 	type row struct {
 		iterations int
 		digest     string

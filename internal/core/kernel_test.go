@@ -8,6 +8,16 @@ import (
 	"chordal/internal/synth"
 )
 
+// must returns a generator's graph and panics on its error: every
+// generator call in this package's tests names parameters inside the
+// generator's bounds.
+func must(g *graph.Graph, err error) *graph.Graph {
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 // benchExtract times one-worker extraction of g.
 func benchExtract(b *testing.B, g *graph.Graph) {
 	b.ReportAllocs()
@@ -40,7 +50,7 @@ func BenchmarkExtractSkewedRMAT(b *testing.B) {
 // so it measures how cheaply the frontier skips waiting parents (its
 // ready gate) against the subset tests themselves.
 func BenchmarkExtractDataflowSmallWorld(b *testing.B) {
-	benchExtract(b, synth.WattsStrogatz(20000, 8, 0.1, 42, 1))
+	benchExtract(b, must(synth.WattsStrogatz(20000, 8, 0.1, 42, 1)))
 }
 
 // BenchmarkExtractDataflowSmallWorld100k is the same extraction at
@@ -49,5 +59,5 @@ func BenchmarkExtractDataflowSmallWorld(b *testing.B) {
 // which each lowest-parent advance reads a candidate that the subset
 // test has just brought into cache.
 func BenchmarkExtractDataflowSmallWorld100k(b *testing.B) {
-	benchExtract(b, synth.WattsStrogatz(100000, 8, 0.1, 7, 1))
+	benchExtract(b, must(synth.WattsStrogatz(100000, 8, 0.1, 7, 1)))
 }

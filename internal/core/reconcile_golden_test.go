@@ -49,8 +49,8 @@ func TestReconcileGolden(t *testing.T) {
 		{"gse5140-crt:32", func() (*graph.Graph, error) {
 			return biogen.Generate(biogen.PresetParams(biogen.GSE5140CRT, 32, 42))
 		}},
-		{"gnm:400:300:5", func() (*graph.Graph, error) { return synth.GNM(400, 300, 5, 1), nil }},
-		{"ktree:400:8:3", func() (*graph.Graph, error) { return synth.KTree(400, 8, 3, 1), nil }},
+		{"gnm:400:300:5", func() (*graph.Graph, error) { return synth.GNM(400, 300, 5, 1) }},
+		{"ktree:400:8:3", func() (*graph.Graph, error) { return synth.KTree(400, 8, 3, 1) }},
 	}
 	want := map[string]string{
 		"rmat-b:10 parallel repair": "edges=1919 4d046190c648f7e2 repaired=214 stitched=0",

@@ -16,7 +16,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"chordal/internal/core"
 	"chordal/internal/graph"
@@ -421,44 +420,4 @@ func ChordalGuidedOrder(g *graph.Graph, opts core.Options) ([]int32, error) {
 		return nil, fmt.Errorf("elimination: extracted subgraph failed PEO validation")
 	}
 	return peo, nil
-}
-
-// CompareOrders evaluates the three orderings on g and returns their
-// fill counts keyed by name ("natural", "mindegree", "chordal").
-func CompareOrders(g *graph.Graph) (map[string]int64, error) {
-	out := make(map[string]int64, 3)
-	natural, err := Fill(g, NaturalOrder(g.NumVertices()))
-	if err != nil {
-		return nil, err
-	}
-	out["natural"] = natural
-	mdOrder, err := MinDegreeOrder(context.TODO(), g)
-	if err != nil {
-		return nil, err
-	}
-	md, err := Fill(g, mdOrder)
-	if err != nil {
-		return nil, err
-	}
-	out["mindegree"] = md
-	order, err := ChordalGuidedOrder(g, core.Options{})
-	if err != nil {
-		return nil, err
-	}
-	cg, err := Fill(g, order)
-	if err != nil {
-		return nil, err
-	}
-	out["chordal"] = cg
-	return out, nil
-}
-
-// SortedKeys returns the comparison keys in stable order, for printing.
-func SortedKeys(m map[string]int64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -12,6 +12,16 @@ import (
 	"chordal/internal/xrand"
 )
 
+// must returns a generator's graph and panics on its error: every
+// generator call in this package's tests names parameters inside the
+// generator's bounds.
+func must(g *graph.Graph, err error) *graph.Graph {
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 // minDegree is MinDegreeOrder under a context that is never canceled,
 // so it cannot fail.
 func minDegree(g *graph.Graph) []int32 {
@@ -74,7 +84,7 @@ func TestFillRejectsBadOrders(t *testing.T) {
 func TestPEOOfChordalGraphIsFillFree(t *testing.T) {
 	// Fundamental theorem: an ordering has zero fill iff it is a PEO;
 	// verify on k-trees with their construction-order PEO reversed.
-	g := synth.KTree(60, 3, 5)
+	g := must(synth.KTree(60, 3, 5))
 	peo := verify.MCSOrder(g)
 	fill, err := Fill(g, peo)
 	if err != nil {
@@ -108,7 +118,7 @@ func TestFillFreeImpliesChordalProperty(t *testing.T) {
 }
 
 func TestMinDegreeOrderIsPermutation(t *testing.T) {
-	g := synth.GNM(200, 800, 3)
+	g := must(synth.GNM(200, 800, 3))
 	order := minDegree(g)
 	if len(order) != 200 {
 		t.Fatalf("order length %d", len(order))
@@ -125,7 +135,7 @@ func TestMinDegreeOrderIsPermutation(t *testing.T) {
 func TestMinDegreeBeatsNatural(t *testing.T) {
 	// On random sparse graphs minimum degree should (almost always)
 	// produce less fill than the natural order.
-	g := synth.GNM(150, 450, 7)
+	g := must(synth.GNM(150, 450, 7))
 	natural, err := Fill(g, NaturalOrder(150))
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +152,7 @@ func TestMinDegreeBeatsNatural(t *testing.T) {
 func TestChordalGuidedOrderZeroFillOnChordal(t *testing.T) {
 	// On an already chordal input, the extracted subgraph is the whole
 	// graph and the guided order is fill-free.
-	g := synth.KTree(80, 2, 11)
+	g := must(synth.KTree(80, 2, 11))
 	order, err := ChordalGuidedOrder(g, core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -165,9 +175,9 @@ func TestChordalSubgraphProperties(t *testing.T) {
 		g     *graph.Graph
 		order []int32
 	}{
-		{"gnm-natural", synth.GNM(300, 1500, 5), NaturalOrder(300)},
-		{"gnm-mindeg", synth.GNM(300, 1500, 5), minDegree(synth.GNM(300, 1500, 5))},
-		{"ws-mindeg", synth.WattsStrogatz(200, 6, 0.1, 9), minDegree(synth.WattsStrogatz(200, 6, 0.1, 9))},
+		{"gnm-natural", must(synth.GNM(300, 1500, 5)), NaturalOrder(300)},
+		{"gnm-mindeg", must(synth.GNM(300, 1500, 5)), minDegree(must(synth.GNM(300, 1500, 5)))},
+		{"ws-mindeg", must(synth.WattsStrogatz(200, 6, 0.1, 9)), minDegree(must(synth.WattsStrogatz(200, 6, 0.1, 9)))},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sub, err := ChordalSubgraph(tc.g, tc.order)
@@ -205,7 +215,7 @@ func TestChordalSubgraphProperties(t *testing.T) {
 func TestChordalSubgraphOfChordalInputIsIdentity(t *testing.T) {
 	// A PEO of a chordal graph keeps every edge: the greedy clique test
 	// never rejects when the later neighborhood is already a clique.
-	g := synth.KTree(150, 4, 11)
+	g := must(synth.KTree(150, 4, 11))
 	peo := verify.MCSOrder(g)
 	sub, err := ChordalSubgraph(g, peo)
 	if err != nil {
@@ -225,20 +235,26 @@ func TestChordalSubgraphRejectsBadOrders(t *testing.T) {
 	}
 }
 
+// TestCompareOrders counts the fill of the three orderings that
+// examples/ordering compares.
 func TestCompareOrders(t *testing.T) {
-	g, _ := synth.KTreePlusNoise(120, 3, 60, 9)
-	fills, err := CompareOrders(g)
+	g, _, err := synth.KTreePlusNoise(120, 3, 60, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{"natural", "mindegree", "chordal"} {
-		if _, ok := fills[k]; !ok {
-			t.Fatalf("missing key %s", k)
-		}
+	guided, err := ChordalGuidedOrder(g, core.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	keys := SortedKeys(fills)
-	if len(keys) != 3 || keys[0] != "chordal" {
-		t.Fatalf("keys %v", keys)
+	fills := map[string]int64{}
+	for name, order := range map[string][]int32{
+		"natural":   NaturalOrder(g.NumVertices()),
+		"mindegree": minDegree(g),
+		"chordal":   guided,
+	} {
+		if fills[name], err = Fill(g, order); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 	// The guided order must beat natural on a noised k-tree (most fill
 	// confined to the 60 noise edges).

@@ -50,7 +50,7 @@ func referenceEtree(g *graph.Graph, order, pos []int32) (parent []int32, start [
 // run's quality stage), the natural order and a seeded random order.
 func TestEtreeMatchesReference(t *testing.T) {
 	zoo := oracleZoo(t)
-	zoo["ws-20000"] = synth.WattsStrogatz(20000, 8, 0.1, 42, 1)
+	zoo["ws-20000"] = must(synth.WattsStrogatz(20000, 8, 0.1, 42, 1))
 	for name, g := range zoo {
 		n := g.NumVertices()
 		mcs, err := ChordalGuidedOrder(g, core.Options{Workers: 1})
@@ -80,7 +80,7 @@ func TestEtreeMatchesReference(t *testing.T) {
 // input of a kernel-ws operation, under the MCS order of its one-worker
 // extracted subgraph: the fill count of that operation's quality stage.
 func BenchmarkFillSmallWorld(b *testing.B) {
-	g := synth.WattsStrogatz(100000, 8, 0.1, 7, 1)
+	g := must(synth.WattsStrogatz(100000, 8, 0.1, 7, 1))
 	order, err := ChordalGuidedOrder(g, core.Options{Workers: 1})
 	if err != nil {
 		b.Fatal(err)

@@ -15,7 +15,7 @@ import (
 //
 //	go test -fuzz=FuzzFill -fuzztime=30s -run '^$' ./internal/elimination
 func FuzzFill(f *testing.F) {
-	g := synth.GNM(24, 60, 7)
+	g := must(synth.GNM(24, 60, 7))
 	n := g.NumVertices()
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2})

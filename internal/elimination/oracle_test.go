@@ -64,12 +64,15 @@ func oracleZoo(t *testing.T) map[string]*graph.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noised, _ := synth.KTreePlusNoise(150, 3, 80, 9)
+	noised, _, err := synth.KTreePlusNoise(150, 3, 80, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return map[string]*graph.Graph{
-		"gnm":         synth.GNM(200, 800, 3),
-		"ws":          synth.WattsStrogatz(200, 6, 0.1, 9),
-		"geo":         synth.RandomGeometric(200, synth.GeometricRadiusForDegree(200, 8), 11),
-		"ktree":       synth.KTree(150, 4, 13),
+		"gnm":         must(synth.GNM(200, 800, 3)),
+		"ws":          must(synth.WattsStrogatz(200, 6, 0.1, 9)),
+		"geo":         must(synth.RandomGeometric(200, synth.GeometricRadiusForDegree(200, 8), 11)),
+		"ktree":       must(synth.KTree(150, 4, 13)),
 		"ktree-noise": noised,
 		"rmat-b":      rm,
 		"bio":         bio,

@@ -118,11 +118,26 @@ func ablationFamilies(w io.Writer, cfg Config) error {
 		name string
 		g    *graph.Graph
 	}
-	ktree, planted := synth.KTreePlusNoise(n, 3, int64(n), cfg.Seed)
+	ktree, planted, err := synth.KTreePlusNoise(n, 3, int64(n), cfg.Seed)
+	if err != nil {
+		return err
+	}
+	gnm, err := synth.GNM(n, int64(8*n), cfg.Seed)
+	if err != nil {
+		return err
+	}
+	ws, err := synth.WattsStrogatz(n, 4, 0.1, cfg.Seed)
+	if err != nil {
+		return err
+	}
+	geo, err := synth.RandomGeometric(n, synth.GeometricRadiusForDegree(n, 8), cfg.Seed)
+	if err != nil {
+		return err
+	}
 	families := []fam{
-		{"GNM (E=8V)", synth.GNM(n, int64(8*n), cfg.Seed)},
-		{"WattsStrogatz k=4 b=0.1", synth.WattsStrogatz(n, 4, 0.1, cfg.Seed)},
-		{"geometric avgdeg=8", synth.RandomGeometric(n, synth.GeometricRadiusForDegree(n, 8), cfg.Seed)},
+		{"GNM (E=8V)", gnm},
+		{"WattsStrogatz k=4 b=0.1", ws},
+		{"geometric avgdeg=8", geo},
 		{fmt.Sprintf("3-tree + %d noise", n), ktree},
 	}
 	var ktreeKept int

@@ -7,7 +7,7 @@
 // on the host, and projects the Cray XMT side through the calibrated
 // analytic model in internal/machine. Shape comparisons — who wins,
 // by what factor, where the crossovers fall — are the reproduction
-// target; EXPERIMENTS.md records paper-versus-measured for each one.
+// target; benchrunner -exp prints the measured side of each one.
 package experiments
 
 import (

@@ -37,9 +37,6 @@ func (b *Builder) AddEdge(u, v int32) {
 	b.vs = append(b.vs, v)
 }
 
-// NumPending returns the number of recorded (pre-deduplication) edges.
-func (b *Builder) NumPending() int { return len(b.us) }
-
 // Build produces the deduplicated CSR graph with sorted adjacency lists.
 func (b *Builder) Build() *Graph {
 	return BuildFromEdges(b.n, b.us, b.vs)

@@ -551,13 +551,8 @@ func SaveFile(path string, g *Graph) error {
 	return f.Close()
 }
 
-// LoadFile reads a graph from path, choosing the format from the
-// extension as in SaveFile.
-func LoadFile(path string) (*Graph, error) {
-	return LoadFileWorkers(path, 0)
-}
-
-// LoadFileWorkers is LoadFile with the text formats' parallel parse
+// LoadFileWorkers reads a graph from path, choosing the format from
+// the extension as in SaveFile, with the text formats' parallel parse
 // and build bounded to the given worker count (<= 0 means machine
 // width). The pipeline's acquire stage uses this so file ingestion
 // respects a job's budget lease; binary CSR decodes on one goroutine.

@@ -256,7 +256,7 @@ func TestSaveLoadFileFormats(t *testing.T) {
 		if err := SaveFile(path, g); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		back, err := LoadFile(path)
+		back, err := LoadFileWorkers(path, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -265,7 +265,7 @@ func TestSaveLoadFileFormats(t *testing.T) {
 }
 
 func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "nope.txt")); err == nil {
+	if _, err := LoadFileWorkers(filepath.Join(t.TempDir(), "nope.txt"), 0); err == nil {
 		t.Fatal("missing file accepted")
 	}
 	if err := SaveFile(filepath.Join(t.TempDir(), "no", "dir", "g.txt"), testGraph()); err == nil {

@@ -12,6 +12,16 @@ import (
 	"chordal/internal/synth"
 )
 
+// must returns a generator's graph and panics on its error: every
+// generator call in this package's tests names parameters inside the
+// generator's bounds.
+func must(g *graph.Graph, err error) *graph.Graph {
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 // relabelOracle is the map-then-sort relabel that the permuted
 // transposition replaced: row perm[v] gets perm[w] for each neighbour w
 // of v, in v's order, and each row is then sorted if g was sorted.
@@ -131,7 +141,7 @@ var sinkGraph *graph.Graph
 // applies) and on the kernel workload's small world under degree order.
 func BenchmarkRelabel(b *testing.B) {
 	bio := bioGraph(b)
-	ws := synth.WattsStrogatz(100000, 8, 0.1, 501)
+	ws := must(synth.WattsStrogatz(100000, 8, 0.1, 501))
 	for _, c := range []relabelCase{
 		{"gse5140-crt:8-random", bio, randomPerm(rand.New(rand.NewSource(1)), bio.NumVertices())},
 		{"ws:100000:8:0.1:501-degree", ws, analysis.DegreeOrder(ws)},
@@ -162,7 +172,7 @@ type binaryCase struct {
 func binaryCases(b *testing.B) []binaryCase {
 	return []binaryCase{
 		{"gse5140-crt:8", bioGraph(b)},
-		{"gnm:200000:1500000:7", synth.GNM(200000, 1500000, 7)},
+		{"gnm:200000:1500000:7", must(synth.GNM(200000, 1500000, 7))},
 	}
 }
 

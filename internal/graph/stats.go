@@ -41,12 +41,3 @@ func (s Stats) String() string {
 	return fmt.Sprintf("V=%d E=%d avgDeg=%.2f maxDeg=%d var=%.1f E/V=%.2f",
 		s.Vertices, s.Edges, s.AvgDegree, s.MaxDegree, s.DegreeVariance, s.EdgesByVertices)
 }
-
-// DegreeHistogram returns counts[d] = number of vertices with degree d.
-func DegreeHistogram(g *Graph) []int64 {
-	counts := make([]int64, g.MaxDegree()+1)
-	for v := 0; v < g.NumVertices(); v++ {
-		counts[g.Degree(int32(v))]++
-	}
-	return counts
-}

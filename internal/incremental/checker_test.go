@@ -15,6 +15,16 @@ import (
 	"chordal/internal/xrand"
 )
 
+// must returns a generator's graph and panics on its error: every
+// generator call in this package's tests names parameters inside the
+// generator's bounds.
+func must(g *graph.Graph, err error) *graph.Graph {
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 // adjOf returns the slice-of-slices adjacency of n vertices and edges.
 func adjOf(n int, edges [][2]int32) [][]int32 {
 	adj := make([][]int32, n)
@@ -279,7 +289,7 @@ func borderReplay(tb testing.TB, g *graph.Graph) *incremental.Maintainer {
 // bound, fails on a shared runner when the search goes back to walking
 // the merged graph or the hub cache stops hitting.
 func TestBorderAdmissionSearchWork(t *testing.T) {
-	m := borderReplay(t, synth.KTree(800, 24, 501))
+	m := borderReplay(t, must(synth.KTree(800, 24, 501)))
 	// Searching from the endpoint with the shorter list reads 1 482 088
 	// entries here; searching from u alone read 222 394 897, most of the
 	// merged graph per admitted edge.
@@ -344,7 +354,7 @@ func TestRepairSearchWork(t *testing.T) {
 //
 //	go test -bench=BorderAdmission -run '^$' ./internal/incremental
 func BenchmarkBorderAdmission(b *testing.B) {
-	g := synth.KTree(800, 24, 501)
+	g := must(synth.KTree(800, 24, 501))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -273,15 +273,6 @@ func ScaleTrace(t Trace, factor float64) Trace {
 	return out
 }
 
-// ScalingCurve evaluates the model at each processor count in procs.
-func ScalingCurve(m Model, t Trace, procs []int) []time.Duration {
-	out := make([]time.Duration, len(procs))
-	for i, p := range procs {
-		out[i] = m.Predict(t, p)
-	}
-	return out
-}
-
 // Speedup returns Predict(1)/Predict(p), the quantity in Table II.
 func Speedup(m Model, t Trace, p int) float64 {
 	t1 := m.Predict(t, 1)

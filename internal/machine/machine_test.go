@@ -80,7 +80,7 @@ func TestXMTSpeedupRange(t *testing.T) {
 	// Bio networks speed up far less than the synthetic ones (paper:
 	// 1.1-2.0 vs 16-48; our coarse model reproduces the gap's shape,
 	// though it underestimates chain serialization and so lands nearer
-	// 8 than 2 — recorded in EXPERIMENTS.md).
+	// 8 than 2).
 	sb := Speedup(DefaultXMT(), bioLikeTrace(), 128)
 	if sb > s/3 {
 		t.Fatalf("XMT bio speedup %.1f not well below synthetic %.1f", sb, s)
@@ -181,13 +181,10 @@ func TestScalingCurveAndPowersOfTwo(t *testing.T) {
 	if p := PowersOfTwo(128); p[len(p)-1] != 128 || len(p) != 8 {
 		t.Fatalf("128 axis %v", p)
 	}
-	curve := ScalingCurve(DefaultXMT(), rmatLikeTrace(), procs)
-	if len(curve) != len(procs) {
-		t.Fatal("curve length")
-	}
-	for _, d := range curve {
-		if d <= 0 {
-			t.Fatal("non-positive point")
+	// The model predicts a positive time at every point of the axis.
+	for _, p := range procs {
+		if d := DefaultXMT().Predict(rmatLikeTrace(), p); d <= 0 {
+			t.Fatalf("non-positive point %v at %d processors", d, p)
 		}
 	}
 }

@@ -13,10 +13,20 @@ import (
 	"chordal/internal/verify"
 )
 
+// must returns a generator's graph and panics on its error: every
+// generator call in this package's tests names parameters inside the
+// generator's bounds.
+func must(g *graph.Graph, err error) *graph.Graph {
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 func TestComputeOnChordalIdentity(t *testing.T) {
 	// Scoring a chordal graph against itself: full retention, zero fill
 	// both ways, and the exact k-tree invariants.
-	g := synth.KTree(120, 4, 7)
+	g := must(synth.KTree(120, 4, 7))
 	m, err := Compute(g, g, DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
@@ -52,8 +62,8 @@ func requireNoSelfFill(t *testing.T, sub *graph.Graph) {
 }
 
 func TestComputeRejectsMismatchedAndNonChordal(t *testing.T) {
-	g := synth.KTree(50, 3, 1)
-	if _, err := Compute(g, synth.KTree(40, 3, 1), DefaultLimits()); err == nil {
+	g := must(synth.KTree(50, 3, 1))
+	if _, err := Compute(g, must(synth.KTree(40, 3, 1)), DefaultLimits()); err == nil {
 		t.Fatal("vertex-count mismatch accepted")
 	}
 	// C4 is not chordal: no PEO, so no score.
@@ -68,8 +78,11 @@ func TestComputeRejectsMismatchedAndNonChordal(t *testing.T) {
 }
 
 func TestComputeLimitsSkipGroups(t *testing.T) {
-	g, _ := synth.KTreePlusNoise(200, 3, 400, 9)
-	sub := synth.KTree(200, 3, 9) // the noiseless core is a subgraph
+	g, _, err := synth.KTreePlusNoise(200, 3, 400, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := must(synth.KTree(200, 3, 9)) // the noiseless core is a subgraph
 	// A tiny vertex bound skips the clique group; fill is exact
 	// regardless: the input's fill under the core's PEO, which the
 	// elimination package pins to the elimination game.
@@ -97,7 +110,10 @@ func TestComputeLimitsSkipGroups(t *testing.T) {
 }
 
 func TestComputeFromPEOMatchesCompute(t *testing.T) {
-	g, _ := synth.KTreePlusNoise(300, 4, 600, 5)
+	g, _, err := synth.KTreePlusNoise(300, 4, 600, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := core.Extract(g, core.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +143,7 @@ func TestComputeFromPEOMatchesCompute(t *testing.T) {
 	if _, err := ComputeFromPEO(g, sub, peo[:len(peo)-1], width, DefaultLimits()); err == nil {
 		t.Fatal("short order accepted")
 	}
-	if _, err := ComputeFromPEO(synth.KTree(299, 4, 5), sub, peo, width, DefaultLimits()); err == nil {
+	if _, err := ComputeFromPEO(must(synth.KTree(299, 4, 5)), sub, peo, width, DefaultLimits()); err == nil {
 		t.Fatal("vertex-count mismatch accepted")
 	}
 }
@@ -145,12 +161,15 @@ func TestChromaticNumberMatchesColoring(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	noised, _ := synth.KTreePlusNoise(150, 3, 80, 9)
+	noised, _, err := synth.KTreePlusNoise(150, 3, 80, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	zoo := map[string]*graph.Graph{
-		"gnm":         synth.GNM(200, 800, 3),
-		"ws":          synth.WattsStrogatz(200, 6, 0.1, 9),
-		"geo":         synth.RandomGeometric(200, synth.GeometricRadiusForDegree(200, 8), 11),
-		"ktree":       synth.KTree(150, 4, 13),
+		"gnm":         must(synth.GNM(200, 800, 3)),
+		"ws":          must(synth.WattsStrogatz(200, 6, 0.1, 9)),
+		"geo":         must(synth.RandomGeometric(200, synth.GeometricRadiusForDegree(200, 8), 11)),
+		"ktree":       must(synth.KTree(150, 4, 13)),
 		"ktree-noise": noised,
 		"rmat-b":      rm,
 		"bio":         bio,
@@ -181,7 +200,7 @@ func TestChromaticNumberMatchesColoring(t *testing.T) {
 // of the ring-lattice small world ws:20000:8:0.1:42 against its input:
 // the quality work of one kernel-ws operation at a fifth of its size.
 func BenchmarkQualitySmallWorld(b *testing.B) {
-	g := synth.WattsStrogatz(20000, 8, 0.1, 42, 1)
+	g := must(synth.WattsStrogatz(20000, 8, 0.1, 42, 1))
 	res, err := core.Extract(g, core.Options{Workers: 1})
 	if err != nil {
 		b.Fatal(err)

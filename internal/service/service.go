@@ -366,8 +366,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 // handleSubmit accepts a job: a JSON JobRequest, or a multipart form
 // with the graph bytes in field "graph" (format chosen by filename
-// extension, as in chordal.LoadGraph) and optional JobOptions JSON in
-// field "options".
+// extension, as for a file path in chordal.ParseSource) and optional
+// JobOptions JSON in field "options".
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec jobSpec
 	var upload *graph.Graph
@@ -588,7 +588,7 @@ func (s *Server) lookup(id string) (*Job, bool) {
 }
 
 // uploadFormat resolves an uploaded filename to its decode format,
-// following the same extension rules as chordal.LoadGraph for paths.
+// following the extension rules chordal.ParseSource applies to paths.
 func uploadFormat(filename string) string {
 	switch {
 	case strings.HasSuffix(filename, ".bin"):

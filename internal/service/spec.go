@@ -213,8 +213,8 @@ func estimateEdges(source string) int64 {
 			ef = 8
 		}
 		return ef << scale
-	case "ws": // ws:n:k:beta:seed — n*k/2 edges
-		return arg(1) * arg(2) / 2
+	case "ws": // ws:n:k:beta:seed — n*k pairs, less rewiring's duplicates
+		return arg(1) * arg(2)
 	case "ktree": // ktree:n:k:seed — ~n*k edges
 		return arg(1) * arg(2)
 	case "geo": // geo:n:radius:seed — degree depends on radius; charge by n

@@ -192,3 +192,28 @@ func TestUploadSourceContentAddressed(t *testing.T) {
 		t.Errorf("same bytes under different formats collided: %s", d)
 	}
 }
+
+// TestEstimateEdgesMatchesGenerators holds the scheduler's size
+// estimate to within 5% of the edges each generator family actually
+// emits, for the families whose size the spec determines.
+func TestEstimateEdgesMatchesGenerators(t *testing.T) {
+	for _, spec := range []string{
+		"gnm:20000:80000:3",
+		"ws:20000:8:0.1:1",
+		"ws:5000:3:0.5:2",
+		"ktree:5000:6:1",
+	} {
+		src, err := chordal.ParseSource(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := src.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, got := estimateEdges(src.Canonical()), g.NumEdges()
+		if diff := est - got; diff*20 > got || -diff*20 > got {
+			t.Errorf("%s: estimate %d edges, generated %d", spec, est, got)
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 
 	"chordal"
 	"chordal/internal/graph"
+	"chordal/internal/rmat"
 )
 
 // openStream posts a StreamOpenRequest and decodes the session status.
@@ -39,7 +40,7 @@ func openStream(t *testing.T, base string, req StreamOpenRequest) (StreamStatus,
 func TestStreamSessionEndToEnd(t *testing.T) {
 	_, ts := startServer(t, Config{})
 
-	g, err := chordal.GenerateRMAT(chordal.RMATER, 7, 3)
+	g, err := rmat.Generate(rmat.PresetParams(rmat.ER, 7, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,16 @@ import (
 	"chordal/internal/xrand"
 )
 
+// must returns a generator's graph and panics on its error: every
+// generator call in this package's tests names parameters inside the
+// generator's bounds.
+func must(g *graph.Graph, err error) *graph.Graph {
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 func rmatG(t testing.TB, scale int) *graph.Graph {
 	t.Helper()
 	g, err := rmat.Generate(rmat.PresetParams(rmat.G, scale, 7))
@@ -202,7 +212,7 @@ func TestBorderHeavyAdversarial(t *testing.T) {
 // pass: on a small input the result must be maximal chordal — no edge
 // of g can be added — closing both the §5 gap and the sharding gap.
 func TestShardRepairReachesMaximality(t *testing.T) {
-	g := synth.GNM(400, 1600, 3)
+	g := must(synth.GNM(400, 1600, 3))
 	res, err := Extract(g, Options{Shards: 4, Repair: true})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +233,7 @@ func TestShardRepairReachesMaximality(t *testing.T) {
 // admission passes must still return a chordal subgraph and the repair
 // pass recovers maximality.
 func TestShardedKTreeKeepsEverything(t *testing.T) {
-	g := synth.KTree(500, 3, 9)
+	g := must(synth.KTree(500, 3, 9))
 	res, err := Extract(g, Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +261,7 @@ func TestShardedKTreeKeepsEverything(t *testing.T) {
 func TestBorderFootprint(t *testing.T) {
 	const limit = 18 << 20
 	const calls = 2
-	g := synth.GNM(20000, 150000, 7, 1)
+	g := must(synth.GNM(20000, 150000, 7, 1))
 	opts := Options{Shards: 8, Core: core.Options{Workers: 1}}
 	if _, err := Extract(g, opts); err != nil { // warm up
 		t.Fatal(err)
@@ -272,7 +282,7 @@ func TestBorderFootprint(t *testing.T) {
 // TestShardClampAndTinyGraphs covers degenerate shapes: more shards
 // than vertices, empty and single-vertex graphs.
 func TestShardClampAndTinyGraphs(t *testing.T) {
-	g := synth.GNM(5, 6, 1)
+	g := must(synth.GNM(5, 6, 1))
 	res, err := Extract(g, Options{Shards: 100})
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +399,7 @@ func TestOnShardIteration(t *testing.T) {
 //
 //	go test -bench=ShardExtractKTree -run '^$' ./internal/shard
 func BenchmarkShardExtractKTree(b *testing.B) {
-	g := synth.KTree(800, 24, 501)
+	g := must(synth.KTree(800, 24, 501))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

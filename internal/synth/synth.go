@@ -44,13 +44,12 @@ func CheckGNM(n int, m int64) error {
 }
 
 // GNM returns a uniform random simple graph with n vertices and m
-// distinct edges (Erdős–Rényi G(n,m)). It panics with CheckGNM's
-// error on parameters outside its bounds. An optional trailing workers
-// argument bounds the parallel CSR construction (0 or omitted =
-// machine width).
-func GNM(n int, m int64, seed uint64, workers ...int) *graph.Graph {
+// distinct edges (Erdős–Rényi G(n,m)). It returns CheckGNM's error on
+// parameters outside its bounds. An optional trailing workers argument
+// bounds the parallel CSR construction (0 or omitted = machine width).
+func GNM(n int, m int64, seed uint64, workers ...int) (*graph.Graph, error) {
 	if err := CheckGNM(n, m); err != nil {
-		panic(err)
+		return nil, err
 	}
 	rng := xrand.NewXoshiro256(seed)
 	us := make([]int32, 0, m)
@@ -73,7 +72,7 @@ func GNM(n int, m int64, seed uint64, workers ...int) *graph.Graph {
 		us = append(us, u)
 		vs = append(vs, v)
 	}
-	return graph.BuildFromEdgesWorkers(n, us, vs, workerArg(workers))
+	return graph.BuildFromEdgesWorkers(n, us, vs, workerArg(workers)), nil
 }
 
 // CheckWattsStrogatz reports whether WattsStrogatz accepts its
@@ -92,13 +91,14 @@ func CheckWattsStrogatz(n, k int, beta float64) error {
 // vertex connects to its k nearest neighbors on each side, with every
 // edge's far endpoint rewired uniformly at random with probability
 // beta. beta=0 is the lattice, beta=1 nearly random; intermediate
-// values give the high-clustering short-path regime. It panics with
-// CheckWattsStrogatz's error on parameters outside its bounds. An
-// optional trailing workers argument bounds the parallel CSR
-// construction.
-func WattsStrogatz(n, k int, beta float64, seed uint64, workers ...int) *graph.Graph {
+// values give the high-clustering short-path regime. It emits n·k
+// endpoint pairs, so the graph has n·k edges less the duplicates and
+// self loops that rewiring makes. It returns CheckWattsStrogatz's error
+// on parameters outside its bounds. An optional trailing workers
+// argument bounds the parallel CSR construction.
+func WattsStrogatz(n, k int, beta float64, seed uint64, workers ...int) (*graph.Graph, error) {
 	if err := CheckWattsStrogatz(n, k, beta); err != nil {
-		panic(err)
+		return nil, err
 	}
 	rng := xrand.NewXoshiro256(seed)
 	us := make([]int32, 0, n*k)
@@ -115,7 +115,7 @@ func WattsStrogatz(n, k int, beta float64, seed uint64, workers ...int) *graph.G
 			vs = append(vs, int32(w))
 		}
 	}
-	return graph.BuildFromEdgesWorkers(n, us, vs, workerArg(workers))
+	return graph.BuildFromEdgesWorkers(n, us, vs, workerArg(workers)), nil
 }
 
 // CheckRandomGeometric reports whether RandomGeometric accepts its
@@ -134,13 +134,13 @@ func CheckRandomGeometric(n int, radius float64) error {
 // the unit square, an edge whenever two points lie within radius.
 // Bucketing by a radius-sized grid keeps construction near-linear for
 // sparse regimes. These mesh-like graphs are the classic "easy to
-// partition" counterpoint to the paper's scale-free inputs. It panics
-// with CheckRandomGeometric's error on parameters outside its bounds.
-// An optional trailing workers argument bounds the parallel scan and
+// partition" counterpoint to the paper's scale-free inputs. It returns
+// CheckRandomGeometric's error on parameters outside its bounds. An
+// optional trailing workers argument bounds the parallel scan and
 // construction.
-func RandomGeometric(n int, radius float64, seed uint64, workers ...int) *graph.Graph {
+func RandomGeometric(n int, radius float64, seed uint64, workers ...int) (*graph.Graph, error) {
 	if err := CheckRandomGeometric(n, radius); err != nil {
-		panic(err)
+		return nil, err
 	}
 	rng := xrand.NewXoshiro256(seed)
 	xs := make([]float64, n)
@@ -189,7 +189,7 @@ func RandomGeometric(n int, radius float64, seed uint64, workers ...int) *graph.
 		}
 	})
 	us, vs := bufs.Concat()
-	return graph.BuildFromEdgesWorkers(n, us, vs, workerArg(workers))
+	return graph.BuildFromEdgesWorkers(n, us, vs, workerArg(workers)), nil
 }
 
 // GeometricRadiusForDegree returns the radius that gives a random
@@ -213,7 +213,7 @@ func CheckKTree(n, k int) error {
 // k-clique. k-trees are exactly the maximal graphs of treewidth k and
 // are chordal by construction; vertex ids follow construction order,
 // so ascending ids are a perfect elimination ordering in reverse. It
-// panics with CheckKTree's error on parameters outside its bounds. An
+// returns CheckKTree's error on parameters outside its bounds. An
 // optional trailing workers argument bounds the parallel construction.
 //
 // The generator keeps O(n·k) state: the two endpoint arrays, sized
@@ -227,9 +227,9 @@ func CheckKTree(n, k int) error {
 // without entry t mod k. Step v draws one of the (k+1) + (v−k−1)·k
 // cliques that exist before it, so the draw sequence, and every graph,
 // is the one of a list that materializes all of them.
-func KTree(n, k int, seed uint64, workers ...int) *graph.Graph {
+func KTree(n, k int, seed uint64, workers ...int) (*graph.Graph, error) {
 	if err := CheckKTree(n, k); err != nil {
-		panic(err)
+		return nil, err
 	}
 	rng := xrand.NewXoshiro256(seed)
 	root := k * (k + 1) / 2
@@ -266,17 +266,25 @@ func KTree(n, k int, seed uint64, workers ...int) *graph.Graph {
 			vs[root+(v-k-1)*k+j] = int32(v)
 		}
 	}
-	return graph.BuildFromEdgesWorkers(n, us, vs, workerArg(workers))
+	return graph.BuildFromEdgesWorkers(n, us, vs, workerArg(workers)), nil
 }
 
 // KTreePlusNoise returns a k-tree with extra additional uniform random
 // edges, along with the number of planted (k-tree) edges. The planted
 // chordal subgraph gives a lower bound on the maximum chordal subgraph
 // of the noisy graph, making these instances useful quality yardsticks
-// for extraction heuristics. An optional trailing workers argument
-// bounds the parallel construction.
-func KTreePlusNoise(n, k int, extra int64, seed uint64, workers ...int) (*graph.Graph, int64) {
-	base := KTree(n, k, seed, workers...)
+// for extraction heuristics. It returns CheckKTree's error on
+// parameters outside its bounds, and an error when extra > 0 but the
+// k-tree is complete (n = k+1), so that no edge can be added. An
+// optional trailing workers argument bounds the parallel construction.
+func KTreePlusNoise(n, k int, extra int64, seed uint64, workers ...int) (*graph.Graph, int64, error) {
+	base, err := KTree(n, k, seed, workers...)
+	if err != nil {
+		return nil, 0, err
+	}
+	if extra > 0 && n == k+1 {
+		return nil, 0, fmt.Errorf("synth: KTreePlusNoise cannot add %d edges to the complete %d-tree on %d vertices", extra, k, n)
+	}
 	planted := base.NumEdges()
 	rng := xrand.NewXoshiro256(seed ^ 0x9e3779b97f4a7c15)
 	us, vs := base.EdgeList()
@@ -291,5 +299,5 @@ func KTreePlusNoise(n, k int, extra int64, seed uint64, workers ...int) (*graph.
 		vs = append(vs, v)
 		added++
 	}
-	return graph.BuildFromEdgesWorkers(n, us, vs, workerArg(workers)), planted
+	return graph.BuildFromEdgesWorkers(n, us, vs, workerArg(workers)), planted, nil
 }

@@ -14,9 +14,18 @@ import (
 	"chordal/internal/verify"
 )
 
+// must returns a generator's graph and panics on its error: every
+// call in these tests names parameters inside the generator's bounds.
+func must(g *graph.Graph, err error) *graph.Graph {
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 func TestGNMExactCounts(t *testing.T) {
 	for _, m := range []int64{0, 1, 50, 300} {
-		g := GNM(100, m, 7)
+		g := must(GNM(100, m, 7))
 		if g.NumEdges() != m {
 			t.Fatalf("m=%d: got %d edges", m, g.NumEdges())
 		}
@@ -26,17 +35,14 @@ func TestGNMExactCounts(t *testing.T) {
 	}
 }
 
-func TestGNMPanicsOnOverfull(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	GNM(4, 7, 1)
+func TestGNMRejectsOverfull(t *testing.T) {
+	if g, err := GNM(4, 7, 1); err == nil || g != nil {
+		t.Fatalf("GNM(4, 7) = %v, %v; want CheckGNM's error", g, err)
+	}
 }
 
 func TestGNMComplete(t *testing.T) {
-	g := GNM(5, 10, 3)
+	g := must(GNM(5, 10, 3))
 	if g.NumEdges() != 10 || g.MaxDegree() != 4 {
 		t.Fatal("K5 not produced at m = max")
 	}
@@ -44,7 +50,7 @@ func TestGNMComplete(t *testing.T) {
 
 func TestWattsStrogatzLattice(t *testing.T) {
 	// beta = 0: pure ring lattice, degree exactly 2k, clustering high.
-	g := WattsStrogatz(100, 3, 0, 1)
+	g := must(WattsStrogatz(100, 3, 0, 1))
 	for v := int32(0); v < 100; v++ {
 		if g.Degree(v) != 6 {
 			t.Fatalf("lattice degree %d at %d", g.Degree(v), v)
@@ -56,8 +62,8 @@ func TestWattsStrogatzLattice(t *testing.T) {
 }
 
 func TestWattsStrogatzRewiring(t *testing.T) {
-	lattice := WattsStrogatz(200, 3, 0, 2)
-	rewired := WattsStrogatz(200, 3, 0.3, 2)
+	lattice := must(WattsStrogatz(200, 3, 0, 2))
+	rewired := must(WattsStrogatz(200, 3, 0.3, 2))
 	// Rewiring shortens paths.
 	hl := analysis.ShortestPathHistogram(lattice, 50)
 	hr := analysis.ShortestPathHistogram(rewired, 50)
@@ -69,27 +75,21 @@ func TestWattsStrogatzRewiring(t *testing.T) {
 	}
 }
 
-func TestWattsStrogatzPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { WattsStrogatz(10, 0, 0.1, 1) },
-		func() { WattsStrogatz(10, 5, 0.1, 1) },
-		func() { WattsStrogatz(10, 2, 1.5, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
+func TestWattsStrogatzRejectsBadParams(t *testing.T) {
+	for _, c := range []struct {
+		n, k int
+		beta float64
+	}{{10, 0, 0.1}, {10, 5, 0.1}, {10, 2, 1.5}} {
+		if g, err := WattsStrogatz(c.n, c.k, c.beta, 1); err == nil || g != nil {
+			t.Errorf("WattsStrogatz(%d, %d, %v) = %v, %v; want CheckWattsStrogatz's error", c.n, c.k, c.beta, g, err)
+		}
 	}
 }
 
 func TestRandomGeometric(t *testing.T) {
 	n := 2000
 	r := GeometricRadiusForDegree(n, 8)
-	g := RandomGeometric(n, r, 5)
+	g := must(RandomGeometric(n, r, 5))
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -99,25 +99,22 @@ func TestRandomGeometric(t *testing.T) {
 	}
 	// Geometric graphs are highly clustered compared to GNM of the
 	// same density.
-	gnm := GNM(n, g.NumEdges(), 5)
+	gnm := must(GNM(n, g.NumEdges(), 5))
 	if analysis.GlobalClusteringCoefficient(g) < 3*analysis.GlobalClusteringCoefficient(gnm) {
 		t.Fatal("geometric graph not more clustered than GNM")
 	}
 }
 
-func TestRandomGeometricPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	RandomGeometric(10, 0, 1)
+func TestRandomGeometricRejectsBadRadius(t *testing.T) {
+	if g, err := RandomGeometric(10, 0, 1); err == nil || g != nil {
+		t.Fatalf("RandomGeometric(10, 0) = %v, %v; want CheckRandomGeometric's error", g, err)
+	}
 }
 
 func TestKTreeIsChordalWithRightSize(t *testing.T) {
 	for _, k := range []int{1, 2, 4} {
 		for _, n := range []int{k + 1, 20, 100} {
-			g := KTree(n, k, 9)
+			g := must(KTree(n, k, 9))
 			want := int64(k)*int64(n) - int64(k)*int64(k+1)/2
 			if g.NumEdges() != want {
 				t.Fatalf("k=%d n=%d: %d edges, want %d", k, n, g.NumEdges(), want)
@@ -132,7 +129,7 @@ func TestKTreeIsChordalWithRightSize(t *testing.T) {
 func TestKTreeExtractionKeepsEverything(t *testing.T) {
 	// Extraction of a chordal k-tree with construction-order ids must
 	// retain every edge: each vertex's smaller neighbors form a clique.
-	g := KTree(200, 3, 11)
+	g := must(KTree(200, 3, 11))
 	res, err := core.Extract(g, core.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +143,10 @@ func TestKTreePlusNoisePlantedBound(t *testing.T) {
 	// The planted k-tree lower-bounds what extraction should find:
 	// on a lightly noised instance the extracted chordal subgraph must
 	// be at least a large fraction of the planted size.
-	g, planted := KTreePlusNoise(300, 3, 150, 13)
+	g, planted, err := KTreePlusNoise(300, 3, 150, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if g.NumEdges() != planted+150 {
 		t.Fatalf("edge accounting: %d != %d + 150", g.NumEdges(), planted)
 	}
@@ -162,18 +162,23 @@ func TestKTreePlusNoisePlantedBound(t *testing.T) {
 	}
 }
 
-func TestKTreePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	KTree(3, 3, 1)
+func TestKTreeRejectsBadParams(t *testing.T) {
+	if g, err := KTree(3, 3, 1); err == nil || g != nil {
+		t.Fatalf("KTree(3, 3) = %v, %v; want CheckKTree's error", g, err)
+	}
+	if g, _, err := KTreePlusNoise(3, 3, 1, 1); err == nil || g != nil {
+		t.Fatalf("KTreePlusNoise(3, 3, 1) = %v, %v; want CheckKTree's error", g, err)
+	}
+	// A complete k-tree has no room for noise: the call must fail, not
+	// search forever for an absent edge.
+	if g, _, err := KTreePlusNoise(4, 3, 1, 1); err == nil || g != nil {
+		t.Fatalf("KTreePlusNoise(4, 3, 1) = %v, %v; want an error", g, err)
+	}
 }
 
 func TestDeterminism(t *testing.T) {
-	a := GNM(50, 100, 42)
-	b := GNM(50, 100, 42)
+	a := must(GNM(50, 100, 42))
+	b := must(GNM(50, 100, 42))
 	au, av := a.EdgeList()
 	bu, bv := b.EdgeList()
 	for i := range au {
@@ -181,8 +186,8 @@ func TestDeterminism(t *testing.T) {
 			t.Fatal("GNM not deterministic")
 		}
 	}
-	x := KTree(40, 2, 42)
-	y := KTree(40, 2, 42)
+	x := must(KTree(40, 2, 42))
+	y := must(KTree(40, 2, 42))
 	if x.NumEdges() != y.NumEdges() {
 		t.Fatal("KTree not deterministic")
 	}
@@ -213,11 +218,14 @@ func TestKTreeBytesPinned(t *testing.T) {
 		{50, 1, 2, "697705494847abe1"},
 		{25, 24, 3, "4c5e8bdb4b00d902"},
 	} {
-		if got := csrHash(KTree(c.n, c.k, c.seed)); got != c.want {
+		if got := csrHash(must(KTree(c.n, c.k, c.seed))); got != c.want {
 			t.Errorf("KTree(%d, %d, %d) hashes to %s, want %s", c.n, c.k, c.seed, got, c.want)
 		}
 	}
-	g, planted := KTreePlusNoise(200, 3, 400, 9)
+	g, planted, err := KTreePlusNoise(200, 3, 400, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := csrHash(g); got != "38d46710e31a277b" || planted != 594 {
 		t.Errorf("KTreePlusNoise(200, 3, 400, 9) hashes to %s with %d planted, want 38d46710e31a277b with 594", got, planted)
 	}

@@ -281,8 +281,13 @@ func audit(ctx context.Context, g, sub *graph.Graph, order func() []int32, limit
 }
 
 // IsMaximalChordal reports whether sub is chordal and no edge of g can
-// be added to it without breaking chordality.
+// be added to it without breaking chordality. A sub on a different
+// vertex count than g is no subgraph of g's vertex set, and reports
+// false.
 func IsMaximalChordal(g, sub *graph.Graph) bool {
+	if sub.NumVertices() != g.NumVertices() {
+		return false
+	}
 	peo, _, ok := PEO(sub)
 	if !ok {
 		return false

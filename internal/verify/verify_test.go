@@ -11,6 +11,16 @@ import (
 	"chordal/internal/synth"
 )
 
+// must returns a generator's graph and panics on its error: every
+// generator call in this package's tests names parameters inside the
+// generator's bounds.
+func must(g *graph.Graph, err error) *graph.Graph {
+	if err != nil {
+		panic(err)
+	}
+	return g
+}
+
 func buildGraph(n int, edges [][2]int32) *graph.Graph {
 	b := graph.NewBuilder(n)
 	for _, e := range edges {
@@ -211,6 +221,12 @@ func TestIsMaximalChordal(t *testing.T) {
 	if IsMaximalChordal(g, g) {
 		t.Fatal("C4 itself is not chordal")
 	}
+	// A sub on another vertex count is no subgraph of g's vertex set.
+	for _, sub := range []*graph.Graph{path(3), path(5), buildGraph(0, nil)} {
+		if IsMaximalChordal(g, sub) {
+			t.Fatalf("%d-vertex sub of a 4-vertex g reported maximal", sub.NumVertices())
+		}
+	}
 }
 
 func TestMCSOnAdjAgreesWithGraph(t *testing.T) {
@@ -230,7 +246,7 @@ func TestMCSOnAdjAgreesWithGraph(t *testing.T) {
 // of the ring-lattice small world ws:20000:8:0.1:42: the MCS order and
 // the follower test the verify stage runs once per run.
 func BenchmarkPEOSmallWorld(b *testing.B) {
-	res, err := core.Extract(synth.WattsStrogatz(20000, 8, 0.1, 42, 1), core.Options{Workers: 1})
+	res, err := core.Extract(must(synth.WattsStrogatz(20000, 8, 0.1, 42, 1)), core.Options{Workers: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

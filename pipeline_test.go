@@ -8,6 +8,9 @@ import (
 	"testing"
 
 	"chordal"
+	"chordal/internal/graph"
+	"chordal/internal/rmat"
+	"chordal/internal/synth"
 )
 
 func TestParseSourceGenerators(t *testing.T) {
@@ -97,7 +100,7 @@ func TestParseSourceGeneratorBounds(t *testing.T) {
 func TestParseSourceFilePath(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.bin")
-	g, err := chordal.GenerateRMAT(chordal.RMATG, 8, 11)
+	g, err := rmat.Generate(rmat.PresetParams(rmat.G, 8, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +145,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 		t.Fatalf("expected 5 stage timings, got %v", res.Timings)
 	}
 	// The written artifact round-trips.
-	back, err := chordal.LoadGraph(out)
+	back, err := graph.LoadFileWorkers(out, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +363,7 @@ func TestRunContextCancellation(t *testing.T) {
 }
 
 func TestPipelineInputInjection(t *testing.T) {
-	g := chordal.GenerateGNM(500, 1500, 3)
+	g := must(synth.GNM(500, 1500, 3))
 	res, err := chordal.Runner{Input: g}.Run(context.Background(), chordal.Spec{Verify: true})
 	if err != nil {
 		t.Fatal(err)

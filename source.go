@@ -152,7 +152,7 @@ func ParseSource(spec string) (Source, error) {
 		}}, nil
 
 	case "rmat-er", "rmat-g", "rmat-b":
-		preset := map[string]RMATPreset{"rmat-er": RMATER, "rmat-g": RMATG, "rmat-b": RMATB}[head]
+		preset := map[string]rmat.Preset{"rmat-er": rmat.ER, "rmat-g": rmat.G, "rmat-b": rmat.B}[head]
 		scale, err := intArg(0, "scale", -1)
 		if err != nil {
 			return Source{}, err
@@ -180,9 +180,9 @@ func ParseSource(spec string) (Source, error) {
 		}}, nil
 
 	case "gse5140-crt", "gse5140-unt", "gse17072-ctl", "gse17072-non":
-		dataset := map[string]BioDataset{
-			"gse5140-crt": GSE5140CRT, "gse5140-unt": GSE5140UNT,
-			"gse17072-ctl": GSE17072CTL, "gse17072-non": GSE17072NON,
+		dataset := map[string]biogen.Dataset{
+			"gse5140-crt": biogen.GSE5140CRT, "gse5140-unt": biogen.GSE5140UNT,
+			"gse17072-ctl": biogen.GSE17072CTL, "gse17072-non": biogen.GSE17072NON,
 		}[head]
 		downscale, err := intArg(0, "downscale", 8)
 		if err != nil {
@@ -223,7 +223,7 @@ func ParseSource(spec string) (Source, error) {
 		}
 		canon := fmt.Sprintf("gnm:%d:%d:%d", n, m, seed)
 		return Source{spec, canon, true, false, func(workers int) (*Graph, error) {
-			return synth.GNM(int(n), m, uint64(seed), workers), nil
+			return synth.GNM(int(n), m, uint64(seed), workers)
 		}}, nil
 
 	case "ws":
@@ -251,7 +251,7 @@ func ParseSource(spec string) (Source, error) {
 		}
 		canon := fmt.Sprintf("ws:%d:%d:%s:%d", n, k, strconv.FormatFloat(beta, 'g', -1, 64), seed)
 		return Source{spec, canon, true, false, func(workers int) (*Graph, error) {
-			return synth.WattsStrogatz(int(n), int(k), beta, uint64(seed), workers), nil
+			return synth.WattsStrogatz(int(n), int(k), beta, uint64(seed), workers)
 		}}, nil
 
 	case "geo":
@@ -275,7 +275,7 @@ func ParseSource(spec string) (Source, error) {
 		}
 		canon := fmt.Sprintf("geo:%d:%s:%d", n, strconv.FormatFloat(radius, 'g', -1, 64), seed)
 		return Source{spec, canon, true, false, func(workers int) (*Graph, error) {
-			return synth.RandomGeometric(int(n), radius, uint64(seed), workers), nil
+			return synth.RandomGeometric(int(n), radius, uint64(seed), workers)
 		}}, nil
 
 	case "ktree":
@@ -299,7 +299,7 @@ func ParseSource(spec string) (Source, error) {
 		}
 		canon := fmt.Sprintf("ktree:%d:%d:%d", n, k, seed)
 		return Source{spec, canon, true, false, func(workers int) (*Graph, error) {
-			return synth.KTree(int(n), int(k), uint64(seed), workers), nil
+			return synth.KTree(int(n), int(k), uint64(seed), workers)
 		}}, nil
 	}
 	// Anything else is a file path.

@@ -280,7 +280,8 @@ type noopEngine struct{}
 
 func (noopEngine) Name() string { return "test-noop" }
 func (noopEngine) Extract(_ context.Context, g *chordal.Graph, _ chordal.EngineConfig) (*chordal.EngineResult, error) {
-	return &chordal.EngineResult{Subgraph: chordal.BuildFromEdges(g.NumVertices(), nil, nil)}, nil
+	sub, err := chordal.BuildFromEdges(g.NumVertices(), nil, nil)
+	return &chordal.EngineResult{Subgraph: sub}, err
 }
 
 var registerNoop sync.Once

@@ -57,8 +57,8 @@ func FuzzStream(f *testing.F) {
 			us[i], vs[i] = e.U, e.V
 		}
 		st := s.Stats()
-		if sub := chordal.BuildFromEdges(st.Vertices, us, vs); !chordal.IsChordal(sub) {
-			t.Fatalf("maintained subgraph not chordal after repair (%d edges)", len(edges))
+		if sub, err := chordal.BuildFromEdges(st.Vertices, us, vs); err != nil || !chordal.IsChordal(sub) {
+			t.Fatalf("maintained subgraph not chordal after repair (%d edges, %v)", len(edges), err)
 		}
 		res, err := s.Close(ctx)
 		if err != nil {

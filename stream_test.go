@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"chordal"
+	"chordal/internal/synth"
 )
 
 // pushAll streams every edge of g into s in the order fn visits them.
@@ -191,9 +192,9 @@ func TestStreamEquivalenceGrid(t *testing.T) {
 // repair always clears them.
 func TestStreamMetamorphicChordalInsertion(t *testing.T) {
 	inputs := []*chordal.Graph{
-		chordal.GenerateKTree(200, 4, 13),
-		chordal.GenerateKTree(120, 3, 7),
-		chordal.GenerateKTree(60, 6, 1),
+		must(synth.KTree(200, 4, 13)),
+		must(synth.KTree(120, 3, 7)),
+		must(synth.KTree(60, 6, 1)),
 	}
 	for gi, g := range inputs {
 		if !chordal.IsChordal(g) {
