@@ -164,10 +164,13 @@ func MaxClique(g *Graph) ([]int32, error) { return chordalalg.MaxClique(g) }
 // colors and the chromatic number.
 func Coloring(g *Graph) ([]int32, int, error) { return chordalalg.Coloring(g) }
 
-// Decompose returns a tree decomposition of the chordal graph g.
+// Decompose returns the clique tree of the chordal graph g: a tree
+// decomposition whose bags are exactly its maximal cliques.
 func Decompose(g *Graph) (*chordalalg.TreeDecomposition, error) { return chordalalg.Decompose(g) }
 
-// TreeDecomposition is a clique-tree decomposition of a chordal graph.
+// TreeDecomposition is the clique tree of a chordal graph: Bags holds
+// its maximal cliques, Parent links each bag to a lower-numbered bag or
+// -1 for a root, and Width is the treewidth.
 type TreeDecomposition = chordalalg.TreeDecomposition
 
 // ComputeStats returns the Table-I structural statistics of g.

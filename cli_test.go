@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -81,6 +82,51 @@ func TestCLIEndToEnd(t *testing.T) {
 	out = run("./cmd/benchrunner", "-exp", "pct", "-scales", "8", "-bio-downscale", "64")
 	if !strings.Contains(out, "RMAT-ER(8)") {
 		t.Fatalf("benchrunner output: %s", out)
+	}
+}
+
+// TestExampleOutputs runs the examples whose READMEs pin their output
+// and compares every printed line with the README's "Expected output"
+// block, where "..." inside a line matches any text. It is skipped when
+// the go tool is unavailable.
+func TestExampleOutputs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go tool not on PATH")
+	}
+	for _, name := range []string{"cliques", "ordering"} {
+		t.Run(name, func(t *testing.T) {
+			readme, err := os.ReadFile(filepath.Join("examples", name, "README.md"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, rest, ok := strings.Cut(string(readme), "\nExpected output")
+			if ok {
+				_, rest, ok = strings.Cut(rest, "\n```\n")
+			}
+			block, _, closed := strings.Cut(rest, "\n```")
+			if !ok || !closed {
+				t.Fatal("README has no fenced block after its Expected output paragraph")
+			}
+			want := strings.Split(block, "\n")
+			out, err := exec.Command(goTool, "run", "./examples/"+name).CombinedOutput()
+			if err != nil {
+				t.Fatalf("go run ./examples/%s: %v\n%s", name, err, out)
+			}
+			got := strings.Split(strings.TrimSuffix(string(out), "\n"), "\n")
+			if len(got) != len(want) {
+				t.Fatalf("%d output lines, README pins %d:\n%s", len(got), len(want), out)
+			}
+			for i, line := range want {
+				pattern := "^" + strings.ReplaceAll(regexp.QuoteMeta(line), `\.\.\.`, ".*") + "$"
+				if !regexp.MustCompile(pattern).MatchString(got[i]) {
+					t.Errorf("line %d: printed %q, README pins %q", i+1, got[i], line)
+				}
+			}
+		})
 	}
 }
 

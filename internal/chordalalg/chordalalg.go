@@ -1,17 +1,22 @@
 // Package chordalalg implements the polynomial-time combinatorial
 // algorithms on chordal graphs that motivate the paper: computing the
 // maximum clique, the chromatic number with an optimal coloring, and a
-// tree decomposition (hence treewidth). All of them are NP-hard on
-// general graphs but linear-time given a perfect elimination ordering,
-// which is exactly why extracting chordal subgraphs is useful.
+// clique tree, the tree decomposition whose bags are the maximal
+// cliques (hence treewidth). All of them are NP-hard on general graphs
+// but linear-time given a perfect elimination ordering, which is
+// exactly why extracting chordal subgraphs is useful. The maximum
+// clique and the clique tree are read from verify.CliqueForest, the
+// clique forest the maximality audit builds from the same MCS order.
 package chordalalg
 
 import (
-	"fmt"
+	"errors"
 
 	"chordal/internal/graph"
 	"chordal/internal/verify"
 )
+
+var errNotChordal = errors.New("chordalalg: graph is not chordal")
 
 // PEO computes a perfect elimination ordering of g via maximum
 // cardinality search (verify.PEO). It returns an error if g is not
@@ -19,50 +24,35 @@ import (
 func PEO(g *graph.Graph) ([]int32, error) {
 	order, _, ok := verify.PEO(g)
 	if !ok {
-		return nil, fmt.Errorf("chordalalg: graph is not chordal")
+		return nil, errNotChordal
 	}
 	return order, nil
 }
 
-// laterNeighbors returns, for each vertex v, its neighbors that appear
-// after v in the ordering. In a PEO, {v} ∪ laterNeighbors(v) is a
-// clique, and every maximal clique arises this way.
-func laterNeighbors(g *graph.Graph, order []int32) [][]int32 {
-	n := g.NumVertices()
-	pos := make([]int32, n)
-	for i, v := range order {
-		pos[v] = int32(i)
+// cliqueForest returns the clique forest of the chordal graph g and
+// its treewidth, both from one verify.PEO certificate.
+func cliqueForest(g *graph.Graph) (*verify.CliqueForest, int, error) {
+	order, width, ok := verify.PEO(g)
+	if !ok {
+		return nil, 0, errNotChordal
 	}
-	out := make([][]int32, n)
-	for _, v := range order {
-		for _, w := range g.Neighbors(v) {
-			if pos[w] > pos[v] {
-				out[v] = append(out[v], w)
-			}
-		}
-	}
-	return out
+	return verify.NewCliqueForest(g, order), width, nil
 }
 
-// MaxClique returns a maximum clique of the chordal graph g.
+// MaxClique returns a maximum clique of the chordal graph g: the first
+// clique of its clique forest whose size is the treewidth plus one, or
+// nil when g has no vertices.
 func MaxClique(g *graph.Graph) ([]int32, error) {
-	order, err := PEO(g)
+	f, width, err := cliqueForest(g)
 	if err != nil {
 		return nil, err
 	}
-	if len(order) == 0 {
-		return nil, nil
-	}
-	later := laterNeighbors(g, order)
-	best := int32(order[0])
-	bestSize := len(later[best])
-	for _, v := range order {
-		if len(later[v]) > bestSize {
-			best, bestSize = v, len(later[v])
+	for c := range f.Len() {
+		if k := f.Clique(c); len(k) == width+1 {
+			return k, nil
 		}
 	}
-	clique := append([]int32{best}, later[best]...)
-	return clique, nil
+	return nil, nil
 }
 
 // Coloring optimally colors the chordal graph g and returns the color
@@ -116,78 +106,42 @@ func ColoringFromPEO(g *graph.Graph, order []int32) (colors []int32, numColors i
 	return colors, numColors
 }
 
-// ChromaticNumber returns the chromatic number of the chordal graph g.
-func ChromaticNumber(g *graph.Graph) (int, error) {
-	_, k, err := Coloring(g)
-	return k, err
-}
-
-// TreeDecomposition is a clique-tree-style decomposition: Bags[i] is
-// the bag of vertex order[i] ({v} ∪ later neighbors), and Parent[i]
-// indexes the bag this bag attaches to (-1 for roots). Width is the
-// treewidth, max bag size - 1.
+// TreeDecomposition is the clique tree of a chordal graph, one tree
+// per connected component. Bags[i] is a maximal clique, and the bags
+// are exactly the graph's maximal cliques, in the order the clique
+// forest creates them. Parent[i] indexes the bag this bag attaches to,
+// always below i, or is -1 for a root. Width is the treewidth, the
+// largest bag's size minus one.
 type TreeDecomposition struct {
-	Order  []int32
 	Bags   [][]int32
 	Parent []int32
 	Width  int
 }
 
-// Decompose builds a tree decomposition of the chordal graph g from its
-// PEO: each vertex's bag is itself plus its later neighbors, attached to
-// the bag of its earliest later neighbor.
+// Decompose returns the clique tree of the chordal graph g, read from
+// its clique forest (verify.CliqueForest).
 func Decompose(g *graph.Graph) (*TreeDecomposition, error) {
-	order, err := PEO(g)
+	f, width, err := cliqueForest(g)
 	if err != nil {
 		return nil, err
 	}
-	n := g.NumVertices()
-	pos := make([]int32, n)
-	for i, v := range order {
-		pos[v] = int32(i)
-	}
-	later := laterNeighbors(g, order)
 	td := &TreeDecomposition{
-		Order:  order,
-		Bags:   make([][]int32, n),
-		Parent: make([]int32, n),
-		Width:  0,
+		Bags:   make([][]int32, f.Len()),
+		Parent: make([]int32, f.Len()),
+		Width:  width,
 	}
-	for i, v := range order {
-		bag := append([]int32{v}, later[v]...)
-		td.Bags[i] = bag
-		if len(bag)-1 > td.Width {
-			td.Width = len(bag) - 1
-		}
-		// Parent bag: the later neighbor earliest in the order.
-		td.Parent[i] = -1
-		var bestPos int32 = -1
-		for _, w := range later[v] {
-			if bestPos == -1 || pos[w] < bestPos {
-				bestPos = pos[w]
-			}
-		}
-		if bestPos >= 0 {
-			td.Parent[i] = bestPos
-		}
+	for c := range f.Len() {
+		td.Bags[c] = f.Clique(c)
+		td.Parent[c] = int32(f.Parent(c))
 	}
 	return td, nil
 }
 
-// Treewidth returns the treewidth of the chordal graph g (max clique
-// size minus one).
-func Treewidth(g *graph.Graph) (int, error) {
-	order, err := PEO(g)
-	if err != nil {
-		return 0, err
-	}
-	return TreewidthFromPEO(g, order), nil
-}
-
-// TreewidthFromPEO is Treewidth for a caller that already holds a
-// perfect elimination ordering of g; the ordering is trusted, not
-// checked. The width is the largest later neighborhood, the same bag
-// size Decompose reports, found in O(V + E) without building bags.
+// TreewidthFromPEO returns the treewidth of g from a perfect
+// elimination ordering of it; the ordering is trusted, not checked.
+// The width is the largest later neighborhood, the width Decompose
+// reports, found in O(V + E) without building bags. It is the test
+// oracle of the width verify.PEO returns.
 func TreewidthFromPEO(g *graph.Graph, order []int32) int {
 	pos := make([]int32, len(order))
 	for i, v := range order {
@@ -204,69 +158,4 @@ func TreewidthFromPEO(g *graph.Graph, order []int32) int {
 		width = max(width, later)
 	}
 	return width
-}
-
-// MaximalCliques enumerates the maximal cliques of the chordal graph g
-// (a chordal graph has at most |V| of them). Each clique is {v} ∪
-// later(v) for vertices v whose clique is not contained in a
-// predecessor's clique.
-func MaximalCliques(g *graph.Graph) ([][]int32, error) {
-	order, err := PEO(g)
-	if err != nil {
-		return nil, err
-	}
-	n := g.NumVertices()
-	pos := make([]int32, n)
-	for i, v := range order {
-		pos[v] = int32(i)
-	}
-	later := laterNeighbors(g, order)
-	var cliques [][]int32
-	for i, v := range order {
-		// The clique of v is maximal unless some earlier vertex u in
-		// the PEO has {v} ∪ later(v) ⊆ {u} ∪ later(u). Standard test:
-		// v's clique is dominated iff some neighbor u before v in the
-		// order has later-neighborhood of size |later(v)| + 1 whose
-		// members include v and all of later(v); equivalently check
-		// the immediately preceding attachment. Use the classical
-		// counting criterion: clique is maximal iff no earlier
-		// neighbor u of v satisfies |later(u)| >= |later(v)|+1 and
-		// later(u) ⊇ {v} ∪ later(v).
-		dominated := false
-		for _, u := range g.Neighbors(v) {
-			if pos[u] < int32(i) && len(later[u]) >= len(later[v])+1 {
-				if containsAll(later[u], v, later[v]) {
-					dominated = true
-					break
-				}
-			}
-		}
-		if !dominated {
-			cliques = append(cliques, append([]int32{v}, later[v]...))
-		}
-	}
-	return cliques, nil
-}
-
-// containsAll reports whether set (a later-neighbor list) contains v and
-// every element of rest. Membership is tested by linear scan; later
-// lists are clique-sized, so this stays near-linear overall.
-func containsAll(set []int32, v int32, rest []int32) bool {
-	contains := func(x int32) bool {
-		for _, y := range set {
-			if y == x {
-				return true
-			}
-		}
-		return false
-	}
-	if !contains(v) {
-		return false
-	}
-	for _, x := range rest {
-		if !contains(x) {
-			return false
-		}
-	}
-	return true
 }

@@ -1,9 +1,9 @@
 package chordalalg
 
 import (
-	"sort"
+	"fmt"
+	"slices"
 	"testing"
-	"testing/quick"
 
 	"chordal/internal/core"
 	"chordal/internal/graph"
@@ -120,58 +120,137 @@ func TestColoringProperAndOptimal(t *testing.T) {
 		if k != len(clique) {
 			t.Fatalf("seed %d: colors %d != clique %d", seed, k, len(clique))
 		}
-		kk, err := ChromaticNumber(g)
-		if err != nil || kk != k {
-			t.Fatalf("ChromaticNumber %d/%v vs %d", kk, err, k)
-		}
 	}
 }
 
-func TestMaxCliqueMatchesBruteForce(t *testing.T) {
-	// On small random chordal graphs the PEO-based clique must match
-	// exhaustive search.
-	f := func(seed uint64, mRaw uint16) bool {
-		g := randomChordal(14, 2+int(mRaw%80), seed)
-		clique, err := MaxClique(g)
-		if err != nil {
-			return false
-		}
-		return len(clique) == bruteForceClique(g)
+// FuzzCliqueTree checks Decompose and MaxClique against subset
+// enumeration on random chordal graphs of 14 vertices: the bags are
+// exactly the maximal cliques and form a clique tree, MaxClique returns
+// a largest one, and the width is its size minus one, which is also
+// the width verify.PEO reports.
+func FuzzCliqueTree(f *testing.F) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		f.Add(seed, uint16(seed*37))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	f.Fuzz(func(t *testing.T, seed uint64, mRaw uint16) {
+		g := randomChordal(14, 2+int(mRaw%80), seed)
+		td, err := Decompose(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCliqueTree(t, g, td)
+		got := make([]uint32, len(td.Bags))
+		for i, bag := range td.Bags {
+			for _, v := range bag {
+				got[i] |= 1 << v
+			}
+		}
+		slices.Sort(got)
+		if want := bruteForceMaximalCliques(g); !slices.Equal(got, want) {
+			t.Fatalf("bags %v, maximal cliques (bitmasks) %b", td.Bags, want)
+		}
+		clique, err := MaxClique(g)
+		if err != nil || !isCliqueIn(g, clique) {
+			t.Fatalf("MaxClique = %v, %v", clique, err)
+		}
+		_, width, _ := verify.PEO(g)
+		if td.Width != len(clique)-1 || td.Width != width {
+			t.Fatalf("width %d, max clique %v, verify.PEO width %d", td.Width, clique, width)
+		}
+	})
+}
+
+// bruteForceMaximalCliques returns the maximal cliques of g (at most 32
+// vertices) as ascending vertex bitmasks, by enumerating every vertex
+// subset.
+func bruteForceMaximalCliques(g *graph.Graph) []uint32 {
+	n := g.NumVertices()
+	adj := make([]uint32, n)
+	for v := range adj {
+		for _, w := range g.Neighbors(int32(v)) {
+			adj[v] |= 1 << w
+		}
+	}
+	var out []uint32
+	for mask := uint32(1); mask < 1<<n; mask++ {
+		clique, extendable := true, false
+		for v := 0; v < n; v++ {
+			if bit := uint32(1) << v; mask&bit != 0 {
+				clique = clique && mask&^bit&^adj[v] == 0
+			} else if mask&^adj[v] == 0 {
+				extendable = true
+			}
+		}
+		if clique && !extendable {
+			out = append(out, mask)
+		}
+	}
+	return out
+}
+
+// checkCliqueTree requires td to be a clique tree of the chordal graph
+// g: every bag is a maximal clique and no two bags are equal, every
+// edge lies in a bag, the bags that hold any one vertex form one
+// subtree, each parent is numbered below its child, and the width is
+// the largest bag's size minus one and TreewidthFromPEO's.
+func checkCliqueTree(t *testing.T, g *graph.Graph, td *TreeDecomposition) {
+	t.Helper()
+	if len(td.Parent) != len(td.Bags) {
+		t.Fatalf("%d parents for %d bags", len(td.Parent), len(td.Bags))
+	}
+	holds := make([]map[int32]bool, len(td.Bags))
+	seen := make(map[string]bool, len(td.Bags))
+	maxBag := 0
+	for i, bag := range td.Bags {
+		if !isMaximalCliqueIn(g, bag) {
+			t.Fatalf("bag %d = %v is not a maximal clique", i, bag)
+		}
+		sorted := slices.Clone(bag)
+		slices.Sort(sorted)
+		key := fmt.Sprint(sorted)
+		if seen[key] {
+			t.Fatalf("bag %d = %v repeats an earlier bag", i, bag)
+		}
+		seen[key] = true
+		if p := td.Parent[i]; p < -1 || int(p) >= i {
+			t.Fatalf("bag %d has parent %d, want -1 or below %d", i, p, i)
+		}
+		holds[i] = make(map[int32]bool, len(bag))
+		for _, v := range bag {
+			holds[i][v] = true
+		}
+		maxBag = max(maxBag, len(bag))
+	}
+	// The bags holding v form one subtree exactly when one of them has
+	// no parent that holds v.
+	tops := make([]int, g.NumVertices())
+	for i, bag := range td.Bags {
+		for _, v := range bag {
+			if p := td.Parent[i]; p < 0 || !holds[p][v] {
+				tops[v]++
+			}
+		}
+	}
+	for v, k := range tops {
+		if k != 1 {
+			t.Fatalf("the bags holding vertex %d form %d subtrees, want 1", v, k)
+		}
+	}
+	g.Edges(func(u, v int32) {
+		for i := range td.Bags {
+			if holds[i][u] && holds[i][v] {
+				return
+			}
+		}
+		t.Fatalf("edge {%d,%d} lies in no bag", u, v)
+	})
+	order, err := PEO(g)
+	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-// bruteForceClique finds the maximum clique size by subset enumeration
-// (n <= ~20).
-func bruteForceClique(g *graph.Graph) int {
-	n := g.NumVertices()
-	best := 0
-	for mask := 0; mask < 1<<n; mask++ {
-		var members []int32
-		for v := 0; v < n; v++ {
-			if mask&(1<<v) != 0 {
-				members = append(members, int32(v))
-			}
-		}
-		if len(members) <= best {
-			continue
-		}
-		ok := true
-		for i := 0; i < len(members) && ok; i++ {
-			for j := i + 1; j < len(members); j++ {
-				if !g.HasEdge(members[i], members[j]) {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
-			best = len(members)
-		}
+	if want := TreewidthFromPEO(g, order); td.Width != want || td.Width != maxBag-1 {
+		t.Fatalf("width %d, TreewidthFromPEO %d, largest bag %d", td.Width, want, maxBag)
 	}
-	return best
 }
 
 func TestDecomposeValidity(t *testing.T) {
@@ -181,89 +260,33 @@ func TestDecomposeValidity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := g.NumVertices()
-		if len(td.Bags) != n || len(td.Parent) != n {
-			t.Fatal("decomposition size mismatch")
-		}
-		// Property 1: every vertex appears in some bag (its own).
-		inBag := make([]bool, n)
-		for _, bag := range td.Bags {
-			for _, v := range bag {
-				inBag[v] = true
-			}
-		}
-		for v, ok := range inBag {
-			if !ok {
-				t.Fatalf("vertex %d missing from all bags", v)
-			}
-		}
-		// Property 2: every edge is inside some bag.
-		g.Edges(func(u, v int32) {
-			for _, bag := range td.Bags {
-				hasU, hasV := false, false
-				for _, x := range bag {
-					if x == u {
-						hasU = true
-					}
-					if x == v {
-						hasV = true
-					}
-				}
-				if hasU && hasV {
-					return
-				}
-			}
-			t.Fatalf("edge {%d,%d} not covered by any bag", u, v)
-		})
-		// Width consistency: width+1 = max bag, and equals clique size.
-		maxBag := 0
-		for _, bag := range td.Bags {
-			if len(bag) > maxBag {
-				maxBag = len(bag)
-			}
-		}
-		if td.Width != maxBag-1 {
-			t.Fatalf("width %d vs max bag %d", td.Width, maxBag)
-		}
-		clique, _ := MaxClique(g)
-		if td.Width != len(clique)-1 {
+		checkCliqueTree(t, g, td)
+		if clique, _ := MaxClique(g); td.Width != len(clique)-1 {
 			t.Fatalf("treewidth %d != clique-1 %d", td.Width, len(clique)-1)
-		}
-		tw, err := Treewidth(g)
-		if err != nil || tw != td.Width {
-			t.Fatalf("Treewidth %d/%v", tw, err)
-		}
-		// Parents point forward in the order.
-		for i, p := range td.Parent {
-			if p >= 0 && int(p) <= i {
-				t.Fatalf("bag %d parent %d not later", i, p)
-			}
 		}
 	}
 }
 
+// TestMaximalCliquesCoverAndAreCliques requires Decompose's bags, the
+// maximal cliques, to be cliques that cover every edge, at most one per
+// vertex, with the largest as large as MaxClique's.
 func TestMaximalCliquesCoverAndAreCliques(t *testing.T) {
 	g := randomChordal(60, 400, 6)
-	cliques, err := MaximalCliques(g)
+	td, err := Decompose(g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cliques := td.Bags
 	if len(cliques) == 0 || len(cliques) > g.NumVertices() {
 		t.Fatalf("%d maximal cliques for %d vertices", len(cliques), g.NumVertices())
 	}
 	// Each is a clique; the largest matches MaxClique.
 	best := 0
 	for _, c := range cliques {
-		for i := 0; i < len(c); i++ {
-			for j := i + 1; j < len(c); j++ {
-				if !g.HasEdge(c[i], c[j]) {
-					t.Fatal("reported clique is not a clique")
-				}
-			}
+		if !isCliqueIn(g, c) {
+			t.Fatal("reported clique is not a clique")
 		}
-		if len(c) > best {
-			best = len(c)
-		}
+		best = max(best, len(c))
 	}
 	mc, _ := MaxClique(g)
 	if best != len(mc) {
@@ -272,16 +295,7 @@ func TestMaximalCliquesCoverAndAreCliques(t *testing.T) {
 	// Every edge lies in some maximal clique.
 	g.Edges(func(u, v int32) {
 		for _, c := range cliques {
-			hasU, hasV := false, false
-			for _, x := range c {
-				if x == u {
-					hasU = true
-				}
-				if x == v {
-					hasV = true
-				}
-			}
-			if hasU && hasV {
+			if slices.Contains(c, u) && slices.Contains(c, v) {
 				return
 			}
 		}
@@ -290,19 +304,17 @@ func TestMaximalCliquesCoverAndAreCliques(t *testing.T) {
 }
 
 func TestMaximalCliquesK4(t *testing.T) {
-	cliques, err := MaximalCliques(complete(4))
+	td, err := Decompose(complete(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cliques) != 1 || len(cliques[0]) != 4 {
-		t.Fatalf("K4 maximal cliques: %v", cliques)
+	if len(td.Bags) != 1 || len(td.Bags[0]) != 4 || td.Parent[0] != -1 {
+		t.Fatalf("K4 clique tree: bags %v, parents %v", td.Bags, td.Parent)
 	}
-	c := append([]int32(nil), cliques[0]...)
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-	for i, v := range c {
-		if v != int32(i) {
-			t.Fatalf("K4 clique %v", c)
-		}
+	c := slices.Clone(td.Bags[0])
+	slices.Sort(c)
+	if !slices.Equal(c, []int32{0, 1, 2, 3}) {
+		t.Fatalf("K4 clique %v", c)
 	}
 }
 

@@ -58,8 +58,8 @@ func isMaximalCliqueIn(g *graph.Graph, c []int32) bool {
 	return true
 }
 
-// TestMaximalCliquesTable pins MaximalCliques on fixtures with known
-// clique structure: a k-tree on n vertices has exactly n-k maximal
+// TestMaximalCliquesTable pins Decompose's bags, the maximal cliques,
+// on fixtures with known clique structure: a k-tree on n vertices has exactly n-k maximal
 // cliques, all of size k+1 (the seed clique plus one per attached
 // vertex); a path on n vertices has n-1 maximal cliques (its edges);
 // a complete graph has one. Every reported clique must be a genuinely
@@ -80,10 +80,11 @@ func TestMaximalCliquesTable(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			cliques, err := MaximalCliques(c.g)
+			td, err := Decompose(c.g)
 			if err != nil {
 				t.Fatal(err)
 			}
+			cliques := td.Bags
 			if len(cliques) != c.wantCount {
 				t.Fatalf("%d maximal cliques, want %d", len(cliques), c.wantCount)
 			}
@@ -117,10 +118,10 @@ func TestMaximalCliquesTable(t *testing.T) {
 }
 
 // TestDecomposeKTreeTable pins Decompose on k-trees, whose treewidth is
-// exactly k by construction: the decomposition's width must equal k,
-// every bag must be a clique, every edge must live inside at least one
-// bag, and parent links must point strictly later in the elimination
-// order (roots at -1) — the structural invariants of a clique tree.
+// exactly k by construction: the width must equal k, and the bags must
+// form a clique tree (checkCliqueTree): maximal cliques that cover
+// every edge, each vertex's bags one subtree, each parent numbered
+// below its child.
 func TestDecomposeKTreeTable(t *testing.T) {
 	cases := []struct {
 		name string
@@ -142,48 +143,7 @@ func TestDecomposeKTreeTable(t *testing.T) {
 			if td.Width != c.k {
 				t.Fatalf("width %d, want %d", td.Width, c.k)
 			}
-			n := c.g.NumVertices()
-			if len(td.Bags) != n || len(td.Parent) != n || len(td.Order) != n {
-				t.Fatalf("decomposition sizes bags=%d parent=%d order=%d, want %d each",
-					len(td.Bags), len(td.Parent), len(td.Order), n)
-			}
-			// Each vertex's bag is indexed by its order position and
-			// starts with the vertex itself.
-			inBag := make(map[[2]int32]bool)
-			for i, bag := range td.Bags {
-				if len(bag) == 0 || bag[0] != td.Order[i] {
-					t.Fatalf("bag %d = %v does not lead with order[%d]=%d", i, bag, i, td.Order[i])
-				}
-				if !isCliqueIn(c.g, bag) {
-					t.Fatalf("bag %v is not a clique", bag)
-				}
-				if p := td.Parent[i]; p != -1 && (p <= int32(i) || int(p) >= n) {
-					t.Fatalf("bag %d parent %d not strictly later in the order", i, p)
-				}
-				for _, v := range bag {
-					inBag[[2]int32{int32(i), v}] = true
-				}
-			}
-			// Edge coverage: {v, w} must appear together in the bag of
-			// whichever endpoint comes first in the elimination order.
-			pos := make([]int32, n)
-			for i, v := range td.Order {
-				pos[v] = int32(i)
-			}
-			for v := 0; v < n; v++ {
-				for _, w := range c.g.Neighbors(int32(v)) {
-					if w < int32(v) {
-						continue
-					}
-					first := pos[v]
-					if pos[w] < first {
-						first = pos[w]
-					}
-					if !inBag[[2]int32{first, int32(v)}] || !inBag[[2]int32{first, w}] {
-						t.Fatalf("edge {%d,%d} not covered by bag %d", v, w, first)
-					}
-				}
-			}
+			checkCliqueTree(t, c.g, td)
 		})
 	}
 }

@@ -386,27 +386,6 @@ func (s *Scheduler) AdmitSession(tenantName string) error {
 	return nil
 }
 
-// FreeQueue reports how many more tickets the named tenant could
-// enqueue right now before hitting its own or the global pending bound
-// — a conservative capacity snapshot (it consumes no rate tokens and
-// another submitter may race it) used by the batch fan-out to shed
-// oversized batches up front.
-func (s *Scheduler) FreeQueue(tenantName string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := s.tenantLocked(tenantName)
-	free := s.maxQueue(t) - len(t.queue)
-	if s.cfg.MaxQueue > 0 {
-		if g := s.cfg.MaxQueue - s.queued; g < free {
-			free = g
-		}
-	}
-	if free < 0 {
-		free = 0
-	}
-	return free
-}
-
 // CheckCapacity reports whether n more enqueues could overflow the
 // tenant's or the global pending bound, as a *ShedError carrying the
 // usual drain-rate Retry-After hint (nil when there is room). It is

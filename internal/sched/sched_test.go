@@ -160,7 +160,8 @@ func TestTenantQuota(t *testing.T) {
 }
 
 // TestQueueBounds pins both shed paths: the per-tenant bound, then the
-// global bound, each with a positive clamped Retry-After.
+// global bound, each with a positive clamped Retry-After, and
+// CheckCapacity's report of both.
 func TestQueueBounds(t *testing.T) {
 	s := New(clockConfig(newFakeClock(), Config{
 		Slots:    1,
@@ -189,8 +190,13 @@ func TestQueueBounds(t *testing.T) {
 	if got := s.Stats().Shed; got != 2 {
 		t.Fatalf("stats shed = %d, want 2", got)
 	}
-	if free := s.FreeQueue("other"); free != 0 {
-		t.Fatalf("FreeQueue with a full global queue = %d, want 0", free)
+	// CheckCapacity reports the same two bounds without enqueueing: the
+	// tenant bound first, then the global one.
+	if err := s.CheckCapacity("other", 1); !errors.As(err, &shed) || shed.Reason != ShedGlobalQueueFull {
+		t.Fatalf("CheckCapacity with a full global queue: err %v, want ShedGlobalQueueFull", err)
+	}
+	if err := s.CheckCapacity("small", 1); !errors.As(err, &shed) || shed.Reason != ShedTenantQueueFull {
+		t.Fatalf("CheckCapacity with a full tenant queue: err %v, want ShedTenantQueueFull", err)
 	}
 }
 

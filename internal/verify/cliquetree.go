@@ -9,7 +9,7 @@ import (
 	"chordal/internal/graph"
 )
 
-// cliqueForest is a clique tree per connected component of a chordal
+// CliqueForest is a clique tree per connected component of a chordal
 // graph, built in one pass over its maximum cardinality search (Blair &
 // Peyton, "An introduction to chordal graphs and clique trees", 1993).
 // Walking the MCS visit order, a vertex whose number of earlier-visited
@@ -21,13 +21,18 @@ import (
 // new tree. The rule holds for an MCS order only; an arbitrary perfect
 // elimination ordering breaks it.
 //
+// The cliques are exactly the maximal cliques of the graph, and the
+// cliques that hold any one vertex form a subtree. The maximality audit
+// tests absent edges on the forest (canAdd), and chordalalg reads its
+// maximum clique and clique tree from it (Len, Clique, Parent).
+//
 // Cliques are numbered in creation order, so a parent's number is below
 // its children's. Clique c is the union of its separator
 // sep[sepOff[c]:sepOff[c+1]] (ascending ids) and its own vertices, the
 // run visit[ownOff[c]:ownOff[c+1]] of the visit order. Every array is
 // flat: the forest takes O(V+E) space plus the binary-lifting tables,
 // O(cliques · log depth).
-type cliqueForest struct {
+type CliqueForest struct {
 	visit []int32 // MCS visit order: the PEO reversed
 	// clique[v] is the clique v joined when visited. It is the top of
 	// the subtree of cliques that contain v: every later clique that
@@ -45,12 +50,12 @@ type cliqueForest struct {
 	mark *bitset.Epoch
 }
 
-// newCliqueForest builds the clique forest of the chordal graph sub
+// NewCliqueForest builds the clique forest of the chordal graph sub
 // from peo, the MCS order of sub as PEO returns it (the visit order
-// reversed).
-func newCliqueForest(sub *graph.Graph, peo []int32) *cliqueForest {
+// reversed), in O(V+E) plus the lifting tables.
+func NewCliqueForest(sub *graph.Graph, peo []int32) *CliqueForest {
 	n := len(peo)
-	f := &cliqueForest{
+	f := &CliqueForest{
 		visit:  make([]int32, n),
 		clique: make([]int32, n),
 		mark:   bitset.NewEpoch(n),
@@ -130,6 +135,24 @@ func newCliqueForest(sub *graph.Graph, peo []int32) *cliqueForest {
 	return f
 }
 
+// Len returns the number of cliques in the forest.
+func (f *CliqueForest) Len() int { return len(f.ownOff) - 1 }
+
+// Clique returns a new slice holding the members of clique c: its
+// separator in ascending ids, then its own vertices in visit order.
+func (f *CliqueForest) Clique(c int) []int32 {
+	return slices.Concat(f.sep[f.sepOff[c]:f.sepOff[c+1]], f.visit[f.ownOff[c]:f.ownOff[c+1]])
+}
+
+// Parent returns the parent of clique c, which is numbered below c, or
+// -1 when c is the root of its tree.
+func (f *CliqueForest) Parent(c int) int {
+	if p := int(f.up[c*f.levels]); p != c {
+		return p
+	}
+	return -1
+}
+
 // canAdd reports whether the absent edge {u, v} can join the graph
 // without breaking chordality (Ibarra, "Fully dynamic algorithms for
 // chordal graphs and split graphs", ACM TALG 2008): exactly when u and
@@ -140,7 +163,7 @@ func newCliqueForest(sub *graph.Graph, peo []int32) *cliqueForest {
 // the other, the two tops are the nearest pair; otherwise the nearest
 // clique to the deeper top is its deepest ancestor holding the other
 // endpoint. Costs O(log n · log ω + ω).
-func (f *cliqueForest) canAdd(u, v int32) bool {
+func (f *CliqueForest) canAdd(u, v int32) bool {
 	a, b := f.clique[u], f.clique[v]
 	if f.root[a] != f.root[b] {
 		return true
@@ -165,7 +188,7 @@ func (f *cliqueForest) canAdd(u, v int32) bool {
 
 // climb returns the ancestor d levels above clique x and the lightest
 // tree edge on the way (math.MaxInt32 when d is 0).
-func (f *cliqueForest) climb(x, d int32) (int32, int32) {
+func (f *CliqueForest) climb(x, d int32) (int32, int32) {
 	lightest := int32(math.MaxInt32)
 	for k := 0; d > 0; k, d = k+1, d>>1 {
 		if d&1 != 0 {
@@ -178,7 +201,7 @@ func (f *cliqueForest) climb(x, d int32) (int32, int32) {
 }
 
 // lca returns the lowest common ancestor of two cliques of one tree.
-func (f *cliqueForest) lca(a, b int32) int32 {
+func (f *CliqueForest) lca(a, b int32) int32 {
 	if f.depth[a] < f.depth[b] {
 		a, b = b, a
 	}
@@ -201,7 +224,7 @@ func (f *cliqueForest) lca(a, b int32) int32 {
 // separator does, and those cliques form an unbroken run of x's
 // ancestors, so binary lifting climbs to the highest ancestor that
 // does not hold u and steps to its parent.
-func (f *cliqueForest) holder(x, u, top int32) int32 {
+func (f *CliqueForest) holder(x, u, top int32) int32 {
 	L := f.levels
 	for k := L - 1; k >= 0; k-- {
 		y := f.up[int(x)*L+k]
@@ -215,7 +238,7 @@ func (f *cliqueForest) holder(x, u, top int32) int32 {
 }
 
 // common returns |K_x ∩ K_y|.
-func (f *cliqueForest) common(x, y int32) int32 {
+func (f *CliqueForest) common(x, y int32) int32 {
 	f.mark.Clear()
 	for _, w := range f.sep[f.sepOff[x]:f.sepOff[x+1]] {
 		f.mark.Add(w)

@@ -20,7 +20,7 @@
 //
 // The maximality audit decides each absent edge on a clique forest
 // built from that MCS order (Blair & Peyton's clique tree, tested by
-// Ibarra's insertion criterion; see cliqueForest), in near-linear total
+// Ibarra's insertion criterion; see CliqueForest), in near-linear total
 // time.
 package verify
 
@@ -239,7 +239,7 @@ func AuditMaximalityFromPEO(ctx context.Context, g, sub *graph.Graph, peo []int3
 // two lists instead of a search per edge.
 func audit(ctx context.Context, g, sub *graph.Graph, order func() []int32, limit int) ([]MaximalityViolation, error) {
 	var (
-		forest *cliqueForest
+		forest *CliqueForest
 		out    []MaximalityViolation
 	)
 	merge := g.Sorted && sub.Sorted
@@ -267,7 +267,7 @@ func audit(ctx context.Context, g, sub *graph.Graph, order func() []int32, limit
 			}
 			tested++
 			if forest == nil {
-				forest = newCliqueForest(sub, order())
+				forest = NewCliqueForest(sub, order())
 			}
 			if forest.canAdd(u, v) {
 				out = append(out, MaximalityViolation{U: u, V: v})
