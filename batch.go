@@ -112,8 +112,10 @@ func (r *BatchResult) VerifyFailed() int {
 // path (concurrent writes to one file would race), fail their own item
 // without stopping the batch.
 //
-// On context cancellation, running items drain at their next stage or
-// iteration boundary and unstarted items fail with ctx.Err(); the
+// On context cancellation, running items drain at their next stage
+// boundary or kernel cancellation check (an iteration boundary, or
+// every 4096 parents of a one-worker sweep) and unstarted items fail
+// with ctx.Err(); the
 // returned error is ctx.Err() then and nil otherwise — per-item
 // failures live in the items, not the batch error. The result is
 // non-nil either way, with every item accounted for.

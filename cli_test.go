@@ -97,7 +97,7 @@ func TestExampleOutputs(t *testing.T) {
 	if err != nil {
 		t.Skip("go tool not on PATH")
 	}
-	for _, name := range []string{"cliques", "ordering"} {
+	for _, name := range []string{"cliques", "genecorrelation", "ordering", "quickstart"} {
 		t.Run(name, func(t *testing.T) {
 			readme, err := os.ReadFile(filepath.Join("examples", name, "README.md"))
 			if err != nil {

@@ -31,8 +31,9 @@
 //	GET    /healthz              liveness + occupancy
 //
 // SIGINT/SIGTERM shut the server down gracefully: listeners close,
-// in-flight jobs are canceled at their next iteration boundary, and
-// their worker goroutines drain before exit.
+// in-flight jobs are canceled at their kernel's next cancellation
+// check (an iteration boundary, or every 4096 parents at one worker),
+// and their worker goroutines drain before exit.
 package main
 
 import (

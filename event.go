@@ -58,7 +58,9 @@ type IterationEvent struct {
 	EdgesAccepted int64 `json:"edgesAccepted"`
 	// ScanWork is the total adjacency length scanned.
 	ScanWork int64 `json:"scanWork"`
-	// DurationMillis is the iteration's wall-clock time in milliseconds.
+	// DurationMillis is the iteration's wall-clock time in
+	// milliseconds. It is 0 for a one-worker extraction, which runs as
+	// one sweep with no per-iteration wall time; its counts are exact.
 	DurationMillis float64 `json:"durationMillis"`
 }
 

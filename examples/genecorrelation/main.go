@@ -42,8 +42,10 @@ func main() {
 	fmt.Printf("mean clustering coefficient: %.3f\n", analysis.GlobalClusteringCoefficient(g))
 	fmt.Printf("degree assortativity: %+.3f\n\n", analysis.DegreeAssortativity(g))
 
-	// 3. Extract the maximal chordal subgraph (the sampling step).
-	res, err := chordal.Extract(g, chordal.Options{StitchComponents: true})
+	// 3. Extract the maximal chordal subgraph (the sampling step). One
+	// worker makes the iteration count a function of the input; the
+	// edge set is the same at any width.
+	res, err := chordal.Extract(g, chordal.Options{Workers: 1, StitchComponents: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -63,11 +63,22 @@ func Extract(g *graph.Graph, opts Options) (*Result, error) {
 }
 
 // ExtractContext runs Algorithm 1 on g under ctx. Cancellation is
-// observed at iteration boundaries and by the stitch and repair
-// post-passes: when ctx is done, all worker goroutines of the current
-// iteration drain and ctx.Err() is returned, so a canceled job never
-// leaks workers.
+// observed by the kernel (at iteration boundaries, or every 4096
+// parents at one worker) and by the stitch and repair post-passes:
+// when ctx is done, all worker goroutines drain and ctx.Err() is
+// returned, so a canceled job never leaks workers.
+//
+// The default configuration at one worker (dataflow schedule, Opt,
+// ascending queue) runs as one ascending sweep over the parents
+// (sweep.go); every other configuration runs the frontier's passes.
+// Both produce the same edge set, chordal sets and iteration trace.
 func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result, error) {
+	return extract(ctx, g, opts, true)
+}
+
+// extract is ExtractContext. With sweep false it runs the frontier in
+// every configuration: the one-worker sweep's test oracle.
+func extract(ctx context.Context, g *graph.Graph, opts Options, sweep bool) (*Result, error) {
 	if g == nil {
 		return nil, fmt.Errorf("core: nil graph")
 	}
@@ -93,6 +104,38 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 		g = g.SortAdjacency()
 	}
 
+	start := time.Now()
+	var res *Result
+	var err error
+	if sweep && workers == 1 && variant == VariantOptimized &&
+		opts.Schedule == ScheduleDataflow && !opts.UnsortedQueue {
+		res, err = sweepExtract(ctx, g, opts)
+	} else {
+		res, err = frontierExtract(ctx, g, opts, variant, workers)
+	}
+	if err != nil {
+		return nil, err
+	}
+	res.Variant = variant
+	res.Schedule = opts.Schedule
+	res.Edges = res.collectEdges()
+	res.Total = time.Since(start)
+
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if opts.RepairMaximality || opts.StitchComponents {
+		if err := res.reconcile(ctx, g, opts); err != nil {
+			return nil, err
+		}
+	}
+	return res, nil
+}
+
+// frontierExtract runs the while loop of Algorithm 1 (lines 11-24) as
+// barrier-separated passes of the frontier, checking ctx at every
+// iteration boundary.
+func frontierExtract(ctx context.Context, g *graph.Graph, opts Options, variant Variant, workers int) (*Result, error) {
 	st := &state{
 		g:        g,
 		opt:      variant == VariantOptimized,
@@ -100,19 +143,14 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 		opts:     opts,
 		counters: parallel.NewPadded[workerCounters](workers),
 	}
-	start := time.Now()
 	st.initialize()
 
 	res := &Result{
-		NumVertices: n,
-		Variant:     variant,
-		Schedule:    opts.Schedule,
+		NumVertices: g.NumVertices(),
 		csetOff:     st.csetOff,
 		csetData:    st.csetData,
 		csetLen:     st.csetLen,
 	}
-
-	// The while loop of Algorithm 1 (lines 11-24).
 	for st.frontier.Len() > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -138,18 +176,6 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 			opts.OnIteration(res.Iterations[len(res.Iterations)-1])
 		}
 		st.frontier.Advance()
-	}
-
-	res.Edges = res.collectEdges()
-	res.Total = time.Since(start)
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if opts.RepairMaximality || opts.StitchComponents {
-		if err := res.reconcile(ctx, g, opts); err != nil {
-			return nil, err
-		}
 	}
 	return res, nil
 }

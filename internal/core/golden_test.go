@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"testing"
 
 	"chordal/internal/biogen"
+	"chordal/internal/graph"
 	"chordal/internal/rmat"
 	"chordal/internal/synth"
 )
@@ -16,7 +18,8 @@ import (
 // shows up here first; update the constants only after confirming the
 // new values are correct (chordality + maximality audits). Extraction
 // runs on one worker: with several, the iteration count depends on
-// thread timing.
+// thread timing. Both one-worker paths must reach the constants: the
+// sweep that Extract runs and the frontier, its oracle.
 func TestGoldenCounts(t *testing.T) {
 	type row struct {
 		name      string
@@ -24,28 +27,29 @@ func TestGoldenCounts(t *testing.T) {
 		chordal   int
 		iterCount int
 	}
-	var got []row
+	var got [2][]row
+	add := func(name string, g *graph.Graph) {
+		for i, sweep := range []bool{true, false} {
+			res, err := extract(context.Background(), g, Options{Workers: 1}, sweep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i] = append(got[i], row{name, g.NumEdges(), res.NumChordalEdges(), len(res.Iterations)})
+		}
+	}
 
 	for _, preset := range []rmat.Preset{rmat.ER, rmat.G, rmat.B} {
 		g, err := rmat.Generate(rmat.PresetParams(preset, 10, 20120910))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Extract(g, Options{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, row{preset.String(), g.NumEdges(), res.NumChordalEdges(), len(res.Iterations)})
+		add(preset.String(), g)
 	}
 	bg, err := biogen.Generate(biogen.PresetParams(biogen.GSE5140UNT, 64, 20120910))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Extract(bg, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, row{"GSE5140(UNT)/64", bg.NumEdges(), res.NumChordalEdges(), len(res.Iterations)})
+	add("GSE5140(UNT)/64", bg)
 
 	want := []row{
 		// Pinned after R-MAT sampling moved from per-worker to
@@ -63,12 +67,14 @@ func TestGoldenCounts(t *testing.T) {
 		// deterministic across runs, usual few §5 repairable edges.
 		{"GSE5140(UNT)/64", 9903, 1600, 12},
 	}
-	if len(got) != len(want) {
-		t.Fatalf("row count %d", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("row %d: got %+v, want %+v", i, got[i], want[i])
+	for p, path := range []string{"sweep", "frontier"} {
+		if len(got[p]) != len(want) {
+			t.Fatalf("%s: row count %d", path, len(got[p]))
+		}
+		for i := range want {
+			if got[p][i] != want[i] {
+				t.Errorf("%s: row %d: got %+v, want %+v", path, i, got[p][i], want[i])
+			}
 		}
 	}
 }
@@ -79,7 +85,8 @@ func TestGoldenCounts(t *testing.T) {
 // ScanWork), for every schedule × variant and both queue orders. A
 // change to the frontier that reorders or drops a queued parent moves
 // some iteration's counts, and with them the digest, even when the
-// final edge set survives.
+// final edge set survives. The Dataflow/Opt row runs twice: through
+// the one-worker sweep that Extract selects and through the frontier.
 func TestGoldenSchedule(t *testing.T) {
 	g := must(synth.WattsStrogatz(2000, 8, 0.1, 3, 1))
 	type row struct {
@@ -103,21 +110,28 @@ func TestGoldenSchedule(t *testing.T) {
 	for _, s := range allSchedules {
 		for _, v := range allVariants {
 			for _, unsorted := range []bool{false, true} {
-				res, err := Extract(g, Options{Workers: 1, Schedule: s, Variant: v, UnsortedQueue: unsorted})
-				if err != nil {
-					t.Fatal(err)
-				}
-				h := fnv.New64a()
-				for _, it := range res.Iterations {
-					fmt.Fprintf(h, "%d,%d,%d,%d;", it.QueueSize, it.EdgesTested, it.EdgesAccepted, it.ScanWork)
-				}
 				name := s.String() + "/" + v.String()
 				if unsorted {
 					name += "/unsorted"
 				}
-				got := row{len(res.Iterations), fmt.Sprintf("%016x", h.Sum64())}
-				if got != want[name] {
-					t.Errorf("%s: got %+v, want %+v", name, got, want[name])
+				opts := Options{Workers: 1, Schedule: s, Variant: v, UnsortedQueue: unsorted}
+				paths := []bool{true} // Extract's choice
+				if name == "Dataflow/Opt" {
+					paths = append(paths, false) // the frontier too
+				}
+				for _, sweep := range paths {
+					res, err := extract(context.Background(), g, opts, sweep)
+					if err != nil {
+						t.Fatal(err)
+					}
+					h := fnv.New64a()
+					for _, it := range res.Iterations {
+						fmt.Fprintf(h, "%d,%d,%d,%d;", it.QueueSize, it.EdgesTested, it.EdgesAccepted, it.ScanWork)
+					}
+					got := row{len(res.Iterations), fmt.Sprintf("%016x", h.Sum64())}
+					if got != want[name] {
+						t.Errorf("%s (sweep allowed %v): got %+v, want %+v", name, sweep, got, want[name])
+					}
 				}
 			}
 		}

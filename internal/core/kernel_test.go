@@ -18,12 +18,12 @@ func must(g *graph.Graph, err error) *graph.Graph {
 	return g
 }
 
-// benchExtract times one-worker extraction of g.
-func benchExtract(b *testing.B, g *graph.Graph) {
+// benchExtract times extraction of g at the given worker count.
+func benchExtract(b *testing.B, g *graph.Graph, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Extract(g, Options{Workers: 1})
+		res, err := Extract(g, Options{Workers: workers})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -33,31 +33,38 @@ func benchExtract(b *testing.B, g *graph.Graph) {
 	}
 }
 
-// BenchmarkExtractSkewedRMAT is one-worker extraction of a hub-heavy
-// scale-12 R-MAT graph, where the merge scans against large hub
-// chordal sets dominate.
+// BenchmarkExtractSkewedRMAT is one-worker extraction, the ascending
+// sweep, of a hub-heavy scale-12 R-MAT graph, where the merge scans
+// against large hub chordal sets dominate.
 func BenchmarkExtractSkewedRMAT(b *testing.B) {
 	g, err := rmat.Generate(rmat.PresetParams(rmat.B, 12, 42))
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchExtract(b, g)
+	benchExtract(b, g, 1)
 }
 
-// BenchmarkExtractDataflowSmallWorld is one-worker extraction of the
-// ring-lattice small world ws:20000:8:0.1: a long dependency chain
-// where most queued parents wait for their chordal sets to finalize,
-// so it measures how cheaply the frontier skips waiting parents (its
-// ready gate) against the subset tests themselves.
+// BenchmarkExtractDataflowSmallWorld is one-worker extraction, the
+// ascending sweep, of the ring-lattice small world ws:20000:8:0.1: a
+// long dependency chain, so beside its subset tests the sweep rebuilds
+// a trace of hundreds of frontier iterations.
 func BenchmarkExtractDataflowSmallWorld(b *testing.B) {
-	benchExtract(b, must(synth.WattsStrogatz(20000, 8, 0.1, 42, 1)))
+	benchExtract(b, must(synth.WattsStrogatz(20000, 8, 0.1, 42, 1)), 1)
 }
 
-// BenchmarkExtractDataflowSmallWorld100k is the same extraction at
-// ws:100000:8:0.1:7, the input of a kernel-ws operation, whose CSR and
-// chordal sets no longer fit in L2: about 700 dependent iterations in
-// which each lowest-parent advance reads a candidate that the subset
-// test has just brought into cache.
+// BenchmarkExtractDataflowSmallWorld100k is the same one-worker
+// extraction at ws:100000:8:0.1:7, the input of a kernel-ws operation,
+// whose CSR and chordal sets no longer fit in L2: each parent's subset
+// tests read its children's sets from scattered lines.
 func BenchmarkExtractDataflowSmallWorld100k(b *testing.B) {
-	benchExtract(b, must(synth.WattsStrogatz(100000, 8, 0.1, 7, 1)))
+	benchExtract(b, must(synth.WattsStrogatz(100000, 8, 0.1, 7, 1)), 1)
+}
+
+// BenchmarkExtractDataflowSmallWorld100kTwoWorkers runs the frontier on
+// the same input at two workers: about 700 barrier-separated passes in
+// which most queued parents wait for their chordal sets to become
+// final, so it measures how cheaply the frontier skips them (its ready
+// gate) against the subset tests and the barriers.
+func BenchmarkExtractDataflowSmallWorld100kTwoWorkers(b *testing.B) {
+	benchExtract(b, must(synth.WattsStrogatz(100000, 8, 0.1, 7, 1)), 2)
 }

@@ -16,6 +16,12 @@
 // The loop ends when the queue empties. The chordal edge list is read
 // off the final sets in (U, V) order by a counting sort.
 //
+// At one worker, the default configuration (dataflow schedule, Opt,
+// ascending queue) runs the same tests as one ascending sweep over the
+// parents instead, and rebuilds the iterations' statistics from
+// per-vertex activation times (sweep.go, DESIGN.md §3). Every other
+// configuration runs the iterations above.
+//
 // # Schedules and concurrency
 //
 // LP[w] is unique, so each vertex has exactly one writer at a time.
@@ -100,7 +106,8 @@ const (
 	// semantics under which the paper's Theorem 2 proof is sound; it
 	// yields a schedule-independent edge set. The iteration count is
 	// not independent: at two or more workers it depends on thread
-	// timing. At one worker, `benchrunner -exp pct` (scales 14-16, bio
+	// timing. At one worker it is a function of the input, and
+	// `benchrunner -exp pct` (scales 14-16, bio
 	// downscale 8) counts 8 iterations for RMAT-ER, 12-15 for RMAT-G,
 	// 15-21 for RMAT-B and 11-16 for the four gene networks.
 	ScheduleDataflow Schedule = iota
@@ -168,14 +175,20 @@ type Options struct {
 	StitchComponents bool
 	// OnEvent, when non-nil, receives every subset test: parent v,
 	// child w, and whether edge (v,w) was accepted. It is invoked
-	// concurrently unless Workers == 1. Intended for demonstrations and
-	// tests; it slows extraction.
+	// concurrently unless Workers == 1. At one worker under the default
+	// configuration the calls come by iteration, then by the queued
+	// parent whose visit ran the test, then child, then parent: the
+	// sweep buffers the tests and replays them in that order when it
+	// ends. Intended for demonstrations and tests; it slows extraction.
 	OnEvent func(iteration int, parent, child int32, accepted bool)
-	// OnIteration, when non-nil, receives each iteration's statistics as
-	// the iteration's barrier completes. It is called from the
-	// extraction goroutine (never concurrently with itself), so it is
-	// the cheap hook for progress reporting — the service layer streams
-	// these as server-sent events.
+	// OnIteration, when non-nil, receives each iteration's statistics,
+	// once per iteration and in order. It is called from the extraction
+	// goroutine (never concurrently with itself), so it is the cheap
+	// hook for progress reporting — the service layer streams these as
+	// server-sent events. At two or more workers, and under the
+	// ablations, each call follows its iteration's barrier. The
+	// one-worker sweep makes every call after the sweep ends, each after
+	// its iteration's OnEvent calls, with a Duration of 0.
 	OnIteration func(IterationStats)
 }
 
@@ -203,7 +216,9 @@ type IterationStats struct {
 	// ScanWork is the total adjacency length scanned, the per-iteration
 	// work measure consumed by the machine models.
 	ScanWork int64
-	// Duration is the wall-clock time of the iteration.
+	// Duration is the wall-clock time of the iteration. It is 0 when
+	// the one-worker sweep ran the extraction: the sweep has no
+	// per-iteration wall time, though its counts are exact.
 	Duration time.Duration
 }
 

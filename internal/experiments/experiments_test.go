@@ -76,13 +76,26 @@ func TestPctContent(t *testing.T) {
 	}
 }
 
+// TestFig7ShowsIterations checks Figure 7's table: it prints iteration
+// counts, says it extracts at one worker, and two runs print the same
+// text, every queue size included.
 func TestFig7ShowsIterations(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Fig7(&buf, tinyConfig()); err != nil {
-		t.Fatal(err)
+	run := func() string {
+		var buf bytes.Buffer
+		if err := Fig7(&buf, tinyConfig()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
 	}
-	if !strings.Contains(buf.String(), "iterations") {
+	first := run()
+	if !strings.Contains(first, "iterations") {
 		t.Fatal("Fig7 output missing iteration counts")
+	}
+	if header, _, _ := strings.Cut(first, "\n"); !strings.Contains(header, "(one worker)") {
+		t.Errorf("Fig7 header %q does not say it runs at one worker", header)
+	}
+	if second := run(); second != first {
+		t.Errorf("two Fig7 runs differ:\n%s\n%s", first, second)
 	}
 }
 

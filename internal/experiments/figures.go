@@ -218,11 +218,14 @@ func Fig6(w io.Writer, cfg Config) error {
 }
 
 // Fig7 regenerates Figure 7: queue sizes per iteration and iteration
-// counts, for the synthetic scales and the biological networks.
+// counts, for the synthetic scales and the biological networks. It
+// extracts at one worker, as Pct does: there the iteration trace is a
+// function of the input, while at two or more workers it depends on
+// thread timing.
 func Fig7(w io.Writer, cfg Config) error {
-	fmt.Fprintln(w, "== Figure 7: queue sizes and iteration counts ==")
+	fmt.Fprintln(w, "== Figure 7: queue sizes and iteration counts (one worker) ==")
 	row := func(name string, g *graph.Graph) error {
-		res, err := core.Extract(g, core.Options{})
+		res, err := core.Extract(g, core.Options{Workers: 1})
 		if err != nil {
 			return err
 		}

@@ -9,8 +9,9 @@
 //	                             optional "options" JSON field)
 //	GET    /v1/jobs/{id}         status + run report
 //	DELETE /v1/jobs/{id}         cancel a queued or running job; it
-//	                             drains at the next iteration boundary
-//	                             into the terminal "canceled" state with
+//	                             drains at the kernel's next
+//	                             cancellation check into the
+//	                             terminal "canceled" state with
 //	                             its budget tokens released
 //	GET    /v1/jobs/{id}/events  server-sent events: state changes, stage
 //	                             starts, per-iteration extraction progress
@@ -60,8 +61,10 @@
 // never oversubscribe the box. Each job runs its chordal.Spec through
 // a chordal.Runner under its own context derived from the server's
 // base context: shutdown cancels every in-flight extraction at its
-// next iteration boundary, and DELETE /v1/jobs/{id} cancels one job
-// the same way, releasing its budget tokens as its goroutine drains.
+// kernel's next cancellation check (an iteration boundary, or every
+// 4096 parents of a one-worker sweep), and DELETE /v1/jobs/{id}
+// cancels one job the same way, releasing its budget tokens as its
+// goroutine drains.
 //
 // Jobs are identified by the canonical encoding of their
 // chordal.Spec (Spec.Canonical): requests decode into a Spec, generator
@@ -749,10 +752,10 @@ func (s *Server) run(job *Job, upload *graph.Graph) {
 
 // handleCancel serves DELETE /v1/jobs/{id}: a queued or running job is
 // marked for cancellation and its context fired; the job goroutine
-// drains at the next iteration boundary into the terminal canceled
-// state, releasing its scheduler ticket (queued or dispatched) and
-// budget tokens. Cancelling an
-// already terminal job is a 409.
+// drains at the kernel's next cancellation check into the terminal
+// canceled state, releasing its scheduler ticket (queued or
+// dispatched) and budget tokens. Cancelling an already terminal job is
+// a 409.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.lookup(r.PathValue("id"))
 	if !ok {

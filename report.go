@@ -167,9 +167,10 @@ type ReportExtraction struct {
 	// Iterations is the extract loop's iteration count (parallel
 	// whole-graph engine; sharded runs report per-shard counts in
 	// Shard instead). It is a diagnostic, not part of the result: at
-	// two or more workers the dataflow count depends on thread timing
-	// while the edge set does not, and a cached chordald report carries
-	// the count of the run that filled the cache.
+	// one worker it is a function of the input, but at two or more the
+	// dataflow count depends on thread timing while the edge set does
+	// not, and a cached chordald report carries the count of the run
+	// that filled the cache.
 	Iterations int `json:"iterations,omitempty"`
 	// Variant and Schedule are the code path and test ordering actually
 	// used by the parallel engine.
