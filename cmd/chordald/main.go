@@ -1,9 +1,11 @@
 // Command chordald is the extraction service: a long-running HTTP
 // server that accepts graph uploads or generator Source specs, runs
-// chordal.Spec jobs with bounded concurrency under a weighted-fair
-// multi-tenant scheduler over a shared worker budget, caches generated
-// inputs and completed extractions by canonical spec, and streams
-// per-iteration progress as server-sent events.
+// chordal.Spec jobs on -jobs fixed-width slots (the -workers total
+// split evenly between them) under a weighted-fair multi-tenant
+// scheduler, caches generated inputs and completed extractions by
+// canonical spec, and streams per-iteration progress as server-sent
+// events. A job's workers option can narrow it below its slot's width
+// but not widen it; run -jobs 1 for one full-width job at a time.
 //
 // Usage:
 //
@@ -57,7 +59,7 @@ func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
 		jobs        = flag.Int("jobs", 2, "maximum concurrently running jobs")
-		workers     = flag.Int("workers", 0, "worker tokens shared across jobs (0 = all CPUs)")
+		workers     = flag.Int("workers", 0, "worker total split evenly over the -jobs slots (0 = all CPUs)")
 		inputCache  = flag.Int64("input-cache-bytes", 256<<20, "generated-input LRU byte budget, charged at CSR size (negative disables)")
 		resultCache = flag.Int64("result-cache-bytes", 256<<20, "completed-extraction LRU byte budget, charged at CSR size (negative disables)")
 		maxUpload   = flag.Int64("max-upload", 256<<20, "maximum multipart upload bytes")

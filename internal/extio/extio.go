@@ -164,6 +164,10 @@ func (m *MappedCSR) readRange(off, length int64, scratch []byte) ([]byte, error)
 
 // Offsets decodes offsets[lo..hi] (inclusive of hi, so hi-lo+1 values —
 // the CSR bounds of vertices [lo, hi)) into dst, reallocating as needed.
+// It checks what graph.ReadBinary checks of the same values: they never
+// decrease or pass the adjacency length, offsets[0] is 0 and offsets[n]
+// is the adjacency length, so every adjacency range they bound lies
+// inside the file.
 func (m *MappedCSR) Offsets(lo, hi int, dst []int64) ([]int64, error) {
 	if lo < 0 || hi > m.n || lo > hi {
 		return nil, fmt.Errorf("extio: offset range [%d, %d] out of [0, %d]", lo, hi, m.n)
@@ -177,13 +181,23 @@ func (m *MappedCSR) Offsets(lo, hi int, dst []int64) ([]int64, error) {
 		dst = make([]int64, count)
 	}
 	dst = dst[:count]
+	last := int64(0)
 	for i := range dst {
-		dst[i] = int64(binary.LittleEndian.Uint64(raw[i*8:]))
+		o := int64(binary.LittleEndian.Uint64(raw[i*8:]))
+		if o < last || o > m.adjLen {
+			return nil, fmt.Errorf("extio: offset %d at vertex %d decreases or passes the adjacency length %d", o, lo+i, m.adjLen)
+		}
+		dst[i] = o
+		last = o
+	}
+	if (lo == 0 && dst[0] != 0) || (hi == m.n && last != m.adjLen) {
+		return nil, fmt.Errorf("extio: offsets run from %d to %d, want 0 to the adjacency length %d", dst[0], last, m.adjLen)
 	}
 	return dst, nil
 }
 
-// adjacency decodes Adj[from:to) into dst, reallocating as needed.
+// adjacency decodes Adj[from:to) into dst, reallocating as needed,
+// and checks every entry is a vertex id in [0, n).
 func (m *MappedCSR) adjacency(from, to int64, dst []int32) ([]int32, error) {
 	count := to - from
 	raw, err := m.readRange(int64(headerSize)+int64(m.n+1)*8+from*4, count*4, nil)
@@ -195,7 +209,11 @@ func (m *MappedCSR) adjacency(from, to int64, dst []int32) ([]int32, error) {
 	}
 	dst = dst[:count]
 	for i := range dst {
-		dst[i] = int32(binary.LittleEndian.Uint32(raw[i*4:]))
+		a := int32(binary.LittleEndian.Uint32(raw[i*4:]))
+		if a < 0 || int(a) >= m.n {
+			return nil, fmt.Errorf("extio: adjacency entry %d is vertex %d, outside [0, %d)", from+int64(i), a, m.n)
+		}
+		dst[i] = a
 	}
 	return dst, nil
 }
@@ -205,7 +223,9 @@ func (m *MappedCSR) adjacency(from, to int64, dst []int32) ([]int32, error) {
 // touching only that range's slice of the offsets and adjacency arrays.
 // Adjacency lists are sorted, matching what graph.InducedSubgraph (the
 // in-memory sharded engine's slicer) produces via the Builder — the
-// byte-identity of the external engine depends on this.
+// byte-identity of the external engine depends on this. A shard that
+// fails graph.CheckSimpleSymmetric is an error; an edge whose reverse
+// is missing from another shard is not seen here.
 func (m *MappedCSR) Shard(lo, hi int32) (*graph.Graph, error) {
 	if lo < 0 || int(hi) > m.n || lo > hi {
 		return nil, fmt.Errorf("extio: shard range [%d, %d) out of [0, %d)", lo, hi, m.n)
@@ -243,13 +263,17 @@ func (m *MappedCSR) Shard(lo, hi int32) (*graph.Graph, error) {
 			slices.Sort(out)
 		}
 	}
+	if err := sub.CheckSimpleSymmetric(); err != nil {
+		return nil, fmt.Errorf("extio: shard [%d, %d), in shard-local ids: %w", lo, hi, err)
+	}
 	return sub, nil
 }
 
 // Graph decodes the entire file into an in-memory graph, byte-identical
-// to graph.ReadBinary. The single-shard driver path uses it: with one
-// partition there is nothing to stream, and the in-memory sharded
-// engine likewise runs the kernel on the whole graph uncopied.
+// to graph.ReadBinary and refused where it would be refused. The
+// single-shard driver path uses it: with one partition there is nothing
+// to stream, and the in-memory sharded engine likewise runs the kernel
+// on the whole graph uncopied.
 func (m *MappedCSR) Graph() (*graph.Graph, error) {
 	offs, err := m.Offsets(0, m.n, nil)
 	if err != nil {
@@ -265,7 +289,11 @@ func (m *MappedCSR) Graph() (*graph.Graph, error) {
 		offs = slices.Clone(offs)
 		adj = slices.Clone(adj)
 	}
-	return &graph.Graph{Offsets: offs, Adj: adj, Sorted: m.sorted}, nil
+	g := &graph.Graph{Offsets: offs, Adj: adj, Sorted: m.sorted}
+	if err := g.CheckSimpleSymmetric(); err != nil {
+		return nil, fmt.Errorf("extio: %w", err)
+	}
+	return g, nil
 }
 
 // edgeChunkAdj bounds the adjacency entries decoded per Edges chunk.

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"chordal/internal/core"
@@ -14,6 +15,7 @@ import (
 	"chordal/internal/partition"
 	"chordal/internal/rmat"
 	"chordal/internal/shard"
+	"chordal/internal/synth"
 )
 
 // testGraph generates a deterministic RMAT graph for the parity tests.
@@ -197,6 +199,74 @@ func TestOpenRejectsCorruptFiles(t *testing.T) {
 			if m, err := open(p); err == nil {
 				m.Close()
 				t.Errorf("%s/%s: corrupt file opened without error", name, opener)
+			}
+		}
+	}
+}
+
+// TestExtractRejectsCorruptArrays runs binary files whose header and
+// size are sound but whose arrays are not through both readers at one
+// and two shards: an offset raised past the next vertex's, an
+// adjacency entry outside the vertex range, and vertex 0 listing a
+// non-neighbour in place of its last neighbour. Each extraction must
+// fail with an error, as graph.ReadBinary fails on the same file,
+// instead of panicking or extracting from it.
+func TestExtractRejectsCorruptArrays(t *testing.T) {
+	g, err := synth.GNM(40, 100, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(writeBin(t, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	adjAt := func(i int64) int { return headerSize + 8*(n+1) + 4*int(i) }
+	// The substitute shares shard 0 of 2 with vertex 0, so the edge
+	// {0, x} lacks its reverse inside one shard.
+	x := int32(1)
+	for slices.Contains(g.Neighbors(0), x) {
+		x++
+	}
+	if int(x) >= n/2 {
+		t.Fatalf("no non-neighbour of vertex 0 below %d", n/2)
+	}
+	dir := t.TempDir()
+	corrupt := func(name string, edit func(b []byte)) string {
+		b := slices.Clone(raw)
+		edit(b)
+		path := filepath.Join(dir, name+".bin")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	files := map[string]string{
+		"raisedOffset": corrupt("offset", func(b []byte) {
+			binary.LittleEndian.PutUint64(b[headerSize+8*6:], uint64(g.Offsets[7]+1))
+		}),
+		"idOutOfRange": corrupt("id", func(b []byte) {
+			binary.LittleEndian.PutUint32(b[adjAt(int64(len(g.Adj)/2)):], 1_000_000)
+		}),
+		"missingReverse": corrupt("reverse", func(b []byte) {
+			binary.LittleEndian.PutUint32(b[adjAt(g.Offsets[1]-1):], uint32(x))
+		}),
+	}
+	for name, path := range files {
+		if _, err := graph.LoadFileWorkers(path, 1); err == nil {
+			t.Fatalf("%s: graph.ReadBinary accepted the file", name)
+		}
+		for opener, open := range map[string]func(string) (*MappedCSR, error){"mapped": Open, "fallback": OpenFallback} {
+			for _, shards := range []int{1, 2} {
+				m, err := open(path)
+				if err != nil {
+					t.Fatalf("%s/%s: %v (the header and size are sound)", name, opener, err)
+				}
+				_, err = Extract(context.Background(), m, Options{Options: shard.Options{Shards: shards}, SpillDir: t.TempDir()})
+				m.Close()
+				if err == nil {
+					t.Errorf("%s/%s shards=%d: extracted from a corrupt file without error", name, opener, shards)
+				}
 			}
 		}
 	}

@@ -43,8 +43,8 @@ func (b *Builder) Build() *Graph {
 }
 
 // BuildWorkers is Build bounded to the given worker count; workers <= 0
-// selects the automatic memory-budgeted count. Budget-leased callers
-// use this so graph materialization stays inside their lease.
+// selects the automatic memory-budgeted count. Width-bounded callers
+// use this so graph materialization stays inside their width.
 func (b *Builder) BuildWorkers(workers int) *Graph {
 	return buildFromEdges(b.n, b.us, b.vs, workers)
 }
@@ -155,8 +155,8 @@ func scatterSmaller[C int32 | int64](n, total, workers int, edgeOff []int64, edg
 
 // BuildFromEdgesWorkers is BuildFromEdges bounded to the given worker
 // count in every construction phase; workers <= 0 selects the automatic
-// memory-budgeted count. This is the entry point for budget-leased
-// callers: a service job granted k worker tokens materializes graphs at
+// memory-budgeted count. This is the entry point for width-bounded
+// callers: a service job in a slot of width k materializes graphs at
 // width k instead of machine width.
 func BuildFromEdgesWorkers(n int, us, vs []int32, workers int) *Graph {
 	return buildFromEdges(n, us, vs, workers)

@@ -148,12 +148,14 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// checkSimpleSymmetric verifies in O(V+E) that g, whose offsets and id
+// CheckSimpleSymmetric verifies in O(V+E) that g, whose offsets and id
 // ranges are already known good, has no self loops or repeated
 // neighbours, keeps every row ascending when marked sorted, and stores
-// every edge in both directions. ReadBinary runs it on every decode;
-// Validate stays the independent test oracle.
-func (g *Graph) checkSimpleSymmetric() error {
+// every edge in both directions. Both binary CSR readers run it on
+// every decode: ReadBinary on the whole graph, internal/extio on each
+// decoded shard and whole-graph decode. Validate stays the independent
+// test oracle.
+func (g *Graph) CheckSimpleSymmetric() error {
 	if g.Sorted {
 		return g.checkSortedSymmetric()
 	}
@@ -173,7 +175,7 @@ func (g *Graph) checkSimpleSymmetric() error {
 	return g.SortAdjacency().checkSortedSymmetric()
 }
 
-// checkSortedSymmetric is checkSimpleSymmetric for a graph marked
+// checkSortedSymmetric is CheckSimpleSymmetric for a graph marked
 // sorted. It keeps one cursor per vertex and walks v upward: each w > v
 // in v's row must list v at w's cursor, which then advances. At the end
 // every cursor must rest at its row's first neighbour larger than the
@@ -365,9 +367,8 @@ func SubgraphFromEdges(n int, us, vs []int32) *Graph {
 }
 
 // SubgraphFromEdgesWorkers is SubgraphFromEdges bounded to the given
-// worker count (<= 0 means the automatic width), so an extraction that
-// ran on a budget lease materializes its subgraph inside the same
-// lease.
+// worker count (<= 0 means the automatic width), so an extraction
+// bounded to k workers materializes its subgraph at the same width.
 func SubgraphFromEdgesWorkers(n int, us, vs []int32, workers int) *Graph {
 	if len(us) != len(vs) {
 		panic("graph: SubgraphFromEdges endpoint slices differ in length")

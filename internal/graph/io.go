@@ -418,7 +418,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 		rem -= k
 	}
 	g := &Graph{Offsets: offsets, Adj: adj, Sorted: sorted}
-	if err := g.checkSimpleSymmetric(); err != nil {
+	if err := g.CheckSimpleSymmetric(); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -555,7 +555,7 @@ func SaveFile(path string, g *Graph) error {
 // the extension as in SaveFile, with the text formats' parallel parse
 // and build bounded to the given worker count (<= 0 means machine
 // width). The pipeline's acquire stage uses this so file ingestion
-// respects a job's budget lease; binary CSR decodes on one goroutine.
+// respects a job's width; binary CSR decodes on one goroutine.
 func LoadFileWorkers(path string, maxWorkers int) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {

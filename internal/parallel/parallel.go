@@ -160,10 +160,10 @@ func ForVertices(n int, fn func(v int)) {
 }
 
 // ForVerticesN is ForVertices with an explicit upper bound on worker
-// goroutines, the hook that lets budget-leased callers (the service
-// layer grants each job a worker lease) keep per-vertex passes inside
-// their lease instead of spilling to machine width. workers <= 0
-// selects the automatic count.
+// goroutines, the hook that lets width-bounded callers (a service job
+// runs at its slot's width) keep per-vertex passes inside that width
+// instead of spilling to machine width. workers <= 0 selects the
+// automatic count.
 func ForVerticesN(n, workers int, fn func(v int)) {
 	const minChunk = 2048
 	w := WorkersFor(n, minChunk)

@@ -9,10 +9,10 @@ import (
 	"time"
 )
 
-// TestPoolRunsEveryAcceptedTask checks the core contract of Slots: on a
+// TestSlotsRunsEveryAcceptedTask checks the core contract of Slots: on a
 // live context every item is handed out and runs exactly once, with a
 // width inside the budget.
-func TestPoolRunsEveryAcceptedTask(t *testing.T) {
+func TestSlotsRunsEveryAcceptedTask(t *testing.T) {
 	const n = 64
 	var ran [n]atomic.Int32
 	started := Slots(context.Background(), n, 4, 2, func(i, width int) {
@@ -31,11 +31,11 @@ func TestPoolRunsEveryAcceptedTask(t *testing.T) {
 	}
 }
 
-// TestPoolStressConcurrentBatches drives the usage shape of
+// TestSlotsStressConcurrentBatches drives the usage shape of
 // chordal.Batch under -race: concurrent Slots calls, each with its own
 // budget. Within a call the slot widths sum exactly to the budget, so
 // the widths of its running items never oversubscribe it.
-func TestPoolStressConcurrentBatches(t *testing.T) {
+func TestSlotsStressConcurrentBatches(t *testing.T) {
 	var outer sync.WaitGroup
 	for batch := 0; batch < 8; batch++ {
 		outer.Add(1)
@@ -66,12 +66,12 @@ func TestPoolStressConcurrentBatches(t *testing.T) {
 	outer.Wait()
 }
 
-// TestPoolClampsSlots pins the slot count and the split: more slots
+// TestSlotsClampsSlots pins the slot count and the split: more slots
 // than budget tokens are clamped to one per token, slots <= 0 means one
 // per token, and otherwise the budget is split evenly with the
 // remainder on the first slots. A gate holds the first wave of items
 // until every slot is busy, so the wave's widths are the split.
-func TestPoolClampsSlots(t *testing.T) {
+func TestSlotsClampsSlots(t *testing.T) {
 	for _, tc := range []struct {
 		workers, slots int
 		widths         []int // the split, ascending
@@ -115,11 +115,11 @@ func TestPoolClampsSlots(t *testing.T) {
 	}
 }
 
-// TestPoolCancelDrains checks the cancellation contract: a dead
+// TestSlotsCancelDrains checks the cancellation contract: a dead
 // context hands out nothing, and canceling mid-run stops the hand-out,
 // lets running items finish, and reports exactly the items that ran —
 // no hang, no item run twice or after its refusal.
-func TestPoolCancelDrains(t *testing.T) {
+func TestSlotsCancelDrains(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if got := Slots(ctx, 8, 2, 2, func(i, _ int) { t.Errorf("item %d ran on a dead context", i) }); got != 0 {
@@ -157,6 +157,27 @@ func TestPoolCancelDrains(t *testing.T) {
 		}
 		if r, f := ran[i].Load(), finished[i].Load(); r != want || f != want {
 			t.Errorf("item %d ran %d and finished %d times, want %d", i, r, f, want)
+		}
+	}
+}
+
+// TestSlotWidths pins the split both Slots and the service's job slots
+// use: the total spread evenly, the remainder on the first slots, the
+// widths summing to the total. Callers clamp the slot count to the
+// total first, so every row has 1 <= slots <= total.
+func TestSlotWidths(t *testing.T) {
+	for _, tc := range []struct {
+		total, slots int
+		want         []int
+	}{
+		{8, 3, []int{3, 3, 2}},
+		{2, 2, []int{1, 1}},
+		{5, 5, []int{1, 1, 1, 1, 1}},
+		{5, 2, []int{3, 2}},
+		{4, 1, []int{4}},
+	} {
+		if got := SlotWidths(tc.total, tc.slots); !slices.Equal(got, tc.want) {
+			t.Errorf("SlotWidths(%d, %d) = %v, want %v", tc.total, tc.slots, got, tc.want)
 		}
 	}
 }

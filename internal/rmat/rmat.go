@@ -127,7 +127,7 @@ func (p Params) Validate() error {
 // the sampled edge multiset depends only on the Params, never on the
 // machine or on how many goroutines happened to run the chunks. That
 // invariance is what lets the service layer cache generated inputs by
-// canonical spec while granting each job a different worker lease.
+// canonical spec while running each job at a different worker width.
 const genChunks = 256
 
 // Generate produces the simple undirected graph described by p. Edges

@@ -12,7 +12,7 @@ import (
 // This file implements the batch surface: POST /v1/batches fans a list
 // of job requests out to the ordinary job store — every item becomes
 // (or joins) a regular job, so the result cache, single-flight dedup,
-// worker-budget leases and per-job cancel all apply unchanged — and the
+// fixed-width job slots and per-job cancel all apply unchanged — and the
 // batch endpoints aggregate over the member jobs: GET /v1/batches/{id}
 // snapshots every item's status, and /v1/batches/{id}/events streams
 // the members' SSE logs merged into one connection, each event wrapped

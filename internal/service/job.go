@@ -44,9 +44,7 @@ type JobStatus struct {
 	// the default tenant, keeping single-tenant responses unchanged.
 	Tenant string `json:"tenant,omitempty"`
 	// QueuePosition is the job's current 1-based place in its tenant's
-	// scheduler queue; present only while the job is queued there (a
-	// dispatched job waiting on its worker lease reports queued with
-	// no position).
+	// scheduler queue; present only while the job is queued there.
 	QueuePosition int `json:"queuePosition,omitempty"`
 	// Created, Started and Finished are lifecycle timestamps; Started
 	// and Finished are omitted until reached.
@@ -56,7 +54,7 @@ type JobStatus struct {
 	// Error is the failure message of a failed job.
 	Error string `json:"error,omitempty"`
 	// Report is the library's run report (chordal.Report) once the job
-	// is done: the normalized spec with the granted worker width, its
+	// is done: the normalized spec with the worker width it ran at, its
 	// canonical key, input statistics, the engine summary, the verify
 	// outcome, quality and per-stage timings. A service-side acquire
 	// leads the timings. A cache hit carries the report of the run that

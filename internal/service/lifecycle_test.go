@@ -92,42 +92,43 @@ func TestJobGC(t *testing.T) {
 }
 
 // TestGCSpareRunningJobs pins the sweep predicate: only terminal jobs
-// age out; a queued job blocked on the worker budget survives sweeps
-// far beyond its TTL.
+// age out; a running job held at the gate survives sweeps far beyond
+// its TTL.
 func TestGCSpareRunningJobs(t *testing.T) {
 	svc, ts := startServer(t, Config{JobTTL: 20 * time.Millisecond, Workers: 2})
-	hold := svc.budget.Lease(0) // starve the pool so the job stays queued
-	defer svc.budget.Release(hold)
+	holdGate(t)
 
-	st, _ := submitJSON(t, ts.URL, JobRequest{Source: "gnm:500:1500"})
+	st, _ := submitJSON(t, ts.URL, JobRequest{Source: "gnm:500:1500", Options: gated()})
 	time.Sleep(100 * time.Millisecond) // several sweep intervals
 	if removed := svc.gcSweep(time.Now()); removed != 0 {
-		t.Fatalf("sweep removed %d jobs while one was queued", removed)
+		t.Fatalf("sweep removed %d jobs while one was running", removed)
 	}
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var got JobStatus
+	json.NewDecoder(resp.Body).Decode(&got)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("queued job vanished: status %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK || got.State != StateRunning {
+		t.Fatalf("held job: status %d state %q, want 200 running", resp.StatusCode, got.State)
 	}
 }
 
 // TestSingleFlightDedup pins the cache-stampede fix: identical specs
 // submitted while the first is still executing share that execution
-// and its job id. The first job is held deterministically in its
-// budget lease wait so the duplicates must land mid-flight.
+// and its job id. The first job is held deterministically at the gate
+// so the duplicates must land mid-flight.
 func TestSingleFlightDedup(t *testing.T) {
-	svc, ts := startServer(t, Config{MaxConcurrent: 2, Workers: 2})
-	hold := svc.budget.Lease(0)
+	_, ts := startServer(t, Config{MaxConcurrent: 2, Workers: 2})
+	release := holdGate(t)
 
-	st1, code1 := submitJSON(t, ts.URL, JobRequest{Source: "gnm:2500:7500"})
+	st1, code1 := submitJSON(t, ts.URL, JobRequest{Source: "gnm:2500:7500", Options: gated()})
 	if code1 != http.StatusAccepted {
 		t.Fatalf("first submission: code %d", code1)
 	}
 	for i := 0; i < 4; i++ {
-		dup, code := submitJSON(t, ts.URL, JobRequest{Source: "GNM:2500:7500:42"})
+		dup, code := submitJSON(t, ts.URL, JobRequest{Source: "GNM:2500:7500:42", Options: gated()})
 		if dup.ID != st1.ID {
 			t.Fatalf("duplicate %d ran as its own job %s, want shared %s", i, dup.ID, st1.ID)
 		}
@@ -136,12 +137,12 @@ func TestSingleFlightDedup(t *testing.T) {
 		}
 	}
 	// A different spec is not absorbed.
-	other, _ := submitJSON(t, ts.URL, JobRequest{Source: "gnm:2500:7500:7"})
+	other, _ := submitJSON(t, ts.URL, JobRequest{Source: "gnm:2500:7500:7", Options: gated()})
 	if other.ID == st1.ID {
 		t.Fatal("distinct spec deduplicated onto the wrong job")
 	}
 
-	svc.budget.Release(hold)
+	release()
 	if _, done := followEvents(t, ts.URL, st1.ID); done.State != StateDone {
 		t.Fatalf("shared job finished %q (%s)", done.State, done.Error)
 	}
@@ -149,21 +150,21 @@ func TestSingleFlightDedup(t *testing.T) {
 		t.Fatalf("other job finished %q (%s)", done.State, done.Error)
 	}
 	// Post-flight, the same spec is a plain cache hit on the shared job.
-	hit, code := submitJSON(t, ts.URL, JobRequest{Source: "gnm:2500:7500"})
+	hit, code := submitJSON(t, ts.URL, JobRequest{Source: "gnm:2500:7500", Options: gated()})
 	if code != http.StatusOK || hit.ID != st1.ID {
 		t.Fatalf("post-flight: code %d id %s, want 200 on %s", code, hit.ID, st1.ID)
 	}
 }
 
-// TestCancelQueuedJob pins the DELETE endpoint end to end on a job
-// held deterministically in its budget-lease wait: cancel must drive
-// it to the terminal canceled state, release nothing it never leased,
-// and leave the budget fully usable for the next full-width job.
+// TestCancelQueuedJob pins the DELETE endpoint end to end on a running
+// job held deterministically at the gate: cancel must drive it to the
+// terminal canceled state and give its slot back, so the next job
+// runs at that slot's width.
 func TestCancelQueuedJob(t *testing.T) {
 	svc, ts := startServer(t, Config{MaxConcurrent: 2, Workers: 2})
-	hold := svc.budget.Lease(0)
+	holdGate(t)
 
-	st, _ := submitJSON(t, ts.URL, JobRequest{Source: "gnm:3000:9000"})
+	st, _ := submitJSON(t, ts.URL, JobRequest{Source: "gnm:3000:9000", Options: gated()})
 	got, code := doDelete(t, ts.URL, st.ID)
 	if code != http.StatusAccepted {
 		t.Fatalf("DELETE: code %d, want 202", code)
@@ -181,9 +182,16 @@ func TestCancelQueuedJob(t *testing.T) {
 		t.Fatalf("second DELETE: code %d, want 409", code)
 	}
 
-	// The canceled job leased nothing, so after releasing the hold a
-	// full-width request must get every token and complete.
-	svc.budget.Release(hold)
+	// The canceled job gives its slot and width back as its goroutine
+	// drains; a request for every worker then runs at its slot's width.
+	deadline := time.Now().Add(5 * time.Second)
+	for svc.sched.Stats().Running != 0 || len(svc.widths) != cap(svc.widths) {
+		if time.Now().After(deadline) {
+			t.Fatalf("canceled job kept its slot: %d running, %d of %d slot widths free",
+				svc.sched.Stats().Running, len(svc.widths), cap(svc.widths))
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 	body, _ := json.Marshal(JobRequest{Source: "gnm:1000:3000", Options: JobOptions{EngineConfig: chordal.EngineConfig{Workers: 2}}})
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -193,8 +201,8 @@ func TestCancelQueuedJob(t *testing.T) {
 	json.NewDecoder(resp.Body).Decode(&full)
 	resp.Body.Close()
 	_, done = followEvents(t, ts.URL, full.ID)
-	if done.State != StateDone || done.Report.Spec.Workers != 2 {
-		t.Fatalf("post-cancel full-width job: %+v", done)
+	if done.State != StateDone || done.Report.Spec.Workers != 1 {
+		t.Fatalf("post-cancel job asking for 2 workers: %+v, want done at its slot width 1", done)
 	}
 }
 
@@ -207,20 +215,20 @@ func TestCancelUnknownJob(t *testing.T) {
 }
 
 // TestCancelNoGoroutineLeak extends the shutdown leak contract to
-// cancellation: after cancelling jobs (queued and lease-blocked) and
-// closing the server, the process goroutine count returns to its
+// cancellation: after cancelling jobs (running and scheduler-queued)
+// and closing the server, the process goroutine count returns to its
 // pre-server level.
 func TestCancelNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	svc := New(Config{MaxConcurrent: 1, Workers: 1, JobTTL: time.Hour})
-	hold := svc.budget.Lease(0)
-	// One job blocked in the lease wait, one blocked on the semaphore.
-	specA, err := newJobSpec(JobRequest{Source: "gnm:2000:6000"}, false)
+	holdGate(t)
+	// One job running at the gate, one queued behind it for the slot.
+	specA, err := newJobSpec(JobRequest{Source: "gnm:2000:6000", Options: gated()}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	specB, err := newJobSpec(JobRequest{Source: "gnm:2000:6000:7"}, false)
+	specB, err := newJobSpec(JobRequest{Source: "gnm:2000:6000:7", Options: gated()}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +257,6 @@ func TestCancelNoGoroutineLeak(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	svc.budget.Release(hold)
 	svc.Close()
 
 	deadline = time.Now().Add(5 * time.Second)

@@ -15,7 +15,7 @@ import (
 // TestJobReportMatchesLibrary pins the service to the library's one run
 // summary: for every engine, a done job's report is chordal.Report of
 // the same spec run by Runner.Run at the same width (the server's
-// one-token budget grants one worker), apart from wall-clock times, and
+// one worker fills its one slot), apart from wall-clock times, and
 // a cache-hit resubmission returns the same report.
 func TestJobReportMatchesLibrary(t *testing.T) {
 	_, ts := startServer(t, Config{Workers: 1})

@@ -77,16 +77,16 @@ func schedulerStats(t *testing.T, base string) sched.Stats {
 // shed; and after the queue drains, the shed spec resubmits
 // successfully.
 func TestServiceLoadShed429(t *testing.T) {
-	svc, ts := startServer(t, Config{
+	_, ts := startServer(t, Config{
 		MaxConcurrent: 1,
 		Workers:       1,
 		Scheduler:     sched.Config{MaxQueue: 1},
 	})
-	hold := svc.budget.Lease(0) // park the dispatched job in its budget wait
+	release := holdGate(t)
 
-	// Job 1 takes the single run slot (blocked in its lease), job 2
-	// fills the 1-deep pending queue.
-	st1, code := submitTenantJSON(t, ts.URL, "alice", JobRequest{Source: "gnm:900:2700"})
+	// Job 1 takes the single run slot (held at the gate), job 2 fills
+	// the 1-deep pending queue.
+	st1, code := submitTenantJSON(t, ts.URL, "alice", JobRequest{Source: "gnm:900:2700", Options: gated()})
 	if code != http.StatusAccepted {
 		t.Fatalf("job 1: code %d, want 202", code)
 	}
@@ -115,7 +115,7 @@ func TestServiceLoadShed429(t *testing.T) {
 
 	// Saturation must not shed dedup: the same specs resubmitted — by
 	// other tenants — attach to the in-flight jobs instead of 429ing.
-	dup1, code := submitTenantJSON(t, ts.URL, "carol", JobRequest{Source: "gnm:900:2700"})
+	dup1, code := submitTenantJSON(t, ts.URL, "carol", JobRequest{Source: "gnm:900:2700", Options: gated()})
 	if code != http.StatusAccepted || dup1.ID != st1.ID {
 		t.Fatalf("cross-tenant duplicate of running job: code %d id %s, want 202 on %s", code, dup1.ID, st1.ID)
 	}
@@ -130,7 +130,7 @@ func TestServiceLoadShed429(t *testing.T) {
 
 	// Drain: both jobs complete, the shed spec now submits fine, and a
 	// cross-tenant resubmission of job 1 is a plain cache hit.
-	svc.budget.Release(hold)
+	release()
 	counts, done := followEvents(t, ts.URL, st1.ID)
 	if done.State != StateDone {
 		t.Fatalf("job 1 finished %q (%s)", done.State, done.Error)
@@ -148,7 +148,7 @@ func TestServiceLoadShed429(t *testing.T) {
 	if _, done := followEvents(t, ts.URL, st3.ID); done.State != StateDone {
 		t.Fatalf("retried job finished %q (%s)", done.State, done.Error)
 	}
-	hit, code := submitTenantJSON(t, ts.URL, "dave", JobRequest{Source: "gnm:900:2700"})
+	hit, code := submitTenantJSON(t, ts.URL, "dave", JobRequest{Source: "gnm:900:2700", Options: gated()})
 	if code != http.StatusOK || hit.ID != st1.ID {
 		t.Fatalf("cross-tenant cache hit: code %d id %s, want 200 on %s", code, hit.ID, st1.ID)
 	}
@@ -196,14 +196,14 @@ func TestTenantRateLimit429(t *testing.T) {
 }
 
 // TestCancelSchedulerQueuedJob pins DELETE on a job still waiting in
-// the scheduler's pending queue (as opposed to the budget-lease wait
-// the pre-scheduler cancel test covers): the job must reach canceled,
-// leave the queue immediately, and release nothing.
+// the scheduler's pending queue (TestCancelQueuedJob cancels a running
+// one): the job must reach canceled, leave the queue immediately, and
+// release nothing.
 func TestCancelSchedulerQueuedJob(t *testing.T) {
 	svc, ts := startServer(t, Config{MaxConcurrent: 1, Workers: 2})
-	hold := svc.budget.Lease(0)
+	release := holdGate(t)
 
-	st1, _ := submitJSON(t, ts.URL, JobRequest{Source: "gnm:1100:3300"})
+	st1, _ := submitJSON(t, ts.URL, JobRequest{Source: "gnm:1100:3300", Options: gated()})
 	st2, _ := submitJSON(t, ts.URL, JobRequest{Source: "gnm:1101:3303"})
 	if st2.State != StateQueued || st2.QueuePosition != 1 {
 		t.Fatalf("job 2 = %+v, want scheduler-queued at position 1", st2)
@@ -231,31 +231,37 @@ func TestCancelSchedulerQueuedJob(t *testing.T) {
 	}
 
 	// Job 1 is unaffected: it drains normally and frees its slot.
-	svc.budget.Release(hold)
+	release()
 	if _, done := followEvents(t, ts.URL, st1.ID); done.State != StateDone {
 		t.Fatalf("job 1 finished %q (%s)", done.State, done.Error)
 	}
-	if stats := svc.sched.Stats(); stats.Running != 0 || stats.Queued != 0 {
-		t.Fatalf("post-drain scheduler occupancy = %+v, want empty", stats)
-	}
-	if avail := svc.budget.Available(); avail != svc.budget.Total() {
-		t.Fatalf("budget %d/%d after drain: canceled job leaked tokens", avail, svc.budget.Total())
+	deadline = time.Now().Add(5 * time.Second)
+	for {
+		stats := svc.sched.Stats()
+		if stats.Running == 0 && stats.Queued == 0 && len(svc.widths) == cap(svc.widths) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("post-drain occupancy = %+v with %d of %d slot widths free, want empty",
+				stats, len(svc.widths), cap(svc.widths))
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 
 // TestCloseWithQueuedTenantsNoLeak extends the shutdown leak contract
 // to non-empty per-tenant scheduler queues: Close with one dispatched
-// job parked in its budget wait and further jobs pending under several
-// tenants must drive everything terminal and return the process to its
-// pre-server goroutine count with the budget intact.
+// job held at the gate and further jobs pending under several tenants
+// must drive everything terminal and return the process to its
+// pre-server goroutine count with every slot width given back.
 func TestCloseWithQueuedTenantsNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	svc := New(Config{MaxConcurrent: 1, Workers: 1, JobTTL: time.Hour})
-	hold := svc.budget.Lease(0)
+	holdGate(t)
 	var jobs []*Job
 	for i, tenant := range []string{"a", "b", ""} {
-		spec, err := newJobSpec(JobRequest{Source: "gnm:1500:4500:" + strconv.Itoa(i)}, false)
+		spec, err := newJobSpec(JobRequest{Source: "gnm:1500:4500:" + strconv.Itoa(i), Options: gated()}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,9 +285,8 @@ func TestCloseWithQueuedTenantsNoLeak(t *testing.T) {
 	if stats := svc.sched.Stats(); stats.Queued != 0 {
 		t.Fatalf("scheduler still holds %d queued tickets after Close", stats.Queued)
 	}
-	svc.budget.Release(hold)
-	if avail := svc.budget.Available(); avail != svc.budget.Total() {
-		t.Fatalf("budget %d/%d after Close: shutdown leaked tokens", avail, svc.budget.Total())
+	if len(svc.widths) != cap(svc.widths) {
+		t.Fatalf("%d of %d slot widths free after Close: shutdown leaked a slot", len(svc.widths), cap(svc.widths))
 	}
 
 	deadline := time.Now().Add(5 * time.Second)
@@ -299,22 +304,21 @@ func TestCloseWithQueuedTenantsNoLeak(t *testing.T) {
 }
 
 // TestGCSparesSchedulerQueuedJobs pins the sweep predicate for the
-// scheduler era: a job waiting in the scheduler's pending queue — like
-// one parked in its budget-lease wait — reports queued (with its queue
-// position) and survives TTL sweeps indefinitely; only terminal jobs
-// age out.
+// scheduler era: a job waiting in the scheduler's pending queue behind
+// one held at the gate reports queued (with its queue position) and,
+// like the running job, survives TTL sweeps indefinitely; only
+// terminal jobs age out.
 func TestGCSparesSchedulerQueuedJobs(t *testing.T) {
 	svc, ts := startServer(t, Config{JobTTL: 20 * time.Millisecond, MaxConcurrent: 1, Workers: 2})
-	hold := svc.budget.Lease(0)
-	defer svc.budget.Release(hold)
+	holdGate(t)
 
-	st1, _ := submitJSON(t, ts.URL, JobRequest{Source: "gnm:700:2100"})
-	st2, _ := submitJSON(t, ts.URL, JobRequest{Source: "gnm:701:2103"})
+	st1, _ := submitJSON(t, ts.URL, JobRequest{Source: "gnm:700:2100", Options: gated()})
+	st2, _ := submitJSON(t, ts.URL, JobRequest{Source: "gnm:701:2103", Options: gated()})
 	time.Sleep(100 * time.Millisecond) // several TTL intervals
 	if removed := svc.gcSweep(time.Now()); removed != 0 {
-		t.Fatalf("sweep removed %d jobs while both were queued", removed)
+		t.Fatalf("sweep removed %d jobs while neither had finished", removed)
 	}
-	for _, id := range []string{st1.ID, st2.ID} {
+	for id, want := range map[string]string{st1.ID: StateRunning, st2.ID: StateQueued} {
 		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
 		if err != nil {
 			t.Fatal(err)
@@ -322,8 +326,8 @@ func TestGCSparesSchedulerQueuedJobs(t *testing.T) {
 		var st JobStatus
 		json.NewDecoder(resp.Body).Decode(&st)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || st.State != StateQueued {
-			t.Fatalf("job %s: status %d state %q, want 200 queued", id, resp.StatusCode, st.State)
+		if resp.StatusCode != http.StatusOK || st.State != want {
+			t.Fatalf("job %s: status %d state %q, want 200 %s", id, resp.StatusCode, st.State, want)
 		}
 		if id == st2.ID && st.QueuePosition != 1 {
 			t.Fatalf("scheduler-queued job reports position %d, want 1", st.QueuePosition)
@@ -340,12 +344,12 @@ func TestBatchLoadShed429(t *testing.T) {
 		Workers:       1,
 		Scheduler:     sched.Config{MaxQueue: 2},
 	})
-	hold := svc.budget.Lease(0)
+	release := holdGate(t)
 
 	post := func(items ...string) *http.Response {
 		var req BatchRequest
 		for _, src := range items {
-			req.Items = append(req.Items, JobRequest{Source: src})
+			req.Items = append(req.Items, JobRequest{Source: src, Options: gated()})
 		}
 		body, _ := json.Marshal(req)
 		resp, err := http.Post(ts.URL+"/v1/batches", "application/json", bytes.NewReader(body))
@@ -378,7 +382,10 @@ func TestBatchLoadShed429(t *testing.T) {
 	var bst BatchStatus
 	json.NewDecoder(resp.Body).Decode(&bst)
 	resp.Body.Close()
-	svc.budget.Release(hold)
+	if stats := svc.sched.Stats(); stats.Running != 1 || stats.Queued != 1 {
+		t.Fatalf("fitting batch occupancy = %+v, want 1 running + 1 queued", stats)
+	}
+	release()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		r2, err := http.Get(ts.URL + "/v1/batches/" + bst.ID)
@@ -398,5 +405,55 @@ func TestBatchLoadShed429(t *testing.T) {
 			t.Fatalf("batch did not finish: %+v", cur)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestWideJobDoesNotBlockOtherTenant pins the fixed slot widths: a job
+// asking for every worker runs at its slot's width, so another
+// tenant's job dispatched into the second slot finishes while the wide
+// job is still running, instead of waiting for workers the wide job
+// holds.
+func TestWideJobDoesNotBlockOtherTenant(t *testing.T) {
+	_, ts := startServer(t, Config{Workers: 2, MaxConcurrent: 2})
+	release := holdGate(t)
+
+	opts := gated()
+	opts.Workers = 2
+	wide, code := submitTenantJSON(t, ts.URL, "alice", JobRequest{Source: "gnm:800:2400:3", Options: opts})
+	if code != http.StatusAccepted {
+		t.Fatalf("wide job: code %d, want 202", code)
+	}
+	small, code := submitTenantJSON(t, ts.URL, "bob", JobRequest{Source: "gnm:200:600:1"})
+	if code != http.StatusAccepted {
+		t.Fatalf("small job: code %d, want 202", code)
+	}
+	status := func(id string) JobStatus {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st JobStatus
+		json.NewDecoder(resp.Body).Decode(&st)
+		return st
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for st := status(small.ID); st.State != StateDone; st = status(small.ID) {
+		if terminalState(st.State) || time.Now().After(deadline) {
+			t.Fatalf("bob's job is %q (%s) while alice's wide job holds the other slot, want done", st.State, st.Error)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := status(wide.ID); st.State != StateRunning {
+		t.Fatalf("alice's gated job is %q, want still running", st.State)
+	}
+
+	release()
+	_, done := followEvents(t, ts.URL, wide.ID)
+	if done.State != StateDone {
+		t.Fatalf("wide job finished %q (%s)", done.State, done.Error)
+	}
+	if w := done.Report.Spec.Workers; w != 1 {
+		t.Fatalf("wide job ran at spec.workers %d, want its slot width 1", w)
 	}
 }

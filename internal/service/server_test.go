@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -81,6 +82,53 @@ func followEvents(t *testing.T, base, id string) (map[string]int, JobStatus) {
 	t.Fatalf("event stream ended without a done event (err=%v, counts=%v)", scanner.Err(), counts)
 	return nil, JobStatus{}
 }
+
+// gateEngine is the parallel engine behind a gate a test holds: its
+// Extract waits for the gate to open or the job's context to end, so a
+// dispatched job stays running, holding its slot, until the test lets
+// it go. Jobs select it with gated().
+type gateEngine struct {
+	mu   sync.Mutex
+	open chan struct{}
+}
+
+func (*gateEngine) Name() string { return "test-gate" }
+
+func (e *gateEngine) Extract(ctx context.Context, g *chordal.Graph, cfg chordal.EngineConfig) (*chordal.EngineResult, error) {
+	e.mu.Lock()
+	open := e.open
+	e.mu.Unlock()
+	select {
+	case <-open:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	eng, _ := chordal.LookupEngine(chordal.EngineParallel)
+	return eng.Extract(ctx, g, cfg)
+}
+
+var (
+	gate         = &gateEngine{}
+	registerGate sync.Once
+)
+
+// holdGate closes the gate engine's gate and returns the function that
+// opens it again, which also runs when the test ends.
+func holdGate(t *testing.T) (release func()) {
+	t.Helper()
+	registerGate.Do(func() { chordal.RegisterEngine(gate) })
+	open := make(chan struct{})
+	gate.mu.Lock()
+	gate.open = open
+	gate.mu.Unlock()
+	var once sync.Once
+	release = func() { once.Do(func() { close(open) }) }
+	t.Cleanup(release)
+	return release
+}
+
+// gated returns the options of a job that runs on the gate engine.
+func gated() JobOptions { return JobOptions{Engine: gate.Name()} }
 
 // TestServeJobEndToEnd is the acceptance flow: submit an RMAT Source
 // spec, observe per-iteration SSE progress, fetch a verified chordal

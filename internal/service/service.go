@@ -12,7 +12,7 @@
 //	                             drains at the kernel's next
 //	                             cancellation check into the
 //	                             terminal "canceled" state with
-//	                             its budget tokens released
+//	                             its slot released
 //	GET    /v1/jobs/{id}/events  server-sent events: state changes, stage
 //	                             starts, per-iteration extraction progress
 //	                             (sharded jobs tag events with the shard)
@@ -47,24 +47,22 @@
 // default tenant runs at weight 1 with no rate limit and the global
 // queue bound, preserving the single-tenant service behavior.
 //
-// Each dispatched job leases worker tokens
-// from one shared parallel.Budget sized to the machine: a job with no
-// explicit request takes its fair share (total / MaxConcurrent, with
-// MaxConcurrent clamped to the budget), so the extraction kernels of
-// simultaneous default-width jobs divide the cores instead of each
-// running full width, and never serialize behind one another's leases
-// (a job requesting explicit parallelism beyond the free tokens does
-// wait for a release). The lease is threaded through every pipeline
-// stage — acquire (generation and file decode), relabel, the
-// extraction kernel (whole-graph or per-shard), and subgraph
-// materialization all run inside the granted width, so concurrent jobs
-// never oversubscribe the box. Each job runs its chordal.Spec through
-// a chordal.Runner under its own context derived from the server's
-// base context: shutdown cancels every in-flight extraction at its
-// kernel's next cancellation check (an iteration boundary, or every
-// 4096 parents of a one-worker sweep), and DELETE /v1/jobs/{id}
-// cancels one job the same way, releasing its budget tokens as its
-// goroutine drains.
+// Each dispatch slot has a fixed width: the worker total split over
+// the MaxConcurrent slots by parallel.SlotWidths, the split
+// chordal.Batch gives its items, so the widths of running jobs never
+// sum past the total and a dispatched job never waits for another's
+// workers. A job runs at its slot's width, or narrower when its
+// workers option asks for less; Algorithm 1's edge set does not depend
+// on the width, so it is a resource policy, not part of the result.
+// The width is threaded through every pipeline stage — acquire
+// (generation and file decode), relabel, the extraction kernel
+// (whole-graph or per-shard), and subgraph materialization. Each job
+// runs its chordal.Spec through a chordal.Runner under its own context
+// derived from the server's base context: shutdown cancels every
+// in-flight extraction at its kernel's next cancellation check (an
+// iteration boundary, or every 4096 parents of a one-worker sweep),
+// and DELETE /v1/jobs/{id} cancels one job the same way, releasing its
+// slot as its goroutine drains.
 //
 // Jobs are identified by the canonical encoding of their
 // chordal.Spec (Spec.Canonical): requests decode into a Spec, generator
@@ -113,13 +111,13 @@ import (
 // Config sizes the server. The zero value is ready to use; see each
 // field for its default.
 type Config struct {
-	// MaxConcurrent bounds simultaneously running jobs; <= 0 means 2.
-	// Further submissions queue. Clamped to the worker budget —
-	// admitting more jobs than there are worker tokens could only
-	// serialize the surplus behind earlier leases.
+	// MaxConcurrent is the number of job slots, bounding simultaneously
+	// running jobs; <= 0 means 2. Further submissions queue. Clamped
+	// to Workers, since every slot runs at least one worker.
 	MaxConcurrent int
-	// Workers is the total worker-token budget shared by all running
-	// jobs; <= 0 means the machine's effective parallelism.
+	// Workers is the worker total the slots split between them
+	// (parallel.SlotWidths); <= 0 means the machine's effective
+	// parallelism.
 	Workers int
 	// InputCacheBytes bounds the generated-input LRU by the summed CSR
 	// byte size of the graphs it holds; 0 means 256 MiB, negative
@@ -169,10 +167,16 @@ type cachedResult struct {
 // Server is the extraction service. Create with New, mount as an
 // http.Handler, and Close on shutdown to cancel in-flight jobs.
 type Server struct {
-	cfg    Config
-	mux    *http.ServeMux
-	budget *parallel.Budget
-	sched  *sched.Scheduler
+	cfg   Config
+	mux   *http.ServeMux
+	sched *sched.Scheduler
+	// widths holds the width of every slot no running job has taken.
+	// The scheduler dispatches at most MaxConcurrent jobs and each
+	// gives its width back before its ticket's Done, so taking one
+	// never blocks. minWidth is the narrowest slot width, the most
+	// a stream session's Close runs at.
+	widths   chan int
+	minWidth int
 
 	baseCtx context.Context
 	stop    context.CancelFunc
@@ -214,17 +218,23 @@ func New(cfg Config) *Server {
 	if cfg.JobTTL == 0 {
 		cfg.JobTTL = 15 * time.Minute
 	}
-	budget := parallel.NewBudget(cfg.Workers)
-	if cfg.MaxConcurrent > budget.Total() {
-		cfg.MaxConcurrent = budget.Total()
+	cfg.Workers = parallel.WorkerCount(cfg.Workers)
+	if cfg.MaxConcurrent > cfg.Workers {
+		cfg.MaxConcurrent = cfg.Workers
+	}
+	slotWidths := parallel.SlotWidths(cfg.Workers, cfg.MaxConcurrent)
+	widths := make(chan int, len(slotWidths))
+	for _, w := range slotWidths {
+		widths <- w
 	}
 	schedCfg := cfg.Scheduler
 	schedCfg.Slots = cfg.MaxConcurrent
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:      cfg,
-		budget:   budget,
 		sched:    sched.New(schedCfg),
+		widths:   widths,
+		minWidth: slotWidths[len(slotWidths)-1],
 		baseCtx:  ctx,
 		stop:     stop,
 		jobs:     make(map[string]*Job),
@@ -616,14 +626,13 @@ func parseUpload(format string, r io.Reader) (*graph.Graph, error) {
 }
 
 // run executes one job: wait for the weighted-fair scheduler to
-// dispatch its ticket, lease workers from the shared budget, resolve
-// the input (upload, input cache, generator, or file), run the
-// pipeline with progress events, and publish the result to the caches.
-// It runs under the job's own context, so both server shutdown and
-// DELETE /v1/jobs/{id} drain it at the next boundary — a still-queued
-// ticket is removed from its tenant's queue by Wait itself, and the
-// run slot, the budget lease, and the single-flight entry are released
-// on every exit path.
+// dispatch its ticket, take a slot width, resolve the input (upload,
+// input cache, generator, or file), run the pipeline with progress
+// events, and publish the result to the caches. It runs under the
+// job's own context, so both server shutdown and DELETE /v1/jobs/{id}
+// drain it at the next boundary — a still-queued ticket is removed
+// from its tenant's queue by Wait itself, and the run slot, its width,
+// and the single-flight entry are released on every exit path.
 func (s *Server) run(job *Job, upload *graph.Graph) {
 	defer s.wg.Done()
 	defer job.cancel()
@@ -644,38 +653,23 @@ func (s *Server) run(job *Job, upload *graph.Graph) {
 		return
 	}
 	defer job.ticket.Done()
+	// Deferred after Done, so it runs first: the width is back before
+	// the slot frees.
+	width := <-s.widths
+	defer func() { s.widths <- width }()
 	job.appendEvent("admitted", map[string]any{
 		"tenant":     displayTenant(job.tenant),
 		"waitMillis": float64(job.ticket.QueueWait().Microseconds()) / 1000,
 	})
-
-	// A job with no explicit worker request leases its fair share of
-	// the pool (total / MaxConcurrent) — even on an otherwise idle
-	// server. Leasing more opportunistically would serialize the next
-	// arrival behind this job's entire runtime (leases cannot shrink
-	// once the kernel starts), so the policy trades some idle-server
-	// width for the guarantee that MaxConcurrent default jobs always
-	// run side by side; single-tenant callers get full width with an
-	// explicit workers request, granted up to the currently free
-	// tokens (at least one — an empty pool waits for the first
-	// release). The lease precedes the running transition so a
-	// token-starved job still reports queued.
-	want := job.spec.spec.Workers
-	if want <= 0 {
-		want = max(1, s.budget.Total()/s.cfg.MaxConcurrent)
-	}
-	granted, err := s.budget.LeaseContext(job.ctx, want)
-	if err != nil {
-		// Canceled while waiting for tokens: nothing was leased, so
-		// nothing leaks.
-		job.fail(time.Now(), err)
-		return
-	}
-	defer s.budget.Release(granted)
 	job.setRunning(time.Now())
 
+	// A workers option may narrow the job below its slot's width, never
+	// widen it: a wider job could only run by taking workers another
+	// slot's job is entitled to.
 	spec := job.spec.spec
-	spec.Workers = granted
+	if spec.Workers <= 0 || spec.Workers > width {
+		spec.Workers = width
+	}
 	// The unified event stream serializes straight onto the SSE wire:
 	// the event Type is the SSE event name and the marshaled Event the
 	// payload. Shard iterations report concurrently; appendEvent
@@ -717,10 +711,10 @@ func (s *Server) run(job *Job, upload *graph.Graph) {
 			}
 			observe(chordal.Event{Type: chordal.EventStageBegin, Stage: "acquire"})
 			t0 = time.Now()
-			// Generation honors the job's lease; the sampled graph is
+			// Generation runs at the job's width; the sampled graph is
 			// identical at any width, so caching it by canonical spec
 			// stays sound.
-			g, err := src.LoadWorkers(granted)
+			g, err := src.LoadWorkers(spec.Workers)
 			if err != nil {
 				job.fail(time.Now(), err)
 				return
@@ -754,8 +748,8 @@ func (s *Server) run(job *Job, upload *graph.Graph) {
 // marked for cancellation and its context fired; the job goroutine
 // drains at the kernel's next cancellation check into the terminal
 // canceled state, releasing its scheduler ticket (queued or
-// dispatched) and budget tokens. Cancelling an already terminal job is
-// a 409.
+// dispatched) and its slot width. Cancelling an already terminal job
+// is a 409.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.lookup(r.PathValue("id"))
 	if !ok {
@@ -862,9 +856,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"inflight":               inflight,
 		"batches":                batches,
 		"streams":                streams,
-		"workers":                s.budget.Total(),
-		"budgetAvailable":        s.budget.Available(),
-		"budgetWaiters":          s.budget.Waiters(),
+		"workers":                s.cfg.Workers,
 		"maxConcurrent":          s.cfg.MaxConcurrent,
 		"schedQueued":            sst.Queued,
 		"schedRunning":           sst.Running,

@@ -34,14 +34,11 @@ type JobRequest struct {
 // set from the wire; results are downloaded, never written by the
 // server.
 //
-// Workers requests extraction parallelism from the server's shared
-// worker budget: the job receives up to the requested count, limited
-// to the tokens currently free (at least one; a request against an
-// exhausted budget waits for the first release). <= 0 requests the
-// default fair share of the budget (total / MaxConcurrent; the server
-// clamps MaxConcurrent to the budget), which keeps default-width jobs
-// genuinely concurrent; request more for full width on an idle server.
-// The report's spec carries the actual grant.
+// Workers can narrow a job below its slot's width but not widen it:
+// the server splits its worker total over MaxConcurrent fixed-width
+// slots (parallel.SlotWidths), and a job runs at its slot's width, or
+// at the requested count when that is smaller. <= 0 runs at the slot's
+// width. The report's spec carries the width the job ran at.
 type JobOptions struct {
 	// Engine names the extraction engine (chordal.EngineNames; default
 	// parallel). Omitted, it is implied by Partitions/Shards when

@@ -35,10 +35,13 @@ import (
 //	                                session (?format=edges|bin|mtx)
 //	DELETE /v1/streams/{id}         abandon the session
 //
-// Sessions run outside the worker budget: deltas are admitted on the
-// request goroutine (one union-find probe or one separator search
-// each), and only Close runs an extraction kernel. Idle open sessions
-// and terminal ones are garbage collected on the job GC cadence.
+// Sessions take no job slot: deltas are admitted on the request
+// goroutine (one union-find probe or one separator search each), and
+// only Close runs an extraction kernel, at no more than the narrowest
+// slot width, so a Close runs no wider than a job. A session's vertex
+// universe is capped at chordal.DefaultMaxStreamVertices; a client may
+// lower the cap but not raise it. Idle open sessions and terminal ones
+// are garbage collected on the job GC cadence.
 
 // Stream session states.
 const (
@@ -50,7 +53,9 @@ const (
 // StreamOpenRequest is the JSON body of POST /v1/streams. Options is
 // the jobs' options object (engine, repair, verify, ...); Mode is
 // implied. Vertices, MaxVertices and RepairEvery map onto
-// chordal.StreamConfig and are not part of the session's identity.
+// chordal.StreamConfig and are not part of the session's identity;
+// MaxVertices may lower the server's cap of
+// chordal.DefaultMaxStreamVertices but not raise it.
 type StreamOpenRequest struct {
 	Options     JobOptions `json:"options"`
 	Vertices    int        `json:"vertices,omitempty"`
@@ -170,6 +175,13 @@ func (s *Server) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	spec := req.Options.rawSpec("")
 	spec.Mode = chordal.ModeStream
+	if spec.Workers <= 0 || spec.Workers > s.minWidth {
+		spec.Workers = s.minWidth
+	}
+	maxVertices := chordal.DefaultMaxStreamVertices
+	if req.MaxVertices > 0 {
+		maxVertices = min(req.MaxVertices, maxVertices)
+	}
 	now := time.Now()
 	s.mu.Lock()
 	if s.closed {
@@ -189,7 +201,7 @@ func (s *Server) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 	// conflicts) and builds the session; the observer feeds the SSE log.
 	st, err := chordal.OpenStream(s.baseCtx, spec, chordal.StreamConfig{
 		Vertices:    req.Vertices,
-		MaxVertices: req.MaxVertices,
+		MaxVertices: maxVertices,
 		RepairEvery: req.RepairEvery,
 		Observer: func(ev chordal.Event) {
 			ss.appendEvent(string(ev.Type), ev)

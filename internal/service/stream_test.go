@@ -36,9 +36,10 @@ func openStream(t *testing.T, base string, req StreamOpenRequest) (StreamStatus,
 // TestStreamSessionEndToEnd drives the full session flow: open, push
 // NDJSON deltas, follow admission SSE, close for the canonical report,
 // download the result, and byte-compare it with the library running the
-// same spec on the same edges.
+// same spec on the same edges. A session asking for more workers than
+// the narrowest job slot closes at that slot's width.
 func TestStreamSessionEndToEnd(t *testing.T) {
-	_, ts := startServer(t, Config{})
+	_, ts := startServer(t, Config{Workers: 3, MaxConcurrent: 2})
 
 	g, err := rmat.Generate(rmat.PresetParams(rmat.ER, 7, 3))
 	if err != nil {
@@ -46,7 +47,7 @@ func TestStreamSessionEndToEnd(t *testing.T) {
 	}
 
 	st, code := openStream(t, ts.URL, StreamOpenRequest{
-		Options:  JobOptions{EngineConfig: chordal.EngineConfig{Repair: true}},
+		Options:  JobOptions{EngineConfig: chordal.EngineConfig{Repair: true, Workers: 3}},
 		Vertices: g.NumVertices(),
 	})
 	if code != http.StatusCreated || st.State != StreamOpen {
@@ -129,6 +130,9 @@ func TestStreamSessionEndToEnd(t *testing.T) {
 	}
 	if rep.Verify == nil || !rep.Verify.Chordal {
 		t.Fatalf("close verify: %+v", rep.Verify)
+	}
+	if rep.Spec.Workers != 1 {
+		t.Fatalf("close ran at spec.workers %d, want the narrowest slot width 1 (slots of 2 and 1)", rep.Spec.Workers)
 	}
 	if rep.Input.Edges != g.NumEdges() || rep.Input.Vertices != g.NumVertices() {
 		t.Fatalf("accumulated input %d/%d, want %d/%d", rep.Input.Vertices, rep.Input.Edges, g.NumVertices(), g.NumEdges())
@@ -235,13 +239,34 @@ func TestStreamValidationAndLifecycle(t *testing.T) {
 	if _, code := openStream(t, ts.URL, StreamOpenRequest{Options: JobOptions{Engine: "serial"}}); code != http.StatusBadRequest {
 		t.Fatalf("serial stream: HTTP %d, want 400", code)
 	}
+	// A client may lower the server's vertex cap but not raise it: a
+	// universe past chordal.DefaultMaxStreamVertices is refused at open
+	// whatever maxVertices asks for, and a delta past the cap is ruled
+	// invalid instead of growing the session.
+	if _, code := openStream(t, ts.URL, StreamOpenRequest{Vertices: 2000000000, MaxVertices: 2147483647}); code != http.StatusBadRequest {
+		t.Fatalf("2e9-vertex stream: HTTP %d, want 400", code)
+	}
+	raised, code := openStream(t, ts.URL, StreamOpenRequest{MaxVertices: 1 << 30})
+	if code != http.StatusCreated {
+		t.Fatalf("open with maxVertices 2^30: HTTP %d, want 201", code)
+	}
+	resp, err := http.Post(ts.URL+"/v1/streams/"+raised.ID+"/edges", "application/x-ndjson", strings.NewReader("0 20000000\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var far DeltaBatchResult
+	json.NewDecoder(resp.Body).Decode(&far)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || len(far.Decisions) != 1 || far.Decisions[0].Reason != string(chordal.AdmitInvalid) {
+		t.Fatalf("delta past the cap: HTTP %d, decisions %+v, want one %s", resp.StatusCode, far.Decisions, chordal.AdmitInvalid)
+	}
 
 	// Result of an open session is a conflict; delete abandons it.
 	st, code := openStream(t, ts.URL, StreamOpenRequest{})
 	if code != http.StatusCreated {
 		t.Fatalf("open: HTTP %d", code)
 	}
-	resp, err := http.Get(ts.URL + "/v1/streams/" + st.ID + "/result")
+	resp, err = http.Get(ts.URL + "/v1/streams/" + st.ID + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,8 +64,8 @@ type Options struct {
 	Shards int
 	// Core configures the per-shard extraction kernels. Core.Workers is
 	// the total worker budget for the whole sharded run — shards run
-	// concurrently and divide it, so a budget-leased job never exceeds
-	// its lease no matter how many shards it asked for. Core.Schedule
+	// concurrently and divide it, so a width-bounded job never exceeds
+	// its width no matter how many shards it asked for. Core.Schedule
 	// should stay ScheduleDataflow when byte-identical output across
 	// worker counts matters.
 	Core core.Options

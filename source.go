@@ -74,7 +74,7 @@ func (s Source) Load() (*Graph, error) {
 // generating bounded to the given worker count (<= 0 means machine
 // width). Generated graphs are identical whatever the bound — sampling
 // runs on fixed PRNG streams — so caching by Canonical stays sound
-// while each service job loads inside its own budget lease.
+// while each service job loads at its own slot width.
 func (s Source) LoadWorkers(workers int) (*Graph, error) {
 	if s.load == nil {
 		return nil, fmt.Errorf("chordal: empty source")
