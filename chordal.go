@@ -177,8 +177,8 @@ type TreeDecomposition = chordalalg.TreeDecomposition
 func ComputeStats(g *Graph) Stats { return graph.ComputeStats(g) }
 
 // SaveGraph writes a graph to a file; the format follows the extension
-// (.bin binary CSR, .mtx Matrix Market, otherwise edge list), and
-// ParseSource reads the file back.
+// in any case (.bin binary CSR, .mtx Matrix Market, otherwise edge
+// list), and ParseSource reads the file back.
 func SaveGraph(path string, g *Graph) error { return graph.SaveFile(path, g) }
 
 // Quality scores an extracted chordal subgraph against its input:

@@ -45,7 +45,7 @@ func TestCLIEndToEnd(t *testing.T) {
 		return string(out)
 	}
 
-	out := run("./cmd/graphgen", "-kind", "rmat-g", "-scale", "9", "-seed", "5", "-out", graphPath)
+	out := run("./cmd/graphgen", "-spec", "rmat-g:9:5", "-out", graphPath)
 	if !strings.Contains(out, "V=512") {
 		t.Fatalf("graphgen output: %s", out)
 	}

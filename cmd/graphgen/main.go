@@ -4,15 +4,13 @@
 //
 // Usage:
 //
-//	graphgen -kind rmat-er -scale 16 -seed 42 -out er16.bin
-//	graphgen -kind gse5140-unt -downscale 8 -out bio.txt
+//	graphgen -spec rmat-er:16:42 -out er16.bin
+//	graphgen -spec gse5140-unt:8 -out bio.txt
 //	graphgen -spec gnm:100000:800000:7 -out gnm.bin
 //
-// Kinds: rmat-er, rmat-g, rmat-b, gse5140-crt, gse5140-unt,
-// gse17072-ctl, gse17072-non; -spec accepts any pipeline source spec
-// and overrides -kind. The output format follows the file extension:
-// .bin (binary CSR), .mtx (Matrix Market), anything else a text edge
-// list.
+// -spec is any generator spec of chordal.SourceSpecs. The output format
+// follows the file extension in any case: .bin (binary CSR), .mtx
+// (Matrix Market), anything else a text edge list.
 package main
 
 import (
@@ -25,34 +23,17 @@ import (
 
 func main() {
 	var (
-		kind      = flag.String("kind", "rmat-er", "graph family: rmat-er|rmat-g|rmat-b|gse5140-crt|gse5140-unt|gse17072-ctl|gse17072-non")
-		spec      = flag.String("spec", "", "full generator spec (overrides -kind); one of:\n"+chordal.SourceSpecs)
-		scale     = flag.Int("scale", 14, "R-MAT scale (2^scale vertices)")
-		edgeFac   = flag.Int("edgefactor", 8, "R-MAT edges per vertex")
-		downscale = flag.Int("downscale", 8, "bio network gene-count divisor (1 = paper size)")
-		seed      = flag.Uint64("seed", 42, "generator seed")
-		out       = flag.String("out", "", "output path (.bin/.mtx/.txt); required")
-		stats     = flag.Bool("stats", true, "print Table-I statistics of the generated graph")
+		spec  = flag.String("spec", "", "generator spec; required; one of:\n"+chordal.SourceSpecs)
+		out   = flag.String("out", "", "output path (.bin/.mtx/.txt); required")
+		stats = flag.Bool("stats", true, "print Table-I statistics of the generated graph")
 	)
 	flag.Parse()
-	if *out == "" {
-		fmt.Fprintln(os.Stderr, "graphgen: -out is required")
+	if *spec == "" || *out == "" {
+		fmt.Fprintln(os.Stderr, "graphgen: -spec and -out are required")
 		flag.Usage()
 		os.Exit(2)
 	}
-	source := *spec
-	if source == "" {
-		switch *kind {
-		case "rmat-er", "rmat-g", "rmat-b":
-			source = fmt.Sprintf("%s:%d:%d:%d", *kind, *scale, *seed, *edgeFac)
-		case "gse5140-crt", "gse5140-unt", "gse17072-ctl", "gse17072-non":
-			source = fmt.Sprintf("%s:%d:%d", *kind, *downscale, *seed)
-		default:
-			fmt.Fprintf(os.Stderr, "graphgen: unknown kind %q\n", *kind)
-			os.Exit(2)
-		}
-	}
-	res, err := chordal.Spec{Source: source, Engine: chordal.EngineNone, Output: *out}.Run()
+	res, err := chordal.Spec{Source: *spec, Engine: chordal.EngineNone, Output: *out}.Run()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "graphgen:", err)
 		os.Exit(1)

@@ -72,8 +72,8 @@ type Event struct {
 	Type EventType `json:"type"`
 	// Stage names the pipeline stage for stage begin/end events.
 	Stage string `json:"stage,omitempty"`
-	// Cached marks a stage satisfied from a cache instead of executed
-	// (the service's input-cache hits on the acquire stage).
+	// Cached marks a stage satisfied from a cache instead of executed:
+	// an acquire served from Runner.Inputs.
 	Cached bool `json:"cached,omitempty"`
 	// Millis is the completed stage's wall-clock duration (stage end).
 	Millis float64 `json:"millis,omitempty"`

@@ -283,12 +283,6 @@ func (m *MappedCSR) Graph() (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	// In mapped mode the decode helpers return views; copy so the graph
-	// outlives Close. Fallback mode already allocated fresh slices.
-	if m.data != nil {
-		offs = slices.Clone(offs)
-		adj = slices.Clone(adj)
-	}
 	g := &graph.Graph{Offsets: offs, Adj: adj, Sorted: m.sorted}
 	if err := g.CheckSimpleSymmetric(); err != nil {
 		return nil, fmt.Errorf("extio: %w", err)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -82,6 +83,50 @@ func TestMappedHeaderAndWholeGraph(t *testing.T) {
 // decoded shard must equal what graph.InducedSubgraph builds for the
 // same contiguous range — the input the in-memory sharded engine feeds
 // its kernels.
+// TestMappedGraphDecodesOnce: in mapped mode Graph decodes the CSR into
+// fresh arrays once, allocating less than 1.5× the file, and the graph
+// it returns is graph.ReadBinary's and outlives Close.
+func TestMappedGraphDecodesOnce(t *testing.T) {
+	g, err := synth.GNM(20000, 100000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := writeBin(t, g)
+	m, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if !m.Mapped() {
+		t.Skip("memory mapping unavailable")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := m.Graph()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; float64(alloc) >= 1.5*float64(m.SizeBytes()) {
+		t.Errorf("Graph allocated %d bytes for a %d-byte CSR, want under 1.5x", alloc, m.SizeBytes())
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want, err := graph.ReadBinary(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("mapped Graph after Close differs from graph.ReadBinary")
+	}
+}
+
 func TestShardMatchesInducedSubgraph(t *testing.T) {
 	g := testGraph(t, rmat.B, 8, 5)
 	path := writeBin(t, g)

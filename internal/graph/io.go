@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -226,17 +227,11 @@ func parseEdgeLines(c textChunk, base int64, maxVertex int, emit func(u, v int32
 	return nil
 }
 
-// ReadEdgeList parses a text edge list with streaming chunked parallel
-// parsing. Vertex count is inferred as max id + 1 unless a larger n is
-// given (pass 0 to infer).
-func ReadEdgeList(r io.Reader, n int) (*Graph, error) {
-	return ReadEdgeListWorkers(r, n, 0)
-}
-
-// ReadEdgeListWorkers is ReadEdgeList bounded to the given worker count
-// for both the chunked parse and the CSR build (<= 0 means machine
-// width).
-func ReadEdgeListWorkers(r io.Reader, n, maxWorkers int) (*Graph, error) {
+// readEdgeList parses a text edge list with streaming chunked parallel
+// parsing, bounded to maxWorkers for both the chunked parse and the CSR
+// build (<= 0 means machine width). The vertex count is the largest id
+// plus one.
+func readEdgeList(r io.Reader, maxWorkers int) (*Graph, error) {
 	workers := parallel.WorkerCount(maxWorkers)
 	bufs := parallel.NewEdgeBuffers(workers)
 	maxIDs := parallel.NewPadded[int32](workers)
@@ -263,11 +258,8 @@ func ReadEdgeListWorkers(r io.Reader, n, maxWorkers int) (*Graph, error) {
 			maxID = maxIDs[w].V
 		}
 	}
-	if int(maxID)+1 > n {
-		n = int(maxID) + 1
-	}
 	us, vs := bufs.Concat()
-	return BuildFromEdgesWorkers(n, us, vs, maxWorkers), nil
+	return BuildFromEdgesWorkers(int(maxID)+1, us, vs, maxWorkers), nil
 }
 
 // Binary CSR layout: the 4-byte magic "CHRD", uint32 version 1,
@@ -458,18 +450,12 @@ func WriteMatrixMarket(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadMatrixMarket reads a coordinate-format Matrix Market graph,
+// readMatrixMarket reads a coordinate-format Matrix Market graph,
 // treating entries as undirected edges regardless of symmetry mode and
 // ignoring any numeric values. The header is read serially; the entry
-// body streams through the chunked parallel parser.
-func ReadMatrixMarket(r io.Reader) (*Graph, error) {
-	return ReadMatrixMarketWorkers(r, 0)
-}
-
-// ReadMatrixMarketWorkers is ReadMatrixMarket bounded to the given
-// worker count for both the chunked parse and the CSR build (<= 0 means
-// machine width).
-func ReadMatrixMarketWorkers(r io.Reader, maxWorkers int) (*Graph, error) {
+// body streams through the chunked parallel parser, which with the CSR
+// build is bounded to maxWorkers (<= 0 means machine width).
+func readMatrixMarket(r io.Reader, maxWorkers int) (*Graph, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	header, err := br.ReadString('\n')
 	if err != nil && header == "" {
@@ -529,45 +515,62 @@ func ReadMatrixMarketWorkers(r io.Reader, maxWorkers int) (*Graph, error) {
 	return BuildFromEdgesWorkers(n, us, vs, maxWorkers), nil
 }
 
-// SaveFile writes g to path, choosing the format from the extension:
-// .bin for binary CSR, .mtx for Matrix Market, anything else text edges.
+// Format names the format of a graph file by its extension, matched
+// without regard to case: "bin" (binary CSR) for .bin, "mtx" (Matrix
+// Market) for .mtx, and "edges" (text edge list) for anything else.
+// It is the one extension rule: SaveFile, LoadFileWorkers, the
+// service's uploads and the external engine's file check all read it.
+func Format(name string) string {
+	switch strings.ToLower(filepath.Ext(name)) {
+	case ".bin":
+		return "bin"
+	case ".mtx":
+		return "mtx"
+	}
+	return "edges"
+}
+
+// Read decodes a graph stream in the given Format, with the text
+// formats' parallel parse and build bounded to maxWorkers (<= 0 means
+// machine width); binary CSR decodes on one goroutine.
+func Read(r io.Reader, format string, maxWorkers int) (*Graph, error) {
+	switch format {
+	case "bin":
+		return ReadBinary(r)
+	case "mtx":
+		return readMatrixMarket(r, maxWorkers)
+	}
+	return readEdgeList(r, maxWorkers)
+}
+
+// SaveFile writes g to path in the Format its name gives.
 func SaveFile(path string, g *Graph) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	switch {
-	case strings.HasSuffix(path, ".bin"):
-		err = WriteBinary(f, g)
-	case strings.HasSuffix(path, ".mtx"):
-		err = WriteMatrixMarket(f, g)
-	default:
-		err = WriteEdgeList(f, g)
+	write := WriteEdgeList
+	switch Format(path) {
+	case "bin":
+		write = WriteBinary
+	case "mtx":
+		write = WriteMatrixMarket
 	}
-	if err != nil {
+	if err := write(f, g); err != nil {
 		return err
 	}
 	return f.Close()
 }
 
-// LoadFileWorkers reads a graph from path, choosing the format from
-// the extension as in SaveFile, with the text formats' parallel parse
-// and build bounded to the given worker count (<= 0 means machine
-// width). The pipeline's acquire stage uses this so file ingestion
-// respects a job's width; binary CSR decodes on one goroutine.
+// LoadFileWorkers reads a graph from path in the Format its name gives,
+// bounded to maxWorkers as in Read. The pipeline's acquire stage uses
+// this so file ingestion respects a job's width.
 func LoadFileWorkers(path string, maxWorkers int) (*Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	switch {
-	case strings.HasSuffix(path, ".bin"):
-		return ReadBinary(f)
-	case strings.HasSuffix(path, ".mtx"):
-		return ReadMatrixMarketWorkers(f, maxWorkers)
-	default:
-		return ReadEdgeListWorkers(f, 0, maxWorkers)
-	}
+	return Read(f, Format(path), maxWorkers)
 }

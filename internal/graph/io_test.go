@@ -42,7 +42,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	if err := WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadEdgeList(&buf, 0)
+	back, err := Read(&buf, "edges", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 
 func TestEdgeListCommentsAndBlankLines(t *testing.T) {
 	in := "# comment\n\n% another comment\n0 1\n 1 2 \n"
-	g, err := ReadEdgeList(strings.NewReader(in), 0)
+	g, err := Read(strings.NewReader(in), "edges", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,20 +60,10 @@ func TestEdgeListCommentsAndBlankLines(t *testing.T) {
 	}
 }
 
-func TestEdgeListExplicitN(t *testing.T) {
-	g, err := ReadEdgeList(strings.NewReader("0 1\n"), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 10 {
-		t.Fatalf("V=%d, want 10", g.NumVertices())
-	}
-}
-
 func TestEdgeListErrors(t *testing.T) {
 	cases := []string{"0\n", "a b\n", "0 x\n", "-1 2\n"}
 	for _, in := range cases {
-		if _, err := ReadEdgeList(strings.NewReader(in), 0); err == nil {
+		if _, err := Read(strings.NewReader(in), "edges", 0); err == nil {
 			t.Fatalf("input %q accepted", in)
 		}
 	}
@@ -225,7 +215,7 @@ func TestMatrixMarketRoundTrip(t *testing.T) {
 	if !strings.HasPrefix(buf.String(), "%%MatrixMarket") {
 		t.Fatal("missing banner")
 	}
-	back, err := ReadMatrixMarket(&buf)
+	back, err := Read(&buf, "mtx", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +232,7 @@ func TestMatrixMarketErrors(t *testing.T) {
 		"%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n3 1\n",
 	}
 	for _, in := range cases {
-		if _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {
+		if _, err := Read(strings.NewReader(in), "mtx", 0); err == nil {
 			t.Fatalf("input %q accepted", in)
 		}
 	}
@@ -251,16 +241,36 @@ func TestMatrixMarketErrors(t *testing.T) {
 func TestSaveLoadFileFormats(t *testing.T) {
 	g := testGraph()
 	dir := t.TempDir()
-	for _, name := range []string{"g.txt", "g.bin", "g.mtx"} {
+	for name, magic := range map[string]string{
+		"g.txt": "# chordal edge list", "g.bin": "CHRD", "g.mtx": "%%MatrixMarket",
+		"G.BIN": "CHRD", "G.MTX": "%%MatrixMarket",
+	} {
 		path := filepath.Join(dir, name)
 		if err := SaveFile(path, g); err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		if raw, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(raw, []byte(magic)) {
+			t.Fatalf("%s: file does not start with %q (err %v)", name, magic, err)
 		}
 		back, err := LoadFileWorkers(path, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		sameGraph(t, g, back)
+	}
+}
+
+// TestFormat pins the one extension rule: .bin and .mtx in any case,
+// and only as the last extension of the name itself.
+func TestFormat(t *testing.T) {
+	for name, want := range map[string]string{
+		"g.bin": "bin", "G.BIN": "bin", "g.Bin": "bin", "dir/g.bin": "bin",
+		"g.mtx": "mtx", "G.MTX": "mtx",
+		"g.bin.txt": "edges", "dir.bin/g": "edges", "graph": "edges", "g.txt": "edges",
+	} {
+		if got := Format(name); got != want {
+			t.Errorf("Format(%q) = %q, want %q", name, got, want)
+		}
 	}
 }
 
@@ -271,7 +281,6 @@ func TestLoadFileMissing(t *testing.T) {
 	if err := SaveFile(filepath.Join(t.TempDir(), "no", "dir", "g.txt"), testGraph()); err == nil {
 		t.Fatal("bad directory accepted")
 	}
-	_ = os.ErrNotExist
 }
 
 // TestEdgeListStreamingLargeInput pushes the reader across many chunk
@@ -301,7 +310,7 @@ func TestEdgeListStreamingLargeInput(t *testing.T) {
 		big.Write(body)
 	}
 	t.Logf("streaming input: %d bytes", big.Len())
-	back, err := ReadEdgeList(&big, 0)
+	back, err := Read(&big, "edges", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +328,7 @@ func TestEdgeListErrorReportsEarliestLine(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		fmt.Fprintf(&buf, "bad line too\n")
 	}
-	_, err := ReadEdgeList(&buf, 0)
+	_, err := Read(&buf, "edges", 0)
 	if err == nil {
 		t.Fatal("bad input accepted")
 	}
@@ -330,7 +339,7 @@ func TestEdgeListErrorReportsEarliestLine(t *testing.T) {
 
 // TestEdgeListNoTrailingNewline exercises the final partial chunk.
 func TestEdgeListNoTrailingNewline(t *testing.T) {
-	g, err := ReadEdgeList(strings.NewReader("0 1\n1 2"), 0)
+	g, err := Read(strings.NewReader("0 1\n1 2"), "edges", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +351,7 @@ func TestEdgeListNoTrailingNewline(t *testing.T) {
 // TestEdgeListExtraFields: weighted edge lists parse, extra fields are
 // ignored (seed-compatible behavior).
 func TestEdgeListExtraFields(t *testing.T) {
-	g, err := ReadEdgeList(strings.NewReader("0 1 0.75\n1 2 0.9\n"), 0)
+	g, err := Read(strings.NewReader("0 1 0.75\n1 2 0.9\n"), "edges", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

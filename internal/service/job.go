@@ -56,9 +56,9 @@ type JobStatus struct {
 	// Report is the library's run report (chordal.Report) once the job
 	// is done: the normalized spec with the worker width it ran at, its
 	// canonical key, input statistics, the engine summary, the verify
-	// outcome, quality and per-stage timings. A service-side acquire
-	// leads the timings. A cache hit carries the report of the run that
-	// filled the cache.
+	// outcome, quality and per-stage timings. An input-cache hit adds
+	// no acquire timing. A result-cache hit carries the report of the
+	// run that filled the cache.
 	Report *chordal.RunReport `json:"report,omitempty"`
 }
 

@@ -408,6 +408,35 @@ func TestMalformedBinaryUpload(t *testing.T) {
 	}
 }
 
+// TestUploadFormatIgnoresCase posts a binary CSR named g.BIN: the
+// upload decodes as binary CSR, the format graph.Format gives a .bin
+// name in any case, and its identity names that format.
+func TestUploadFormatIgnoresCase(t *testing.T) {
+	_, ts := startServer(t, Config{})
+	var buf bytes.Buffer
+	mw := multipart.NewWriter(&buf)
+	fw, _ := mw.CreateFormFile("graph", "g.BIN")
+	// A 4-cycle plus one chord, as in TestMultipartUpload.
+	if err := graph.WriteBinary(fw, graph.BuildFromEdges(4, []int32{0, 1, 2, 0, 0}, []int32{1, 2, 3, 3, 2})); err != nil {
+		t.Fatal(err)
+	}
+	mw.Close()
+	resp, err := http.Post(ts.URL+"/v1/jobs", mw.FormDataContentType(), &buf)
+	if err != nil {
+		t.Fatalf("POST multipart: %v", err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	var st JobStatus
+	json.Unmarshal(body, &st)
+	if resp.StatusCode != http.StatusAccepted || !strings.HasPrefix(st.Source, "upload:bin:") {
+		t.Fatalf("g.BIN upload: status %d body %s, want 202 with an upload:bin: identity", resp.StatusCode, body)
+	}
+	if _, done := followEvents(t, ts.URL, st.ID); done.State != StateDone || done.Report.Extraction.ChordalEdges != 5 {
+		t.Fatalf("g.BIN upload: %q (error %q), report %+v, want done with 5 chordal edges", done.State, done.Error, done.Report)
+	}
+}
+
 // TestJobErrorsSurface checks API error paths. Path sources are
 // enabled to exercise the load-failure path; the default gating is
 // asserted separately.

@@ -72,17 +72,18 @@
 // order, whitespace, or spelled-out defaults — share one identity, the
 // same one a CLI run or library Spec would compute. Two byte-bounded
 // LRU caches exploit that identity: generated input graphs are cached
-// by canonical source (the benchmark and bio-suite shapes regenerate
-// the same specs constantly), and completed extractions are cached by
-// the full canonical spec, so a repeated spec is served instantly
-// (HTTP 200). A result-cache hit returns the job that
-// produced the result (or one persistent born-done job if that one was
-// garbage collected) rather than registering a new job per request,
-// and identical cacheable specs submitted while the first is still
-// running are deduplicated onto that single in-flight execution
-// (single-flight), so a stampede of equal requests costs one pipeline
-// run and one job id. Terminal jobs are garbage collected
-// Config.JobTTL after finishing, keeping the job store bounded.
+// by canonical source as every job's chordal.Runner.Inputs (the
+// benchmark and bio-suite shapes regenerate the same specs
+// constantly), and completed extractions are cached by the full
+// canonical spec, so a repeated spec is served instantly (HTTP 200).
+// A result-cache hit returns the job that produced the result (or one
+// persistent born-done job if that one was garbage collected) rather
+// than registering a new job per request, and identical cacheable
+// specs submitted while the first is still running are deduplicated
+// onto that single in-flight execution (single-flight), so a stampede
+// of equal requests costs one pipeline run and one job id. Terminal
+// jobs are garbage collected Config.JobTTL after finishing, keeping
+// the job store bounded.
 //
 // Every job keeps an append-only event log; the SSE endpoint replays it
 // from the start and then follows live appends, so a subscriber that
@@ -378,9 +379,9 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // handleSubmit accepts a job: a JSON JobRequest, or a multipart form
-// with the graph bytes in field "graph" (format chosen by filename
-// extension, as for a file path in chordal.ParseSource) and optional
-// JobOptions JSON in field "options".
+// with the graph bytes in field "graph" (decoded in the graph.Format of
+// its filename, as a file path is) and optional JobOptions JSON in
+// field "options".
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec jobSpec
 	var upload *graph.Graph
@@ -405,7 +406,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		format := uploadFormat(hdr.Filename)
+		format := graph.Format(hdr.Filename)
 		// Reject bad options before paying a hash pass over a
 		// potentially multi-hundred-MiB upload: normalize against a
 		// placeholder digest, which shares every validation rule with
@@ -430,12 +431,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		src, err := chordal.ParseSource(cs.Source)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		if spec, err = finishJobSpec(cs, src); err != nil {
+		if spec, err = finishJobSpec(cs); err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -451,7 +447,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusInternalServerError, err)
 			return
 		}
-		g, err := parseUpload(format, file)
+		g, err := graph.Read(file, format, 0)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, err)
 			return
@@ -600,39 +596,14 @@ func (s *Server) lookup(id string) (*Job, bool) {
 	return j, ok
 }
 
-// uploadFormat resolves an uploaded filename to its decode format,
-// following the extension rules chordal.ParseSource applies to paths.
-func uploadFormat(filename string) string {
-	switch {
-	case strings.HasSuffix(filename, ".bin"):
-		return "bin"
-	case strings.HasSuffix(filename, ".mtx"):
-		return "mtx"
-	default:
-		return "edges"
-	}
-}
-
-// parseUpload decodes an uploaded graph stream in the given format.
-func parseUpload(format string, r io.Reader) (*graph.Graph, error) {
-	switch format {
-	case "bin":
-		return graph.ReadBinary(r)
-	case "mtx":
-		return graph.ReadMatrixMarket(r)
-	default:
-		return graph.ReadEdgeList(r, 0)
-	}
-}
-
 // run executes one job: wait for the weighted-fair scheduler to
-// dispatch its ticket, take a slot width, resolve the input (upload,
-// input cache, generator, or file), run the pipeline with progress
-// events, and publish the result to the caches. It runs under the
-// job's own context, so both server shutdown and DELETE /v1/jobs/{id}
-// drain it at the next boundary — a still-queued ticket is removed
-// from its tenant's queue by Wait itself, and the run slot, its width,
-// and the single-flight entry are released on every exit path.
+// dispatch its ticket, take a slot width, run the pipeline with
+// progress events on the parsed upload or through the input cache, and
+// publish the result to the result cache. It runs under the job's own
+// context, so both server shutdown and DELETE /v1/jobs/{id} drain it
+// at the next boundary — a still-queued ticket is removed from its
+// tenant's queue by Wait itself, and the run slot, its width, and the
+// single-flight entry are released on every exit path.
 func (s *Server) run(job *Job, upload *graph.Graph) {
 	defer s.wg.Done()
 	defer job.cancel()
@@ -674,65 +645,16 @@ func (s *Server) run(job *Job, upload *graph.Graph) {
 	// the event Type is the SSE event name and the marshaled Event the
 	// payload. Shard iterations report concurrently; appendEvent
 	// serializes under the job lock, so the log stays consistent.
-	observe := func(ev chordal.Event) {
+	// Uploads were parsed at submission; generated inputs come from and
+	// go to the input cache.
+	runner := chordal.Runner{Input: upload, Inputs: s.inputs, Observer: func(ev chordal.Event) {
 		job.appendEvent(string(ev.Type), ev)
-	}
-	runner := chordal.Runner{Observer: observe}
-
-	// Resolve the input ahead of the run when it can come from the
-	// input cache (uploads were parsed at submission; generated sources
-	// are deterministic in their canonical spec). File-path sources load
-	// inside the runner, where the acquire stage is timed as usual. The
-	// service's own acquire reports its begin and end like the runner's
-	// stages; an input-cache hit reports the lookup time.
-	stageEnd := func(d time.Duration, cached bool) {
-		observe(chordal.Event{Type: chordal.EventStageEnd, Stage: "acquire", Cached: cached,
-			Millis: float64(d.Microseconds()) / 1000})
-	}
-	var acquire []chordal.StageTiming
-	switch {
-	case upload != nil:
-		runner.Input = upload
-	case job.spec.generated:
-		t0 := time.Now()
-		if g, ok := s.inputs.Get(spec.Source); ok {
-			runner.Input = g
-			observe(chordal.Event{Type: chordal.EventStageBegin, Stage: "acquire", Cached: true})
-			stageEnd(time.Since(t0), true)
-		} else {
-			if err := job.ctx.Err(); err != nil {
-				job.fail(time.Now(), err)
-				return
-			}
-			src, err := chordal.ParseSource(spec.Source)
-			if err != nil {
-				job.fail(time.Now(), err)
-				return
-			}
-			observe(chordal.Event{Type: chordal.EventStageBegin, Stage: "acquire"})
-			t0 = time.Now()
-			// Generation runs at the job's width; the sampled graph is
-			// identical at any width, so caching it by canonical spec
-			// stays sound.
-			g, err := src.LoadWorkers(spec.Workers)
-			if err != nil {
-				job.fail(time.Now(), err)
-				return
-			}
-			acquire = []chordal.StageTiming{{Stage: "acquire", Duration: time.Since(t0)}}
-			stageEnd(acquire[0].Duration, false)
-			s.inputs.Add(spec.Source, g)
-			runner.Input = g
-		}
-	}
-
+	}}
 	res, err := runner.Run(job.ctx, spec)
 	if err != nil {
 		job.fail(time.Now(), err)
 		return
 	}
-	// The service's own acquire leads the runner's stage timings.
-	res.Timings = append(acquire, res.Timings...)
 	rep, err := chordal.Report(spec, res)
 	if err != nil {
 		job.fail(time.Now(), err)

@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"chordal"
@@ -91,12 +90,6 @@ type jobSpec struct {
 	// key is spec.Canonical(), the cache/dedup identity shared with the
 	// CLI and library.
 	key string
-	// generated reports a deterministic generator source, the inputs
-	// the input cache may hold.
-	generated bool
-	// deterministic reports that reruns see the same input (generator
-	// or content-addressed upload), making results cacheable.
-	deterministic bool
 }
 
 // newJobSpec decodes and normalizes a Source-based request. Unless
@@ -130,93 +123,49 @@ func newJobSpec(req JobRequest, allowPaths bool) (jobSpec, error) {
 	if !src.Generated() && !allowPaths {
 		return jobSpec{}, fmt.Errorf("service: file-path sources are disabled (upload the graph, or start the server with path sources allowed)")
 	}
-	return finishJobSpec(spec, src)
+	return finishJobSpec(spec)
 }
 
-// finishJobSpec derives the canonical key and cacheability of a
-// normalized spec.
-func finishJobSpec(spec chordal.Spec, src chordal.Source) (jobSpec, error) {
+// finishJobSpec derives the canonical key of a normalized spec.
+func finishJobSpec(spec chordal.Spec) (jobSpec, error) {
 	key, err := spec.Canonical()
-	if err != nil {
-		return jobSpec{}, err
-	}
-	return jobSpec{
-		spec:          spec,
-		key:           key,
-		generated:     src.Generated(),
-		deterministic: src.Generated() || src.ContentAddressed(),
-	}, nil
+	return jobSpec{spec: spec, key: key}, err
 }
 
 // cacheable reports whether completed extractions for this spec may be
-// served from the result cache: generator specs are deterministic in
-// their canonical form and uploads are content-addressed, but a file
-// path's contents can change between loads, so path-sourced jobs are
-// always re-run.
-func (s jobSpec) cacheable() bool { return s.deterministic }
+// served from the result cache (chordal.Spec.Deterministic): generator
+// specs are deterministic in their canonical form and uploads are
+// content-addressed, but a file path's contents can change between
+// loads, so path-sourced jobs are always re-run.
+func (s jobSpec) cacheable() bool { return s.spec.Deterministic() }
 
 // Key returns the job's cache/dedup identity: the spec's canonical
 // encoding, shared verbatim with chordal.Spec.Canonical callers.
 func (s jobSpec) Key() string { return s.key }
 
-// Scheduler cost units: one unit per costUnitEdges estimated input
-// edges (so a default job is cost 1 and a scale-20 R-MAT weighs in
-// around 128), capped so a single pathological estimate cannot dwarf
-// a tenant's entire fair share.
+// Scheduler cost units: one unit per costUnitEdges input edges (so a
+// default job is cost 1 and a scale-20 R-MAT weighs in around 128),
+// capped so a single pathological size cannot dwarf a tenant's entire
+// fair share.
 const (
 	costUnitEdges = 64 << 10
 	maxJobCost    = 1 << 10
 )
 
-// cost estimates the job's scheduler cost from its canonical source: a
-// cheap reparse of the generator arguments into an expected edge
-// count. Uploads and file paths carry no size in their identity and
-// charge the single-unit default — the estimate steers weighted-fair
-// interleaving, it is not an admission bound, so erring small only
-// softens (never breaks) fairness.
+// cost is the job's scheduler cost: one unit plus one per costUnitEdges
+// of its source's edge bound (chordal.Source.Size), or of its vertex
+// count where the spec bounds no edges. Uploads and file paths have no
+// size in their identity and charge the single-unit default — the cost
+// steers weighted-fair interleaving, it is not an admission bound, so
+// erring small only softens (never breaks) fairness.
 func (s jobSpec) cost() int64 {
-	edges := estimateEdges(s.spec.Source)
-	c := 1 + edges/costUnitEdges
-	if c > maxJobCost {
-		c = maxJobCost
+	src, err := chordal.ParseSource(s.spec.Source)
+	if err != nil {
+		return 1
 	}
-	return c
-}
-
-// estimateEdges reads an expected edge count off a canonical generator
-// source ("family:arg:..." with defaults filled in); unknown families,
-// paths, and uploads estimate 0 (one cost unit).
-func estimateEdges(source string) int64 {
-	fields := strings.Split(source, ":")
-	arg := func(i int) int64 {
-		if i >= len(fields) {
-			return 0
-		}
-		n, err := strconv.ParseInt(fields[i], 10, 64)
-		if err != nil {
-			return 0
-		}
-		return n
+	vertices, edges := src.Size()
+	if edges == 0 {
+		edges = vertices
 	}
-	switch strings.ToLower(fields[0]) {
-	case "gnm": // gnm:n:m:seed
-		return arg(2)
-	case "rmat-er", "rmat-g", "rmat-b": // family:scale:seed:edgefactor
-		scale, ef := arg(1), arg(3)
-		if scale <= 0 || scale > 40 {
-			return 0
-		}
-		if ef <= 0 {
-			ef = 8
-		}
-		return ef << scale
-	case "ws": // ws:n:k:beta:seed — n*k pairs, less rewiring's duplicates
-		return arg(1) * arg(2)
-	case "ktree": // ktree:n:k:seed — ~n*k edges
-		return arg(1) * arg(2)
-	case "geo": // geo:n:radius:seed — degree depends on radius; charge by n
-		return arg(1)
-	default:
-		return 0
-	}
+	return min(1+edges/costUnitEdges, maxJobCost)
 }

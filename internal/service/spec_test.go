@@ -171,8 +171,8 @@ func TestPathSourcesGated(t *testing.T) {
 	if err != nil {
 		t.Fatalf("path source rejected with paths allowed: %v", err)
 	}
-	if spec.generated || spec.cacheable() {
-		t.Errorf("path spec %+v must be non-generated and non-cacheable", spec)
+	if spec.cacheable() {
+		t.Errorf("path spec %+v must be non-cacheable", spec)
 	}
 }
 
@@ -193,27 +193,41 @@ func TestUploadSourceContentAddressed(t *testing.T) {
 	}
 }
 
-// TestEstimateEdgesMatchesGenerators holds the scheduler's size
-// estimate to within 5% of the edges each generator family actually
-// emits, for the families whose size the spec determines.
-func TestEstimateEdgesMatchesGenerators(t *testing.T) {
-	for _, spec := range []string{
-		"gnm:20000:80000:3",
-		"ws:20000:8:0.1:1",
-		"ws:5000:3:0.5:2",
-		"ktree:5000:6:1",
+// TestJobCost pins the scheduler cost of each source kind: one unit
+// plus one per 64Ki of the source's edge bound, or of its vertex count
+// where the spec bounds no edges, capped at 1024.
+func TestJobCost(t *testing.T) {
+	path, err := newJobSpec(JobRequest{Source: "/data/g.bin"}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upload, err := finishJobSpec(chordal.Spec{Source: chordal.UploadSource("edges", sha256.Sum256([]byte("0 1\n")))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := path.cost(); c != 1 {
+		t.Errorf("file path: cost %d, want 1", c)
+	}
+	if c := upload.cost(); c != 1 {
+		t.Errorf("upload: cost %d, want 1", c)
+	}
+	for source, want := range map[string]int64{
+		"rmat-g:14":        3,
+		"rmat-er:30:1:100": 1024,
+		// edgefactor·2^scale past 2^63 saturates instead of wrapping.
+		"rmat-er:30:1:100000000000": 1024,
+		"gnm:150000:900000:1":       14,
+		"ws:100000:8:0.1:1":         13,
+		"geo:200000:0.004:3":        4,
+		"ktree:800:24:1":            1,
+		"gse5140-crt:1":             1,
 	} {
-		src, err := chordal.ParseSource(spec)
+		spec, err := newJobSpec(JobRequest{Source: source}, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := src.Load()
-		if err != nil {
-			t.Fatal(err)
-		}
-		est, got := estimateEdges(src.Canonical()), g.NumEdges()
-		if diff := est - got; diff*20 > got || -diff*20 > got {
-			t.Errorf("%s: estimate %d edges, generated %d", spec, est, got)
+		if c := spec.cost(); c != want {
+			t.Errorf("%s: cost %d, want %d", source, c, want)
 		}
 	}
 }

@@ -1,9 +1,12 @@
 package chordal_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -41,6 +44,53 @@ func TestParseSourceGenerators(t *testing.T) {
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("%s: %v", c.spec, err)
+		}
+	}
+}
+
+// TestSourceSize holds Source.Size to the graphs the generators emit:
+// the vertex count is exact for every family, and the edge count stays
+// within the bound where the spec fixes one (within 5% of it for gnm,
+// ws and ktree). The bio suite and geo bound no edges, and a file path
+// or an upload identity fixes nothing.
+func TestSourceSize(t *testing.T) {
+	for _, spec := range []string{
+		"rmat-er:9:3", "rmat-g:9:5:4", "rmat-b:8",
+		"gse5140-crt:64", "gse5140-unt:64:5", "gse17072-ctl:64", "gse17072-non:64:2",
+		"gnm:20000:80000:3", "ws:20000:8:0.1:1", "ws:5000:3:0.5:2", "geo:500:0.05:9", "ktree:5000:6:1",
+	} {
+		src, err := chordal.ParseSource(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := src.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		vertices, bound := src.Size()
+		if vertices != int64(g.NumVertices()) {
+			t.Errorf("%s: Size reports %d vertices, generated %d", spec, vertices, g.NumVertices())
+		}
+		family := strings.SplitN(spec, ":", 2)[0]
+		got := g.NumEdges()
+		switch {
+		case family == "geo" || strings.HasPrefix(family, "gse"):
+			if bound != 0 {
+				t.Errorf("%s: edge bound %d, want 0 (the spec fixes none)", spec, bound)
+			}
+		case got > bound:
+			t.Errorf("%s: generated %d edges past the bound %d", spec, got, bound)
+		case !strings.HasPrefix(family, "rmat") && (bound-got)*20 > got:
+			t.Errorf("%s: bound %d edges, generated %d, want within 5%%", spec, bound, got)
+		}
+	}
+	for _, spec := range []string{"testdata/some.bin", chordal.UploadSource("edges", [32]byte{})} {
+		src, err := chordal.ParseSource(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, e := src.Size(); v != 0 || e != 0 {
+			t.Errorf("%s: Size (%d, %d), want (0, 0)", spec, v, e)
 		}
 	}
 }
@@ -377,6 +427,138 @@ func TestPipelineInputInjection(t *testing.T) {
 	for _, st := range res.Timings {
 		if st.Stage == "acquire" {
 			t.Error("acquire stage ran despite injected input")
+		}
+	}
+}
+
+// countingCache is a map-backed chordal.InputCache that counts its
+// calls.
+type countingCache struct {
+	mu         sync.Mutex
+	graphs     map[string]*chordal.Graph
+	gets, adds int
+}
+
+func (c *countingCache) Get(canonical string) (*chordal.Graph, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.gets++
+	g, ok := c.graphs[canonical]
+	return g, ok
+}
+
+func (c *countingCache) Add(canonical string, g *chordal.Graph) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.adds++
+	c.graphs[canonical] = g
+}
+
+// TestRunnerInputsCache: Runner.Inputs serves generated sources by
+// canonical spec. The first run misses, loads and adds; a respelled
+// second run hits, reports a cached acquire stage pair and records no
+// acquire timing, and extracts the same subgraph. An injected Input and
+// a file-path source never touch the cache.
+func TestRunnerInputsCache(t *testing.T) {
+	cache := &countingCache{graphs: map[string]*chordal.Graph{}}
+	run := func(r chordal.Runner, source string) (*chordal.PipelineResult, []chordal.Event) {
+		t.Helper()
+		var acquire []chordal.Event
+		r.Observer = func(ev chordal.Event) {
+			if ev.Stage == "acquire" {
+				acquire = append(acquire, ev)
+			}
+		}
+		res, err := r.Run(context.Background(), chordal.Spec{Source: source, Verify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, acquire
+	}
+	timed := func(res *chordal.PipelineResult) bool {
+		for _, st := range res.Timings {
+			if st.Stage == "acquire" {
+				return true
+			}
+		}
+		return false
+	}
+
+	miss, missEvs := run(chordal.Runner{Inputs: cache}, "gnm:500:1500:3")
+	if cache.gets != 1 || cache.adds != 1 || cache.graphs["gnm:500:1500:3"] != miss.Input {
+		t.Fatalf("miss: %d gets, %d adds, cached %v; want one of each keyed gnm:500:1500:3", cache.gets, cache.adds, cache.graphs)
+	}
+	if len(missEvs) != 2 || missEvs[0].Cached || missEvs[1].Cached || !timed(miss) {
+		t.Errorf("miss: acquire events %+v, timed %t; want an uncached pair and an acquire timing", missEvs, timed(miss))
+	}
+
+	hit, hitEvs := run(chordal.Runner{Inputs: cache}, " GNM:500:1500:3 ")
+	if cache.gets != 2 || cache.adds != 1 || hit.Input != miss.Input {
+		t.Fatalf("hit: %d gets, %d adds; want 2 and 1, with the cached graph as input", cache.gets, cache.adds)
+	}
+	if len(hitEvs) != 2 || hitEvs[0].Type != chordal.EventStageBegin || hitEvs[1].Type != chordal.EventStageEnd ||
+		!hitEvs[0].Cached || !hitEvs[1].Cached || timed(hit) {
+		t.Errorf("hit: acquire events %+v, timed %t; want a cached stage/stageEnd pair and no acquire timing", hitEvs, timed(hit))
+	}
+	if !sameGraph(hit.Subgraph, miss.Subgraph) {
+		t.Error("hit extracted a different subgraph than the miss")
+	}
+
+	run(chordal.Runner{Input: miss.Input, Inputs: cache}, "")
+	path := filepath.Join(t.TempDir(), "g.bin")
+	if err := chordal.SaveGraph(path, miss.Input); err != nil {
+		t.Fatal(err)
+	}
+	fromFile, _ := run(chordal.Runner{Inputs: cache}, path)
+	if cache.gets != 2 || cache.adds != 1 {
+		t.Errorf("injected input and file path: %d gets, %d adds; want the cache untouched (2, 1)", cache.gets, cache.adds)
+	}
+	if !sameGraph(fromFile.Subgraph, miss.Subgraph) {
+		t.Error("file-path run extracted a different subgraph")
+	}
+}
+
+// TestOutputFormatIgnoresCase writes a generated graph through
+// Spec.Output as G.BIN: the file is binary CSR, and the parallel,
+// sharded and external engines read it back to the subgraphs they
+// extract from the generated source itself.
+func TestOutputFormatIgnoresCase(t *testing.T) {
+	const source = "rmat-er:8:7"
+	path := filepath.Join(t.TempDir(), "G.BIN")
+	if _, err := (chordal.Spec{Source: source, Engine: chordal.EngineNone, Output: path}).Run(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(raw, []byte("CHRD")) {
+		t.Fatalf("G.BIN starts with %q, want the binary CSR magic CHRD", raw[:min(len(raw), 16)])
+	}
+	for _, spec := range []chordal.Spec{
+		{Engine: chordal.EngineParallel},
+		{Engine: chordal.EngineSharded, EngineConfig: chordal.EngineConfig{Shards: 2}},
+		{Engine: chordal.EngineExternal, EngineConfig: chordal.EngineConfig{Shards: 2}},
+	} {
+		spec.Source = source
+		want, err := spec.Run()
+		if err != nil {
+			t.Fatalf("%s from %s: %v", spec.Engine, source, err)
+		}
+		spec.Source = path
+		got, err := spec.Run()
+		if err != nil {
+			t.Fatalf("%s from G.BIN: %v", spec.Engine, err)
+		}
+		var a, b bytes.Buffer
+		if err := graph.WriteBinary(&a, want.Subgraph); err != nil {
+			t.Fatal(err)
+		}
+		if err := graph.WriteBinary(&b, got.Subgraph); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("%s: subgraph from G.BIN differs from the generated source's", spec.Engine)
 		}
 	}
 }

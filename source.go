@@ -18,15 +18,16 @@ import (
 // # Source spec grammar
 //
 // A Source is either a path to a graph file (.bin binary CSR, .mtx
-// Matrix Market, anything else a text edge list), a generator spec
-// "family:arg:arg..." with colon-separated arguments (trailing
-// arguments with defaults may be omitted), or a content-addressed
-// upload identity "upload:format:sha256hex" naming graph bytes the
-// caller supplies out of band. The SourceSpecs constant is the
-// authoritative one-line-per-family grammar (the CLIs print it in
-// their usage text). Family names are case-insensitive; seed defaults
-// to 42, edgefactor to 8, downscale to 8. Source.Canonical returns
-// the lowercased, default-filled form that cache keys are built from.
+// Matrix Market, anything else a text edge list; graph.Format matches
+// the extension in any case), a generator spec "family:arg:arg..."
+// with colon-separated arguments (trailing arguments with defaults may
+// be omitted), or a content-addressed upload identity
+// "upload:format:sha256hex" naming graph bytes the caller supplies out
+// of band. The SourceSpecs constant is the authoritative
+// one-line-per-family grammar (the CLIs print it in their usage text).
+// Family names are case-insensitive; seed defaults to 42, edgefactor
+// to 8, downscale to 8. Source.Canonical returns the lowercased,
+// default-filled form that cache keys are built from.
 
 // Source describes where a pipeline input graph comes from: a file
 // path, a generator spec of the form "family:arg:arg...", or a
@@ -37,7 +38,9 @@ type Source struct {
 	canon     string
 	generated bool
 	content   bool
-	load      func(workers int) (*Graph, error)
+	// vertices and edges are what the spec's arguments fix (Size).
+	vertices, edges int64
+	load            func(workers int) (*Graph, error)
 }
 
 // String returns the spec the source was parsed from.
@@ -64,6 +67,14 @@ func (s Source) Generated() bool { return s.generated }
 // identical identities always denote the same graph, so results are
 // safe to cache by Canonical.
 func (s Source) ContentAddressed() bool { return s.content }
+
+// Size returns what the spec's arguments fix about the graph it names:
+// the exact vertex count of every generator family, and an upper bound
+// on the edge count for gnm (m), R-MAT (edgefactor·2^scale), ws and
+// ktree (n·k). Either is 0 where the spec fixes nothing: the edges of
+// the bio suite and geo, and both counts of a file path or an upload
+// identity, whose size only their bytes tell.
+func (s Source) Size() (vertices, edges int64) { return s.vertices, s.edges }
 
 // Load acquires the graph (reading or generating it) at machine width.
 func (s Source) Load() (*Graph, error) {
@@ -139,6 +150,9 @@ func ParseSource(spec string) (Source, error) {
 		}
 		return v, nil
 	}
+	gen := func(canon string, vertices, edges int64, load func(workers int) (*Graph, error)) (Source, error) {
+		return Source{spec: spec, canon: canon, generated: true, vertices: vertices, edges: edges, load: load}, nil
+	}
 
 	switch head {
 	case "upload":
@@ -147,7 +161,7 @@ func ParseSource(spec string) (Source, error) {
 		if len(args) != 2 || args[1] == "" {
 			return Source{}, fmt.Errorf("chordal: source %q: want upload:format:sha256hex", spec)
 		}
-		return Source{spec, spec, false, true, func(int) (*Graph, error) {
+		return Source{spec: spec, canon: spec, content: true, load: func(int) (*Graph, error) {
 			return nil, fmt.Errorf("chordal: upload source %q has no loadable bytes; inject the parsed graph as the run input", spec)
 		}}, nil
 
@@ -171,13 +185,13 @@ func ParseSource(spec string) (Source, error) {
 		if err := rmat.Check(int(scale), int(edgeFactor)); err != nil {
 			return Source{}, fmt.Errorf("chordal: source %q: %w", spec, err)
 		}
-		canon := fmt.Sprintf("%s:%d:%d:%d", head, scale, seed, edgeFactor)
-		return Source{spec, canon, true, false, func(workers int) (*Graph, error) {
+		n := int64(1) << scale
+		return gen(fmt.Sprintf("%s:%d:%d:%d", head, scale, seed, edgeFactor), n, mulCap(edgeFactor, n), func(workers int) (*Graph, error) {
 			p := rmat.PresetParams(preset, int(scale), uint64(seed))
 			p.EdgeFactor = int(edgeFactor)
 			p.Workers = workers
 			return rmat.Generate(p)
-		}}, nil
+		})
 
 	case "gse5140-crt", "gse5140-unt", "gse17072-ctl", "gse17072-non":
 		dataset := map[string]biogen.Dataset{
@@ -195,12 +209,12 @@ func ParseSource(spec string) (Source, error) {
 		if err != nil {
 			return Source{}, err
 		}
-		canon := fmt.Sprintf("%s:%d:%d", head, downscale, seed)
-		return Source{spec, canon, true, false, func(workers int) (*Graph, error) {
+		genes := biogen.PresetParams(dataset, int(downscale), uint64(seed)).Genes
+		return gen(fmt.Sprintf("%s:%d:%d", head, downscale, seed), int64(genes), 0, func(workers int) (*Graph, error) {
 			p := biogen.PresetParams(dataset, int(downscale), uint64(seed))
 			p.Workers = workers
 			return biogen.Generate(p)
-		}}, nil
+		})
 
 	case "gnm":
 		n, err := intArg(0, "n", -1)
@@ -221,10 +235,9 @@ func ParseSource(spec string) (Source, error) {
 		if err != nil {
 			return Source{}, err
 		}
-		canon := fmt.Sprintf("gnm:%d:%d:%d", n, m, seed)
-		return Source{spec, canon, true, false, func(workers int) (*Graph, error) {
+		return gen(fmt.Sprintf("gnm:%d:%d:%d", n, m, seed), n, m, func(workers int) (*Graph, error) {
 			return synth.GNM(int(n), m, uint64(seed), workers)
-		}}, nil
+		})
 
 	case "ws":
 		n, err := intArg(0, "n", -1)
@@ -250,9 +263,9 @@ func ParseSource(spec string) (Source, error) {
 			return Source{}, err
 		}
 		canon := fmt.Sprintf("ws:%d:%d:%s:%d", n, k, strconv.FormatFloat(beta, 'g', -1, 64), seed)
-		return Source{spec, canon, true, false, func(workers int) (*Graph, error) {
+		return gen(canon, n, mulCap(n, k), func(workers int) (*Graph, error) {
 			return synth.WattsStrogatz(int(n), int(k), beta, uint64(seed), workers)
-		}}, nil
+		})
 
 	case "geo":
 		n, err := intArg(0, "n", -1)
@@ -274,9 +287,9 @@ func ParseSource(spec string) (Source, error) {
 			return Source{}, err
 		}
 		canon := fmt.Sprintf("geo:%d:%s:%d", n, strconv.FormatFloat(radius, 'g', -1, 64), seed)
-		return Source{spec, canon, true, false, func(workers int) (*Graph, error) {
+		return gen(canon, n, 0, func(workers int) (*Graph, error) {
 			return synth.RandomGeometric(int(n), radius, uint64(seed), workers)
-		}}, nil
+		})
 
 	case "ktree":
 		n, err := intArg(0, "n", -1)
@@ -297,13 +310,21 @@ func ParseSource(spec string) (Source, error) {
 		if err != nil {
 			return Source{}, err
 		}
-		canon := fmt.Sprintf("ktree:%d:%d:%d", n, k, seed)
-		return Source{spec, canon, true, false, func(workers int) (*Graph, error) {
+		return gen(fmt.Sprintf("ktree:%d:%d:%d", n, k, seed), n, mulCap(n, k), func(workers int) (*Graph, error) {
 			return synth.KTree(int(n), int(k), uint64(seed), workers)
-		}}, nil
+		})
 	}
 	// Anything else is a file path.
-	return Source{spec, filepath.Clean(spec), false, false, func(workers int) (*Graph, error) {
+	return Source{spec: spec, canon: filepath.Clean(spec), load: func(workers int) (*Graph, error) {
 		return graph.LoadFileWorkers(spec, workers)
 	}}, nil
+}
+
+// mulCap returns a·b for non-negative a and b, saturating at
+// math.MaxInt64 so that a size bound never wraps.
+func mulCap(a, b int64) int64 {
+	if b != 0 && a > math.MaxInt64/b {
+		return math.MaxInt64
+	}
+	return a * b
 }

@@ -377,19 +377,35 @@ func (s Spec) RunContext(ctx context.Context) (*PipelineResult, error) {
 }
 
 // Runner executes Specs with execution-time inputs that are not part
-// of the spec's identity: a pre-acquired input graph and an event
-// Observer. The zero value is ready to use.
+// of the spec's identity: a pre-acquired input graph, a cache of
+// generated inputs and an event Observer. The zero value is ready to
+// use.
 type Runner struct {
 	// Input, when non-nil, is used directly as the acquired graph and
 	// the spec's Source is not loaded. Graphs are immutable, so a
 	// cached or shared instance can be injected safely; this is how the
-	// service reuses cached generated inputs and parsed uploads.
+	// service runs parsed uploads.
 	Input *Graph
+	// Inputs, when non-nil and Input is nil, serves and keeps the
+	// graphs of generated sources, keyed by Source.Canonical. A hit
+	// reports its acquire stage marked Cached and records no acquire
+	// timing; a miss loads the graph and adds it. File paths never
+	// touch it: their contents may change between loads.
+	Inputs InputCache
 	// Observer, when non-nil, receives the run's unified event stream:
 	// stage begin/end with timing, extraction iterations (tagged with
 	// the shard during sharded extraction, possibly concurrently), and
 	// the verify outcome.
 	Observer Observer
+}
+
+// InputCache holds acquired input graphs by Source.Canonical, for a
+// Runner's Inputs. A generated source's graph is the same at any
+// worker count, so one entry serves runs of every width. Runners that
+// share a cache call it concurrently.
+type InputCache interface {
+	Get(canonical string) (*Graph, bool)
+	Add(canonical string, g *Graph)
 }
 
 // maxAuditEdges bounds the input size for the maximality audit, whose
@@ -432,20 +448,8 @@ func (r Runner) Run(ctx context.Context, s Spec) (*PipelineResult, error) {
 		return nil, err
 	}
 	g := r.Input
-	// Out-of-core fast path: the external engine extracts straight from
-	// a binary-CSR file source, so the acquire stage is skipped and the
-	// input is never materialized in memory. Generated and
-	// content-addressed sources still load normally (there is no file to
-	// map).
 	var srcPath string
-	if g == nil && s.Source != "" && s.Engine == EngineExternal {
-		if src, err := ParseSource(s.Source); err == nil &&
-			!src.Generated() && !src.ContentAddressed() &&
-			strings.HasSuffix(strings.ToLower(src.Canonical()), ".bin") {
-			srcPath = src.Canonical()
-		}
-	}
-	if g == nil && srcPath == "" {
+	if g == nil {
 		if s.Source == "" {
 			return nil, fmt.Errorf("chordal: spec needs a source (or a Runner-injected input graph)")
 		}
@@ -453,12 +457,33 @@ func (r Runner) Run(ctx context.Context, s Spec) (*PipelineResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		start := enter("acquire")
-		g, err = src.LoadWorkers(s.Workers)
-		if err != nil {
-			return nil, err
+		cache := r.Inputs
+		if !src.Generated() {
+			cache = nil
 		}
-		mark("acquire", start)
+		t0 := time.Now()
+		if cache != nil {
+			g, _ = cache.Get(src.Canonical())
+		}
+		switch {
+		case g != nil:
+			emit(Event{Type: EventStageBegin, Stage: "acquire", Cached: true})
+			emit(Event{Type: EventStageEnd, Stage: "acquire", Cached: true, Millis: durationMillis(time.Since(t0))})
+		case s.Engine == EngineExternal && !src.Generated() && !src.ContentAddressed() && graph.Format(src.Canonical()) == "bin":
+			// Out-of-core fast path: the external engine extracts straight
+			// from a binary-CSR file, so the acquire stage is skipped and
+			// the input is never materialized in memory.
+			srcPath = src.Canonical()
+		default:
+			start := enter("acquire")
+			if g, err = src.LoadWorkers(s.Workers); err != nil {
+				return nil, err
+			}
+			mark("acquire", start)
+			if cache != nil {
+				cache.Add(src.Canonical(), g)
+			}
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
