@@ -132,7 +132,7 @@ func BuildFromEdges(n int, us, vs []int32) (*Graph, error) {
 			return nil, fmt.Errorf("chordal: edge %d (%d, %d) has an endpoint outside [0, %d)", i, u, v, n)
 		}
 	}
-	return graph.BuildFromEdges(n, us, vs), nil
+	return graph.BuildFromEdges(n, us, vs, 0), nil
 }
 
 // Extract runs the multithreaded maximal-chordal-subgraph algorithm on

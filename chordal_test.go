@@ -71,7 +71,7 @@ func TestBuilderFacade(t *testing.T) {
 
 func TestSerialFacade(t *testing.T) {
 	g := must(rmat.Generate(rmat.PresetParams(rmat.G, 9, 3)))
-	sub := dearing.Extract(g, 0).ToGraph(g.NumVertices())
+	sub := graph.FromSortedEdges(g.NumVertices(), dearing.Extract(g, 0).Edges)
 	if !chordal.IsChordal(sub) {
 		t.Fatal("serial result not chordal")
 	}

@@ -10,6 +10,7 @@ import (
 	"chordal/internal/core"
 	"chordal/internal/dearing"
 	"chordal/internal/elimination"
+	"chordal/internal/graph"
 	"chordal/internal/parallel"
 	"chordal/internal/partition"
 	"chordal/internal/shard"
@@ -235,7 +236,7 @@ func (dearingEngine) Extract(ctx context.Context, g *Graph, cfg EngineConfig) (*
 	}
 	r := dearing.Extract(g, int32(cfg.Start))
 	return &EngineResult{
-		Subgraph:       r.ToGraph(n),
+		Subgraph:       graph.FromSortedEdges(n, r.Edges),
 		SerialDuration: r.Total,
 		Dearing:        &DearingSummary{Start: cfg.Start},
 	}, nil
@@ -298,7 +299,7 @@ func (partitionedEngine) Extract(ctx context.Context, g *Graph, cfg EngineConfig
 	}
 	r, rep := partition.ExtractAndClean(g, cfg.Partitions)
 	return &EngineResult{
-		Subgraph: r.ToGraph(g.NumVertices()),
+		Subgraph: graph.FromSortedEdges(g.NumVertices(), r.Edges),
 		Partition: &PartitionSummary{
 			Parts:          r.Parts,
 			InteriorEdges:  r.InteriorEdges,

@@ -289,7 +289,7 @@ func Generate(p Params) (*graph.Graph, error) {
 	})
 
 	us, vs := bufs.Concat()
-	g := graph.BuildFromEdgesWorkers(n, us, vs, p.Workers)
+	g := graph.BuildFromEdges(n, us, vs, p.Workers)
 	// Scatter vertex ids: microarray probe ids carry no relation to
 	// co-expression modules, so module members must not be contiguous
 	// in id space. (This also matters for reproduction fidelity: the

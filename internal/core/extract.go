@@ -198,7 +198,7 @@ func (r *Result) reconcile(ctx context.Context, g *graph.Graph, opts Options) er
 	if len(edges) == kept {
 		return nil
 	}
-	SortEdges(r.NumVertices, r.Edges)
+	graph.SortEdges(r.NumVertices, r.Edges)
 	clear(r.csetLen)
 	for _, e := range r.Edges {
 		r.csetData[r.csetOff[e.V]+int64(r.csetLen[e.V])] = e.U

@@ -330,10 +330,10 @@ func TestToGraphMatchesBuilder(t *testing.T) {
 		for i, e := range res.Edges {
 			us[i], vs[i] = e.U, e.V
 		}
-		want := graph.SubgraphFromEdges(res.NumVertices, us, vs)
+		want := graph.BuildFromEdges(res.NumVertices, us, vs, 0)
 		got := res.ToGraph()
 		if !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Adj, want.Adj) || got.Sorted != want.Sorted {
-			t.Fatalf("%s: ToGraph differs from SubgraphFromEdges", c.name)
+			t.Fatalf("%s: ToGraph differs from BuildFromEdges", c.name)
 		}
 	}
 }
@@ -382,60 +382,6 @@ func TestStitchAndRepairKeepChordalSets(t *testing.T) {
 		})
 		if inList != len(res.Edges) {
 			t.Fatalf("%s: HasChordalEdge holds for %d input edges, the list has %d", c.name, inList, len(res.Edges))
-		}
-	}
-}
-
-// TestSortEdgesMatchesComparator checks the counting sort against a
-// comparator sort by (U, V) on shuffled, distinct, oriented edge sets:
-// empty, on one vertex, one hub owning every edge as the smaller and
-// as the larger endpoint, n much larger than E, and random graphs.
-func TestSortEdgesMatchesComparator(t *testing.T) {
-	edgesOf := func(g *graph.Graph) []Edge {
-		var es []Edge
-		g.Edges(func(u, v int32) { es = append(es, Edge{U: u, V: v}) })
-		return es
-	}
-	star := func(n int, hub int32) []Edge {
-		var es []Edge
-		for v := int32(0); int(v) < n; v++ {
-			if v != hub {
-				es = append(es, Edge{U: min(v, hub), V: max(v, hub)})
-			}
-		}
-		return es
-	}
-	cases := []struct {
-		name  string
-		n     int
-		edges []Edge
-	}{
-		{"empty", 0, nil},
-		{"one vertex", 1, nil},
-		{"one edge", 2, []Edge{{U: 0, V: 1}}},
-		{"hub smallest", 500, star(500, 0)},
-		{"hub largest", 500, star(500, 499)},
-		{"hub middle", 500, star(500, 250)},
-		{"sparse in a large range", 100000, []Edge{{U: 99998, V: 99999}, {U: 3, V: 70000}, {U: 0, V: 99999}, {U: 3, V: 4}, {U: 50000, V: 50001}}},
-		{"random", 300, edgesOf(randomGraph(300, 1500, 21))},
-		{"dense", 60, edgesOf(randomGraph(60, 1500, 22))},
-	}
-	rng := xrand.NewXoshiro256(5)
-	for _, c := range cases {
-		got := make([]Edge, len(c.edges))
-		for i, j := range rng.Perm(len(c.edges)) {
-			got[i] = c.edges[j]
-		}
-		want := slices.Clone(got)
-		slices.SortFunc(want, func(a, b Edge) int {
-			if a.U != b.U {
-				return int(a.U) - int(b.U)
-			}
-			return int(a.V) - int(b.V)
-		})
-		SortEdges(c.n, got)
-		if !slices.Equal(got, want) {
-			t.Errorf("%s: SortEdges differs from the comparator sort", c.name)
 		}
 	}
 }

@@ -55,7 +55,6 @@ import (
 	"time"
 
 	"chordal/internal/graph"
-	"chordal/internal/incremental"
 )
 
 // Variant selects the paper's two implementations.
@@ -193,10 +192,9 @@ type Options struct {
 }
 
 // Edge is an undirected chordal edge; by construction U < V and U was
-// the lowest parent that admitted the edge. It is the admission
-// kernel's edge type, so kernel, repair and stream edges share one
-// type.
-type Edge = incremental.Edge
+// the lowest parent that admitted the edge. It is graph.Edge, the one
+// edge type, so kernel, repair, stream and engine edges share it.
+type Edge = graph.Edge
 
 // IterationStats records one while-loop iteration of Algorithm 1,
 // the quantities behind Figure 7 of the paper.
@@ -305,75 +303,8 @@ func (r *Result) collectEdges() []Edge {
 }
 
 // ToGraph materializes the chordal edge set as a CSR graph over the
-// same vertex ids; see EdgesToGraph.
-func (r *Result) ToGraph() *graph.Graph { return EdgesToGraph(r.NumVertices, r.Edges) }
-
-// SortEdges orders edges, whose endpoints lie in [0, n), by (U, V),
-// the canonical order of every extraction result. It is a stable
-// two-pass counting sort, by V into one scratch slice of len(edges)
-// and then by U back into edges, over n+1 counters: O(E+V) time, where
-// a comparison sort takes O(E log E).
-func SortEdges(n int, edges []Edge) {
-	if len(edges) < 2 {
-		return
-	}
-	scratch := make([]Edge, len(edges))
-	count := make([]int, n+1)
-	for _, e := range edges {
-		count[e.V+1]++
-	}
-	prefixSum(count)
-	for _, e := range edges {
-		scratch[count[e.V]] = e
-		count[e.V]++
-	}
-	clear(count)
-	for _, e := range scratch {
-		count[e.U+1]++
-	}
-	prefixSum(count)
-	for _, e := range scratch {
-		edges[count[e.U]] = e
-		count[e.U]++
-	}
-}
-
-// prefixSum turns per-key counts, stored one slot past their key, into
-// each key's first position.
-func prefixSum(count []int) {
-	for i := 1; i < len(count); i++ {
-		count[i] += count[i-1]
-	}
-}
-
-// EdgesToGraph builds the CSR graph over n vertices whose edge set is
-// edges, which must be distinct, oriented (U < V) and in SortEdges
-// order. One scatter pass in list order fills every adjacency list
-// sorted without a sort: a vertex receives its smaller neighbors, from
-// the edges it ends, before its larger ones, from the edges it starts,
-// and each of the two runs arrives ascending.
-func EdgesToGraph(n int, edges []Edge) *graph.Graph {
-	off := make([]int64, n+1)
-	for _, e := range edges {
-		off[e.U+1]++
-		off[e.V+1]++
-	}
-	for v := 0; v < n; v++ {
-		off[v+1] += off[v]
-	}
-	adj := make([]int32, off[n])
-	// off[v] is v's write cursor; the scatter leaves it at v's end,
-	// which is v+1's start, so one shift restores the offsets.
-	for _, e := range edges {
-		adj[off[e.U]] = e.V
-		off[e.U]++
-		adj[off[e.V]] = e.U
-		off[e.V]++
-	}
-	copy(off[1:], off[:n])
-	off[0] = 0
-	return &graph.Graph{Offsets: off, Adj: adj, Sorted: true}
-}
+// same vertex ids; see graph.FromSortedEdges.
+func (r *Result) ToGraph() *graph.Graph { return graph.FromSortedEdges(r.NumVertices, r.Edges) }
 
 // TotalTested returns the number of subset tests over all iterations.
 func (r *Result) TotalTested() int64 {

@@ -26,8 +26,9 @@ import (
 
 // Result is the output of Extract.
 type Result struct {
-	// Edges is the maximal chordal edge set, each with U < V.
-	Edges []Edge
+	// Edges is the maximal chordal edge set, each with U < V, in
+	// graph.SortEdges order.
+	Edges []graph.Edge
 	// Order is the vertex selection order (a reverse perfect
 	// elimination ordering of the extracted subgraph).
 	Order []int32
@@ -35,23 +36,8 @@ type Result struct {
 	Total time.Duration
 }
 
-// Edge is an undirected chordal edge with U < V.
-type Edge struct {
-	U, V int32
-}
-
 // NumChordalEdges returns |EC|.
 func (r *Result) NumChordalEdges() int { return len(r.Edges) }
-
-// ToGraph materializes the chordal edge set as a CSR graph.
-func (r *Result) ToGraph(n int) *graph.Graph {
-	us := make([]int32, len(r.Edges))
-	vs := make([]int32, len(r.Edges))
-	for i, e := range r.Edges {
-		us[i], vs[i] = e.U, e.V
-	}
-	return graph.SubgraphFromEdges(n, us, vs)
-}
 
 // Extract runs the serial algorithm on g, starting from vertex start
 // (pass a negative value to start from vertex 0). Unreached components
@@ -114,7 +100,7 @@ func Extract(g *graph.Graph, start int32) *Result {
 			if a > b {
 				a, b = b, a
 			}
-			res.Edges = append(res.Edges, Edge{U: a, V: b})
+			res.Edges = append(res.Edges, graph.Edge{U: a, V: b})
 		}
 		for _, w := range g.Neighbors(v) {
 			if selected[w] {
@@ -152,12 +138,7 @@ func Extract(g *graph.Graph, start int32) *Result {
 		remaining--
 	}
 
-	sort.Slice(res.Edges, func(i, j int) bool {
-		if res.Edges[i].U != res.Edges[j].U {
-			return res.Edges[i].U < res.Edges[j].U
-		}
-		return res.Edges[i].V < res.Edges[j].V
-	})
+	graph.SortEdges(n, res.Edges)
 	res.Total = time.Since(t0)
 	return res
 }

@@ -110,7 +110,7 @@ func TestChordalAndMaximalProperty(t *testing.T) {
 		m := int(mRaw % 800)
 		g := randomGraph(n, m, seed)
 		r := Extract(g, 0)
-		sub := r.ToGraph(n)
+		sub := graph.FromSortedEdges(n, r.Edges)
 		if !verify.IsChordal(sub) {
 			return false
 		}
@@ -174,7 +174,7 @@ func TestSelectionOrderIsReversePEO(t *testing.T) {
 	// earlier.
 	g := randomGraph(60, 240, 4)
 	r := Extract(g, 0)
-	sub := r.ToGraph(60)
+	sub := graph.FromSortedEdges(60, r.Edges)
 	rev := make([]int32, len(r.Order))
 	for i, v := range r.Order {
 		rev[len(r.Order)-1-i] = v

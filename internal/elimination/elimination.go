@@ -402,7 +402,7 @@ func ChordalSubgraph(g *graph.Graph, order []int32) (*graph.Graph, error) {
 			kept[w][v] = true
 		}
 	}
-	return graph.SubgraphFromEdges(n, us, vs), nil
+	return graph.BuildFromEdges(n, us, vs, 0), nil
 }
 
 // ChordalGuidedOrder extracts a maximal chordal subgraph from g and

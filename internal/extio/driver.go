@@ -93,7 +93,6 @@ type decoded struct {
 // merged edge set is byte-identical to shard.ExtractContext on the same
 // graph at equal shard counts.
 func Extract(ctx context.Context, m *MappedCSR, opts Options) (*Result, error) {
-	start := time.Now()
 	startRead := m.BytesRead()
 	n := m.NumVertices()
 	parts := 1
@@ -125,7 +124,7 @@ func Extract(ctx context.Context, m *MappedCSR, opts Options) (*Result, error) {
 	if parts == 1 {
 		// One shard: nothing to stream or spill. Decode the whole graph
 		// and run the kernel directly, like the in-memory engine's
-		// single-shard path (which skips the induced-subgraph copy).
+		// single-shard path (which skips the range copy).
 		dt := time.Now()
 		g, err := m.Graph()
 		if err != nil {
@@ -155,7 +154,6 @@ func Extract(ctx context.Context, m *MappedCSR, opts Options) (*Result, error) {
 	}
 	res.Finalize()
 	res.IO.BytesRead = m.BytesRead() - startRead
-	res.Total = time.Since(start)
 	return res, nil
 }
 

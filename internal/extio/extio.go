@@ -21,7 +21,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
-	"slices"
 	"sync/atomic"
 
 	"chordal/internal/graph"
@@ -220,49 +219,26 @@ func (m *MappedCSR) adjacency(from, to int64, dst []int32) ([]int32, error) {
 
 // Shard decodes the induced subgraph of the contiguous vertex range
 // [lo, hi) with local ids 0..hi-lo-1 (global id = lo + local id),
-// touching only that range's slice of the offsets and adjacency arrays.
-// Adjacency lists are sorted, matching what graph.InducedSubgraph (the
-// in-memory sharded engine's slicer) produces via the Builder — the
-// byte-identity of the external engine depends on this. A shard that
-// fails graph.CheckSimpleSymmetric is an error; an edge whose reverse
-// is missing from another shard is not seen here.
+// touching only that range's slice of the offsets and adjacency arrays,
+// and cuts it with graph.RangeCSR, the slicer the in-memory sharded
+// engine's Graph.Range applies — the byte-identity of the external
+// engine depends on the two cutting the same shard. A shard that fails
+// graph.CheckSimpleSymmetric is an error, because file input is
+// untrusted; an edge whose reverse is missing from another shard is not
+// seen here.
 func (m *MappedCSR) Shard(lo, hi int32) (*graph.Graph, error) {
 	if lo < 0 || int(hi) > m.n || lo > hi {
 		return nil, fmt.Errorf("extio: shard range [%d, %d) out of [0, %d)", lo, hi, m.n)
 	}
-	span := int(hi - lo)
 	offs, err := m.Offsets(int(lo), int(hi), nil)
 	if err != nil {
 		return nil, err
 	}
-	adj, err := m.adjacency(offs[0], offs[span], nil)
+	adj, err := m.adjacency(offs[0], offs[hi-lo], nil)
 	if err != nil {
 		return nil, err
 	}
-	base := offs[0]
-	sub := &graph.Graph{Offsets: make([]int64, span+1), Sorted: true}
-	// First pass sizes the filtered lists, second pass fills them.
-	for v := 0; v < span; v++ {
-		kept := int64(0)
-		for _, w := range adj[offs[v]-base : offs[v+1]-base] {
-			if w >= lo && w < hi {
-				kept++
-			}
-		}
-		sub.Offsets[v+1] = sub.Offsets[v] + kept
-	}
-	sub.Adj = make([]int32, sub.Offsets[span])
-	for v := 0; v < span; v++ {
-		out := sub.Adj[sub.Offsets[v]:sub.Offsets[v]:sub.Offsets[v+1]]
-		for _, w := range adj[offs[v]-base : offs[v+1]-base] {
-			if w >= lo && w < hi {
-				out = append(out, w-lo)
-			}
-		}
-		if !slices.IsSorted(out) {
-			slices.Sort(out)
-		}
-	}
+	sub := graph.RangeCSR(offs, adj, lo, hi)
 	if err := sub.CheckSimpleSymmetric(); err != nil {
 		return nil, fmt.Errorf("extio: shard [%d, %d), in shard-local ids: %w", lo, hi, err)
 	}

@@ -79,10 +79,6 @@ func TestMappedHeaderAndWholeGraph(t *testing.T) {
 	}
 }
 
-// TestShardMatchesInducedSubgraph pins the byte-identity contract: a
-// decoded shard must equal what graph.InducedSubgraph builds for the
-// same contiguous range — the input the in-memory sharded engine feeds
-// its kernels.
 // TestMappedGraphDecodesOnce: in mapped mode Graph decodes the CSR into
 // fresh arrays once, allocating less than 1.5× the file, and the graph
 // it returns is graph.ReadBinary's and outlives Close.
@@ -127,25 +123,26 @@ func TestMappedGraphDecodesOnce(t *testing.T) {
 	}
 }
 
-func TestShardMatchesInducedSubgraph(t *testing.T) {
+// TestShardMatchesRange pins the byte-identity contract: a shard
+// decoded from a file, with sorted or shuffled rows, must equal what
+// graph.Graph.Range cuts for the same contiguous range — the input the
+// in-memory sharded engine feeds its kernels.
+func TestShardMatchesRange(t *testing.T) {
 	g := testGraph(t, rmat.B, 8, 5)
-	path := writeBin(t, g)
 	n := g.NumVertices()
-	for mode, m := range openBoth(t, path) {
-		for _, parts := range []int{2, 3, 7} {
-			for p := 0; p < parts; p++ {
-				lo, hi := partition.Bounds(n, parts, p)
-				ids := make([]int32, 0, hi-lo)
-				for v := lo; v < hi; v++ {
-					ids = append(ids, v)
-				}
-				want, _ := g.InducedSubgraph(ids)
-				got, err := m.Shard(lo, hi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got.Offsets, want.Offsets) || !reflect.DeepEqual(got.Adj, want.Adj) || got.Sorted != want.Sorted {
-					t.Fatalf("%s parts=%d shard=%d: decoded shard differs from InducedSubgraph", mode, parts, p)
+	for _, file := range []*graph.Graph{g, graph.ShuffleAdjacency(g, 3)} {
+		for mode, m := range openBoth(t, writeBin(t, file)) {
+			for _, parts := range []int{2, 3, 7} {
+				for p := 0; p < parts; p++ {
+					lo, hi := partition.Bounds(n, parts, p)
+					want := g.Range(lo, hi)
+					got, err := m.Shard(lo, hi)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got.Offsets, want.Offsets) || !reflect.DeepEqual(got.Adj, want.Adj) || got.Sorted != want.Sorted {
+						t.Fatalf("%s sorted=%t parts=%d shard=%d: decoded shard differs from Range", mode, file.Sorted, parts, p)
+					}
 				}
 			}
 		}

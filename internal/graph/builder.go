@@ -39,14 +39,7 @@ func (b *Builder) AddEdge(u, v int32) {
 
 // Build produces the deduplicated CSR graph with sorted adjacency lists.
 func (b *Builder) Build() *Graph {
-	return BuildFromEdges(b.n, b.us, b.vs)
-}
-
-// BuildWorkers is Build bounded to the given worker count; workers <= 0
-// selects the automatic memory-budgeted count. Width-bounded callers
-// use this so graph materialization stays inside their width.
-func (b *Builder) BuildWorkers(workers int) *Graph {
-	return buildFromEdges(b.n, b.us, b.vs, workers)
+	return BuildFromEdges(b.n, b.us, b.vs, 0)
 }
 
 // scatterWorkers picks the worker count for the count and scatter
@@ -153,19 +146,15 @@ func scatterSmaller[C int32 | int64](n, total, workers int, edgeOff []int64, edg
 	})
 }
 
-// BuildFromEdgesWorkers is BuildFromEdges bounded to the given worker
-// count in every construction phase; workers <= 0 selects the automatic
-// memory-budgeted count. This is the entry point for width-bounded
-// callers: a service job in a slot of width k materializes graphs at
-// width k instead of machine width.
-func BuildFromEdgesWorkers(n int, us, vs []int32, workers int) *Graph {
-	return buildFromEdges(n, us, vs, workers)
-}
-
 // BuildFromEdges constructs a simple undirected CSR graph with sorted
 // adjacency lists from raw endpoint slices, dropping self loops and
 // duplicate edges (in either orientation). The input slices are not
-// modified.
+// modified. It is the one constructor for raw endpoint pairs:
+// generators, text readers and Builder.Build call it. It bounds
+// every construction phase when forceWorkers > 0; forceWorkers <= 0
+// selects the automatic memory-budgeted count per phase. A
+// width-bounded caller, such as a service job in a slot of width k,
+// passes k.
 //
 // The construction is parallel in every phase and touches each edge in
 // canonical (min, max) orientation only, halving the count, scatter and
@@ -186,15 +175,7 @@ func BuildFromEdgesWorkers(n int, us, vs []int32, workers int) *Graph {
 //     per-worker cursor bases preserve order), and its larger
 //     neighbors are its own half-edge list — already ascending and all
 //     greater than v — appended after them. No second sort is needed.
-func BuildFromEdges(n int, us, vs []int32) *Graph {
-	return buildFromEdges(n, us, vs, 0)
-}
-
-// buildFromEdges is BuildFromEdges with an explicit worker count;
-// forceWorkers <= 0 selects the memory-budgeted automatic count. Tests
-// use the explicit form to exercise every parallel schedule under the
-// race detector regardless of the host's CPU count.
-func buildFromEdges(n int, us, vs []int32, forceWorkers int) *Graph {
+func BuildFromEdges(n int, us, vs []int32, forceWorkers int) *Graph {
 	if len(us) != len(vs) {
 		panic("graph: BuildFromEdges endpoint slices differ in length")
 	}
@@ -317,6 +298,81 @@ func buildFromEdges(n int, us, vs []int32, forceWorkers int) *Graph {
 		scatterSmaller(n, total, inWorkers, edgeOff, edgeAdj, adj, inCursors)
 	}
 	return &Graph{Offsets: offsets, Adj: adj, Sorted: true}
+}
+
+// Edge is an undirected edge with U < V, the canonical orientation of
+// every extraction result.
+type Edge struct {
+	U, V int32
+}
+
+// SortEdges orders edges, whose endpoints lie in [0, n), by (U, V),
+// the canonical order of every extraction result. It is a stable
+// two-pass counting sort, by V into one scratch slice of len(edges)
+// and then by U back into edges, over n+1 counters: O(E+V) time, where
+// a comparison sort takes O(E log E).
+func SortEdges(n int, edges []Edge) {
+	if len(edges) < 2 {
+		return
+	}
+	scratch := make([]Edge, len(edges))
+	count := make([]int, n+1)
+	for _, e := range edges {
+		count[e.V+1]++
+	}
+	prefixSum(count)
+	for _, e := range edges {
+		scratch[count[e.V]] = e
+		count[e.V]++
+	}
+	clear(count)
+	for _, e := range scratch {
+		count[e.U+1]++
+	}
+	prefixSum(count)
+	for _, e := range scratch {
+		edges[count[e.U]] = e
+		count[e.U]++
+	}
+}
+
+// prefixSum turns per-key counts, stored one slot past their key, into
+// each key's first position.
+func prefixSum(count []int) {
+	for i := 1; i < len(count); i++ {
+		count[i] += count[i-1]
+	}
+}
+
+// FromSortedEdges builds the CSR graph over n vertices whose edge set
+// is edges, which must be distinct, oriented (U < V) and in SortEdges
+// order; it does not deduplicate. One scatter pass in list order fills
+// every adjacency list sorted without a sort: a vertex receives its
+// smaller neighbors, from the edges it ends, before its larger ones,
+// from the edges it starts, and each of the two runs arrives ascending.
+// Every canonical edge list becomes a graph here: extraction results,
+// the sharded merge, and a stream session's accumulated input.
+func FromSortedEdges(n int, edges []Edge) *Graph {
+	off := make([]int64, n+1)
+	for _, e := range edges {
+		off[e.U+1]++
+		off[e.V+1]++
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	adj := make([]int32, off[n])
+	// off[v] is v's write cursor; the scatter leaves it at v's end,
+	// which is v+1's start, so one shift restores the offsets.
+	for _, e := range edges {
+		adj[off[e.U]] = e.V
+		off[e.U]++
+		adj[off[e.V]] = e.U
+		off[e.V]++
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	return &Graph{Offsets: off, Adj: adj, Sorted: true}
 }
 
 // ShuffleAdjacency returns a copy of g whose adjacency lists are each

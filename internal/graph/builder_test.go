@@ -151,7 +151,7 @@ func TestBuildFromEdgesMatchesReference(t *testing.T) {
 			t.Fatalf("%s: reference invalid: %v", in.tag, err)
 		}
 		for _, workers := range []int{0, 1, 2, 3, 7, 16} {
-			got := buildFromEdges(in.n, in.us, in.vs, workers)
+			got := BuildFromEdges(in.n, in.us, in.vs, workers)
 			identicalCSR(t, in.tag, got, want)
 		}
 	}
@@ -162,7 +162,7 @@ func TestBuildFromEdgesDoesNotModifyInput(t *testing.T) {
 	vs := []int32{0, 3, 2, 0}
 	usCopy := append([]int32(nil), us...)
 	vsCopy := append([]int32(nil), vs...)
-	buildFromEdges(4, us, vs, 4)
+	BuildFromEdges(4, us, vs, 4)
 	if !reflect.DeepEqual(us, usCopy) || !reflect.DeepEqual(vs, vsCopy) {
 		t.Fatal("BuildFromEdges modified its input slices")
 	}
@@ -176,7 +176,7 @@ func BenchmarkBuildFromEdges(b *testing.B) {
 	n, us, vs := rmatEdges(20, 1<<23, 42)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		BuildFromEdges(n, us, vs)
+		BuildFromEdges(n, us, vs, 0)
 	}
 }
 

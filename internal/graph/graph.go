@@ -241,52 +241,48 @@ func (g *Graph) EdgeList() (us, vs []int32) {
 	return us, vs
 }
 
-// InducedSubgraph returns the subgraph induced by keep (a set of vertex
-// ids) together with the mapping from new ids to original ids. New ids
-// preserve the relative order of the originals.
-//
-// The id remap is a flat slice when keep is a sizable fraction of the
-// graph — analysis passes call this on most of a large graph, where
-// per-vertex hashing dominates — and falls back to a map for small
-// keeps so many-small-parts callers (the partitioned baseline) do not
-// pay O(NumVertices) per call.
-func (g *Graph) InducedSubgraph(keep []int32) (*Graph, []int32) {
-	sorted := make([]int32, len(keep))
-	copy(sorted, keep)
-	slices.Sort(sorted)
-	var lookup func(w int32) (int32, bool)
-	if n := g.NumVertices(); len(sorted) >= n/16 {
-		const absent = int32(-1)
-		newID := make([]int32, n)
-		for i := range newID {
-			newID[i] = absent
-		}
-		for i, v := range sorted {
-			newID[v] = int32(i)
-		}
-		lookup = func(w int32) (int32, bool) {
-			nw := newID[w]
-			return nw, nw != absent
-		}
-	} else {
-		newID := make(map[int32]int32, len(sorted))
-		for i, v := range sorted {
-			newID[v] = int32(i)
-		}
-		lookup = func(w int32) (int32, bool) {
-			nw, ok := newID[w]
-			return nw, ok
-		}
-	}
-	b := NewBuilder(len(sorted))
-	for i, v := range sorted {
-		for _, w := range g.Neighbors(v) {
-			if nw, ok := lookup(w); ok && int32(i) < nw {
-				b.AddEdge(int32(i), nw)
+// Range returns the subgraph induced by the contiguous vertex range
+// [lo, hi) of g, with local ids 0..hi-lo-1 (global id = lo + local id);
+// see RangeCSR.
+func (g *Graph) Range(lo, hi int32) *Graph {
+	return RangeCSR(g.Offsets[lo:hi+1], g.Adj[g.Offsets[lo]:g.Offsets[hi]], lo, hi)
+}
+
+// RangeCSR cuts the subgraph induced by the contiguous vertex range
+// [lo, hi) from that range's rows alone: offs holds the hi-lo+1 row
+// offsets of [lo, hi) and adj the adjacency from offs[0] on, both in
+// the whole graph's ids. Each row keeps its neighbours inside the
+// range, shifted to local ids, in row order; a row that is not
+// ascending is then sorted, so the result is always marked sorted. The
+// sharded engines cut every shard here: Graph.Range on a resident
+// graph, internal/extio on the rows it decodes from disk.
+func RangeCSR(offs []int64, adj []int32, lo, hi int32) *Graph {
+	span := int(hi - lo)
+	base := offs[0]
+	sub := &Graph{Offsets: make([]int64, span+1), Sorted: true}
+	// First pass sizes the kept rows, second pass fills them.
+	for v := 0; v < span; v++ {
+		kept := int64(0)
+		for _, w := range adj[offs[v]-base : offs[v+1]-base] {
+			if w >= lo && w < hi {
+				kept++
 			}
 		}
+		sub.Offsets[v+1] = sub.Offsets[v] + kept
 	}
-	return b.Build(), sorted
+	sub.Adj = make([]int32, sub.Offsets[span])
+	for v := 0; v < span; v++ {
+		out := sub.Adj[sub.Offsets[v]:sub.Offsets[v]:sub.Offsets[v+1]]
+		for _, w := range adj[offs[v]-base : offs[v+1]-base] {
+			if w >= lo && w < hi {
+				out = append(out, w-lo)
+			}
+		}
+		if !slices.IsSorted(out) {
+			slices.Sort(out)
+		}
+	}
+	return sub
 }
 
 // Relabel returns a copy of g in which old vertex v becomes perm[v].
@@ -357,25 +353,4 @@ func (g *Graph) permutedTranspose(perm, inv []int32) *Graph {
 		}
 	}
 	return &Graph{Offsets: offsets, Adj: adj, Sorted: true}
-}
-
-// SubgraphFromEdges builds a graph over the same vertex set containing
-// only the listed edges (given as endpoint pairs with no required order).
-// It is used to materialize extracted chordal edge sets as graphs.
-func SubgraphFromEdges(n int, us, vs []int32) *Graph {
-	return SubgraphFromEdgesWorkers(n, us, vs, 0)
-}
-
-// SubgraphFromEdgesWorkers is SubgraphFromEdges bounded to the given
-// worker count (<= 0 means the automatic width), so an extraction
-// bounded to k workers materializes its subgraph at the same width.
-func SubgraphFromEdgesWorkers(n int, us, vs []int32, workers int) *Graph {
-	if len(us) != len(vs) {
-		panic("graph: SubgraphFromEdges endpoint slices differ in length")
-	}
-	b := NewBuilder(n)
-	for i := range us {
-		b.AddEdge(us[i], vs[i])
-	}
-	return b.BuildWorkers(workers)
 }

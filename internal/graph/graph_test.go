@@ -139,27 +139,6 @@ func TestEdgesIteratesOnce(t *testing.T) {
 	}
 }
 
-func TestInducedSubgraph(t *testing.T) {
-	g := completeGraph(6)
-	sub, orig := g.InducedSubgraph([]int32{5, 1, 3})
-	if sub.NumVertices() != 3 {
-		t.Fatalf("sub vertices = %d", sub.NumVertices())
-	}
-	if sub.NumEdges() != 3 {
-		t.Fatalf("sub edges = %d, want triangle", sub.NumEdges())
-	}
-	want := []int32{1, 3, 5}
-	if !reflect.DeepEqual(orig, want) {
-		t.Fatalf("orig mapping %v, want %v", orig, want)
-	}
-	// Induced subgraph of a path keeps only consecutive pairs.
-	p := pathGraph(6)
-	sub, _ = p.InducedSubgraph([]int32{0, 1, 2, 4})
-	if sub.NumEdges() != 2 {
-		t.Fatalf("path induced edges = %d, want 2", sub.NumEdges())
-	}
-}
-
 func TestRelabelPreservesStructure(t *testing.T) {
 	g := pathGraph(6)
 	perm := []int32{5, 4, 3, 2, 1, 0} // reverse
@@ -195,16 +174,6 @@ func TestRelabelPanicsOnBadPerm(t *testing.T) {
 			}()
 			pathGraph(3).Relabel(perm)
 		}()
-	}
-}
-
-func TestSubgraphFromEdges(t *testing.T) {
-	g := SubgraphFromEdges(5, []int32{0, 2}, []int32{1, 3})
-	if g.NumVertices() != 5 || g.NumEdges() != 2 {
-		t.Fatalf("got V=%d E=%d", g.NumVertices(), g.NumEdges())
-	}
-	if !g.HasEdge(0, 1) || !g.HasEdge(2, 3) {
-		t.Fatal("edges missing")
 	}
 }
 
@@ -288,12 +257,12 @@ func TestBuildFromEdgesProperty(t *testing.T) {
 			us = append(us, int32(raw[i]))
 			vs = append(vs, int32(raw[i+1]))
 		}
-		g := BuildFromEdges(n, us, vs)
+		g := BuildFromEdges(n, us, vs, 0)
 		if g.Validate() != nil {
 			return false
 		}
 		u2, v2 := g.EdgeList()
-		g2 := BuildFromEdges(n, u2, v2)
+		g2 := BuildFromEdges(n, u2, v2, 0)
 		if g2.NumEdges() != g.NumEdges() {
 			return false
 		}

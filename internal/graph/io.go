@@ -259,7 +259,7 @@ func readEdgeList(r io.Reader, maxWorkers int) (*Graph, error) {
 		}
 	}
 	us, vs := bufs.Concat()
-	return BuildFromEdgesWorkers(int(maxID)+1, us, vs, maxWorkers), nil
+	return BuildFromEdges(int(maxID)+1, us, vs, maxWorkers), nil
 }
 
 // Binary CSR layout: the 4-byte magic "CHRD", uint32 version 1,
@@ -512,7 +512,7 @@ func readMatrixMarket(r io.Reader, maxWorkers int) (*Graph, error) {
 		return nil, err
 	}
 	us, vs := bufs.Concat()
-	return BuildFromEdgesWorkers(n, us, vs, maxWorkers), nil
+	return BuildFromEdges(n, us, vs, maxWorkers), nil
 }
 
 // Format names the format of a graph file by its extension, matched

@@ -76,7 +76,7 @@ func randomGraph(rng *rand.Rand, n, m int, hub bool) *graph.Graph {
 			}
 		}
 	}
-	return graph.BuildFromEdges(n, us, vs)
+	return graph.BuildFromEdges(n, us, vs, 0)
 }
 
 func randomPerm(rng *rand.Rand, n int) []int32 {

@@ -9,6 +9,7 @@ import (
 	"chordal/internal/core"
 	"chordal/internal/graph"
 	"chordal/internal/incremental"
+	"chordal/internal/partition"
 	"chordal/internal/rmat"
 	"chordal/internal/synth"
 	"chordal/internal/verify"
@@ -262,9 +263,9 @@ func TestCheckerSharedMarkSet(t *testing.T) {
 func borderReplay(tb testing.TB, g *graph.Graph) *incremental.Maintainer {
 	const shards = 4
 	n := g.NumVertices()
-	part := func(v int32) int { return int(v) * shards / n }
+	part := partition.PartOf(n, shards)
 	m := incremental.New(n)
-	var cross []incremental.Edge
+	var cross []graph.Edge
 	for u := int32(0); u < int32(n); u++ {
 		for _, v := range g.Neighbors(u) {
 			switch {
@@ -272,7 +273,7 @@ func borderReplay(tb testing.TB, g *graph.Graph) *incremental.Maintainer {
 			case part(u) == part(v):
 				m.Seed(u, v)
 			default:
-				cross = append(cross, incremental.Edge{U: u, V: v})
+				cross = append(cross, graph.Edge{U: u, V: v})
 			}
 		}
 	}
@@ -313,7 +314,7 @@ func TestBorderAdmissionSearchWork(t *testing.T) {
 // TestRepairSearchWork pins and BenchmarkRepairPass times: rmat-b:11,
 // the stream-ingest benchmark's graph, as an edge stream, its vertex
 // count, and core's one-worker kernel edges of it.
-func repairInput(tb testing.TB) (n int, kept []incremental.Edge, input incremental.EdgeStream) {
+func repairInput(tb testing.TB) (n int, kept []graph.Edge, input incremental.EdgeStream) {
 	g, err := rmat.Generate(rmat.PresetParams(rmat.B, 11, 42))
 	if err != nil {
 		tb.Fatal(err)

@@ -1,6 +1,10 @@
 package incremental
 
-import "context"
+import (
+	"context"
+
+	"chordal/internal/graph"
+)
 
 // SearchScanned returns the adjacency entries the separator searches of
 // m's current Checker have read.
@@ -26,7 +30,7 @@ func (m *Maintainer) Intersection(u, v int32) []int32 {
 // ReconcileWork runs Reconcile and returns the adjacency entries the
 // separator searches of its border and repair passes read and their
 // intersections marked.
-func ReconcileWork(ctx context.Context, n int, edges []Edge, input EdgeStream, p Passes) (scanned, marked int64, err error) {
+func ReconcileWork(ctx context.Context, n int, edges []graph.Edge, input EdgeStream, p Passes) (scanned, marked int64, err error) {
 	_, _, m, err := reconcile(ctx, n, edges, input, p)
 	if m == nil {
 		return 0, 0, err

@@ -37,13 +37,8 @@ import (
 	"slices"
 
 	"chordal/internal/bitset"
+	"chordal/internal/graph"
 )
-
-// Edge is an undirected edge with U < V, the canonical orientation every
-// extraction result uses.
-type Edge struct {
-	U, V int32
-}
 
 // Reason explains an Admit decision. The strings are stable wire values:
 // the streaming admission events and the CLI's NDJSON output carry them
@@ -223,7 +218,7 @@ type Maintainer struct {
 	// connected vertices). Reconcile's spanning stitch runs on it alone.
 	uf       []int32
 	ufSize   []int32
-	deferred []Edge
+	deferred []graph.Edge
 	// inDeferred dedups the queue so a delta stream that repeats a
 	// rejected edge cannot grow it without bound.
 	inDeferred map[int64]struct{}
@@ -256,7 +251,7 @@ func components(n int) *Maintainer {
 // open completes a Maintainer from components: it builds the checker,
 // the deferred queue's dedup map and the adjacency of edges, whose
 // components the union-find must already hold, in list order.
-func (m *Maintainer) open(edges []Edge) {
+func (m *Maintainer) open(edges []graph.Edge) {
 	n := len(m.uf)
 	m.adj = make([][]int32, n)
 	m.checker = NewChecker(n)
@@ -298,9 +293,9 @@ func (m *Maintainer) SetMaxDeferred(n int) {
 // DeferredEdges returns a copy of the deferred queue in queue order.
 // Together with EdgeList it reconstructs every distinct valid edge ever
 // offered to Admit: each one is either in the maintained subgraph or
-// still deferred.
-func (m *Maintainer) DeferredEdges() []Edge {
-	out := make([]Edge, len(m.deferred))
+// still deferred, never both.
+func (m *Maintainer) DeferredEdges() []graph.Edge {
+	out := make([]graph.Edge, len(m.deferred))
 	copy(out, m.deferred)
 	return out
 }
@@ -311,16 +306,16 @@ func (m *Maintainer) DeferredEdges() []Edge {
 func (m *Maintainer) Adj() [][]int32 { return m.adj }
 
 // EdgeList returns the maintained edges with U < V in (U, V) order.
-func (m *Maintainer) EdgeList() []Edge {
-	out := make([]Edge, 0, m.edges)
+func (m *Maintainer) EdgeList() []graph.Edge {
+	out := make([]graph.Edge, 0, m.edges)
 	for u := range m.adj {
 		for _, v := range m.adj[u] {
 			if int32(u) < v {
-				out = append(out, Edge{U: int32(u), V: v})
+				out = append(out, graph.Edge{U: int32(u), V: v})
 			}
 		}
 	}
-	sortEdges(out)
+	graph.SortEdges(len(m.adj), out)
 	return out
 }
 
@@ -395,13 +390,31 @@ func (m *Maintainer) admit(u, v int32, deferOnReject bool) (bool, Reason) {
 					return false, ReasonOverflow
 				}
 				m.inDeferred[key] = struct{}{}
-				m.deferred = append(m.deferred, Edge{U: u, V: v})
+				m.deferred = append(m.deferred, graph.Edge{U: u, V: v})
 			}
 		}
 		return false, ReasonDeferred
 	}
 	m.add(u, v)
+	if deferOnReject {
+		m.dequeue(u, v)
+	}
 	return true, ReasonAdmitted
+}
+
+// dequeue takes an edge that Admit just accepted off the deferred
+// queue, where an earlier offer of it may wait, so the maintained
+// subgraph and the queue stay disjoint. (A deferred edge never comes
+// back as a bridge: its endpoints were already connected.) Repair
+// retests through admit with deferOnReject false and dequeues itself.
+func (m *Maintainer) dequeue(u, v int32) {
+	key := int64(u)<<32 | int64(v)
+	if _, ok := m.inDeferred[key]; !ok {
+		return
+	}
+	delete(m.inDeferred, key)
+	i := slices.Index(m.deferred, graph.Edge{U: u, V: v})
+	m.deferred = slices.Delete(m.deferred, i, i+1)
 }
 
 // add records an edge: its adjacency (link) and the component union.
@@ -428,8 +441,8 @@ func (m *Maintainer) link(u, v int32) {
 // few hundred retests, returning the edges admitted so far with
 // ctx.Err(). Queue order is preserved across passes, so the admission
 // sequence is deterministic for a given deferral order.
-func (m *Maintainer) RepairContext(ctx context.Context) ([]Edge, error) {
-	var admitted []Edge
+func (m *Maintainer) RepairContext(ctx context.Context) ([]graph.Edge, error) {
+	var admitted []graph.Edge
 	tested := 0
 	for changed := true; changed; {
 		changed = false
@@ -478,14 +491,4 @@ func (m *Maintainer) union(u, v int32) bool {
 	m.uf[rv] = ru
 	m.ufSize[ru] += m.ufSize[rv]
 	return true
-}
-
-// sortEdges orders edges by (U, V), the canonical result order.
-func sortEdges(edges []Edge) {
-	slices.SortFunc(edges, func(a, b Edge) int {
-		if a.U != b.U {
-			return int(a.U) - int(b.U)
-		}
-		return int(a.V) - int(b.V)
-	})
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"chordal/internal/graph"
 	"chordal/internal/incremental"
 	"chordal/internal/verify"
 )
@@ -52,7 +54,7 @@ func TestMaintainerC4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(admitted) != 1 || admitted[0] != (incremental.Edge{U: 0, V: 3}) {
+	if len(admitted) != 1 || admitted[0] != (graph.Edge{U: 0, V: 3}) {
 		t.Fatalf("Repair admitted %v, want [{0 3}]", admitted)
 	}
 	chordalNow(t, m, "after Repair")
@@ -63,6 +65,38 @@ func TestMaintainerC4(t *testing.T) {
 	if _, reason := m.Admit(0, 3); reason != incremental.ReasonPresent {
 		t.Fatalf("re-offer after repair: %s, want present", reason)
 	}
+}
+
+// TestAdmitTakesReofferOffQueue: an edge deferred once and accepted
+// when offered again leaves the deferred queue, and the rest of the
+// queue keeps its order, so the maintained subgraph and the queue stay
+// disjoint. A stream's Close rebuilds its input from their union
+// without deduplicating. Before, {0,3} stayed queued after its second
+// offer was admitted.
+func TestAdmitTakesReofferOffQueue(t *testing.T) {
+	m := incremental.New(6)
+	for _, s := range []struct {
+		u, v   int32
+		reason incremental.Reason
+	}{
+		{0, 1, incremental.ReasonBridge},
+		{1, 2, incremental.ReasonBridge},
+		{2, 3, incremental.ReasonBridge},
+		{3, 4, incremental.ReasonBridge},
+		{4, 5, incremental.ReasonBridge},
+		{0, 3, incremental.ReasonDeferred}, // would close a chordless C4
+		{2, 5, incremental.ReasonDeferred}, // so would this one
+		{0, 2, incremental.ReasonAdmitted}, // {1} separates 0|2
+		{3, 0, incremental.ReasonAdmitted}, // now {2} separates 0|3
+	} {
+		if _, reason := m.Admit(s.u, s.v); reason != s.reason {
+			t.Fatalf("Admit(%d,%d) = %s, want %s", s.u, s.v, reason, s.reason)
+		}
+	}
+	if got, want := m.DeferredEdges(), []graph.Edge{{U: 2, V: 5}}; !slices.Equal(got, want) || m.DeferredCount() != 1 {
+		t.Fatalf("deferred %v (count %d), want %v", got, m.DeferredCount(), want)
+	}
+	chordalNow(t, m, "after the re-offer")
 }
 
 // TestMaintainerGrow checks that growth preserves the subgraph, the

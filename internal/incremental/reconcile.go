@@ -1,6 +1,10 @@
 package incremental
 
-import "context"
+import (
+	"context"
+
+	"chordal/internal/graph"
+)
 
 // EdgeStream iterates every undirected input edge exactly once as
 // (u, v) with u < v, in ascending-u, adjacency-position order — the
@@ -51,20 +55,20 @@ type Counts struct {
 // every 1024 streamed edges, every 256 border checks and by the
 // retests; a canceled pass returns ctx.Err(), and an error from the
 // stream is returned as is.
-func Reconcile(ctx context.Context, n int, edges []Edge, input EdgeStream, p Passes) ([]Edge, Counts, error) {
+func Reconcile(ctx context.Context, n int, edges []graph.Edge, input EdgeStream, p Passes) ([]graph.Edge, Counts, error) {
 	edges, c, _, err := reconcile(ctx, n, edges, input, p)
 	return edges, c, err
 }
 
 // reconcile is Reconcile, also returning the Maintainer the border and
 // repair passes checked with (nil when neither ran).
-func reconcile(ctx context.Context, n int, edges []Edge, input EdgeStream, p Passes) ([]Edge, Counts, *Maintainer, error) {
+func reconcile(ctx context.Context, n int, edges []graph.Edge, input EdgeStream, p Passes) ([]graph.Edge, Counts, *Maintainer, error) {
 	var c Counts
 	m := components(n)
 	for _, e := range edges {
 		m.union(e.U, e.V)
 	}
-	var border []Edge
+	var border []graph.Edge
 	if p.Stitch || p.Border != nil {
 		err := scan(ctx, input, func(u, v int32) {
 			cross := p.Border != nil && p.Border(u, v)
@@ -72,13 +76,13 @@ func reconcile(ctx context.Context, n int, edges []Edge, input EdgeStream, p Pas
 				c.BorderTotal++
 			}
 			if p.Stitch && m.union(u, v) {
-				edges = append(edges, Edge{U: u, V: v})
+				edges = append(edges, graph.Edge{U: u, V: v})
 				c.Stitched++
 				if cross {
 					c.BorderBridges++
 				}
 			} else if cross && p.AdmitBorder {
-				border = append(border, Edge{U: u, V: v})
+				border = append(border, graph.Edge{U: u, V: v})
 			}
 		})
 		if err != nil {
@@ -112,7 +116,7 @@ func reconcile(ctx context.Context, n int, edges []Edge, input EdgeStream, p Pas
 
 	err := scan(ctx, input, func(u, v int32) {
 		if ok, _ := m.Admit(u, v); ok {
-			edges = append(edges, Edge{U: u, V: v})
+			edges = append(edges, graph.Edge{U: u, V: v})
 			c.Repaired++
 		}
 	})

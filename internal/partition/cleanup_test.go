@@ -3,6 +3,7 @@ package partition
 import (
 	"testing"
 
+	"chordal/internal/graph"
 	"chordal/internal/rmat"
 	"chordal/internal/verify"
 )
@@ -14,7 +15,7 @@ func TestExtractAndCleanAlwaysChordal(t *testing.T) {
 		if !rep.Chordal || !res.Chordal {
 			t.Fatalf("seed %d: cleanup did not reach chordality", seed)
 		}
-		sub := res.ToGraph(200)
+		sub := graph.FromSortedEdges(200, res.Edges)
 		if !verify.IsChordal(sub) {
 			t.Fatalf("seed %d: final subgraph not chordal", seed)
 		}
@@ -43,7 +44,7 @@ func TestCleanupOnStructuredInput(t *testing.T) {
 	if len(res.Edges) != before-rep.Removed {
 		t.Fatalf("edge accounting: %d -> %d with %d removed", before, len(res.Edges), rep.Removed)
 	}
-	if !verify.IsChordal(res.ToGraph(g.NumVertices())) {
+	if !verify.IsChordal(graph.FromSortedEdges(g.NumVertices(), res.Edges)) {
 		t.Fatal("result not chordal after cleanup")
 	}
 }

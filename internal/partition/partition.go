@@ -15,9 +15,6 @@
 package partition
 
 import (
-	"sort"
-	"time"
-
 	"chordal/internal/dearing"
 	"chordal/internal/graph"
 	"chordal/internal/parallel"
@@ -26,8 +23,9 @@ import (
 
 // Result is the output of Extract.
 type Result struct {
-	// Edges is the extracted (nearly chordal) edge set, U < V.
-	Edges []dearing.Edge
+	// Edges is the extracted (nearly chordal) edge set, U < V, in
+	// graph.SortEdges order.
+	Edges []graph.Edge
 	// InteriorEdges counts edges contributed by per-partition serial
 	// extraction.
 	InteriorEdges int
@@ -40,18 +38,6 @@ type Result struct {
 	Chordal bool
 	// Parts is the number of partitions used.
 	Parts int
-	// Total is the wall-clock extraction time.
-	Total time.Duration
-}
-
-// ToGraph materializes the extracted edge set.
-func (r *Result) ToGraph(n int) *graph.Graph {
-	us := make([]int32, len(r.Edges))
-	vs := make([]int32, len(r.Edges))
-	for i, e := range r.Edges {
-		us[i], vs[i] = e.U, e.V
-	}
-	return graph.SubgraphFromEdges(n, us, vs)
 }
 
 // ClampParts bounds a requested part count to [1, n], the valid range
@@ -66,27 +52,31 @@ func ClampParts(n, parts int) int {
 	return parts
 }
 
-// PartOf returns the contiguous-range part assignment for a graph with
-// n vertices split into parts ranges: vertex v belongs to part
-// v*parts/n. This is the shared assignment used by both the
-// distributed-style baseline here and the sharded extraction in
-// internal/shard, so border-edge classification agrees everywhere.
-func PartOf(n, parts int) func(v int32) int {
-	return func(v int32) int { return int(int64(v) * int64(parts) / int64(n)) }
-}
-
-// Bounds returns the vertex id range [lo, hi) of part p under the
-// PartOf assignment.
+// Bounds returns the vertex id range [lo, hi) of part p when n vertices
+// are split into parts contiguous ranges: lo = ⌊p·n/parts⌋ and
+// hi = ⌊(p+1)·n/parts⌋. The sharded engines and the baseline here cut
+// their slices with it.
 func Bounds(n, parts, p int) (lo, hi int32) {
 	return int32(int64(p) * int64(n) / int64(parts)), int32(int64(p+1) * int64(n) / int64(parts))
 }
 
+// PartOf returns the inverse of Bounds: vertex v belongs to part
+// ⌊((v+1)·parts − 1)/n⌋, the one p with v in Bounds(n, parts, p). It
+// classifies border edges wherever they are decided (this baseline's
+// border pass and cleanup, the sharded engines' reconciliation,
+// CutEdges), so an edge is interior exactly when one slice holds both
+// its endpoints, whether or not parts divides n.
+func PartOf(n, parts int) func(v int32) int {
+	return func(v int32) int { return int(((int64(v)+1)*int64(parts) - 1) / int64(n)) }
+}
+
 // CutEdges counts the edges of g crossing parts under the PartOf
-// assignment — the border edges every kernel skips and the
-// reconciliation pass must examine. It is the per-run measure of how
-// much a contiguous-range partition costs (and what a smarter
-// edge-cut-minimizing partitioner would shrink); sharded runs surface
-// it as ShardSummary.EdgeCut. parts <= 1 has no borders and returns 0.
+// assignment — the edges crossing the Bounds slices, which every kernel
+// skips and the reconciliation pass must examine. It is the per-run
+// measure of how much a contiguous-range partition costs (and what a
+// smarter edge-cut-minimizing partitioner would shrink); sharded runs
+// surface it as ShardSummary.EdgeCut. parts <= 1 has no borders and
+// returns 0.
 func CutEdges(g *graph.Graph, parts int) int64 {
 	n := g.NumVertices()
 	if n == 0 || parts <= 1 {
@@ -111,39 +101,29 @@ func CutEdges(g *graph.Graph, parts int) int64 {
 // serial baseline, then admits border edges that form a triangle with
 // an interior chordal edge.
 func Extract(g *graph.Graph, parts int) *Result {
-	t0 := time.Now()
 	n := g.NumVertices()
 	parts = ClampParts(n, parts)
 	res := &Result{Parts: parts}
 
 	partOf := PartOf(n, parts)
 
-	// Interior extraction, one task per part on the shared runtime.
-	type interior struct{ edges []dearing.Edge }
-	interiors := make([]interior, parts)
+	// Interior extraction, one task per part on the shared runtime. A
+	// part's local id i is global id lo+i, so shifting keeps U < V.
+	interiors := make([][]graph.Edge, parts)
 	parallel.For(parts, 0, 1, func(_, p int) {
 		lo, hi := Bounds(n, parts, p)
-		ids := make([]int32, 0, hi-lo)
-		for v := lo; v < hi; v++ {
-			ids = append(ids, v)
+		edges := dearing.Extract(g.Range(lo, hi), 0).Edges
+		for i := range edges {
+			edges[i].U += lo
+			edges[i].V += lo
 		}
-		sub, orig := g.InducedSubgraph(ids)
-		r := dearing.Extract(sub, 0)
-		edges := make([]dearing.Edge, len(r.Edges))
-		for i, e := range r.Edges {
-			u, v := orig[e.U], orig[e.V]
-			if u > v {
-				u, v = v, u
-			}
-			edges[i] = dearing.Edge{U: u, V: v}
-		}
-		interiors[p] = interior{edges: edges}
+		interiors[p] = edges
 	})
 
 	edgeKey := func(u, v int32) int64 { return int64(u)<<32 | int64(v) }
 	chordalSet := make(map[int64]bool)
-	for _, in := range interiors {
-		for _, e := range in.edges {
+	for _, edges := range interiors {
+		for _, e := range edges {
 			chordalSet[edgeKey(e.U, e.V)] = true
 			res.Edges = append(res.Edges, e)
 		}
@@ -167,19 +147,13 @@ func Extract(g *graph.Graph, parts int) *Result {
 		res.BorderTotal++
 		if closesTriangle(g, u, v, isChordalEdge) {
 			chordalSet[edgeKey(u, v)] = true
-			res.Edges = append(res.Edges, dearing.Edge{U: u, V: v})
+			res.Edges = append(res.Edges, graph.Edge{U: u, V: v})
 			res.BorderAdmitted++
 		}
 	})
 
-	sort.Slice(res.Edges, func(i, j int) bool {
-		if res.Edges[i].U != res.Edges[j].U {
-			return res.Edges[i].U < res.Edges[j].U
-		}
-		return res.Edges[i].V < res.Edges[j].V
-	})
-	res.Chordal = verify.IsChordal(res.ToGraph(n))
-	res.Total = time.Since(t0)
+	graph.SortEdges(n, res.Edges)
+	res.Chordal = verify.IsChordal(graph.FromSortedEdges(n, res.Edges))
 	return res
 }
 

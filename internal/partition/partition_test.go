@@ -3,6 +3,7 @@ package partition
 import (
 	"testing"
 
+	"chordal/internal/biogen"
 	"chordal/internal/dearing"
 	"chordal/internal/graph"
 	"chordal/internal/rmat"
@@ -40,7 +41,7 @@ func TestInteriorsAreChordal(t *testing.T) {
 	// set is a disjoint union, hence chordal.
 	g := randomGraph(200, 1000, 2)
 	p := Extract(g, 4)
-	interior := make([]dearing.Edge, 0, p.InteriorEdges)
+	interior := make([]graph.Edge, 0, p.InteriorEdges)
 	interior = append(interior, p.Edges[:0:0]...)
 	for _, e := range p.Edges {
 		interior = append(interior, e)
@@ -48,7 +49,7 @@ func TestInteriorsAreChordal(t *testing.T) {
 	// Reconstruct interior-only subgraph: drop admitted border edges by
 	// re-running with the count.
 	_ = interior
-	sub := p.ToGraph(200)
+	sub := graph.FromSortedEdges(200, p.Edges)
 	if p.BorderAdmitted == 0 && !verify.IsChordal(sub) {
 		t.Fatal("no border edges admitted yet result not chordal")
 	}
@@ -84,7 +85,7 @@ func TestNearChordalityReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Extract(g, 6)
-	want := verify.IsChordal(p.ToGraph(g.NumVertices()))
+	want := verify.IsChordal(graph.FromSortedEdges(g.NumVertices(), p.Edges))
 	if p.Chordal != want {
 		t.Fatalf("Chordal = %v, verification says %v", p.Chordal, want)
 	}
@@ -156,8 +157,76 @@ func TestMoreParts(t *testing.T) {
 		if len(p.Edges) == 0 {
 			t.Fatalf("parts=%d extracted nothing", parts)
 		}
-		if err := p.ToGraph(500).Validate(); err != nil {
+		if err := graph.FromSortedEdges(500, p.Edges).Validate(); err != nil {
 			t.Fatalf("parts=%d: %v", parts, err)
+		}
+	}
+}
+
+// TestPartOfInvertsBounds checks by brute force that PartOf puts every
+// vertex of Bounds(n, parts, p) in part p, and that the slices tile
+// [0, n), for every n up to 300 and every part count up to
+// min(n, 17). When PartOf was ⌊v·parts/n⌋, n = 10 at 4 parts put
+// vertex 2, in part 1's slice [2, 5), in part 0.
+func TestPartOfInvertsBounds(t *testing.T) {
+	for n := 1; n <= 300; n++ {
+		for parts := 1; parts <= min(n, 17); parts++ {
+			partOf := PartOf(n, parts)
+			next := int32(0)
+			for p := 0; p < parts; p++ {
+				lo, hi := Bounds(n, parts, p)
+				if lo != next || hi < lo {
+					t.Fatalf("n=%d parts=%d: part %d is [%d, %d), want it to start at %d", n, parts, p, lo, hi, next)
+				}
+				for v := lo; v < hi; v++ {
+					if got := partOf(v); got != p {
+						t.Fatalf("n=%d parts=%d: PartOf(%d) = %d, but Bounds puts it in part %d", n, parts, v, got, p)
+					}
+				}
+				next = hi
+			}
+			if next != int32(n) {
+				t.Fatalf("n=%d parts=%d: the slices end at %d", n, parts, next)
+			}
+		}
+	}
+}
+
+// TestUnevenPartsCountEachEdgeOnce: at part counts that do not divide
+// the vertex count, the border pass offers only edges that cross the
+// Bounds slices, so no interior edge comes back as a border admission.
+// The result repeats no edge, and its interior and border counts add
+// up to its size, before and after the cleanup. While PartOf disagreed
+// with Bounds, gse5140-crt:16:3 at 4 parts read 4 467 interior edges
+// plus 19 border admissions for 4 467 edges.
+func TestUnevenPartsCountEachEdgeOnce(t *testing.T) {
+	bio, err := biogen.Generate(biogen.PresetParams(biogen.GSE5140CRT, 16, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		g     *graph.Graph
+		parts int
+	}{{bio, 4}, {bio, 7}, {randomGraph(301, 1500, 4), 4}} {
+		n := c.g.NumVertices()
+		if n%c.parts == 0 {
+			t.Fatalf("%d parts divide %d vertices", c.parts, n)
+		}
+		p := Extract(c.g, c.parts)
+		for i := 1; i < len(p.Edges); i++ {
+			if a, b := p.Edges[i-1], p.Edges[i]; a.U > b.U || a.U == b.U && a.V >= b.V {
+				t.Fatalf("n=%d parts=%d: edges %v then %v repeat or are out of order", n, c.parts, a, b)
+			}
+		}
+		if p.InteriorEdges+p.BorderAdmitted != len(p.Edges) {
+			t.Fatalf("n=%d parts=%d: %d interior + %d border admitted, but %d edges",
+				n, c.parts, p.InteriorEdges, p.BorderAdmitted, len(p.Edges))
+		}
+		admitted := p.BorderAdmitted
+		rep := p.Cleanup(n, PartOf(n, c.parts), 0)
+		if p.InteriorEdges+admitted-rep.Removed != len(p.Edges) {
+			t.Fatalf("n=%d parts=%d: %d interior + %d border admitted - %d removed, but %d edges after cleanup",
+				n, c.parts, p.InteriorEdges, admitted, rep.Removed, len(p.Edges))
 		}
 	}
 }

@@ -174,7 +174,7 @@ func Generate(p Params) (*graph.Graph, error) {
 		}
 	})
 	us, vs := bufs.Concat()
-	return graph.BuildFromEdgesWorkers(n, us, vs, p.Workers), nil
+	return graph.BuildFromEdges(n, us, vs, p.Workers), nil
 }
 
 // sampleEdge draws one edge by recursive quadrant descent.

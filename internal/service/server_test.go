@@ -398,7 +398,7 @@ func TestMalformedBinaryUpload(t *testing.T) {
 		t.Fatalf("malformed upload: status %d body %s, want 400 naming the out-of-range id", code, body)
 	}
 	// A 4-cycle plus one chord, as in TestMultipartUpload.
-	good := graph.BuildFromEdges(4, []int32{0, 1, 2, 0, 0}, []int32{1, 2, 3, 3, 2})
+	good := graph.BuildFromEdges(4, []int32{0, 1, 2, 0, 0}, []int32{1, 2, 3, 3, 2}, 0)
 	st, code, body := post(good)
 	if code != http.StatusAccepted {
 		t.Fatalf("well-formed upload after the rejected one: status %d body %s", code, body)
@@ -417,7 +417,7 @@ func TestUploadFormatIgnoresCase(t *testing.T) {
 	mw := multipart.NewWriter(&buf)
 	fw, _ := mw.CreateFormFile("graph", "g.BIN")
 	// A 4-cycle plus one chord, as in TestMultipartUpload.
-	if err := graph.WriteBinary(fw, graph.BuildFromEdges(4, []int32{0, 1, 2, 0, 0}, []int32{1, 2, 3, 3, 2})); err != nil {
+	if err := graph.WriteBinary(fw, graph.BuildFromEdges(4, []int32{0, 1, 2, 0, 0}, []int32{1, 2, 3, 3, 2}, 0)); err != nil {
 		t.Fatal(err)
 	}
 	mw.Close()

@@ -8,13 +8,14 @@
 //
 // # Reconciliation
 //
-// The input is partitioned with internal/partition's contiguous-range
-// part assignment. Edges interior to a shard are decided by that
-// shard's own run of core.ExtractContext; edges whose endpoints lie in
-// different shards (border edges) are never seen by any kernel and are
-// reconciled afterwards by incremental.Reconcile, the passes core's
-// StitchComponents and RepairMaximality also run, given the
-// shard-crossing predicate:
+// The input is cut into contiguous vertex ranges by partition.Bounds,
+// each range by graph.Graph.Range. Edges interior to a shard are
+// decided by that shard's own run of core.ExtractContext; edges whose
+// endpoints lie in different shards (border edges, classified by
+// partition.PartOf, the inverse of Bounds) are never seen by any
+// kernel and are reconciled afterwards by incremental.Reconcile, the
+// passes core's StitchComponents and RepairMaximality also run, given
+// the shard-crossing predicate:
 //
 //  1. Spanning stitch: a union-find over the merged interior edge sets
 //     admits any original edge joining two distinct components. Such an
@@ -44,7 +45,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"chordal/internal/core"
 	"chordal/internal/graph"
@@ -101,8 +101,6 @@ type ShardStat struct {
 	ChordalEdges int
 	// Iterations is the shard kernel's while-loop iteration count.
 	Iterations int
-	// Duration is the shard kernel's wall-clock time.
-	Duration time.Duration
 }
 
 // Result is the merged outcome of a sharded extraction.
@@ -115,7 +113,8 @@ type Result struct {
 	Subgraph *graph.Graph
 	// Shards holds one entry per shard in index order.
 	Shards []ShardStat
-	// BorderTotal is the number of input edges crossing shards.
+	// BorderTotal is the number of input edges crossing shards: those
+	// whose endpoints lie in different partition.Bounds slices.
 	BorderTotal int
 	// StitchedEdges counts edges admitted by the spanning stitch;
 	// BorderBridges is the subset of them that cross shards (the rest
@@ -137,8 +136,6 @@ type Result struct {
 	// of Subgraph; nil and 0 when Chordal is false.
 	PEO       []int32
 	Treewidth int
-	// Total is the wall-clock time of the whole sharded extraction.
-	Total time.Duration
 }
 
 // NumChordalEdges returns the merged chordal edge count.
@@ -159,7 +156,6 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 	if g == nil {
 		return nil, fmt.Errorf("shard: nil graph")
 	}
-	start := time.Now()
 	n := g.NumVertices()
 	parts := 1
 	if n > 0 {
@@ -183,8 +179,8 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 		firstErr   error
 	)
 	if parts == 1 {
-		// Single shard: the induced subgraph is the graph itself — skip
-		// the copy and run the kernel directly.
+		// Single shard: the range is the whole graph — skip the copy and
+		// run the kernel directly.
 		edges, st, err := opts.RunShard(ctx, 0, g, 0, perShard)
 		if err != nil {
 			return nil, err
@@ -193,14 +189,7 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 	} else {
 		parallel.For(parts, conc, 1, func(_, p int) {
 			lo, hi := partition.Bounds(n, parts, p)
-			ids := make([]int32, 0, hi-lo)
-			for v := lo; v < hi; v++ {
-				ids = append(ids, v)
-			}
-			// The keep set is a contiguous ascending range, so local id
-			// i maps back to lo+i.
-			sub, _ := g.InducedSubgraph(ids)
-			edges, st, err := opts.RunShard(ctx, p, sub, lo, perShard)
+			edges, st, err := opts.RunShard(ctx, p, g.Range(lo, hi), lo, perShard)
 			if err != nil {
 				errMu.Lock()
 				if firstErr == nil {
@@ -237,13 +226,12 @@ func ExtractContext(ctx context.Context, g *graph.Graph, opts Options) (*Result,
 	}
 
 	res.Finalize()
-	res.Total = time.Since(start)
 	return res, nil
 }
 
 // RunShard runs the per-shard kernel: core.ExtractContext on sub, the
 // subgraph induced by a contiguous vertex range that starts at global
-// id lo, on workers workers. The kernel's own post-passes and OnEvent
+// id lo (graph.RangeCSR's cut), on workers workers. The kernel's own post-passes and OnEvent
 // are off, because stitching and repair are global decisions made after
 // the merge, and OnShardIteration receives its iterations as shard p's.
 // It returns the chordal edges in global ids and the shard's stats.
@@ -273,7 +261,6 @@ func (o Options) RunShard(ctx context.Context, p int, sub *graph.Graph, lo int32
 		InteriorEdges: sub.NumEdges(),
 		ChordalEdges:  len(r.Edges),
 		Iterations:    len(r.Iterations),
-		Duration:      r.Total,
 	}, nil
 }
 
@@ -305,8 +292,8 @@ func (res *Result) Reconcile(ctx context.Context, edges incremental.EdgeStream, 
 // outside ExtractContext (the out-of-core driver) call it after
 // Reconcile.
 func (res *Result) Finalize() {
-	core.SortEdges(res.NumVertices, res.Edges)
-	res.Subgraph = core.EdgesToGraph(res.NumVertices, res.Edges)
+	graph.SortEdges(res.NumVertices, res.Edges)
+	res.Subgraph = graph.FromSortedEdges(res.NumVertices, res.Edges)
 	peo, width, ok := verify.PEO(res.Subgraph)
 	if res.Chordal = ok; ok {
 		res.PEO, res.Treewidth = peo, width

@@ -125,9 +125,9 @@ func TestSubgraphMatchesBuilder(t *testing.T) {
 					}
 					us[i], vs[i] = e.U, e.V
 				}
-				want := graph.SubgraphFromEdges(res.NumVertices, us, vs)
+				want := graph.BuildFromEdges(res.NumVertices, us, vs, 0)
 				if !reflect.DeepEqual(res.Subgraph, want) {
-					t.Fatalf("shards=%d repair=%t: Subgraph differs from SubgraphFromEdges", shards, repair)
+					t.Fatalf("shards=%d repair=%t: Subgraph differs from BuildFromEdges", shards, repair)
 				}
 			}
 		}
@@ -171,7 +171,7 @@ func bipartiteGraph(n int, m int, seed uint64) *graph.Graph {
 		us = append(us, int32(rng.Intn(half)))
 		vs = append(vs, int32(half+rng.Intn(n-half)))
 	}
-	return graph.BuildFromEdges(n, us, vs)
+	return graph.BuildFromEdges(n, us, vs, 0)
 }
 
 // TestBorderHeavyAdversarial drives the reconciliation with a graph
@@ -251,6 +251,62 @@ func TestShardedKTreeKeepsEverything(t *testing.T) {
 	}
 }
 
+// TestUnevenShardsDecideEveryEdgeOnce pins the shard-ownership rule at
+// shard counts that do not divide the vertex count: an edge is a border
+// edge exactly when it crosses the partition.Bounds slices the kernels
+// ran on. So a k-tree at 3 shards keeps every edge, as it does at 2 and
+// 4, and BorderTotal (like partition.CutEdges) counts exactly the edges
+// that cross the slices. While partition.PartOf disagreed with Bounds,
+// ktree:400:8:3 at 3 shards kept 3 155 of its 3 164 edges, and
+// rmat-b:10:5 reported 3 199 border edges where 3 211 cross.
+func TestUnevenShardsDecideEveryEdgeOnce(t *testing.T) {
+	kt := must(synth.KTree(400, 8, 3))
+	rb, err := rmat.Generate(rmat.PresetParams(rmat.B, 10, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		g      *graph.Graph
+		shards int
+	}{
+		{"ktree:400:8:3", kt, 3},
+		{"rmat-b:10:5", rb, 3},
+		{"rmat-g:9:7", rmatG(t, 9), 7},
+		{"gnm:1000:5000:1", must(synth.GNM(1000, 5000, 1)), 7},
+	}
+	for _, c := range cases {
+		n := c.g.NumVertices()
+		if n%c.shards == 0 {
+			t.Fatalf("%s: %d shards divide %d vertices", c.name, c.shards, n)
+		}
+		slice := make([]int, n)
+		for p := 0; p < c.shards; p++ {
+			lo, hi := partition.Bounds(n, c.shards, p)
+			for v := lo; v < hi; v++ {
+				slice[v] = p
+			}
+		}
+		cross := 0
+		c.g.Edges(func(u, v int32) {
+			if slice[u] != slice[v] {
+				cross++
+			}
+		})
+		res, err := Extract(c.g, Options{Shards: c.shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.BorderTotal != cross || partition.CutEdges(c.g, c.shards) != int64(cross) {
+			t.Errorf("%s shards=%d: BorderTotal %d, CutEdges %d, but %d edges cross the slices",
+				c.name, c.shards, res.BorderTotal, partition.CutEdges(c.g, c.shards), cross)
+		}
+		if c.g == kt && (int64(len(res.Edges)) != kt.NumEdges() || kt.NumEdges() != 3164) {
+			t.Errorf("%s shards=%d: kept %d of the k-tree's %d edges, want 3164 of 3164", c.name, c.shards, len(res.Edges), kt.NumEdges())
+		}
+	}
+}
+
 // TestBorderFootprint pins the allocation of a border-heavy sharded
 // extraction: gnm:20000:150000:7 cut into 8 shards on one worker, where
 // most of the input crosses shards and most border checks reject.
@@ -293,7 +349,7 @@ func TestShardClampAndTinyGraphs(t *testing.T) {
 	if !res.Chordal {
 		t.Fatal("tiny merge not chordal")
 	}
-	empty := graph.BuildFromEdges(0, nil, nil)
+	empty := graph.BuildFromEdges(0, nil, nil, 0)
 	if res, err = Extract(empty, Options{Shards: 4}); err != nil || len(res.Edges) != 0 {
 		t.Fatalf("empty graph: res=%+v err=%v", res, err)
 	}
@@ -341,12 +397,7 @@ func TestReconcileObservesContext(t *testing.T) {
 		var kernels []core.Edge
 		for p := 0; p < parts; p++ {
 			lo, hi := partition.Bounds(n, parts, p)
-			ids := make([]int32, 0, hi-lo)
-			for v := lo; v < hi; v++ {
-				ids = append(ids, v)
-			}
-			sub, _ := g.InducedSubgraph(ids)
-			edges, _, err := opts.RunShard(context.Background(), p, sub, lo, 1)
+			edges, _, err := opts.RunShard(context.Background(), p, g.Range(lo, hi), lo, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -72,7 +72,7 @@ func GNM(n int, m int64, seed uint64, workers ...int) (*graph.Graph, error) {
 		us = append(us, u)
 		vs = append(vs, v)
 	}
-	return graph.BuildFromEdgesWorkers(n, us, vs, workerArg(workers)), nil
+	return graph.BuildFromEdges(n, us, vs, workerArg(workers)), nil
 }
 
 // CheckWattsStrogatz reports whether WattsStrogatz accepts its
@@ -115,7 +115,7 @@ func WattsStrogatz(n, k int, beta float64, seed uint64, workers ...int) (*graph.
 			vs = append(vs, int32(w))
 		}
 	}
-	return graph.BuildFromEdgesWorkers(n, us, vs, workerArg(workers)), nil
+	return graph.BuildFromEdges(n, us, vs, workerArg(workers)), nil
 }
 
 // CheckRandomGeometric reports whether RandomGeometric accepts its
@@ -189,7 +189,7 @@ func RandomGeometric(n int, radius float64, seed uint64, workers ...int) (*graph
 		}
 	})
 	us, vs := bufs.Concat()
-	return graph.BuildFromEdgesWorkers(n, us, vs, workerArg(workers)), nil
+	return graph.BuildFromEdges(n, us, vs, workerArg(workers)), nil
 }
 
 // GeometricRadiusForDegree returns the radius that gives a random
@@ -266,7 +266,7 @@ func KTree(n, k int, seed uint64, workers ...int) (*graph.Graph, error) {
 			vs[root+(v-k-1)*k+j] = int32(v)
 		}
 	}
-	return graph.BuildFromEdgesWorkers(n, us, vs, workerArg(workers)), nil
+	return graph.BuildFromEdges(n, us, vs, workerArg(workers)), nil
 }
 
 // KTreePlusNoise returns a k-tree with extra additional uniform random
@@ -299,5 +299,5 @@ func KTreePlusNoise(n, k int, extra int64, seed uint64, workers ...int) (*graph.
 		vs = append(vs, v)
 		added++
 	}
-	return graph.BuildFromEdgesWorkers(n, us, vs, workerArg(workers)), planted, nil
+	return graph.BuildFromEdges(n, us, vs, workerArg(workers)), planted, nil
 }

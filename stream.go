@@ -328,17 +328,11 @@ func (s *Stream) Close(ctx context.Context) (*StreamResult, error) {
 	stats := s.statsLocked()
 
 	// Every distinct valid delta is either in the maintained subgraph or
-	// still deferred, so their union reconstructs the accumulated input
-	// exactly.
-	kept, deferred := s.m.EdgeList(), s.m.DeferredEdges()
-	us := make([]int32, 0, len(kept)+len(deferred))
-	vs := make([]int32, 0, len(kept)+len(deferred))
-	for _, part := range [][]Edge{kept, deferred} {
-		for _, e := range part {
-			us, vs = append(us, e.U), append(vs, e.V)
-		}
-	}
-	input := graph.SubgraphFromEdgesWorkers(s.used, us, vs, s.spec.Workers)
+	// still deferred, never both, so their union reconstructs the
+	// accumulated input exactly.
+	edges := append(s.m.EdgeList(), s.m.DeferredEdges()...)
+	graph.SortEdges(s.used, edges)
+	input := graph.FromSortedEdges(s.used, edges)
 	batch := s.spec
 	batch.Mode, batch.MaxDeferred = "", 0
 	res, err := Runner{Input: input, Observer: s.cfg.Observer}.Run(ctx, batch)

@@ -238,6 +238,44 @@ func TestStreamMetamorphicChordalInsertion(t *testing.T) {
 	}
 }
 
+// TestStreamReofferedEdgeClosesOnce: an edge deferred once and then
+// accepted when offered again is counted once. It leaves the deferred
+// queue, and Close, which builds its input from the maintained edges
+// and the queue without deduplicating, gives that input a single copy.
+func TestStreamReofferedEdgeClosesOnce(t *testing.T) {
+	ctx := context.Background()
+	s, err := chordal.OpenStream(ctx, chordal.Spec{Mode: chordal.ModeStream}, chordal.StreamConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []struct {
+		u, v   int32
+		reason chordal.AdmitReason
+	}{
+		{0, 1, chordal.AdmitBridge},
+		{1, 2, chordal.AdmitBridge},
+		{2, 3, chordal.AdmitBridge},
+		{0, 3, chordal.AdmitDeferred},
+		{0, 2, chordal.AdmitAccepted},
+		{3, 0, chordal.AdmitAccepted},
+	} {
+		got, err := s.Push(ctx, d.u, d.v)
+		if err != nil || got.Reason != string(d.reason) {
+			t.Fatalf("push (%d,%d): reason %s (%v), want %s", d.u, d.v, got.Reason, err, d.reason)
+		}
+	}
+	if st := s.Stats(); st.Deferred != 0 || st.SubgraphEdges != 5 {
+		t.Fatalf("stats: %+v, want 0 deferred and 5 edges", st)
+	}
+	res, err := s.Close(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Input.Validate(); err != nil || res.Input.NumEdges() != 5 {
+		t.Fatalf("close input: %d edges (%v), want 5 distinct", res.Input.NumEdges(), err)
+	}
+}
+
 // TestStreamSessionMechanics covers the session-surface behaviors the
 // equivalence grid does not: events, repair cadence, growth and caps,
 // duplicate/invalid accounting, and Close idempotence.
